@@ -1,15 +1,28 @@
 # BlastFunction reproduction build targets.
 GO ?= go
 
-.PHONY: all build test vet race bench bench-dataplane bench-scale bench-reconfig bench-obs trace-overhead log-overhead check experiments examples sched-ablation clean
+.PHONY: all build test test-benchmark fuzz-smoke vet race bench bench-dataplane bench-scale bench-reconfig bench-obs trace-overhead log-overhead check experiments examples sched-ablation clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-test: vet race
+test: vet race fuzz-smoke test-benchmark
 	$(GO) test ./...
+
+# benchmark/ is a nested module, so `go test ./...` above never compiles
+# it: an internal/ change that breaks bfbench has to fail here, in the
+# normal developer loop, not when the benchmark driver next runs.
+test-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Ten seconds of mutation per native fuzz target, starting from the seeds
+# in the test files and the corpora committed under testdata/fuzz. A
+# failing input is written there too; commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoders$$' -fuzztime 10s ./internal/wire/
 
 vet:
 	$(GO) vet ./...
@@ -29,8 +42,9 @@ vet:
 # windows, and registry's allocator races the reconfiguration fallback
 # against concurrent Allocates on the same blank boards. slo computes
 # burn rates from a TSDB that scrape goroutines append to concurrently.
+# wire's buffer pool is shared by every goroutine of the transport.
 race:
-	$(GO) test -race ./internal/rpc/... ./internal/manager/... ./internal/remote/... ./internal/sched/... ./internal/simcluster/... ./internal/obs/... ./internal/logx/... ./internal/alert/... ./internal/datacache/... ./internal/fpga/... ./internal/gateway/... ./internal/flash/... ./internal/registry/... ./internal/slo/... ./internal/flightrec/...
+	$(GO) test -race ./internal/wire/... ./internal/rpc/... ./internal/manager/... ./internal/remote/... ./internal/sched/... ./internal/simcluster/... ./internal/obs/... ./internal/logx/... ./internal/alert/... ./internal/datacache/... ./internal/fpga/... ./internal/gateway/... ./internal/flash/... ./internal/registry/... ./internal/slo/... ./internal/flightrec/...
 
 # Run the scheduling fairness experiment: the two-tenant skew workload on
 # the real Device Manager under fifo vs drr, checked against the

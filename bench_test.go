@@ -84,13 +84,13 @@ func BenchmarkTable4AlexNet(b *testing.B) { benchStudy(b, simcluster.UseAlexNet)
 
 // liveRig starts a single-board testbed (no modelled sleeping) and a
 // client with the requested transport.
-func liveRig(b *testing.B, mode remote.TransportMode) (*Testbed, *remote.Client) {
+func liveRig(b testing.TB, mode remote.TransportMode) (*Testbed, *remote.Client) {
 	return liveRigWith(b, mode, nil)
 }
 
 // liveRigWith is liveRig with a distributed-tracing tracer attached to
 // the client (nil disables tracing, the default path).
-func liveRigWith(b *testing.B, mode remote.TransportMode, tracer *obs.Tracer) (*Testbed, *remote.Client) {
+func liveRigWith(b testing.TB, mode remote.TransportMode, tracer *obs.Tracer) (*Testbed, *remote.Client) {
 	b.Helper()
 	tb, err := NewTestbed(NodeConfig{Name: "bench"})
 	if err != nil {
@@ -114,7 +114,7 @@ func liveRigWith(b *testing.B, mode remote.TransportMode, tracer *obs.Tracer) (*
 	return tb, client
 }
 
-func setupCopy(b *testing.B, client ocl.Client, size int) (ocl.Context, ocl.CommandQueue, ocl.Kernel, ocl.Buffer, ocl.Buffer) {
+func setupCopy(b testing.TB, client ocl.Client, size int) (ocl.Context, ocl.CommandQueue, ocl.Kernel, ocl.Buffer, ocl.Buffer) {
 	b.Helper()
 	platforms, err := client.Platforms()
 	if err != nil {

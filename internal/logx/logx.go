@@ -184,9 +184,9 @@ type core struct {
 	now     func() time.Time
 	proc    string
 	mu      sync.Mutex
-	buf     []Event
-	next    int
-	full    bool
+	size    int     // ring capacity
+	buf     []Event // grows to size on demand, then wraps: an idle logger holds no ring
+	next    int     // oldest slot once len(buf) == size
 	seq     uint64
 }
 
@@ -219,7 +219,7 @@ func New(cfg Config) *Logger {
 			sink:    cfg.Sink,
 			now:     cfg.Now,
 			proc:    cfg.Process,
-			buf:     make([]Event, cfg.RingSize),
+			size:    cfg.RingSize,
 		},
 		component: cfg.Component,
 	}
@@ -344,10 +344,11 @@ func (l *Logger) Log(lv Level, msg string, kv ...any) {
 	c.mu.Lock()
 	c.seq++
 	ev.Seq = c.seq
-	c.buf[c.next] = ev
-	c.next = (c.next + 1) % len(c.buf)
-	if c.next == 0 {
-		c.full = true
+	if len(c.buf) < c.size {
+		c.buf = append(c.buf, ev)
+	} else {
+		c.buf[c.next] = ev
+		c.next = (c.next + 1) % c.size
 	}
 	c.mu.Unlock()
 
@@ -424,10 +425,8 @@ func (l *Logger) Tail() []Event {
 	c := l.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// next stays 0 until the ring is full, so this is oldest-first either way.
 	var out []Event
-	if c.full {
-		out = append(out, c.buf[c.next:]...)
-	}
-	out = append(out, c.buf[:c.next]...)
-	return out
+	out = append(out, c.buf[c.next:]...)
+	return append(out, c.buf[:c.next]...)
 }

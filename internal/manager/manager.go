@@ -494,6 +494,7 @@ func (m *Manager) worker() {
 	// so one grown array serves every task's lock-free accumulation. The
 	// recorder copies events out in CompleteWith, never retaining the slice.
 	var scratch []flightrec.Event
+	var nb notifyBatcher // likewise: one batcher, re-pointed at each task
 	for {
 		it, ok := m.queue.Pop(context.Background())
 		if !ok {
@@ -520,7 +521,7 @@ func (m *Manager) worker() {
 		tm.depth.Add(-1)
 		tm.waitTotal.Add(t.queueWait.Seconds())
 		tm.waitHist.Observe(t.queueWait.Seconds())
-		failed := m.runTask(t)
+		failed := m.runTask(t, &nb)
 		if failed {
 			tm.failures.Inc()
 		}

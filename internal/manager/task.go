@@ -50,7 +50,8 @@ type op struct {
 	offset   int64
 	length   int64
 	via      wire.DataVia
-	data     []byte // inline write payload; aliases the retained request frame
+	data     []byte // inline write payload; aliases frame
+	frame    []byte // retained request frame of an inline write, owned until releaseFrame
 	shmOff   int64
 	copyDst  uint64
 	dstOff   int64
@@ -101,16 +102,20 @@ type task struct {
 	failCause string
 }
 
-// releaseOps returns the pooled inline write payloads of operations that
-// will never reach the board (dropped queues, failed submissions, aborted
-// task tails) back to the buffer pool. Executed writes release their
-// payload inside runOp instead.
+// releaseFrame returns an inline write's retained request frame to the
+// buffer pool — the frame the server handed over, not the data view into
+// it. A no-op for every other operation.
+func (o *op) releaseFrame() {
+	wire.PutBuf(o.frame)
+	o.frame, o.data = nil, nil
+}
+
+// releaseOps releases the frames of operations that will never reach the
+// board (dropped queues, failed submissions, aborted task tails). Executed
+// writes release theirs inside runOp instead.
 func releaseOps(ops []op) {
 	for i := range ops {
-		if ops[i].kind == opWrite && ops[i].via == wire.ViaInline {
-			wire.PutBuf(ops[i].data)
-			ops[i].data = nil
-		}
+		ops[i].releaseFrame()
 	}
 }
 
@@ -149,7 +154,7 @@ func (s *session) enqueueWrite(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte
 		// req.Data aliases the request frame. Keep the frame alive past
 		// this handler — the worker releases it once the bytes reach the
 		// board (runOp) or the operation is dropped (releaseOps).
-		c.RetainRequestPayload()
+		o.frame = c.RetainRequestPayload()
 		o.data = req.Data
 		o.length = int64(len(req.Data))
 	case wire.ViaShm:
@@ -395,12 +400,17 @@ func notifySingle(c *rpc.Conn, proto uint32, n *wire.OpNotification) {
 // where they are and ride out as their own vectored-write segments, so a
 // read result is never copied between the board and the socket. For
 // pre-batch peers every add degenerates to an immediate single frame.
+//
+// The worker owns one batcher and points it at each task in turn, so parts
+// and segs are scratch that stops allocating once it has grown to the
+// largest task seen.
 type notifyBatcher struct {
 	c     *rpc.Conn
 	proto uint32 // negotiated session revision; batching requires ProtoVersionBatch
 
 	e     *wire.Encoder
 	parts []notifyPart
+	segs  [][]byte
 }
 
 type notifyPart struct {
@@ -434,7 +444,7 @@ func (nb *notifyBatcher) flush() {
 	}
 	nb.e.SetU32(0, uint32(len(nb.parts)))
 	buf := nb.e.Bytes()
-	segs := make([][]byte, 0, 2*len(nb.parts))
+	segs := nb.segs[:0]
 	prev := 0
 	for _, p := range nb.parts {
 		segs = append(segs, buf[prev:p.metaEnd])
@@ -449,7 +459,11 @@ func (nb *notifyBatcher) flush() {
 			wire.PutBuf(p.data)
 		}
 	}
-	nb.parts = nb.parts[:0]
+	// Keep the scratch, not what it pointed at: board read buffers went back
+	// to the pool above and must not stay reachable from here.
+	clear(segs)
+	clear(nb.parts)
+	nb.segs, nb.parts = segs[:0], nb.parts[:0]
 	nb.e.Release()
 	nb.e = nil
 }
@@ -461,7 +475,7 @@ func (nb *notifyBatcher) flush() {
 // peers) once the task finishes.
 // runTask executes one popped task and reports whether any of its
 // operations failed (the availability SLI counts failed tasks).
-func (m *Manager) runTask(t *task) (failedTask bool) {
+func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	if t.sess.expired.Load() {
 		// The lease sweeper reclaimed this session between submit and
 		// execution: its buffers are freed, so running would fault.
@@ -486,11 +500,7 @@ func (m *Manager) runTask(t *task) (failedTask bool) {
 	if scale > 0 {
 		time.Sleep(time.Duration(float64(cost.TaskControlOverhead(len(t.ops))) * scale))
 	}
-	nb := notifyBatcher{
-		c:     t.conn,
-		proto: t.sess.proto,
-		parts: make([]notifyPart, 0, 2*len(t.ops)),
-	}
+	nb.c, nb.proto = t.conn, t.sess.proto
 	failed := false
 	var abortErr error
 	// The flight recorder is always on, so stage clocks run whether or
@@ -500,10 +510,7 @@ func (m *Manager) runTask(t *task) (failedTask bool) {
 	for i := range t.ops {
 		o := &t.ops[i]
 		if failed {
-			if o.kind == opWrite && o.via == wire.ViaInline {
-				wire.PutBuf(o.data)
-				o.data = nil
-			}
+			o.releaseFrame()
 			nb.add(&wire.OpNotification{
 				Tag:    o.tag,
 				State:  wire.OpFailed,
@@ -555,17 +562,9 @@ func (m *Manager) runTask(t *task) (failedTask bool) {
 			"execute", "", execStart)
 	}
 	notifyStart := time.Now()
-	t.flightEvs = append(t.flightEvs, flightrec.Event{
-		Kind: flightrec.KindExecute, Dur: notifyStart.Sub(execStart),
-		Detail: fmt.Sprintf("%d ops", len(t.ops)), Time: notifyStart})
-	nb.flush()
-	if t.trace != 0 {
-		m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
-			"notify", "", notifyStart)
-	}
-	notifyEnd := time.Now()
-	t.flightEvs = append(t.flightEvs, flightrec.Event{
-		Kind: flightrec.KindNotify, Dur: notifyEnd.Sub(notifyStart), Time: notifyEnd})
+	// Account for the task before its completion leaves: a client that has
+	// seen Finish return must find its task in the counters and the trace
+	// ring.
 	m.mTaskHist.Observe(taskDevice.Seconds())
 	tm := m.tenantMetric(t.sess.clientName)
 	tm.tasks.Inc()
@@ -577,8 +576,19 @@ func (m *Manager) runTask(t *task) (failedTask bool) {
 		DeviceTime:  taskDevice,
 		QueueWait:   t.queueWait,
 		Failed:      failed,
-		CompletedAt: time.Now(),
+		CompletedAt: notifyStart,
 	})
+	t.flightEvs = append(t.flightEvs, flightrec.Event{
+		Kind: flightrec.KindExecute, Dur: notifyStart.Sub(execStart),
+		Detail: fmt.Sprintf("%d ops", len(t.ops)), Time: notifyStart})
+	nb.flush()
+	if t.trace != 0 {
+		m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
+			"notify", "", notifyStart)
+	}
+	notifyEnd := time.Now()
+	t.flightEvs = append(t.flightEvs, flightrec.Event{
+		Kind: flightrec.KindNotify, Dur: notifyEnd.Sub(notifyStart), Time: notifyEnd})
 	// Hot path: one nil/level check when logging is off or above debug.
 	if m.log.Enabled(logx.LevelDebug) {
 		m.log.Debug("task executed",
@@ -619,12 +629,9 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64) (n
 			sleepHost(cost.ShmDataOverhead(o.length))
 		}
 		d, werr := m.board.Write(o.boardBuf, o.offset, src)
-		if o.via == wire.ViaInline {
-			// The retained request frame is consumed: the bytes are on the
-			// board (or the write failed and they never will be).
-			wire.PutBuf(o.data)
-			o.data = nil
-		}
+		// The retained request frame is consumed: the bytes are on the
+		// board (or the write failed and they never will be).
+		o.releaseFrame()
 		if werr != nil {
 			return nil, false, werr
 		}

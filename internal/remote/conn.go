@@ -284,8 +284,14 @@ func (mc *managerConn) connectionThread() {
 		if ev.flight != 0 && !failedFlights[ev.flight] {
 			// One terminal milestone per task flight, not one per op.
 			failedFlights[ev.flight] = true
+			// flightEvs is published by the taskEnd store (see remoteEvent);
+			// an application thread may be inside Flush writing it right now.
+			var evs []flightrec.Event
+			if ev.taskEnd.Load() {
+				evs = ev.flightEvs
+			}
 			mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName,
-				append(ev.flightEvs, flightrec.Event{Kind: flightrec.KindFailure, Detail: "connection to manager lost"}),
+				append(evs, flightrec.Event{Kind: flightrec.KindFailure, Detail: "connection to manager lost"}),
 				time.Since(ev.taskStart), true, "connection lost")
 		}
 		ev.Fail(ocl.ErrfCause(ocl.ErrDeviceNotAvailable, rpc.ErrManagerDown,

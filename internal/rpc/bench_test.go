@@ -12,7 +12,7 @@ import (
 // completion pushes (pooled encoder head + vectored data segment).
 type benchHandler struct{}
 
-func (benchHandler) HandleConnect(*Conn)    {}
+func (benchHandler) HandleConnect(c *Conn)  { c.SetSession(true) } // lifts the pre-session frame limit
 func (benchHandler) HandleDisconnect(*Conn) {}
 
 func (benchHandler) HandleRequest(c *Conn, method wire.Method, body []byte) ([]byte, error) {

@@ -107,9 +107,10 @@ func NewClient(conn net.Conn) *Client {
 func (c *Client) Notifications() <-chan Notification { return c.notifications }
 
 // Call performs a unary request and waits for the response body. The body
-// is assembled from segs without copying. The returned body is a pooled
-// buffer: the caller releases it with wire.PutBuf once decoded values
-// aliasing it are dead.
+// is assembled from segs without copying. The returned body is the
+// response's pooled frame buffer (see dispatchResponse): the caller
+// releases that slice with wire.PutBuf once decoded values aliasing it are
+// dead.
 func (c *Client) Call(method wire.Method, segs ...[]byte) ([]byte, error) {
 	return c.CallWithTimeout(method, 0, segs...)
 }
@@ -217,9 +218,13 @@ func (c *Client) closeCause() error {
 // Close tears the connection down; pending calls fail and the completion
 // queue closes.
 func (c *Client) Close() error {
-	err := c.conn.Close()
+	// Record the cause first: closing the socket first let readLoop observe
+	// the dead connection and win the race to fail with ErrManagerDown.
 	c.fail(ErrClosed)
-	return err
+	if err := c.conn.Close(); !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 func (c *Client) readLoop() {
@@ -227,8 +232,11 @@ func (c *Client) readLoop() {
 	// notification push can never race the close (the seed closed it from
 	// fail, panicking if a frame arrived during teardown).
 	defer close(c.notifications)
+	r := newFrameReader(c.conn)
 	for {
-		typ, payload, err := readFrame(c.conn)
+		// The client chose this manager, so it takes the manager's word for
+		// a frame length up to the protocol maximum.
+		typ, payload, err := readFrame(r, MaxFrameBytes)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: connection lost: %v", ErrManagerDown, err))
 			return
@@ -262,7 +270,7 @@ func (c *Client) dispatchResponse(payload []byte) {
 		c.fail(fmt.Errorf("%w: malformed response: %v", ErrManagerDown, d.Err()))
 		return
 	}
-	body := payload[len(payload)-d.Remaining():]
+	bodyOff := len(payload) - d.Remaining()
 	c.pendingMu.Lock()
 	ch, ok := c.pending[reqID]
 	delete(c.pending, reqID)
@@ -276,9 +284,12 @@ func (c *Client) dispatchResponse(payload []byte) {
 		ch <- callResult{err: ocl.Errf(status, "%s", errMsg)}
 		return
 	}
-	// Ownership of the frame buffer passes to the caller through body
-	// (same backing array; PutBuf classifies by capacity).
-	ch <- callResult{body: body}
+	// The caller is handed, and will release, exactly one slice, and it has
+	// to be the frame itself (a header-stripped alias would shrink the
+	// pooled buffer; see wire/pool.go). Unary response bodies are a few
+	// fields, so move the body to the frame's front instead of returning a
+	// second value through every Call site.
+	ch <- callResult{body: payload[:copy(payload, payload[bodyOff:])]}
 }
 
 // fail poisons the client: pending calls receive err, future sends fail

@@ -49,6 +49,29 @@
 // segments, so bulk data crosses the transport without an intermediate
 // concatenation copy.
 //
+// Each connection's read loop, server and client, pulls frames through one
+// small buffered reader sized to the largest coalesced frame, so the header
+// and payload of a control frame — usually several control frames — arrive
+// in one Read. A payload larger than that buffer is read from the
+// connection straight into its pooled buffer.
+//
+// # Frame limits
+//
+// A header is five bytes and a length in it is only a claim, so the reader
+// bounds what a claim can cost before the bytes exist:
+//
+//   - While the server's handler has attached no session to the connection
+//     (Conn.Session() == nil; for the Device Manager, before Hello), a
+//     frame may carry at most 4 KiB. A larger header closes the connection
+//     with ErrFrameTooLarge and a Warn log naming the peer; nothing is
+//     allocated for it. A handler that wants large frames attaches its
+//     session first.
+//   - With a session, and always on the client (which chose its manager),
+//     the limit is MaxFrameBytes. Up to the pool's largest class (4 MiB) the
+//     buffer is taken from the pool at the claimed size; beyond it the
+//     buffer starts at 64 KiB and doubles as bytes arrive (wire.ReadBuf), so
+//     a truncated giant frame costs a small multiple of what was sent.
+//
 // # Trace propagation (proto 4)
 //
 // Sessions negotiating wire.ProtoVersionTrace may carry distributed-
@@ -63,27 +86,38 @@
 //
 // # Buffer ownership
 //
-// Frame payloads and encoder buffers come from the tiered pool in package
-// wire (wire.GetBuf / wire.PutBuf). Each buffer has exactly one owner at a
-// time; the hand-off points are:
+// Frame payloads and encoder buffers come from the size-classed pool in
+// package wire (wire.GetBuf / wire.PutBuf). Each buffer has exactly one
+// owner at a time, and one rule holds at every release site: what goes back
+// to the pool is the slice the pool (or readFrame) handed out — the frame —
+// never a header-stripped view of it. A view has a smaller capacity, so
+// releasing views shrank a buffer by a header's worth per cycle until it
+// fell out of its class; with frames released whole, a buffer keeps its
+// class for life and the classes need no slack. Owners that decode a view
+// keep the frame next to it. The hand-off points:
 //
-//   - Client.Call: the returned body is a pooled slice owned by the
-//     caller, who releases it with wire.PutBuf after decoding (values
-//     decoded by aliasing must be dead or copied first).
-//   - Client.Notifications: each Notification's Payload is a pooled slice
-//     owned by the receiver (the Remote Library's connection thread),
-//     released with wire.PutBuf after the notification — including any
-//     aliased Data — has been consumed.
-//   - Server handlers: the body passed to HandleRequest aliases the
+//   - Client.Call: the returned body is the response frame itself, with the
+//     body moved to its front (unary bodies are a few fields). The caller
+//     releases that slice with wire.PutBuf after decoding (values decoded
+//     by aliasing must be dead or copied first).
+//   - Client.Notifications: each Notification's Payload is the frame, owned
+//     by the receiver (the Remote Library's connection thread), released
+//     with wire.PutBuf after the notification — including any aliased
+//     Data — has been consumed.
+//   - Server handlers: the body passed to HandleRequest is a view of the
 //     request frame, which the server releases when the handler returns.
 //     A handler that needs the payload to outlive the request (the
-//     manager's inline EnqueueWrite data) calls Conn.RetainRequestPayload
-//     and becomes the owner of the frame buffer, releasing it via
-//     wire.PutBuf once consumed.
+//     manager's inline EnqueueWrite data) calls Conn.RetainRequestPayload,
+//     which returns the frame and makes the handler its owner: the manager
+//     keeps it in the queued operation beside the data view and releases
+//     the frame once the bytes are on the board or the operation is
+//     dropped.
 //   - Handler responses: the returned body's ownership transfers to the
 //     server, which releases it after writing the response frame. Return
 //     a buffer owned exclusively by the handler (wire.Encoder.Detach), or
 //     nil — never a slice aliasing the request body or shared storage.
 //   - Conn.Notify / Conn.NotifyBatch: segments are only read during the
-//     call and never retained; the caller keeps ownership.
+//     call and never retained; the caller keeps ownership. Board read
+//     results ride out this way as the wire.GetBuf slice the worker
+//     filled, which the notify batcher releases after the write.
 package rpc

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,6 +25,12 @@ const (
 // transfers of the Figure 4a sweep.
 const MaxFrameBytes = 2<<30 + 1<<20
 
+// preSessionFrameMax bounds a frame from a peer the handler has not yet
+// attached a session to (Conn.Session() == nil; for the Device Manager,
+// before Hello). A Hello is a name and two integers: a stranger gets to
+// make the server hold a few KiB, not MaxFrameBytes.
+const preSessionFrameMax = 4 << 10
+
 // ErrFrameTooLarge reports an oversized frame on the wire.
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds size limit")
 
@@ -31,24 +38,25 @@ var ErrFrameTooLarge = errors.New("rpc: frame exceeds size limit")
 const headerLen = 5
 
 // smallFrameMax is the cut-over between the copy path and the vectored
-// path. Below it, copying the segments into one pooled buffer and issuing
-// a single Write is cheaper than a writev; above it, the copy itself is
-// the cost the vectored path exists to avoid.
+// path. Below it, copying the segments into one buffer and issuing a single
+// Write is cheaper than a writev; above it, the copy itself is the cost the
+// vectored path exists to avoid.
 const smallFrameMax = 4 << 10
 
 // frameWriter assembles and writes frames without concatenating payloads.
 // It is not safe for concurrent use; callers serialize through their write
-// lock. The hdr and vec fields are per-writer scratch so steady-state
-// writes allocate nothing.
+// lock. The hdr, small and vec fields are per-writer scratch so
+// steady-state writes allocate nothing.
 type frameWriter struct {
-	w   io.Writer
-	hdr [headerLen]byte
-	vec net.Buffers
+	w     io.Writer
+	hdr   [headerLen]byte
+	small [headerLen + smallFrameMax]byte // coalescing buffer of the small-frame path
+	vec   net.Buffers
 }
 
 // writeFrame writes one frame whose payload is the concatenation of segs.
-// Small frames are coalesced into a single pooled buffer (one syscall for
-// control traffic); larger frames go out as a vectored write (writev on
+// Small frames are coalesced into the writer's scratch buffer (one syscall
+// for control traffic); larger frames go out as a vectored write (writev on
 // TCP), so payload bytes are never copied into a combined buffer. Segments
 // are not retained past the call.
 func (fw *frameWriter) writeFrame(typ byte, segs ...[]byte) error {
@@ -59,14 +67,11 @@ func (fw *frameWriter) writeFrame(typ byte, segs ...[]byte) error {
 	binary.LittleEndian.PutUint32(fw.hdr[:4], uint32(total))
 	fw.hdr[4] = typ
 	if total <= smallFrameMax {
-		buf := wire.GetBuf(headerLen + total)
-		copy(buf, fw.hdr[:])
-		off := headerLen
+		buf := append(fw.small[:0], fw.hdr[:]...)
 		for _, s := range segs {
-			off += copy(buf[off:], s)
+			buf = append(buf, s...)
 		}
 		_, err := fw.w.Write(buf)
-		wire.PutBuf(buf)
 		return err
 	}
 	vec := append(fw.vec[:0], fw.hdr[:])
@@ -85,23 +90,42 @@ func (fw *frameWriter) writeFrame(typ byte, segs ...[]byte) error {
 	return err
 }
 
-// readFrame reads one frame into a pooled buffer. Ownership of payload
-// passes to the caller, who releases it with wire.PutBuf (directly or via
-// the hand-off points described in doc.go) once decoded values that alias
-// it are dead.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [headerLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// newFrameReader returns the buffered reader a connection's read loop pulls
+// frames through. It is sized so that any frame the peer's writer coalesced
+// into one Write can arrive in one Read, header and payload together.
+func newFrameReader(r io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(r, headerLen+smallFrameMax)
+}
+
+// readFrame reads one frame of at most limit payload bytes into a pooled
+// buffer. Whatever part of the payload the buffered reader already holds is
+// copied out of it; the rest of a large payload is read from the connection
+// straight into the pooled buffer (bufio bypasses its buffer for reads at
+// least as large). A header that claims more than limit is refused before
+// anything is allocated; see wire.ReadBuf for how much a claim within the
+// limit is trusted.
+//
+// Ownership of payload passes to the caller, who releases that same slice
+// with wire.PutBuf (directly or via the hand-off points described in
+// doc.go) once decoded values that alias it are dead.
+func readFrame(r *bufio.Reader, limit int) (typ byte, payload []byte, err error) {
+	hdr, err := r.Peek(headerLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	typ = hdr[4]
-	if n > MaxFrameBytes {
-		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	if n > limit {
+		return 0, nil, fmt.Errorf("%w: %d bytes, limit %d", ErrFrameTooLarge, n, limit)
 	}
-	payload = wire.GetBuf(int(n))
-	if _, err = io.ReadFull(r, payload); err != nil {
-		wire.PutBuf(payload)
+	r.Discard(headerLen) // cannot fail: Peek buffered these bytes
+	if payload, err = wire.ReadBuf(r, n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
 	return typ, payload, nil

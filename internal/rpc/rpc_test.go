@@ -24,7 +24,14 @@ type echoHandler struct {
 	orderMu     sync.Mutex
 }
 
-func (h *echoHandler) HandleConnect(c *Conn)    { h.connects.Add(1) }
+// HandleConnect attaches a session at once: these tests exercise the
+// transport as an established peer sees it, large frames included. The
+// pre-session frame limit has its own tests in frame_test.go.
+func (h *echoHandler) HandleConnect(c *Conn) {
+	h.connects.Add(1)
+	c.SetSession(h)
+}
+
 func (h *echoHandler) HandleDisconnect(c *Conn) { h.disconnects.Add(1) }
 
 func (h *echoHandler) HandleRequest(c *Conn, method wire.Method, body []byte) ([]byte, error) {
@@ -295,7 +302,7 @@ func TestNotificationBurstDelivery(t *testing.T) {
 	defer s.Close()
 	c, _ := Dial(addr)
 	defer c.Close()
-	if _, err := c.Call(1, nil); err != nil {
+	if err := c.Send(1); err != nil { // no response to queue behind the burst
 		t.Fatal(err)
 	}
 	var got uint32
@@ -353,7 +360,7 @@ func TestNotifyDuringCloseDoesNotPanic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Call(1, nil); err != nil {
+		if err := c.Send(1); err != nil { // no response to queue behind the burst
 			t.Fatal(err)
 		}
 		// Drain a few, then close while the server is mid-burst.

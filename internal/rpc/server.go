@@ -23,7 +23,7 @@ type Handler interface {
 	// dispatched sequentially in arrival order.
 	//
 	// body aliases the request frame's pooled buffer, which the server
-	// releases after the handler returns unless the handler called
+	// releases after the handler returns unless the handler took it with
 	// c.RetainRequestPayload. The returned response body's ownership
 	// transfers to the server (released after the response is written):
 	// return a buffer the handler owns exclusively — typically
@@ -43,10 +43,11 @@ type Conn struct {
 	closed  bool
 	fw      frameWriter
 
-	// retained is set by RetainRequestPayload during a HandleRequest and
-	// observed by serveConn; both run on the connection's serve goroutine,
-	// so no lock is needed.
-	retained bool
+	// frame is the pooled buffer of the request being handled; serveConn
+	// releases it after HandleRequest unless RetainRequestPayload took it
+	// (and left nil here). Both run on the connection's serve goroutine, so
+	// no lock is needed.
+	frame []byte
 
 	sessionMu sync.Mutex
 	session   any
@@ -70,11 +71,16 @@ func (c *Conn) Session() any {
 func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
 
 // RetainRequestPayload transfers ownership of the current request's frame
-// buffer from the server to the handler: the server will not release it
-// when HandleRequest returns, and the handler (or whoever it hands the
-// buffer to) must wire.PutBuf it — through any slice aliasing it — once
-// consumed. Only valid while inside HandleRequest for that request.
-func (c *Conn) RetainRequestPayload() { c.retained = true }
+// buffer from the server to the handler and returns it: the server will
+// not release it when HandleRequest returns, and the handler (or whoever it
+// hands the frame to) must wire.PutBuf that returned slice once everything
+// aliasing it — the handler's body, values decoded from it — is consumed.
+// Only valid while inside HandleRequest, once per request.
+func (c *Conn) RetainRequestPayload() []byte {
+	f := c.frame
+	c.frame = nil
+	return f
+}
 
 // Notify pushes a notification frame whose payload is the concatenation
 // of segs (written without an intermediate copy). Safe for concurrent
@@ -224,9 +230,17 @@ func (s *Server) serveConn(c *Conn) {
 		s.handler.HandleDisconnect(c)
 	}()
 	s.handler.HandleConnect(c)
+	r := newFrameReader(c.raw)
+	limit := preSessionFrameMax
 	for {
-		typ, payload, err := readFrame(c.raw)
+		if limit == preSessionFrameMax && c.Session() != nil {
+			limit = MaxFrameBytes
+		}
+		typ, payload, err := readFrame(r, limit)
 		if err != nil {
+			if errors.Is(err, ErrFrameTooLarge) {
+				s.Log.Warn("rpc server: closing connection", "peer", c.RemoteAddr().String(), "err", err)
+			}
 			return
 		}
 		if typ != frameRequest {
@@ -241,15 +255,12 @@ func (s *Server) serveConn(c *Conn) {
 		}
 		reqID := binary.LittleEndian.Uint64(payload[:8])
 		method := wire.Method(binary.LittleEndian.Uint16(payload[8:10]))
-		body := payload[10:]
-		c.retained = false
-		resp, err := s.handler.HandleRequest(c, method, body)
+		c.frame = payload
+		resp, err := s.handler.HandleRequest(c, method, payload[10:])
 		if reqID == 0 {
 			// Fire-and-forget request: any error already travelled to the
 			// client as an OpFailed notification from the handler.
-			if !c.retained {
-				wire.PutBuf(payload)
-			}
+			wire.PutBuf(c.frame) // nil (a no-op) if the handler retained it
 			continue
 		}
 		var werr error
@@ -258,9 +269,7 @@ func (s *Server) serveConn(c *Conn) {
 		} else {
 			werr = c.respond(reqID, ocl.Success, "", resp)
 		}
-		if !c.retained {
-			wire.PutBuf(payload)
-		}
+		wire.PutBuf(c.frame)
 		wire.PutBuf(resp) // handler responses are owned buffers; see Handler
 		if werr != nil {
 			return
