@@ -34,6 +34,7 @@ type obsReport struct {
 	UnsampledOverheadPct      float64 `json:"unsampled_overhead_pct"`
 	RuntimeSampleNs           float64 `json:"runtime_collector_sample_ns"`
 	RenderPlainNs             float64 `json:"render_50_histograms_plain_ns"`
+	Render500PlainNs          float64 `json:"render_500_histograms_plain_ns"`
 	RenderWithExemplarsNs     float64 `json:"render_50_histograms_exemplars_ns"`
 	RenderExemplarOverheadPct float64 `json:"render_exemplar_overhead_pct"`
 
@@ -224,10 +225,11 @@ func TestBenchObsArtifact(t *testing.T) {
 	})
 
 	// Scrape-path cost: rendering 50 histogram series, with and without
-	// an exemplar pinned in every bucket.
-	renderCost := func(exemplars bool) float64 {
+	// an exemplar pinned in every bucket, and 500 plain ones — the 500
+	// tenants of the scale exemplar on one registry.
+	renderCost := func(series int, exemplars bool) float64 {
 		reg := metrics.NewRegistry()
-		for i := 0; i < 50; i++ {
+		for i := 0; i < series; i++ {
 			h := reg.Histogram("bf_bench_latency_seconds", "bench",
 				metrics.Labels{"tenant": fmt.Sprintf("t%02d", i)}, nil)
 			for _, v := range vals[:100] {
@@ -246,8 +248,9 @@ func TestBenchObsArtifact(t *testing.T) {
 			}
 		})
 	}
-	report.RenderPlainNs = renderCost(false)
-	report.RenderWithExemplarsNs = renderCost(true)
+	report.RenderPlainNs = renderCost(50, false)
+	report.RenderWithExemplarsNs = renderCost(50, true)
+	report.Render500PlainNs = renderCost(500, false)
 	report.RenderExemplarOverheadPct = 100 * (report.RenderWithExemplarsNs - report.RenderPlainNs) / report.RenderPlainNs
 
 	// The flight recorder's per-task cost: everything both processes'
@@ -298,8 +301,8 @@ func TestBenchObsArtifact(t *testing.T) {
 	t.Logf("observe: plain=%.1fns unsampled-exemplar=%.1fns (%.2f%%) sampled=%.1fns",
 		report.ObservePlainNs, report.ObserveUnsampledNs, report.UnsampledOverheadPct, report.ObserveSampledNs)
 	t.Logf("runtime collector sample: %.0fns", report.RuntimeSampleNs)
-	t.Logf("render 50 histograms: plain=%.0fns exemplars=%.0fns (%.1f%%)",
-		report.RenderPlainNs, report.RenderWithExemplarsNs, report.RenderExemplarOverheadPct)
+	t.Logf("render 50 histograms: plain=%.0fns exemplars=%.0fns (%.1f%%); 500 plain=%.0fns",
+		report.RenderPlainNs, report.RenderWithExemplarsNs, report.RenderExemplarOverheadPct, report.Render500PlainNs)
 	t.Logf("flight recorder: lifecycle=%.0fns (%.2f%% of round trip) in-situ off=%.0fns on=%.0fns (delta %.2f%%)",
 		report.FlightLifecycleNs, report.RecorderOverheadPct,
 		report.RoundTripRecorderOffNs, report.RoundTripRecorderOnNs, report.RoundTripRecorderDeltaPct)

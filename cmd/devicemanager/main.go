@@ -37,25 +37,25 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:5100", "RPC listen address")
-		metricsAt = flag.String("metrics", "127.0.0.1:5101", "metrics HTTP listen address")
-		node      = flag.String("node", "local", "node name (shared-memory co-location check)")
-		device    = flag.String("device", "fpga0", "device identifier")
-		master    = flag.Bool("master", false, "use the master-node cost model (PCIe Gen2, slower host)")
-		timescale = flag.Float64("timescale", 0.01, "wall seconds per modelled second (0 disables sleeping)")
-		register  = flag.String("register", "", "registry base URL for self-registration (optional)")
-		lease     = flag.Duration("lease", 30*time.Second, "session lease duration; silent clients are reclaimed after this (0 disables)")
-		schedFlag = flag.String("sched", "fifo", "central-queue discipline: fifo, drr or deadline")
-		weights   = flag.String("weights", "", "per-tenant drr weights as name=w,name=w (overrides Hello-declared weights)")
-		guard     = flag.Duration("starvation-guard", 0, "drr starvation guard: max queue wait before a tenant is served out of turn (0 = default 2s, negative disables)")
-		traceRing = flag.Int("trace-ring", 0, "distributed-tracing span ring size served at /debug/spans (0 = default 4096)")
-		logLevel  = flag.String("log-level", "info", "minimum level mirrored to stderr (debug|info|warn|error)")
-		logRing   = flag.Int("log-ring", 4096, "events kept in the /debug/logs ring")
-		bufCache  = flag.Int64("buffer-cache-bytes", 0, "content-addressed buffer cache capacity (0 = default 256 MiB, negative disables)")
-		memoize   = flag.Bool("memoize", false, "memoize idempotent kernel results keyed by bitstream/kernel/argument content")
-		memoCache = flag.Int64("memo-cache-bytes", 0, "memoized-result cache capacity (0 = default 64 MiB)")
-		flashHist = flag.String("flash-history", "", "append-only JSONL file persisting the bitstream flash history across restarts")
-		flashKeep = flag.Int("flash-history-limit", 0, "flash history entries kept per board (0 = default 64)")
+		listen       = flag.String("listen", "127.0.0.1:5100", "RPC listen address")
+		metricsAt    = flag.String("metrics", "127.0.0.1:5101", "metrics HTTP listen address")
+		node         = flag.String("node", "local", "node name (shared-memory co-location check)")
+		device       = flag.String("device", "fpga0", "device identifier")
+		master       = flag.Bool("master", false, "use the master-node cost model (PCIe Gen2, slower host)")
+		timescale    = flag.Float64("timescale", 0.01, "wall seconds per modelled second (0 disables sleeping)")
+		register     = flag.String("register", "", "registry base URL for self-registration (optional)")
+		lease        = flag.Duration("lease", 30*time.Second, "session lease duration; silent clients are reclaimed after this (0 disables)")
+		schedFlag    = flag.String("sched", "fifo", "central-queue discipline: fifo, drr or deadline")
+		weights      = flag.String("weights", "", "per-tenant drr weights as name=w,name=w (overrides Hello-declared weights)")
+		guard        = flag.Duration("starvation-guard", 0, "drr starvation guard: max queue wait before a tenant is served out of turn (0 = default 2s, negative disables)")
+		traceRing    = flag.Int("trace-ring", 0, "distributed-tracing span ring size served at /debug/spans (0 = default 4096)")
+		logLevel     = flag.String("log-level", "info", "minimum level mirrored to stderr (debug|info|warn|error)")
+		logRing      = flag.Int("log-ring", 4096, "events kept in the /debug/logs ring")
+		bufCache     = flag.Int64("buffer-cache-bytes", 0, "content-addressed buffer cache capacity (0 = default 256 MiB, negative disables)")
+		memoize      = flag.Bool("memoize", false, "memoize idempotent kernel results keyed by bitstream/kernel/argument content")
+		memoCache    = flag.Int64("memo-cache-bytes", 0, "memoized-result cache capacity (0 = default 64 MiB)")
+		flashHist    = flag.String("flash-history", "", "append-only JSONL file persisting the bitstream flash history across restarts")
+		flashKeep    = flag.Int("flash-history-limit", 0, "flash history entries kept per board (0 = default 64)")
 		flightRing   = flag.Int("flight-ring", 0, "flight-recorder ring size served at /debug/flight (0 = default 1024)")
 		flightLedger = flag.String("flight-ledger", "", "durable JSONL spill file for notable flights (failures, tail outliers)")
 	)

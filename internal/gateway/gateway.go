@@ -80,9 +80,27 @@ type epState struct {
 	node   string
 	weight int
 	ep     Endpoint
+	// routed is the endpoint's routed-milestone detail ("<router> -> <uid>
+	// on <node>"), built once at materialization.
+	routed string
 
 	inflight atomic.Int64
 	requests atomic.Int64
+}
+
+// lazyCounter is one of a function's front-door counters. The first
+// request that counts into it resolves it against the registry — whenever
+// Metrics was wired, and so that /metrics lists a series only once it has
+// counted something — and the handle is held from then on: serving a
+// request builds no label set and looks no series up.
+type lazyCounter struct {
+	once sync.Once
+	c    metrics.Counter
+}
+
+func (l *lazyCounter) inc(reg *metrics.Registry, name, help, function string) {
+	l.once.Do(func() { l.c = reg.Counter(name, help, metrics.Labels{"function": function}) })
+	l.c.Inc()
 }
 
 type funcState struct {
@@ -107,6 +125,11 @@ type funcState struct {
 	admitted atomic.Int64
 	rejected atomic.Int64
 	latSumUs atomic.Int64
+	// The exported SLI series behind those counts (nothing without
+	// Gateway.Metrics); mLatency is resolved like a lazyCounter.
+	mRequests, mErrors, mAdmitted, mRejected lazyCounter
+	mLatencyOnce                             sync.Once
+	mLatency                                 metrics.Histogram
 }
 
 // nextRR picks the next endpoint in rotation.
@@ -156,7 +179,8 @@ type Gateway struct {
 	// an empty span list.
 	Tracer *obs.Tracer
 	// Router picks the endpoint serving each request; nil falls back to
-	// round-robin (the paper's behavior). Set before serving.
+	// round-robin (the paper's behavior). Set before Run: an endpoint's
+	// routed flight detail names the policy it was materialized under.
 	Router Router
 	// Admission, when set, gates every /function/ request through the
 	// per-tenant token buckets; over-budget requests get 429 with a
@@ -376,7 +400,8 @@ func (g *Gateway) materialize(fs *funcState, in cluster.Instance, attempt int) {
 		return
 	}
 	weight, _ := strconv.Atoi(in.Env[envWeight])
-	es := &epState{uid: in.UID, node: in.Node, weight: weight, ep: ep}
+	es := &epState{uid: in.UID, node: in.Node, weight: weight, ep: ep,
+		routed: g.router().Name() + " -> " + in.UID + " on " + in.Node}
 	fs.mu.Lock()
 	if _, exists := fs.eps[in.UID]; exists {
 		fs.mu.Unlock()
@@ -446,7 +471,10 @@ func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request) {
 		ok, retryAfter := g.Admission.Admit(tenant)
 		if !ok {
 			fs.rejected.Add(1)
-			g.countAdmission("bf_gateway_rejected_total", name)
+			if g.Metrics != nil {
+				fs.mRejected.inc(g.Metrics, "bf_gateway_rejected_total",
+					"Requests admission control refused (429) for the function.", name)
+			}
 			secs := int(retryAfter/time.Second) + 1
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
 			g.Flight.Record(flight, flightrec.Event{
@@ -458,7 +486,10 @@ func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		fs.admitted.Add(1)
-		g.countAdmission("bf_gateway_admitted_total", name)
+		if g.Metrics != nil {
+			fs.mAdmitted.inc(g.Metrics, "bf_gateway_admitted_total",
+				"Requests admission control let through to the function.", name)
+		}
 	}
 	g.Flight.Record(flight, flightrec.Event{
 		Kind: flightrec.KindAdmitted, Dur: time.Since(admStart), Detail: name})
@@ -470,14 +501,14 @@ func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("function %q has no ready instances", name), http.StatusServiceUnavailable)
 		return
 	}
-	g.Flight.Record(flight, flightrec.Event{
-		Kind: flightrec.KindRouted, Detail: fmt.Sprintf("%T -> %s on %s", g.router(), es.uid, es.node)})
+	g.Flight.Record(flight, flightrec.Event{Kind: flightrec.KindRouted, Detail: es.routed})
 	fs.requests.Add(1)
 	es.requests.Add(1)
 	fs.inflight.Add(1)
 	es.inflight.Add(1)
 	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	sw := statusWriters.Get().(*statusWriter)
+	*sw = statusWriter{ResponseWriter: w, status: http.StatusOK}
 	// The decrements and accounting are deferred so a panicking endpoint
 	// cannot leak the in-flight counts: a leak would permanently inflate
 	// the autoscaler's signal and poison least-inflight routing.
@@ -510,36 +541,23 @@ func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request) {
 		// Per-function request/error counters and the latency histogram
 		// are the gateway-side SLIs the SLO engine reads (availability
 		// goal and front-door quantiles).
-		g.countFunction(name, elapsed, failed)
+		if reg := g.Metrics; reg != nil {
+			fs.mRequests.inc(reg, "bf_function_requests_total",
+				"Requests the gateway routed to the function.", name)
+			if failed {
+				fs.mErrors.inc(reg, "bf_function_errors_total",
+					"Routed requests that failed (HTTP >= 400 or panic).", name)
+			}
+			fs.mLatencyOnce.Do(func() {
+				fs.mLatency = reg.Histogram("bf_function_latency_seconds",
+					"Front-door request latency per function.", metrics.Labels{"function": name}, nil)
+			})
+			fs.mLatency.Observe(elapsed.Seconds())
+		}
+		sw.ResponseWriter = nil
+		statusWriters.Put(sw)
 	}()
 	es.ep.ServeHTTP(sw, r)
-}
-
-// countFunction records one served request into the exported SLI
-// series when a metrics registry is attached.
-func (g *Gateway) countFunction(function string, elapsed time.Duration, failed bool) {
-	if g.Metrics == nil {
-		return
-	}
-	lbl := metrics.Labels{"function": function}
-	g.Metrics.Counter("bf_function_requests_total",
-		"Requests the gateway routed to the function.", lbl).Inc()
-	if failed {
-		g.Metrics.Counter("bf_function_errors_total",
-			"Routed requests that failed (HTTP >= 400 or panic).", lbl).Inc()
-	}
-	g.Metrics.Histogram("bf_function_latency_seconds",
-		"Front-door request latency per function.", lbl, nil).Observe(elapsed.Seconds())
-}
-
-// countAdmission bumps a front-door counter when a metrics registry is
-// attached.
-func (g *Gateway) countAdmission(series, function string) {
-	if g.Metrics == nil {
-		return
-	}
-	g.Metrics.Counter(series, "gateway admission decisions",
-		metrics.Labels{"function": function}).Inc()
 }
 
 // DebugEndpoint is one endpoint's routing view in /debug/gateway.
@@ -624,11 +642,15 @@ func (g *Gateway) serveDebug(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(g.Debug())
 }
 
+// statusWriter records the status an endpoint answered with. Requests
+// borrow one from statusWriters for the length of the endpoint call.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	wrote  bool
 }
+
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (sw *statusWriter) WriteHeader(code int) {
 	sw.status = code

@@ -282,8 +282,7 @@ func (l *Logger) With(kv ...any) *Logger {
 		return l
 	}
 	d := *l
-	d.fields = append([]Field(nil), l.fields...)
-	d.trace, d.span, d.fields = appendKV(d.trace, d.span, d.fields, kv)
+	d.trace, d.span, d.fields = appendKV(l.trace, l.span, l.fields, kv)
 	return &d
 }
 
@@ -307,7 +306,10 @@ func (l *Logger) Enabled(lv Level) bool {
 
 // Debug records a debug event. kv alternates keys (string) and values
 // (any); values of type obs.TraceID / obs.SpanID set the event's
-// correlation IDs instead of becoming fields.
+// correlation IDs instead of becoming fields. A *time.Duration is logged
+// as the duration it points at: a hot path passes the address of one it
+// holds in a struct, because boxing the value allocates and the pointer
+// does not.
 func (l *Logger) Debug(msg string, kv ...any) { l.Log(LevelDebug, msg, kv...) }
 
 // Info records an informational event.
@@ -332,14 +334,12 @@ func (l *Logger) Log(lv Level, msg string, kv ...any) {
 		Msg:       msg,
 		Trace:     l.trace,
 		Span:      l.span,
+		Fields:    l.fields,
+		Proc:      c.proc,
 	}
-	fields := l.fields
 	if len(kv) > 0 {
-		fields = append([]Field(nil), fields...)
-		ev.Trace, ev.Span, fields = appendKV(ev.Trace, ev.Span, fields, kv)
+		ev.Trace, ev.Span, ev.Fields = appendKV(l.trace, l.span, l.fields, kv)
 	}
-	ev.Fields = fields
-	ev.Proc = c.proc
 
 	c.mu.Lock()
 	c.seq++
@@ -357,63 +357,90 @@ func (l *Logger) Log(lv Level, msg string, kv ...any) {
 	}
 }
 
-// appendKV folds alternating key/value arguments into fields, diverting
-// obs IDs to the correlation slots. A trailing key without a value (or a
-// non-string key) is recorded as a malformed field rather than dropped.
-func appendKV(trace obs.TraceID, span obs.SpanID, fields []Field, kv []any) (obs.TraceID, obs.SpanID, []Field) {
+// appendKV returns base extended by the alternating key/value arguments,
+// with obs IDs diverted to the correlation slots. A trailing key without a
+// value (or a non-string key) is recorded as a malformed field rather than
+// dropped. It allocates twice however many fields there are (up to eight,
+// up to 128 bytes of formatted scalars): the field slice, sized once, and
+// one string that every formatted value is a substring of.
+func appendKV(trace obs.TraceID, span obs.SpanID, base []Field, kv []any) (obs.TraceID, obs.SpanID, []Field) {
+	fields := make([]Field, len(base), len(base)+(len(kv)+1)/2)
+	copy(fields, base)
+	var (
+		textArr [128]byte
+		endArr  [8]int
+	)
+	text, ends := textArr[:0], endArr[:0] // ends[j]: where new field j's formatted value stops in text
 	for i := 0; i < len(kv); i += 2 {
-		if i+1 >= len(kv) {
-			fields = append(fields, Field{Key: "!MISSING-VALUE", Value: formatValue(kv[i])})
-			break
-		}
-		key, ok := kv[i].(string)
-		if !ok {
-			fields = append(fields, Field{Key: "!BAD-KEY", Value: formatValue(kv[i])})
-			continue
-		}
-		switch v := kv[i+1].(type) {
-		case obs.TraceID:
-			if v != 0 {
-				trace = v
+		key, v := "!MISSING-VALUE", kv[i]
+		if i+1 < len(kv) {
+			k, ok := kv[i].(string)
+			if !ok {
+				key = "!BAD-KEY"
+			} else {
+				key, v = k, kv[i+1]
+				switch id := v.(type) {
+				case obs.TraceID:
+					if id != 0 {
+						trace = id
+					}
+					continue
+				case obs.SpanID:
+					if id != 0 {
+						span = id
+					}
+					continue
+				}
 			}
-		case obs.SpanID:
-			if v != 0 {
-				span = v
+		}
+		var own string
+		text, own = appendValue(text, v)
+		fields = append(fields, Field{Key: key, Value: own})
+		ends = append(ends, len(text))
+	}
+	if len(text) > 0 {
+		all, start := string(text), 0
+		for j, end := range ends {
+			if end > start {
+				fields[len(base)+j].Value = all[start:end]
+				start = end
 			}
-		default:
-			fields = append(fields, Field{Key: key, Value: formatValue(v)})
 		}
 	}
 	return trace, span, fields
 }
 
-func formatValue(v any) string {
+// appendValue stringifies v: a scalar is appended to b, a value that is or
+// brings its own string is returned instead.
+func appendValue(b []byte, v any) ([]byte, string) {
 	switch x := v.(type) {
 	case string:
-		return x
+		return b, x
+	case nil:
+		return b, "<nil>"
 	case error:
-		if x == nil {
-			return "<nil>"
-		}
-		return x.Error()
+		return b, x.Error()
 	case int:
-		return strconv.Itoa(x)
+		return strconv.AppendInt(b, int64(x), 10), ""
 	case int64:
-		return strconv.FormatInt(x, 10)
+		return strconv.AppendInt(b, x, 10), ""
 	case uint64:
-		return strconv.FormatUint(x, 10)
+		return strconv.AppendUint(b, x, 10), ""
 	case uint32:
-		return strconv.FormatUint(uint64(x), 10)
+		return strconv.AppendUint(b, uint64(x), 10), ""
 	case bool:
-		return strconv.FormatBool(x)
+		return strconv.AppendBool(b, x), ""
 	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(b, x, 'g', -1, 64), ""
 	case time.Duration:
-		return x.String()
+		// String is inlined here, so its result never leaves the stack.
+		return append(b, x.String()...), ""
+	case *time.Duration:
+		return append(b, x.String()...), ""
 	case fmt.Stringer:
-		return x.String()
+		return b, x.String()
 	default:
-		return fmt.Sprint(v)
+		return b, fmt.Sprint(v)
 	}
 }
 

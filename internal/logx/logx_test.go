@@ -358,3 +358,51 @@ func TestLoggerStampsProcSeq(t *testing.T) {
 		t.Fatalf("default proc = %q", got)
 	}
 }
+
+// TestFieldValues pins how every value kind is stringified, including the
+// malformed argument lists: the values of one event share one backing
+// string, and no field may come out shifted or truncated by that.
+func TestFieldValues(t *testing.T) {
+	l := testLogger(16).With("dev", "fpga-A")
+	l.Debug("all kinds",
+		"s", "plain", "n", 123456, "i64", int64(-7), "u64", uint64(1<<40), "u32", uint32(9),
+		"ok", true, "f", 0.25, "d", 1500*time.Microsecond, "empty", "", "nil", nil,
+		"err", errors.New("boom"), "id", obs.SpanID(0xab), "stringer", LevelWarn, "other", []int{1, 2},
+		"trace", obs.TraceID(0xfeed), 42, "skipped", "dangling")
+	ev := l.Tail()[0]
+	want := []Field{
+		{"dev", "fpga-A"}, {"s", "plain"}, {"n", "123456"}, {"i64", "-7"}, {"u64", "1099511627776"}, {"u32", "9"},
+		{"ok", "true"}, {"f", "0.25"}, {"d", "1.5ms"}, {"empty", ""}, {"nil", "<nil>"},
+		{"err", "boom"}, {"stringer", "WARN"}, {"other", "[1 2]"},
+		{"!BAD-KEY", "42"}, {"!MISSING-VALUE", "dangling"},
+	}
+	if len(ev.Fields) != len(want) {
+		t.Fatalf("fields = %+v, want %+v", ev.Fields, want)
+	}
+	for i, f := range ev.Fields {
+		if f != want[i] {
+			t.Errorf("field %d = %+v, want %+v", i, f, want[i])
+		}
+	}
+	if ev.Trace != 0xfeed || ev.Span != 0xab {
+		t.Errorf("correlation IDs = %v/%v", ev.Trace, ev.Span)
+	}
+}
+
+// TestRingOnlyEventAllocatesTwice is the logging budget of a hot path: an
+// event that only reaches the ring costs the field slice and one string
+// for all its formatted values. The arguments are boxed once outside the
+// measured call, as a hot path that holds what it logs would have them;
+// what a call site pays to box a fresh value is that site's to avoid.
+func TestRingOnlyEventAllocatesTwice(t *testing.T) {
+	l := New(Config{Component: "test", RingSize: 64})
+	kv := []any{"client", "sobel-1", "ops", 3000, "device_time", 1234 * time.Microsecond,
+		"failed", false, "bytes", uint64(1 << 33), "share", 0.125}
+	l.Debug("warm", kv...) // first events grow the ring
+	for len(l.Tail()) < 64 {
+		l.Debug("warm", kv...)
+	}
+	if n := testing.AllocsPerRun(200, func() { l.Debug("task executed", kv...) }); n > 2 {
+		t.Fatalf("a six-field ring-only event allocates %.0f times, budget 2", n)
+	}
+}

@@ -514,7 +514,7 @@ func (m *Manager) worker() {
 		// after Push, and the worker is the first code that sees it.
 		t.flightEvs = append(scratch[:0],
 			flightrec.Event{Kind: flightrec.KindEnqueued, Depth: it.Depth, Pos: it.Pos,
-				Detail: fmt.Sprintf("%d ops", len(t.ops)), Time: it.Submitted},
+				Detail: opsDetail(len(t.ops)), Time: it.Submitted},
 			flightrec.Event{Kind: flightrec.KindScheduled, Dur: t.queueWait, Detail: string(m.disc), Time: popped})
 		m.mQueueDepth.Set(float64(m.queue.Len()))
 		tm := m.tenantMetric(t.sess.clientName)
@@ -653,6 +653,7 @@ func (m *Manager) handleHello(c *rpc.Conn, d *wire.Decoder) ([]byte, error) {
 	s := newSession(m.nextSess, req.ClientName)
 	s.proto = req.ProtoVersion
 	s.conn = c
+	s.log = m.log.With("client", s.clientName)
 	// The fair-share weight travels with the instance binding (Registry →
 	// gateway → Hello); the manager's static table, when set, wins inside
 	// the queue's weight resolution.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"blastfunction/internal/fpga"
+	"blastfunction/internal/logx"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/rpc"
@@ -19,6 +20,9 @@ import (
 type session struct {
 	id         uint64
 	clientName string
+	// log is the manager's logger with the client attached once (set at
+	// Hello), so per-task events do not box the name.
+	log *logx.Logger
 	// proto is the protocol revision negotiated at Hello. Immutable after
 	// the handshake; gates the batch notification path.
 	proto uint32

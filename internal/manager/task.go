@@ -1,7 +1,7 @@
 package manager
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"blastfunction/internal/flightrec"
@@ -81,8 +81,9 @@ type task struct {
 	// only the deadline discipline orders by it.
 	deadline time.Time
 	// queueWait is the time the task spent in the central queue, stamped
-	// by the worker at pop.
-	queueWait time.Duration
+	// by the worker at pop; deviceTime is the modelled board time of the
+	// operations it has executed so far.
+	queueWait, deviceTime time.Duration
 	// trace/span carry the client's sampled trace identity from the Flush
 	// frame (zero when untraced); span is the task's root span.
 	trace uint64
@@ -100,6 +101,22 @@ type task struct {
 	// failCause is the first operation failure's message, carried to the
 	// flight's terminal milestone.
 	failCause string
+}
+
+// opsDetails are the "<n> ops" flight details of the usual task sizes,
+// built once: a task's milestones name its size twice.
+var opsDetails = func() (t [17]string) {
+	for n := range t {
+		t[n] = strconv.Itoa(n) + " ops"
+	}
+	return t
+}()
+
+func opsDetail(n int) string {
+	if n < len(opsDetails) {
+		return opsDetails[n]
+	}
+	return strconv.Itoa(n) + " ops"
 }
 
 // releaseFrame returns an inline write's retained request frame to the
@@ -492,7 +509,6 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 		return true
 	}
 	m.mTasks.Inc()
-	var taskDevice time.Duration
 	cost := m.board.Cost()
 	scale := m.board.Config().TimeScale
 	// Control-plane overhead of the flushed task (calibrated; the real
@@ -537,7 +553,7 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 		}
 		m.mOps.Inc()
 		if n != nil {
-			taskDevice += time.Duration(n.DeviceNanos)
+			t.deviceTime += time.Duration(n.DeviceNanos)
 		}
 		if err != nil {
 			failed, abortErr = true, err
@@ -565,22 +581,22 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	// Account for the task before its completion leaves: a client that has
 	// seen Finish return must find its task in the counters and the trace
 	// ring.
-	m.mTaskHist.Observe(taskDevice.Seconds())
+	m.mTaskHist.Observe(t.deviceTime.Seconds())
 	tm := m.tenantMetric(t.sess.clientName)
 	tm.tasks.Inc()
-	tm.deviceSec.Add(taskDevice.Seconds())
-	tm.deviceNS.Add(int64(taskDevice))
+	tm.deviceSec.Add(t.deviceTime.Seconds())
+	tm.deviceNS.Add(int64(t.deviceTime))
 	m.traces.add(TaskTrace{
 		Client:      t.sess.clientName,
 		Ops:         len(t.ops),
-		DeviceTime:  taskDevice,
+		DeviceTime:  t.deviceTime,
 		QueueWait:   t.queueWait,
 		Failed:      failed,
 		CompletedAt: notifyStart,
 	})
 	t.flightEvs = append(t.flightEvs, flightrec.Event{
 		Kind: flightrec.KindExecute, Dur: notifyStart.Sub(execStart),
-		Detail: fmt.Sprintf("%d ops", len(t.ops)), Time: notifyStart})
+		Detail: opsDetail(len(t.ops)), Time: notifyStart})
 	nb.flush()
 	if t.trace != 0 {
 		m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
@@ -590,10 +606,11 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	t.flightEvs = append(t.flightEvs, flightrec.Event{
 		Kind: flightrec.KindNotify, Dur: notifyEnd.Sub(notifyStart), Time: notifyEnd})
 	// Hot path: one nil/level check when logging is off or above debug.
-	if m.log.Enabled(logx.LevelDebug) {
-		m.log.Debug("task executed",
-			"client", t.sess.clientName, "ops", len(t.ops),
-			"device_time", taskDevice, "queue_wait", t.queueWait,
+	if t.sess.log.Enabled(logx.LevelDebug) {
+		// The durations go by address: boxing one by value is a heap
+		// allocation per event, a pointer into the task is not.
+		t.sess.log.Debug("task executed", "ops", len(t.ops),
+			"device_time", &t.deviceTime, "queue_wait", &t.queueWait,
 			"failed", failed, "trace", obs.TraceID(t.trace))
 	}
 	return failed

@@ -1,12 +1,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 )
 
@@ -26,25 +22,13 @@ type Exemplar struct {
 	Time    time.Time
 }
 
-// histSeries is one histogram time series.
-type histSeries struct {
-	labels  Labels
-	buckets []float64 // sorted upper bounds, +Inf implied
-
-	mu        sync.Mutex
-	counts    []uint64
-	sum       float64
-	count     uint64
-	exemplars []Exemplar // nil until the first exemplar; len(buckets)+1 (+Inf last)
-}
-
 // exemplarNow is stubbed in tests that need deterministic exemplar
 // timestamps.
 var exemplarNow = time.Now
 
 // Histogram observes a distribution into cumulative buckets, exposed in
 // the standard <name>_bucket{le=...}/_sum/_count form.
-type Histogram struct{ s *histSeries }
+type Histogram struct{ s *series }
 
 // Observe records one value.
 func (h Histogram) Observe(v float64) {
@@ -67,7 +51,7 @@ func (h Histogram) ObserveExemplar(v float64, traceID string) {
 // plus — only when traceID is non-empty — exemplar attachment to the
 // value's native bucket. The unsampled path pays one predicted branch
 // over the exemplar-free histogram, nothing more.
-func (s *histSeries) observe(v float64, traceID string) {
+func (s *series) observe(v float64, traceID string) {
 	var now time.Time
 	if traceID != "" {
 		now = exemplarNow()
@@ -83,7 +67,7 @@ func (s *histSeries) observe(v float64, traceID string) {
 			}
 		}
 	}
-	s.sum += v
+	s.value += v
 	s.count++
 	if traceID == "" {
 		return
@@ -125,7 +109,7 @@ func (h Histogram) Count() uint64 {
 func (h Histogram) Sum() float64 {
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
-	return h.s.sum
+	return h.s.value
 }
 
 // Quantile estimates the q-quantile (0..1) from the cumulative buckets by
@@ -156,15 +140,6 @@ func (h Histogram) Quantile(q float64) float64 {
 	return lower // above the last finite bucket
 }
 
-// histFamily stores histogram series under one metric name.
-type histFamily struct {
-	name    string
-	help    string
-	buckets []float64
-	mu      sync.Mutex
-	byLabel map[string]*histSeries
-}
-
 // Histogram returns the histogram series for (name, labels), creating it
 // with the given buckets on first use (nil selects
 // DefaultLatencyBuckets). Buckets are fixed per metric name.
@@ -172,95 +147,31 @@ func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64
 	if buckets == nil {
 		buckets = DefaultLatencyBuckets
 	}
-	r.mu.Lock()
-	hf, ok := r.hists[name]
-	if !ok {
-		sorted := append([]float64(nil), buckets...)
-		sort.Float64s(sorted)
-		hf = &histFamily{name: name, help: help, buckets: sorted, byLabel: make(map[string]*histSeries)}
-		if r.hists == nil {
-			r.hists = make(map[string]*histFamily)
-		}
-		r.hists[name] = hf
-		r.histOrder = append(r.histOrder, name)
-	}
-	r.mu.Unlock()
-
-	k := labels.key()
-	hf.mu.Lock()
-	defer hf.mu.Unlock()
-	s, ok := hf.byLabel[k]
-	if !ok {
-		copied := make(Labels, len(labels))
-		for lk, lv := range labels {
-			copied[lk] = lv
-		}
-		s = &histSeries{labels: copied, buckets: hf.buckets, counts: make([]uint64, len(hf.buckets))}
-		hf.byLabel[k] = s
-	}
-	return Histogram{s}
+	return Histogram{r.family(name, help, typeHistogram, buckets).get(labels)}
 }
 
-// renderHistograms appends exposition lines for every histogram family.
-func (r *Registry) renderHistograms(b *strings.Builder) {
-	r.mu.Lock()
-	names := append([]string(nil), r.histOrder...)
-	fams := make([]*histFamily, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.hists[n])
-	}
-	r.mu.Unlock()
-	for _, hf := range fams {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", hf.name, hf.help, hf.name)
-		hf.mu.Lock()
-		keys := make([]string, 0, len(hf.byLabel))
-		for k := range hf.byLabel {
-			keys = append(keys, k)
+// appendHistogram appends one histogram series' exposition lines from the
+// values Render copied out of it: a cumulative _bucket line per bound with
+// its exemplar clause if it has one (series without exemplars render
+// byte-identically to the plain format), then _sum and _count.
+func appendHistogram(b []byte, f *family, key string, counts []uint64, count uint64, sum float64, exemplars []Exemplar) []byte {
+	for i, le := range f.les {
+		b = appendSample(b, f.name, "_bucket", key, le)
+		n := count // +Inf
+		if i < len(counts) {
+			n = counts[i]
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := hf.byLabel[k]
-			s.mu.Lock()
-			for i, ub := range s.buckets {
-				fmt.Fprintf(b, "%s_bucket%s %d%s\n", hf.name,
-					withLE(s.labels, strconv.FormatFloat(ub, 'g', -1, 64)), s.counts[i],
-					exemplarSuffix(s.exemplars, i))
-			}
-			fmt.Fprintf(b, "%s_bucket%s %d%s\n", hf.name, withLE(s.labels, "+Inf"), s.count,
-				exemplarSuffix(s.exemplars, len(s.buckets)))
-			fmt.Fprintf(b, "%s_sum%s %s\n", hf.name, s.labels.String(),
-				strconv.FormatFloat(s.sum, 'g', -1, 64))
-			fmt.Fprintf(b, "%s_count%s %d\n", hf.name, s.labels.String(), s.count)
-			s.mu.Unlock()
+		b = strconv.AppendUint(b, n, 10)
+		if i < len(exemplars) && exemplars[i].TraceID != "" {
+			e := exemplars[i]
+			b = strconv.AppendQuote(append(b, " # {trace_id="...), e.TraceID)
+			b = strconv.AppendFloat(append(b, "} "...), e.Value, 'g', -1, 64)
+			b = strconv.AppendFloat(append(b, ' '), float64(e.Time.UnixMilli())/1000, 'f', 3, 64)
 		}
-		hf.mu.Unlock()
+		b = append(b, '\n')
 	}
-}
-
-// exemplarSuffix renders the OpenMetrics exemplar clause for bucket i,
-// or "" when the bucket has none — series without exemplars render
-// byte-identically to the plain format.
-func exemplarSuffix(exemplars []Exemplar, i int) string {
-	if i >= len(exemplars) || exemplars[i].TraceID == "" {
-		return ""
-	}
-	e := exemplars[i]
-	return fmt.Sprintf(" # {trace_id=%q} %s %s", e.TraceID,
-		strconv.FormatFloat(e.Value, 'g', -1, 64),
-		strconv.FormatFloat(float64(e.Time.UnixMilli())/1000, 'f', 3, 64))
-}
-
-// withLE renders a label set extended with an le bucket bound.
-func withLE(l Labels, le string) string {
-	parts := make([]string, 0, len(l)+1)
-	keys := make([]string, 0, len(l))
-	for k := range l {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%q", k, l[k]))
-	}
-	parts = append(parts, fmt.Sprintf("le=%q", le))
-	return "{" + strings.Join(parts, ",") + "}"
+	b = appendSample(b, f.name, "_sum", key, "")
+	b = strconv.AppendFloat(b, sum, 'g', -1, 64)
+	b = appendSample(append(b, '\n'), f.name, "_count", key, "")
+	return append(strconv.AppendUint(b, count, 10), '\n')
 }

@@ -9,11 +9,11 @@
 package metrics
 
 import (
-	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -21,24 +21,24 @@ import (
 // combination creates one time series.
 type Labels map[string]string
 
-// key renders labels canonically (sorted) for map keys and exposition.
-func (l Labels) key() string {
-	if len(l) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(l))
+// appendKey appends the labels in exposition syntax without the braces,
+// a="x",b="y", sorted by name: the text a series is found and rendered by.
+func (l Labels) appendKey(b []byte) []byte {
+	var arr [8]string
+	names := arr[:0]
 	for k := range l {
-		keys = append(keys, k)
+		names = append(names, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
+	sort.Strings(names)
+	for i, k := range names {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, l[k])
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l[k])
 	}
-	return b.String()
+	return b
 }
 
 // String renders labels in exposition syntax: {a="x",b="y"}.
@@ -46,38 +46,60 @@ func (l Labels) String() string {
 	if len(l) == 0 {
 		return ""
 	}
-	return "{" + l.key() + "}"
+	var arr [128]byte
+	return string(append(l.appendKey(append(arr[:0], '{')), '}'))
 }
 
-// series is one (name, labels) time series' current value.
+const (
+	typeCounter   = "counter"
+	typeGauge     = "gauge"
+	typeHistogram = "histogram"
+)
+
+// series is one (name, labels) time series: a counter or gauge value, or a
+// histogram's buckets. A handle (Counter, Gauge, Histogram) points at one;
+// a hot path resolves its handles once and keeps them, so recording is a
+// lock and a store with no look-up and no allocation.
 type series struct {
-	labels Labels
-	mu     sync.Mutex
-	value  float64
+	key string // the label set as Labels.appendKey renders it, fixed at creation
+
+	mu    sync.Mutex
+	value float64 // counter or gauge value; the sum of a histogram's observations
+	// Histograms only.
+	buckets   []float64 // the family's bounds, shared by its series
+	counts    []uint64
+	count     uint64
+	exemplars []Exemplar // nil until the first exemplar; len(buckets)+1 (+Inf last)
 }
 
-// metric is a named family of series.
-type metric struct {
+// family is the series of one metric name, kept sorted by key: look-ups
+// search the slice and Render walks it.
+type family struct {
 	name    string
 	help    string
-	typ     string // "counter" or "gauge"
+	typ     string
+	buckets []float64 // histograms only: sorted upper bounds, +Inf implied
+	les     []string  // histograms only: the le label of each bucket, "+Inf" last
 	mu      sync.Mutex
-	byLabel map[string]*series
+	series  []*series
 }
 
-func (m *metric) get(l Labels) *series {
-	k := l.key()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.byLabel[k]
-	if !ok {
-		copied := make(Labels, len(l))
-		for lk, lv := range l {
-			copied[lk] = lv
-		}
-		s = &series{labels: copied}
-		m.byLabel[k] = s
+func (f *family) get(l Labels) *series {
+	var arr [128]byte
+	k := l.appendKey(arr[:0]) // compared as a string without becoming one: a hit allocates nothing
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	i := sort.Search(len(f.series), func(i int) bool { return f.series[i].key >= string(k) })
+	if i < len(f.series) && f.series[i].key == string(k) {
+		return f.series[i]
 	}
+	s := &series{key: string(k)}
+	if f.typ == typeHistogram {
+		s.buckets, s.counts = f.buckets, make([]uint64, len(f.buckets))
+	}
+	f.series = append(f.series, nil)
+	copy(f.series[i+1:], f.series[i:])
+	f.series[i] = s
 	return s
 }
 
@@ -131,78 +153,130 @@ func (g Gauge) Value() float64 {
 
 // Registry holds metric families and renders the exposition format.
 type Registry struct {
-	mu        sync.Mutex
-	metrics   map[string]*metric
-	order     []string
-	hists     map[string]*histFamily
-	histOrder []string
+	mu    sync.Mutex
+	fams  map[string]*family
+	order []*family // registration order
+	size  int       // bytes the last Render produced: the next one's buffer
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)}
+	return &Registry{fams: make(map[string]*family)}
 }
 
-func (r *Registry) family(name, help, typ string) *metric {
+// family returns the named family, creating it on first use (buckets are
+// fixed then). A name already registered with another type is a wiring
+// bug: it is logged and the caller gets a family no scrape will ever see,
+// so its handles are no-ops as far as the exposition goes and the first
+// registration keeps its series to itself.
+func (r *Registry) family(name, help, typ string, buckets []float64) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.metrics[name]
-	if !ok {
-		m = &metric{name: name, help: help, typ: typ, byLabel: make(map[string]*series)}
-		r.metrics[name] = m
-		r.order = append(r.order, name)
+	f, ok := r.fams[name]
+	if ok && f.typ == typ {
+		return f
 	}
-	return m
+	nf := &family{name: name, help: help, typ: typ}
+	if typ == typeHistogram {
+		nf.buckets = append(nf.buckets, buckets...)
+		sort.Float64s(nf.buckets)
+		for _, ub := range nf.buckets {
+			nf.les = append(nf.les, strconv.FormatFloat(ub, 'g', -1, 64))
+		}
+		nf.les = append(nf.les, "+Inf")
+	}
+	if ok {
+		log.Printf("metrics: %s is registered as a %s; the %s asked for under that name is not exported", name, f.typ, typ)
+		return nf
+	}
+	r.fams[name] = nf
+	r.order = append(r.order, nf)
+	return nf
 }
 
 // Counter returns the counter series for (name, labels), creating it on
 // first use.
 func (r *Registry) Counter(name, help string, labels Labels) Counter {
-	return Counter{r.family(name, help, "counter").get(labels)}
+	return Counter{r.family(name, help, typeCounter, nil).get(labels)}
 }
 
 // Gauge returns the gauge series for (name, labels).
 func (r *Registry) Gauge(name, help string, labels Labels) Gauge {
-	return Gauge{r.family(name, help, "gauge").get(labels)}
+	return Gauge{r.family(name, help, typeGauge, nil).get(labels)}
 }
 
-// Render writes the registry in the Prometheus text exposition format.
+// Render writes the registry in the Prometheus text exposition format:
+// counters and gauges in registration order, then histograms in theirs.
+// It holds a family's lock only to copy its series list and a series' lock
+// only to copy its values; formatting happens outside both, so a scrape
+// never delays a look-up or an observation by more than a copy.
 func (r *Registry) Render() string {
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*metric, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.metrics[n])
-	}
+	fams := append([]*family(nil), r.order...)
+	b := make([]byte, 0, r.size+r.size/8)
 	r.mu.Unlock()
 
-	var b strings.Builder
-	for _, fam := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
-		fam.mu.Lock()
-		keys := make([]string, 0, len(fam.byLabel))
-		for k := range fam.byLabel {
-			keys = append(keys, k)
+	var (
+		list      []*series
+		counts    []uint64
+		exemplars []Exemplar
+	)
+	for _, hist := range []bool{false, true} {
+		for _, f := range fams {
+			if (f.typ == typeHistogram) != hist {
+				continue
+			}
+			b = append(append(append(b, "# HELP "...), f.name...), ' ')
+			b = append(append(b, f.help...), "\n# TYPE "...)
+			b = append(append(append(b, f.name...), ' '), f.typ...)
+			b = append(b, '\n')
+			f.mu.Lock()
+			list = append(list[:0], f.series...)
+			f.mu.Unlock()
+			for _, s := range list {
+				s.mu.Lock()
+				value, count := s.value, s.count
+				counts = append(counts[:0], s.counts...)
+				exemplars = append(exemplars[:0], s.exemplars...)
+				s.mu.Unlock()
+				if hist {
+					b = appendHistogram(b, f, s.key, counts, count, value, exemplars)
+					continue
+				}
+				b = appendSample(b, f.name, "", s.key, "")
+				b = strconv.AppendFloat(b, value, 'g', -1, 64)
+				b = append(b, '\n')
+			}
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := fam.byLabel[k]
-			s.mu.Lock()
-			v := s.value
-			s.mu.Unlock()
-			fmt.Fprintf(&b, "%s%s %s\n", fam.name, s.labels.String(),
-				strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		fam.mu.Unlock()
 	}
-	r.renderHistograms(&b)
-	return b.String()
+	r.mu.Lock()
+	r.size = len(b)
+	r.mu.Unlock()
+	return string(b)
+}
+
+// appendSample appends one sample line up to and including the space
+// before its value: name+suffix, then the label set {key,le="le"} with
+// whichever of the two parts is present.
+func appendSample(b []byte, name, suffix, key, le string) []byte {
+	b = append(append(b, name...), suffix...)
+	if key != "" || le != "" {
+		b = append(append(b, '{'), key...)
+		if le != "" {
+			if key != "" {
+				b = append(b, ',')
+			}
+			b = append(append(append(b, `le="`...), le...), '"')
+		}
+		b = append(b, '}')
+	}
+	return append(b, ' ')
 }
 
 // Handler serves the exposition format, like promhttp.Handler.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprint(w, r.Render())
+		io.WriteString(w, r.Render())
 	})
 }

@@ -139,9 +139,9 @@ type Tracer struct {
 	rng       atomic.Uint64 // splitmix64 state shared by sampling and ID allocation
 
 	mu   sync.Mutex
-	buf  []Span
-	next int
-	full bool
+	size int    // ring capacity
+	buf  []Span // grows to size on demand, then wraps: an idle tracer holds no ring
+	next int    // oldest slot once len(buf) == size
 
 	// evicted counts ring overwrites per trace, so /debug/spans can tell
 	// a caller its timeline is partial instead of silently rendering
@@ -169,7 +169,7 @@ func New(cfg Config) *Tracer {
 	}
 	t := &Tracer{
 		component: cfg.Component,
-		buf:       make([]Span, cfg.RingSize),
+		size:      cfg.RingSize,
 		reg:       cfg.Registry,
 		labels:    cfg.Labels,
 		hists:     make(map[string]metrics.Histogram),
@@ -248,23 +248,20 @@ func (t *Tracer) Record(sp Span) {
 		sp.Component = t.component
 	}
 	t.mu.Lock()
-	if t.full {
-		if old := t.buf[t.next]; old.Trace != 0 {
-			if t.evicted == nil {
-				t.evicted = make(map[TraceID]int)
-			} else if len(t.evicted) >= evictedCap {
-				for _, n := range t.evicted {
-					t.evictedOther += n
-				}
-				t.evicted = make(map[TraceID]int)
+	if len(t.buf) < t.size {
+		t.buf = append(t.buf, sp)
+	} else {
+		if t.evicted == nil {
+			t.evicted = make(map[TraceID]int)
+		} else if len(t.evicted) >= evictedCap {
+			for _, n := range t.evicted {
+				t.evictedOther += n
 			}
-			t.evicted[old.Trace]++
+			t.evicted = make(map[TraceID]int)
 		}
-	}
-	t.buf[t.next] = sp
-	t.next = (t.next + 1) % len(t.buf)
-	if t.next == 0 {
-		t.full = true
+		t.evicted[t.buf[t.next].Trace]++
+		t.buf[t.next] = sp
+		t.next = (t.next + 1) % t.size
 	}
 	t.mu.Unlock()
 	if t.reg != nil {
@@ -312,12 +309,9 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
-	if t.full {
-		out = append(out, t.buf[t.next:]...)
-	}
-	out = append(out, t.buf[:t.next]...)
-	return out
+	// next stays 0 until the ring is full, so this is oldest-first either way.
+	out := append([]Span(nil), t.buf[t.next:]...)
+	return append(out, t.buf[:t.next]...)
 }
 
 // EvictedFor reports how many of a trace's spans the ring has already

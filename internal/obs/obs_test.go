@@ -253,3 +253,35 @@ func TestEvictedMapOverflowTurnsInexact(t *testing.T) {
 		t.Fatalf("X-Spans-Evicted-Exact = %q, want \"false\"", got)
 	}
 }
+
+// TestRingGrowsOnDemand: a tracer that records nothing holds no ring (a
+// process builds several and most sample nothing), and growing into the
+// ring instead of starting with it full of zero spans changes nothing
+// about what Spans returns at any fill level.
+func TestRingGrowsOnDemand(t *testing.T) {
+	idle := New(Config{Component: "c"})
+	if idle.buf != nil || idle.size != 4096 {
+		t.Fatalf("idle tracer: %d spans allocated, capacity %d; want none, 4096", cap(idle.buf), idle.size)
+	}
+	if got := idle.Spans(); len(got) != 0 {
+		t.Fatalf("idle tracer returned %d spans", len(got))
+	}
+	const ring = 5
+	tr := New(Config{Component: "c", RingSize: ring})
+	for n := 1; n <= 3*ring+2; n++ {
+		tr.Record(Span{Trace: TraceID(n), Stage: "call"})
+		got := tr.Spans()
+		first := n - ring + 1 // the oldest span still retained
+		if first < 1 {
+			first = 1
+		}
+		if len(got) != n-first+1 || cap(tr.buf) > 2*ring {
+			t.Fatalf("after %d spans: kept %d (cap %d), want %d", n, len(got), cap(tr.buf), n-first+1)
+		}
+		for i, sp := range got {
+			if sp.Trace != TraceID(first+i) {
+				t.Fatalf("after %d spans: position %d holds trace %d, want %d", n, i, sp.Trace, first+i)
+			}
+		}
+	}
+}

@@ -64,7 +64,8 @@ func (c *context) CreateCommandQueue(d ocl.Device, props ocl.QueueProps) (ocl.Co
 	if err != nil {
 		return nil, err
 	}
-	q := &commandQueue{ctx: c, id: id.ID}
+	q := &commandQueue{ctx: c, id: id.ID,
+		log: c.mc.log.With("queue", id.ID, "manager", c.mc.addr)}
 	c.mu.Lock()
 	c.queues = append(c.queues, q)
 	c.mu.Unlock()
@@ -293,6 +294,9 @@ func (k *kernel) Release() error {
 type commandQueue struct {
 	ctx *context
 	id  uint64
+	// log is the connection's logger with the queue and manager attached
+	// once, so the per-task event boxes neither.
+	log *logx.Logger
 
 	mu        sync.Mutex
 	events    []*remoteEvent // not yet known-complete
@@ -769,9 +773,8 @@ func (q *commandQueue) Flush() error {
 		mc.tracer.End(trace, taskSpan, 0, "task", "", taskStart)
 	}
 	// Hot path: one nil/level check per flushed task when logging is off.
-	if mc.log.Enabled(logx.LevelDebug) {
-		mc.log.Debug("task flushed", "queue", q.id, "manager", mc.addr,
-			"err", err, "trace", trace)
+	if q.log.Enabled(logx.LevelDebug) {
+		q.log.Debug("task flushed", "err", err, "trace", trace)
 	}
 	return err
 }
