@@ -42,11 +42,12 @@ vet:
 # windows, and registry's allocator races the reconfiguration fallback
 # against concurrent Allocates on the same blank boards. slo computes
 # burn rates from a TSDB that scrape goroutines append to concurrently.
-# wire's buffer pool is shared by every goroutine of the transport, and
+# wire's buffer pool is shared by every goroutine of the transport,
 # metrics renders a scrape while every hot path records into held handles
-# and new series are still being registered.
+# and new series are still being registered, and ocl's events are waited
+# on by application goroutines while the connection thread completes them.
 race:
-	$(GO) test -race ./internal/metrics/... ./internal/wire/... ./internal/rpc/... ./internal/manager/... ./internal/remote/... ./internal/sched/... ./internal/simcluster/... ./internal/obs/... ./internal/logx/... ./internal/alert/... ./internal/datacache/... ./internal/fpga/... ./internal/gateway/... ./internal/flash/... ./internal/registry/... ./internal/slo/... ./internal/flightrec/...
+	$(GO) test -race ./internal/metrics/... ./internal/wire/... ./internal/rpc/... ./internal/manager/... ./internal/remote/... ./internal/ocl/... ./internal/sched/... ./internal/simcluster/... ./internal/obs/... ./internal/logx/... ./internal/alert/... ./internal/datacache/... ./internal/fpga/... ./internal/gateway/... ./internal/flash/... ./internal/registry/... ./internal/slo/... ./internal/flightrec/...
 
 # Run the scheduling fairness experiment: the two-tenant skew workload on
 # the real Device Manager under fifo vs drr, checked against the

@@ -57,7 +57,9 @@ const (
 	// consecutive renewals coalesce into one event with a Count.
 	KindLease Kind = "lease-renewal"
 	// KindUpload is data moving toward the board: the client's wire write
-	// of an enqueued payload, and the manager's write-op device time.
+	// of an enqueued payload ("wire-send"; for a small frame, which waits
+	// for the flush, only its staging copy), and the manager's write-op
+	// device time.
 	KindUpload Kind = "upload"
 	// KindExecute is the worker running the task's operations on the board.
 	KindExecute Kind = "execute"

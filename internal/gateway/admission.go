@@ -10,14 +10,16 @@ import (
 	"time"
 )
 
-// Request headers the front door consults.
+// Request headers the front door consults. Header names are
+// case-insensitive on the wire; the constants are in canonical MIME form
+// so that Header.Get looks them up without allocating a canonical copy.
 const (
 	// TenantHeader names the tenant a request belongs to for admission
 	// control; absent, the function name is the tenant.
-	TenantHeader = "X-BF-Tenant"
+	TenantHeader = "X-Bf-Tenant"
 	// AffinityHeader is the shm-affinity hint the locality router
 	// prefers: the node the caller (or its data) lives on.
-	AffinityHeader = "X-BF-Node"
+	AffinityHeader = "X-Bf-Node"
 )
 
 // Budget is one tenant's admission budget: a token bucket refilled at

@@ -178,8 +178,8 @@ type Manager struct {
 	mCopies       metrics.Counter
 	mCopyBytes    metrics.Counter
 
-	// Per-tenant series (device/node/tenant labels), created on a
-	// tenant's first contact with the queue.
+	// Per-tenant series (device/node/tenant labels), created at the
+	// tenant's first Hello.
 	tmu     sync.Mutex
 	tenants map[string]*tenantMetrics
 
@@ -465,7 +465,7 @@ func (m *Manager) expireSession(s *session) {
 			m.log.Warn("queued task failed: session lease expired",
 				"client", s.clientName, "ops", len(t.ops), "trace", obs.TraceID(t.trace))
 		}
-		m.tenantMetric(t.sess.clientName).depth.Add(-1)
+		t.sess.tm.depth.Add(-1)
 		for i := range t.ops {
 			t.sess.sendFail(t.conn, t.ops[i].tag, err) // best effort
 		}
@@ -517,7 +517,7 @@ func (m *Manager) worker() {
 				Detail: opsDetail(len(t.ops)), Time: it.Submitted},
 			flightrec.Event{Kind: flightrec.KindScheduled, Dur: t.queueWait, Detail: string(m.disc), Time: popped})
 		m.mQueueDepth.Set(float64(m.queue.Len()))
-		tm := m.tenantMetric(t.sess.clientName)
+		tm := t.sess.tm
 		tm.depth.Add(-1)
 		tm.waitTotal.Add(t.queueWait.Seconds())
 		tm.waitHist.Observe(t.queueWait.Seconds())
@@ -654,6 +654,7 @@ func (m *Manager) handleHello(c *rpc.Conn, d *wire.Decoder) ([]byte, error) {
 	s.proto = req.ProtoVersion
 	s.conn = c
 	s.log = m.log.With("client", s.clientName)
+	s.tm = m.tenantMetric(s.clientName)
 	// The fair-share weight travels with the instance binding (Registry →
 	// gateway → Hello); the manager's static table, when set, wins inside
 	// the queue's weight resolution.
@@ -800,7 +801,7 @@ func (m *Manager) Flash() *flash.Service { return m.flash }
 // proportionally under drr, matching the paper's observation that task
 // length drives board occupancy.
 func (m *Manager) submit(t *task) error {
-	it := &sched.Item{
+	t.item = sched.Item{
 		Session:  t.sess.id,
 		Tenant:   t.sess.clientName,
 		Weight:   t.sess.weight,
@@ -811,7 +812,7 @@ func (m *Manager) submit(t *task) error {
 	// Alloc, not Begin: the task's flight is admitted by the worker's
 	// CompleteWith in one locked pass; reserving the key costs one atomic.
 	t.flight = m.flight.Alloc(obs.TraceID(t.trace))
-	if err := m.queue.Push(it); err != nil {
+	if err := m.queue.Push(&t.item); err != nil {
 		serr := ocl.Errf(ocl.ErrDeviceNotAvailable, "manager shutting down")
 		m.flight.CompleteWith(t.flight, t.sess.clientName,
 			[]flightrec.Event{{Kind: flightrec.KindFailure, Detail: "enqueue: manager shutting down"}},
@@ -821,7 +822,7 @@ func (m *Manager) submit(t *task) error {
 	// The enqueued milestone (with the post-Push queue snapshot) is
 	// recorded by the worker as part of the task's completion batch.
 	m.mQueueDepth.Set(float64(m.queue.Len()))
-	m.tenantMetric(t.sess.clientName).depth.Add(1)
+	t.sess.tm.depth.Add(1)
 	return nil
 }
 

@@ -23,6 +23,8 @@ type session struct {
 	// log is the manager's logger with the client attached once (set at
 	// Hello), so per-task events do not box the name.
 	log *logx.Logger
+	// tm holds the tenant's metric handles, resolved once at Hello.
+	tm *tenantMetrics
 	// proto is the protocol revision negotiated at Hello. Immutable after
 	// the handshake; gates the batch notification path.
 	proto uint32

@@ -10,6 +10,7 @@ import (
 	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/rpc"
+	"blastfunction/internal/sched"
 	"blastfunction/internal/wire"
 )
 
@@ -74,6 +75,8 @@ type op struct {
 // back to back on the FPGA, which keeps one client's read-kernel-write
 // sequences from interleaving with another tenant's.
 type task struct {
+	// item is the task's central-queue entry; its Payload is the task.
+	item sched.Item
 	sess *session
 	conn *rpc.Conn
 	ops  []op
@@ -359,9 +362,11 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 	}
 	s.mu.Lock()
 	ops := q.cur
-	q.cur = nil
+	q.cur = make([]op, 0, len(ops)) // the next task is likely this one's size
+	// Only this goroutine, the connection's, appends to q.accepted, so the
+	// tags can be encoded below while the backing array is kept.
 	accepted := q.accepted
-	q.accepted = nil
+	q.accepted = q.accepted[:0]
 	s.mu.Unlock()
 	if len(accepted) > 0 {
 		// One frame acknowledges every operation of the task.
@@ -537,7 +542,8 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 		}
 		nb.add(&wire.OpNotification{Tag: o.tag, State: wire.OpRunning}, false)
 		opStart := time.Now()
-		n, ownData, err := m.runOp(t, o, cost, scale)
+		n := wire.OpNotification{Tag: o.tag, State: wire.OpComplete}
+		ownData, err := m.runOp(t, o, cost, scale, &n)
 		if o.trace != 0 {
 			// Per-op board execution, parented under the client's "call"
 			// span so the timeline nests device time inside the call.
@@ -552,9 +558,7 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 				Kind: flightrec.KindUpload, Dur: opEnd.Sub(opStart), Detail: "device-write", Time: opEnd})
 		}
 		m.mOps.Inc()
-		if n != nil {
-			t.deviceTime += time.Duration(n.DeviceNanos)
-		}
+		t.deviceTime += time.Duration(n.DeviceNanos)
 		if err != nil {
 			failed, abortErr = true, err
 			t.failCause = o.kind.String() + ": " + err.Error()
@@ -571,7 +575,7 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 			}, false)
 			continue
 		}
-		nb.add(n, ownData)
+		nb.add(&n, ownData)
 	}
 	if t.trace != 0 {
 		m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
@@ -582,7 +586,7 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	// seen Finish return must find its task in the counters and the trace
 	// ring.
 	m.mTaskHist.Observe(t.deviceTime.Seconds())
-	tm := m.tenantMetric(t.sess.clientName)
+	tm := t.sess.tm
 	tm.tasks.Inc()
 	tm.deviceSec.Add(t.deviceTime.Seconds())
 	tm.deviceNS.Add(int64(t.deviceTime))
@@ -616,11 +620,10 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	return failed
 }
 
-// runOp executes one operation and builds its completion notification.
-// ownData reports whether n.Data is a pooled buffer the caller must
+// runOp executes one operation and fills in its completion notification
+// n. ownData reports whether n.Data is a pooled buffer the caller must
 // release after the notification is written.
-func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64) (n *wire.OpNotification, ownData bool, err error) {
-	n = &wire.OpNotification{Tag: o.tag, State: wire.OpComplete}
+func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64, n *wire.OpNotification) (ownData bool, err error) {
 	sleepHost := func(d time.Duration) {
 		if scale > 0 && d > 0 {
 			time.Sleep(time.Duration(float64(d) * scale))
@@ -636,11 +639,11 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64) (n
 		case wire.ViaShm:
 			seg := t.sess.segment()
 			if seg == nil {
-				return nil, false, ocl.Errf(ocl.ErrInvalidOperation, "shared-memory segment vanished")
+				return false, ocl.Errf(ocl.ErrInvalidOperation, "shared-memory segment vanished")
 			}
 			rng, rerr := seg.Range(o.shmOff, o.length)
 			if rerr != nil {
-				return nil, false, ocl.Errf(ocl.ErrInvalidValue, "shm write range: %v", rerr)
+				return false, ocl.Errf(ocl.ErrInvalidValue, "shm write range: %v", rerr)
 			}
 			src = rng
 			sleepHost(cost.ShmDataOverhead(o.length))
@@ -650,7 +653,7 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64) (n
 		// board (or the write failed and they never will be).
 		o.releaseFrame()
 		if werr != nil {
-			return nil, false, werr
+			return false, werr
 		}
 		n.DeviceNanos = int64(d)
 		m.mBytesIn.Add(float64(o.length))
@@ -661,7 +664,7 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64) (n
 			d, rerr := m.board.Read(o.boardBuf, o.offset, dst)
 			if rerr != nil {
 				wire.PutBuf(dst)
-				return nil, false, rerr
+				return false, rerr
 			}
 			sleepHost(cost.GRPCDataOverhead(o.length))
 			n.Data = dst
@@ -670,34 +673,34 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64) (n
 		case wire.ViaShm:
 			seg := t.sess.segment()
 			if seg == nil {
-				return nil, false, ocl.Errf(ocl.ErrInvalidOperation, "shared-memory segment vanished")
+				return false, ocl.Errf(ocl.ErrInvalidOperation, "shared-memory segment vanished")
 			}
 			dst, rerr := seg.Range(o.shmOff, o.length)
 			if rerr != nil {
-				return nil, false, ocl.Errf(ocl.ErrInvalidValue, "shm read range: %v", rerr)
+				return false, ocl.Errf(ocl.ErrInvalidValue, "shm read range: %v", rerr)
 			}
 			d, rerr := m.board.Read(o.boardBuf, o.offset, dst)
 			if rerr != nil {
-				return nil, false, rerr
+				return false, rerr
 			}
 			sleepHost(cost.ShmDataOverhead(o.length))
 			n.ShmLen = o.length
 			n.DeviceNanos = int64(d)
 		default:
-			return nil, false, ocl.Errf(ocl.ErrInvalidValue, "data path %d", o.via)
+			return false, ocl.Errf(ocl.ErrInvalidValue, "data path %d", o.via)
 		}
 		m.mBytesOut.Add(float64(o.length))
 	case opKernel:
 		if m.memo != nil {
 			dn, merr := m.runKernelMemo(t, o)
 			if merr != nil {
-				return nil, false, merr
+				return false, merr
 			}
 			n.DeviceNanos = dn
 		} else {
 			d, kerr := m.board.Run(o.kernelName, o.args, o.global)
 			if kerr != nil {
-				return nil, false, kerr
+				return false, kerr
 			}
 			n.DeviceNanos = int64(d)
 		}
@@ -708,13 +711,13 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64) (n
 		// zero-copy property the chaining benchmark pins.
 		d, cerr := m.board.Copy(o.boardBuf, o.copyDst, o.offset, o.dstOff, o.length)
 		if cerr != nil {
-			return nil, false, cerr
+			return false, cerr
 		}
 		n.DeviceNanos = int64(d)
 		m.mCopies.Inc()
 		m.mCopyBytes.Add(float64(o.length))
 	default:
-		return nil, false, ocl.Errf(ocl.ErrInvalidOperation, "unknown op kind %d", o.kind)
+		return false, ocl.Errf(ocl.ErrInvalidOperation, "unknown op kind %d", o.kind)
 	}
-	return n, ownData, nil
+	return ownData, nil
 }

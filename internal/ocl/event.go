@@ -36,11 +36,17 @@ type statusCallback struct {
 
 // NewEvent creates an event in the Queued state.
 func NewEvent(cmd CommandType) *BaseEvent {
-	return &BaseEvent{
-		done:    make(chan struct{}),
-		cmdType: cmd,
-		status:  Queued,
-	}
+	e := new(BaseEvent)
+	e.Init(cmd)
+	return e
+}
+
+// Init puts a zero BaseEvent in the Queued state, for runtimes that embed
+// one by value in their own event type. Call it once, before first use.
+func (e *BaseEvent) Init(cmd CommandType) {
+	e.done = make(chan struct{})
+	e.cmdType = cmd
+	e.status = Queued
 }
 
 // CommandType implements Event.

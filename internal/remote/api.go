@@ -303,6 +303,7 @@ type commandQueue struct {
 	unflushed []*remoteEvent // members of the current task
 	deadline  time.Duration  // soft completion hint attached to flushed tasks
 	released  bool
+	finishing int // Finish calls walking events
 
 	// Tracing state of the current (unflushed) task. Sampling is decided
 	// once per task, at its first operation; every operation then shares
@@ -459,11 +460,11 @@ func (q *commandQueue) EnqueueWriteBuffer(b ocl.Buffer, blocking bool, offset in
 	req.EncodeTail(e)
 	buf := e.Bytes()
 	sendStart := time.Now()
-	err := mc.rpc.Send(wire.MethodEnqueueWrite, buf[:head], req.Data, buf[head:])
+	err := mc.rpc.SendDelayed(wire.MethodEnqueueWrite, buf[:head], req.Data, buf[head:])
 	if err == nil {
-		// The client side of the upload stage: wire-send of the payload
-		// (the manager's device-write is the other half). Joins the task's
-		// milestone batch rather than paying the recorder mutex here.
+		// The client side of the upload stage (the manager's device-write is
+		// the other half): wire-send, or the staging copy of a frame that
+		// waits for the flush. Joins the task's milestone batch.
 		sendEnd := time.Now()
 		q.mu.Lock()
 		q.flightEvs = append(q.flightEvs, flightrec.Event{
@@ -475,7 +476,7 @@ func (q *commandQueue) EnqueueWriteBuffer(b ocl.Buffer, blocking bool, offset in
 	}
 	e.Release()
 	if err != nil {
-		mc.pending.Delete(tag)
+		mc.forget(tag)
 		ev.releaseStaging(mc)
 		return nil, err
 	}
@@ -535,13 +536,13 @@ func (q *commandQueue) EnqueueReadBuffer(b ocl.Buffer, blocking bool, offset int
 	if trace != 0 {
 		sendStart = time.Now()
 	}
-	err := mc.rpc.Send(wire.MethodEnqueueRead, e.Bytes())
+	err := mc.rpc.SendDelayed(wire.MethodEnqueueRead, e.Bytes())
 	if err == nil && trace != 0 {
 		mc.tracer.End(trace, mc.tracer.NewSpan(), span, "send", "", sendStart)
 	}
 	e.Release()
 	if err != nil {
-		mc.pending.Delete(tag)
+		mc.forget(tag)
 		ev.releaseStaging(mc)
 		return nil, err
 	}
@@ -617,13 +618,13 @@ func (q *commandQueue) EnqueueCopyBuffer(src, dst ocl.Buffer, srcOffset, dstOffs
 	if trace != 0 {
 		sendStart = time.Now()
 	}
-	err := mc.rpc.Send(wire.MethodEnqueueCopy, e.Bytes())
+	err := mc.rpc.SendDelayed(wire.MethodEnqueueCopy, e.Bytes())
 	if err == nil && trace != 0 {
 		mc.tracer.End(trace, mc.tracer.NewSpan(), span, "send", "", sendStart)
 	}
 	e.Release()
 	if err != nil {
-		mc.pending.Delete(tag)
+		mc.forget(tag)
 		return nil, err
 	}
 	q.track(ev)
@@ -671,13 +672,13 @@ func (q *commandQueue) EnqueueNDRangeKernel(k ocl.Kernel, global, local []int, w
 	if trace != 0 {
 		sendStart = time.Now()
 	}
-	err := mc.rpc.Send(wire.MethodEnqueueKernel, e.Bytes())
+	err := mc.rpc.SendDelayed(wire.MethodEnqueueKernel, e.Bytes())
 	if err == nil && trace != 0 {
 		mc.tracer.End(trace, mc.tracer.NewSpan(), span, "send", "", sendStart)
 	}
 	e.Release()
 	if err != nil {
-		mc.pending.Delete(tag)
+		mc.forget(tag)
 		return nil, err
 	}
 	q.track(ev)
@@ -785,24 +786,29 @@ func (q *commandQueue) Finish() error {
 	if err := q.Flush(); err != nil {
 		return err
 	}
-	q.mu.Lock()
-	snapshot := append([]*remoteEvent(nil), q.events...)
-	q.mu.Unlock()
 	var firstErr error
-	for _, ev := range snapshot {
+	q.mu.Lock()
+	// Walk q.events by index instead of copying it: appends keep indices,
+	// and only the last Finish out prunes (compacts) it.
+	q.finishing++
+	for i, n := 0, len(q.events); i < n; i++ {
+		ev := q.events[i]
+		q.mu.Unlock()
 		if err := ev.BaseEvent.Wait(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		q.mu.Lock()
 	}
-	// Prune completed events so long-lived queues do not grow unbounded.
-	q.mu.Lock()
-	kept := q.events[:0]
-	for _, ev := range q.events {
-		if !ev.Status().Done() {
-			kept = append(kept, ev)
+	if q.finishing--; q.finishing == 0 {
+		// Prune completed events so long-lived queues do not grow unbounded.
+		kept := q.events[:0]
+		for _, ev := range q.events {
+			if !ev.Status().Done() {
+				kept = append(kept, ev)
+			}
 		}
+		q.events = kept
 	}
-	q.events = kept
 	q.mu.Unlock()
 	return firstErr
 }

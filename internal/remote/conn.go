@@ -33,8 +33,9 @@ type managerConn struct {
 	arena *shm.Arena
 	mode  model.Transport
 
-	tags    atomic.Uint64
-	pending sync.Map // tag uint64 -> *remoteEvent
+	tags      atomic.Uint64
+	pendingMu sync.Mutex
+	pending   map[uint64]*remoteEvent // in-flight events by tag
 
 	// tracer records client-side spans; nil when tracing is disabled.
 	tracer *obs.Tracer
@@ -72,7 +73,8 @@ func dialManager(cfg *Config, addr string) (*managerConn, error) {
 		}
 	}
 	cl.CallTimeout = cfg.CallTimeout
-	mc := &managerConn{cfg: cfg, addr: addr, rpc: cl, mode: model.TransportGRPC, tracer: cfg.Tracer, log: cfg.Log, flight: cfg.flight}
+	mc := &managerConn{cfg: cfg, addr: addr, rpc: cl, mode: model.TransportGRPC, tracer: cfg.Tracer, log: cfg.Log, flight: cfg.flight,
+		pending: make(map[uint64]*remoteEvent)}
 	mc.connFlight = mc.flight.Begin(0, cfg.ClientName)
 
 	// Hello: open the session. Not retried — a timed-out Hello may still
@@ -270,11 +272,12 @@ func (mc *managerConn) connectionThread() {
 	// the transport sentinel attached so callers can errors.Is the failure
 	// against rpc.ErrManagerDown and trigger fail-over instead of treating
 	// it like an application error.
-	lost := 0
+	mc.pendingMu.Lock()
+	lost := mc.pending
+	mc.pending = make(map[uint64]*remoteEvent)
+	mc.pendingMu.Unlock()
 	failedFlights := make(map[obs.TraceID]bool)
-	mc.pending.Range(func(k, v any) bool {
-		ev := v.(*remoteEvent)
-		lost++
+	for _, ev := range lost {
 		if ev.trace != 0 {
 			// Correlate the connection loss with every traced in-flight
 			// operation it kills.
@@ -296,27 +299,26 @@ func (mc *managerConn) connectionThread() {
 		}
 		ev.Fail(ocl.ErrfCause(ocl.ErrDeviceNotAvailable, rpc.ErrManagerDown,
 			"connection to %s lost", mc.addr))
-		mc.pending.Delete(k)
-		return true
-	})
-	if lost > 0 {
+	}
+	if len(lost) > 0 {
 		mc.flight.Record(mc.connFlight, flightrec.Event{
 			Kind: flightrec.KindFailure, Detail: "connection lost with operations in flight"})
 		mc.flight.MarkNotable(mc.connFlight, "connection lost")
-		mc.log.Warn("connection to manager lost", "manager", mc.addr, "in_flight", lost)
+		mc.log.Warn("connection to manager lost", "manager", mc.addr, "in_flight", len(lost))
 	}
 }
 
-// dispatch routes one notification to its event's state machine.
+// dispatch routes one notification to its event's state machine; a
+// terminal one retires the tag.
 func (mc *managerConn) dispatch(n *wire.OpNotification) {
-	v, ok := mc.pending.Load(n.Tag)
-	if !ok {
-		return // event already failed locally (e.g. connection race)
+	mc.pendingMu.Lock()
+	ev := mc.pending[n.Tag]
+	if n.State == wire.OpComplete || n.State == wire.OpFailed {
+		delete(mc.pending, n.Tag)
 	}
-	ev := v.(*remoteEvent)
-	ev.machine(mc, n)
-	if ev.Status().Done() {
-		mc.pending.Delete(n.Tag)
+	mc.pendingMu.Unlock()
+	if ev != nil { // nil: already failed locally (e.g. connection race)
+		ev.machine(mc, n)
 	}
 }
 
@@ -328,14 +330,25 @@ func (mc *managerConn) newTag() uint64 { return mc.tags.Add(1) }
 // readers of mc.pending (the connection thread's teardown sweep) observe
 // a half-initialized event.
 func (mc *managerConn) register(cmd ocl.CommandType, tag uint64) *remoteEvent {
-	return &remoteEvent{BaseEvent: ocl.NewEvent(cmd), tag: tag}
+	ev := &remoteEvent{tag: tag}
+	ev.Init(cmd)
+	return ev
 }
 
 // enroll publishes a fully initialized event into the pending map. Must
 // happen before the request frame is sent, so the notification path can
 // always find its event.
 func (mc *managerConn) enroll(ev *remoteEvent) {
-	mc.pending.Store(ev.tag, ev)
+	mc.pendingMu.Lock()
+	mc.pending[ev.tag] = ev
+	mc.pendingMu.Unlock()
+}
+
+// forget withdraws an enrolled event whose request was never sent.
+func (mc *managerConn) forget(tag uint64) {
+	mc.pendingMu.Lock()
+	delete(mc.pending, tag)
+	mc.pendingMu.Unlock()
 }
 
 // remoteEvent is an ocl event driven by manager notifications. Its state
@@ -344,7 +357,7 @@ func (mc *managerConn) enroll(ev *remoteEvent) {
 // manager), OpRunning marks device execution (the BUFFER step carries the
 // payload for reads), and OpComplete/OpFailed terminate it.
 type remoteEvent struct {
-	*ocl.BaseEvent
+	ocl.BaseEvent
 	tag uint64
 
 	// queue backlink for implicit flush on Wait (clWaitForEvents flushes).

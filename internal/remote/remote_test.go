@@ -120,7 +120,7 @@ func TestCreateContextValidation(t *testing.T) {
 
 func TestEventMachineFromNotifications(t *testing.T) {
 	mc := &managerConn{}
-	ev := &remoteEvent{BaseEvent: ocl.NewEvent(ocl.CommandWriteBuffer), tag: 1}
+	ev := mc.register(ocl.CommandWriteBuffer, 1)
 	steps := []struct {
 		n    wire.OpNotification
 		want ocl.ExecStatus
@@ -142,7 +142,7 @@ func TestEventMachineFromNotifications(t *testing.T) {
 
 func TestEventMachineFailure(t *testing.T) {
 	mc := &managerConn{}
-	ev := &remoteEvent{BaseEvent: ocl.NewEvent(ocl.CommandNDRangeKernel), tag: 2}
+	ev := mc.register(ocl.CommandNDRangeKernel, 2)
 	ev.machine(mc, &wire.OpNotification{
 		State:  wire.OpFailed,
 		Status: int32(ocl.ErrInvalidKernelArgs),
@@ -159,7 +159,8 @@ func TestEventMachineFailure(t *testing.T) {
 func TestReadCompletionCopiesInlineData(t *testing.T) {
 	mc := &managerConn{}
 	dst := make([]byte, 8)
-	ev := &remoteEvent{BaseEvent: ocl.NewEvent(ocl.CommandReadBuffer), tag: 3, dst: dst}
+	ev := mc.register(ocl.CommandReadBuffer, 3)
+	ev.dst = dst
 	ev.machine(mc, &wire.OpNotification{State: wire.OpComplete, Data: []byte("ABCDEFGH")})
 	if string(dst) != "ABCDEFGH" {
 		t.Fatalf("dst = %q", dst)

@@ -51,7 +51,6 @@ type Client struct {
 	writeMu sync.Mutex
 	fw      frameWriter
 	reqHdr  [10]byte // request header scratch, guarded by writeMu
-	segTmp  [][]byte // segment scratch, guarded by writeMu
 
 	reqID atomic.Uint64
 
@@ -130,7 +129,7 @@ func (c *Client) CallWithTimeout(method wire.Method, timeout time.Duration, segs
 	c.pending[id] = ch
 	c.pendingMu.Unlock()
 
-	if err := c.send(id, method, segs...); err != nil {
+	if err := c.send(id, method, false, segs...); err != nil {
 		c.pendingMu.Lock()
 		delete(c.pending, id)
 		c.pendingMu.Unlock()
@@ -168,15 +167,22 @@ func (c *Client) CallWithTimeout(method wire.Method, timeout time.Duration, segs
 }
 
 // Send performs a fire-and-forget request: no response is expected; the
-// server reports progress through notifications. Used for the
-// command-queue methods. The request body is the concatenation of segs,
-// written without an intermediate copy. Returns ErrClosed (or the close
-// cause) promptly once the client is closed.
+// server reports progress through notifications. The request body is the
+// concatenation of segs, large ones written without an intermediate copy.
+// Returns ErrClosed (or the close cause) promptly once the client is
+// closed.
 func (c *Client) Send(method wire.Method, segs ...[]byte) error {
-	return c.send(0, method, segs...)
+	return c.send(0, method, false, segs...)
 }
 
-func (c *Client) send(reqID uint64, method wire.Method, segs ...[]byte) error {
+// SendDelayed is Send for the command-queue operations, which the manager
+// holds until the flush anyway: a small frame waits for the next write on
+// the connection (see "Write path" in the package doc).
+func (c *Client) SendDelayed(method wire.Method, segs ...[]byte) error {
+	return c.send(0, method, true, segs...)
+}
+
+func (c *Client) send(reqID uint64, method wire.Method, delay bool, segs ...[]byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	// Check-then-write under the same lock teardown synchronizes with:
@@ -189,20 +195,15 @@ func (c *Client) send(reqID uint64, method wire.Method, segs ...[]byte) error {
 	}
 	binary.LittleEndian.PutUint64(c.reqHdr[:8], reqID)
 	binary.LittleEndian.PutUint16(c.reqHdr[8:10], uint16(method))
-	tmp := append(c.segTmp[:0], c.reqHdr[:])
-	tmp = append(tmp, segs...)
-	err := c.fw.writeFrame(frameRequest, tmp...)
-	for i := range tmp {
-		tmp[i] = nil // don't pin payloads in the scratch between sends
-	}
-	c.segTmp = tmp[:0]
-	if err != nil {
+	if err := c.fw.writeFrame(delay, frameRequest, c.reqHdr[:], segs...); err != nil {
 		if cause := c.closeCause(); cause != nil {
 			return cause
 		}
 		// A failed write means the transport is gone even if readLoop has
-		// not observed it yet; report the loss with its typed sentinel.
-		return fmt.Errorf("%w: send %s: %v", ErrManagerDown, method, err)
+		// not observed it yet, and it may have taken delayed frames with it.
+		err = fmt.Errorf("%w: send %s: %v", ErrManagerDown, method, err)
+		c.fail(err)
+		return err
 	}
 	return nil
 }

@@ -44,10 +44,25 @@
 //	                  wire.ProtoVersionBatch or later; older peers receive
 //	                  per-operation notify frames instead.
 //
-// Frames are written either as one coalesced buffer (payloads up to 4 KiB,
-// one syscall) or as a vectored write (writev) of header and payload
-// segments, so bulk data crosses the transport without an intermediate
-// concatenation copy.
+// # Write path
+//
+// A frame leaves in one vectored write (writev on TCP): its header and the
+// segments that fit the writer's 8 KiB buffer are copied, larger segments
+// go from where they lie, so bulk data crosses the transport without an
+// intermediate concatenation copy.
+//
+// Client.SendDelayed, the Remote Library's send for the four enqueue
+// methods, delays small frames: a frame of at most 4 KiB (smallFrameMax, the
+// copy cut-over) is copied and waits while the waiting bytes stay within one
+// such frame, and the next write on the connection (Send for the flush,
+// Call, a heartbeat) carries it in front of its own frame. A larger frame
+// goes out at once, behind whatever waits. Every frame passes the client's
+// write lock in issue order, so wire order is issue order: the manager still
+// sees a kernel before a later SetKernelArg, an operation before a release.
+// A 3-op task and its flush are one write, not four. No wire change: the
+// bytes are the same, only fewer writes carry them. A write that carries
+// waiting frames and fails fails the client, so the Remote Library's
+// connection-loss sweep fails their events with ErrManagerDown.
 //
 // Each connection's read loop, server and client, pulls frames through one
 // small buffered reader sized to the largest coalesced frame, so the header

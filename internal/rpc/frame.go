@@ -37,56 +37,61 @@ var ErrFrameTooLarge = errors.New("rpc: frame exceeds size limit")
 // header: 4-byte little-endian payload length + 1-byte frame type.
 const headerLen = 5
 
-// smallFrameMax is the cut-over between the copy path and the vectored
-// path. Below it, copying the segments into one buffer and issuing a single
-// Write is cheaper than a writev; above it, the copy itself is the cost the
-// vectored path exists to avoid.
+// smallFrameMax is the cut-over between copying and vectoring. Below it,
+// copying a frame's segments into one buffer is cheaper than gathering them
+// in a writev; above it, the copy itself is the cost the vectored path
+// exists to avoid. It also bounds the frames a writer delays.
 const smallFrameMax = 4 << 10
 
-// frameWriter assembles and writes frames without concatenating payloads.
-// It is not safe for concurrent use; callers serialize through their write
-// lock. The hdr, small and vec fields are per-writer scratch so
-// steady-state writes allocate nothing.
+// frameWriter assembles and writes frames without concatenating large
+// payloads. It is not safe for concurrent use; callers serialize through
+// their write lock. buf and vec are per-writer scratch so steady-state
+// writes allocate nothing.
 type frameWriter struct {
-	w     io.Writer
-	hdr   [headerLen]byte
-	small [headerLen + smallFrameMax]byte // coalescing buffer of the small-frame path
-	vec   net.Buffers
+	w io.Writer
+	// buf[:held] are the delayed frames; the frame being written is copied
+	// in behind them as far as it fits. Room for two small frames: delayed
+	// bytes and the small frame that sends them are one Write.
+	buf  [2 * (headerLen + smallFrameMax)]byte
+	held int
+	vec  net.Buffers
 }
 
-// writeFrame writes one frame whose payload is the concatenation of segs.
-// Small frames are coalesced into the writer's scratch buffer (one syscall
-// for control traffic); larger frames go out as a vectored write (writev on
-// TCP), so payload bytes are never copied into a combined buffer. Segments
-// are not retained past the call.
-func (fw *frameWriter) writeFrame(typ byte, segs ...[]byte) error {
-	total := 0
+// writeFrame writes one frame whose payload is head followed by segs,
+// behind the frames delayed so far, as described under "Write path" in
+// doc.go; with delay set, a small frame may only be copied to wait for the
+// next. Segments are not retained past the call.
+func (fw *frameWriter) writeFrame(delay bool, typ byte, head []byte, segs ...[]byte) error {
+	total := len(head)
 	for _, s := range segs {
 		total += len(s)
 	}
-	binary.LittleEndian.PutUint32(fw.hdr[:4], uint32(total))
-	fw.hdr[4] = typ
-	if total <= smallFrameMax {
-		buf := append(fw.small[:0], fw.hdr[:]...)
-		for _, s := range segs {
-			buf = append(buf, s...)
-		}
-		_, err := fw.w.Write(buf)
-		return err
-	}
-	vec := append(fw.vec[:0], fw.hdr[:])
+	buf := binary.LittleEndian.AppendUint32(fw.buf[:fw.held], uint32(total))
+	buf = append(append(buf, typ), head...)
+	vec, from := fw.vec[:0], 0
 	for _, s := range segs {
-		if len(s) > 0 {
-			vec = append(vec, s)
+		if len(buf)+len(s) <= cap(buf) {
+			buf = append(buf, s...)
+			continue
 		}
+		vec = append(vec, buf[from:], s)
+		from = len(buf)
+	}
+	if delay && len(vec) == 0 && len(buf) <= headerLen+smallFrameMax {
+		fw.held = len(buf)
+		return nil
+	}
+	fw.held = 0
+	if from < len(buf) {
+		vec = append(vec, buf[from:])
 	}
 	// WriteTo advances (and nils out) the entries of the slice it is
-	// invoked on, so hand it a separate header while keeping vec's backing
-	// array as reusable scratch. The nil-out also means no payload slice
-	// stays pinned by the scratch between frames.
+	// invoked on: run it on the field, which keeps the local vec from
+	// escaping, then keep vec's backing array as reusable scratch. The
+	// nil-out also means no payload slice stays pinned between frames.
+	fw.vec = vec
+	_, err := fw.vec.WriteTo(fw.w)
 	fw.vec = vec[:0]
-	wr := vec
-	_, err := (&wr).WriteTo(fw.w)
 	return err
 }
 

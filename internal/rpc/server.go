@@ -103,7 +103,7 @@ func (c *Conn) push(typ byte, segs [][]byte) error {
 	if c.closed {
 		return errors.New("rpc: connection closed")
 	}
-	return c.fw.writeFrame(typ, segs...)
+	return c.fw.writeFrame(false, typ, nil, segs...)
 }
 
 func (c *Conn) respond(reqID uint64, status ocl.Status, errMsg string, body []byte) error {
@@ -117,7 +117,7 @@ func (c *Conn) respond(reqID uint64, status ocl.Status, errMsg string, body []by
 		e.Release()
 		return errors.New("rpc: connection closed")
 	}
-	err := c.fw.writeFrame(frameResponse, e.Bytes(), body)
+	err := c.fw.writeFrame(false, frameResponse, e.Bytes(), body)
 	c.writeMu.Unlock()
 	e.Release()
 	return err

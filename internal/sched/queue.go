@@ -57,11 +57,10 @@ type queue struct {
 	pol    policy
 	closed bool
 	seq    uint64
-	// notEmpty and notFull are broadcast channels: closed and replaced
-	// whenever the respective condition may have become true. Waiters
-	// snapshot the current channel under mu and block outside it.
-	notEmpty chan struct{}
-	notFull  chan struct{}
+	// notEmpty and notFull hold one wake-up token for the Pops and Pushes
+	// blocked outside mu; a waiter that leaves the condition true passes a
+	// token on. done is closed by Close.
+	notEmpty, notFull, done chan struct{}
 
 	pushed, popped, removed uint64
 	tenants                 map[string]*tenantCounters
@@ -72,17 +71,19 @@ func newQueue(d Discipline, cfg Config, pol policy) *queue {
 		disc:     d,
 		cfg:      cfg,
 		pol:      pol,
-		notEmpty: make(chan struct{}),
-		notFull:  make(chan struct{}),
+		notEmpty: make(chan struct{}, 1),
+		notFull:  make(chan struct{}, 1),
+		done:     make(chan struct{}),
 		tenants:  make(map[string]*tenantCounters),
 	}
 }
 
-// wake broadcasts a condition change by closing and replacing a channel.
-// Called with mu held.
-func wake(ch *chan struct{}) {
-	close(*ch)
-	*ch = make(chan struct{})
+// signal leaves a wake-up token in ch unless one is already there.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 func (q *queue) tenant(name string) *tenantCounters {
@@ -132,13 +133,18 @@ func (q *queue) Push(it *Item) error {
 			tc := q.tenant(it.Tenant)
 			tc.depth++
 			tc.weight = it.Weight
-			wake(&q.notEmpty)
+			signal(q.notEmpty)
+			if q.pol.len() < q.cfg.Capacity {
+				signal(q.notFull)
+			}
 			q.mu.Unlock()
 			return nil
 		}
-		full := q.notFull
 		q.mu.Unlock()
-		<-full // woken by Pop, Remove or Close
+		select { // woken by Pop, Remove or Close
+		case <-q.notFull:
+		case <-q.done:
+		}
 	}
 }
 
@@ -157,7 +163,10 @@ func (q *queue) Pop(ctx context.Context) (*Item, bool) {
 					tc.maxWait = w
 				}
 			}
-			wake(&q.notFull)
+			signal(q.notFull)
+			if q.pol.len() > 0 {
+				signal(q.notEmpty)
+			}
 			q.mu.Unlock()
 			return it, true
 		}
@@ -165,12 +174,12 @@ func (q *queue) Pop(ctx context.Context) (*Item, bool) {
 			q.mu.Unlock()
 			return nil, false
 		}
-		empty := q.notEmpty
 		q.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			return nil, false
-		case <-empty:
+		case <-q.notEmpty:
+		case <-q.done:
 		}
 	}
 }
@@ -186,7 +195,7 @@ func (q *queue) Remove(session uint64) []*Item {
 			tc.depth--
 			tc.removed++
 		}
-		wake(&q.notFull)
+		signal(q.notFull)
 	}
 	q.mu.Unlock()
 	return items
@@ -232,8 +241,7 @@ func (q *queue) Close() {
 		q.closed = true
 		// Wake blocked pushers (they fail with ErrClosed) and poppers
 		// (they drain, then observe closed).
-		wake(&q.notFull)
-		wake(&q.notEmpty)
+		close(q.done)
 	}
 	q.mu.Unlock()
 }

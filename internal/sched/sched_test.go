@@ -445,3 +445,29 @@ func TestConcurrentStress(t *testing.T) {
 		})
 	}
 }
+
+// TestPushPopAllocatesNothing is the manager's steady state under its
+// default discipline: the worker blocked in Pop, a connection pushing one
+// task at a time. Waking the worker may not cost a channel.
+func TestPushPopAllocatesNothing(t *testing.T) {
+	q := mustNew(t, FIFO, Config{})
+	popped := make(chan struct{})
+	go func() {
+		for {
+			if _, ok := q.Pop(context.Background()); !ok {
+				return
+			}
+			popped <- struct{}{}
+		}
+	}()
+	defer q.Close()
+	it := &Item{Session: 1, Tenant: "a"}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := q.Push(it); err != nil {
+			t.Fatal(err)
+		}
+		<-popped
+	}); n != 0 {
+		t.Errorf("Push+Pop allocates %.0f times, want 0", n)
+	}
+}
