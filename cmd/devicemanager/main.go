@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -132,11 +131,7 @@ func main() {
 	mux.Handle("/debug/flash", mgr.Flash().Handler())
 	mux.Handle("/debug/flight", mgr.FlightHandler())
 	mux.Handle("/debug/logs", rootLog.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	obs.RegisterPprof(mux)
 	metricsSrv := &http.Server{Addr: *metricsAt, Handler: mux}
 	go func() {
 		if err := metricsSrv.ListenAndServe(); err != http.ErrServerClosed {

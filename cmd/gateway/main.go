@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -346,7 +345,7 @@ func main() {
 	mux.Handle("/debug/flash", flashSvc.Handler())
 	mux.Handle("/debug/slo", sloEngine.Handler())
 	mux.Handle("/metrics", alertReg.Handler())
-	registerPprof(mux)
+	obs.RegisterPprof(mux)
 	srv := &http.Server{Addr: *listen, Handler: mux}
 	go func() {
 		rootLog.Info("serving", "addr", "http://"+*listen+"/function/<name>")
@@ -359,8 +358,15 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	rootLog.Info("shutting down")
-	srv.Close()
+	shutCtx, cancelShut := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancelShut()
+	if err := srv.Shutdown(shutCtx); err != nil {
+		rootLog.Warn("shutdown cut short", "err", err)
+	}
 }
+
+// shutdownGrace bounds how long SIGTERM waits for in-flight requests.
+const shutdownGrace = 10 * time.Second
 
 // exemplarTrace pulls the named objective's freshest latency exemplar:
 // the concrete over-target request behind the burning quantile. An empty
@@ -378,16 +384,6 @@ func exemplarTrace(eng *slo.Engine, objective string) obs.TraceID {
 		}
 	}
 	return 0
-}
-
-// registerPprof mounts net/http/pprof on an explicit mux (the package's
-// init only touches http.DefaultServeMux, which we do not serve).
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 func accelerator(usecase string) string {

@@ -360,7 +360,7 @@ func (b *Board) Run(kernel string, args []ocl.Arg, global []int) (time.Duration,
 		}
 	}
 	if spec.Run != nil {
-		if err := spec.Run(boardMem{b}, args, global); err != nil {
+		if err := runKernel(spec, boardMem{b}, args, global); err != nil {
 			return 0, err
 		}
 	}
@@ -371,6 +371,18 @@ func (b *Board) Run(kernel string, args []ocl.Arg, global []int) (time.Duration,
 	b.kernelRuns.Add(1)
 	b.occupy(d)
 	return d, nil
+}
+
+// runKernel executes a kernel's computation. A kernel that panics fails
+// its own launch with CL_OUT_OF_RESOURCES, the status OpenCL gives a
+// crashed kernel, instead of taking down every tenant sharing the board.
+func runKernel(spec *KernelSpec, mem MemAccess, args []ocl.Arg, global []int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = ocl.Errf(ocl.ErrOutOfResources, "kernel %q panicked: %v", spec.Name, r)
+		}
+	}()
+	return spec.Run(mem, args, global)
 }
 
 // BusyTime returns the cumulative modelled device-busy time. The Device

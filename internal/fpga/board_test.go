@@ -3,6 +3,7 @@ package fpga
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -301,6 +302,29 @@ func TestBoardRunValidation(t *testing.T) {
 	args := []ocl.Arg{ocl.BufferArg(12345), ocl.BufferArg(12346), n}
 	if _, err := b.Run("echo", args, nil); !errors.Is(err, ocl.ErrInvalidMemObject) {
 		t.Fatalf("dangling buffer err = %v", err)
+	}
+}
+
+// A kernel that panics (echo slicing past its 32-byte buffers) fails its
+// launch with a typed error, accounts no busy time, and leaves the board
+// free for the next launch.
+func TestBoardRunContainsKernelPanic(t *testing.T) {
+	b := testBoard(t)
+	configure(t, b)
+	in, _ := b.Alloc(32)
+	out, _ := b.Alloc(32)
+	busy0 := b.BusyTime()
+	poisoned, _ := ocl.PackArg(int32(1 << 20))
+	_, err := b.Run("echo", []ocl.Arg{ocl.BufferArg(in), ocl.BufferArg(out), poisoned}, nil)
+	if !errors.Is(err, ocl.ErrOutOfResources) || !strings.Contains(err.Error(), `"echo"`) {
+		t.Fatalf("panicking kernel err = %v, want ErrOutOfResources naming the kernel", err)
+	}
+	if b.BusyTime() != busy0 || b.Stats().KernelRuns != 0 {
+		t.Fatalf("failed launch accounted busy=%v runs=%d", b.BusyTime()-busy0, b.Stats().KernelRuns)
+	}
+	n, _ := ocl.PackArg(int32(32))
+	if _, err := b.Run("echo", []ocl.Arg{ocl.BufferArg(in), ocl.BufferArg(out), n}, nil); err != nil {
+		t.Fatalf("Run after a panicking launch: %v", err)
 	}
 }
 

@@ -16,18 +16,14 @@ import (
 // library so notification FRAMES are observable: the coalescing contract is
 // about what crosses the wire, which the library deliberately hides.
 
-// helloNegotiate opens a session at an explicit protocol version and returns
-// the revision the manager negotiated.
-func helloNegotiate(t *testing.T, c *rpc.Client, name string, version uint32) uint32 {
+// openSession says Hello at the current protocol revision.
+func openSession(t *testing.T, c *rpc.Client, name string) {
 	t.Helper()
-	resp, err := hello(t, c, name, version)
+	resp, err := hello(t, c, name, wire.ProtoVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h wire.HelloResponse
-	h.Decode(wire.NewDecoder(resp))
 	wire.PutBuf(resp)
-	return h.Proto
 }
 
 // unaryCall encodes a request, performs the call and fails the test on error.
@@ -128,73 +124,61 @@ func enqueueCopyTask(t *testing.T, c *rpc.Client, ids loopbackIDs, payload []byt
 	})
 }
 
-// noteFrame is one decoded notification frame as it crossed the wire.
-type noteFrame struct {
-	batch bool
-	notes []wire.OpNotification
+// nextFrame reads one notification frame and decodes its batch, with
+// payloads copied out of the pooled buffer.
+func nextFrame(t *testing.T, c *rpc.Client) []wire.OpNotification {
+	t.Helper()
+	select {
+	case payload, ok := <-c.Notifications():
+		if !ok {
+			t.Fatal("notification channel closed")
+		}
+		d := wire.NewDecoder(payload)
+		var b wire.OpNotificationBatch
+		b.Decode(d)
+		if d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("frame of %d notes: err %v, %d undecoded bytes", len(b.Notes), d.Err(), d.Remaining())
+		}
+		for i := range b.Notes {
+			b.Notes[i].Data = append([]byte(nil), b.Notes[i].Data...)
+		}
+		wire.PutBuf(payload)
+		return b.Notes
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for a notification frame")
+	}
+	return nil
 }
 
 // drainTaskFrames reads notification frames until tags 1..3 all reach a
-// terminal state, returning every frame with payloads copied out of the
-// pooled buffers. Frames are decoded at the session's negotiated proto —
-// a v1 session must receive the v1 field order, not merely unbatched
-// frames, so decoding v1 bytes with the v1 layout is part of the check.
-func drainTaskFrames(t *testing.T, c *rpc.Client, proto uint32) []noteFrame {
+// terminal state and returns every frame.
+func drainTaskFrames(t *testing.T, c *rpc.Client) [][]wire.OpNotification {
 	t.Helper()
 	terminal := map[uint64]bool{1: false, 2: false, 3: false}
 	remaining := len(terminal)
-	var frames []noteFrame
-	deadline := time.After(10 * time.Second)
+	var frames [][]wire.OpNotification
 	for remaining > 0 {
-		select {
-		case note, ok := <-c.Notifications():
-			if !ok {
-				t.Fatalf("notification channel closed with %d frames seen", len(frames))
-			}
-			d := wire.NewDecoder(note.Payload)
-			count := 1
-			if note.Batch {
-				count = int(d.U32())
-			}
-			f := noteFrame{batch: note.Batch}
-			for i := 0; i < count; i++ {
-				var n wire.OpNotification
-				if proto >= wire.ProtoVersionBatch {
-					n.Decode(d)
-				} else {
-					n.DecodeV1(d)
+		f := nextFrame(t, c)
+		for _, n := range f {
+			if n.State == wire.OpComplete || n.State == wire.OpFailed {
+				if done, tracked := terminal[n.Tag]; tracked && !done {
+					terminal[n.Tag] = true
+					remaining--
 				}
-				if d.Err() != nil {
-					t.Fatalf("frame %d note %d: %v", len(frames), i, d.Err())
-				}
-				n.Data = append([]byte(nil), n.Data...)
-				if n.State == wire.OpComplete || n.State == wire.OpFailed {
-					if done, tracked := terminal[n.Tag]; tracked && !done {
-						terminal[n.Tag] = true
-						remaining--
-					}
-				}
-				f.notes = append(f.notes, n)
 			}
-			if d.Remaining() != 0 {
-				t.Fatalf("frame %d: %d undecoded bytes (layout mismatch?)", len(frames), d.Remaining())
-			}
-			wire.PutBuf(note.Payload)
-			frames = append(frames, f)
-		case <-deadline:
-			t.Fatalf("timed out; %d frames seen, unfinished tags %v", len(frames), terminal)
 		}
+		frames = append(frames, f)
 	}
 	return frames
 }
 
 // requireCopyResult checks every op completed and the read (tag 3) carried
 // the payload back.
-func requireCopyResult(t *testing.T, frames []noteFrame, payload []byte) {
+func requireCopyResult(t *testing.T, frames [][]wire.OpNotification, payload []byte) {
 	t.Helper()
 	var readData []byte
 	for _, f := range frames {
-		for _, n := range f.notes {
+		for _, n := range f {
 			if n.State == wire.OpFailed {
 				t.Fatalf("op %d failed: %s", n.Tag, n.Error)
 			}
@@ -211,26 +195,20 @@ func requireCopyResult(t *testing.T, frames []noteFrame, payload []byte) {
 func TestTaskNotificationsCoalesced(t *testing.T) {
 	rig := newRig(t, manager.Config{})
 	c := rawClient(t, rig)
-	if proto := helloNegotiate(t, c, "batch-v2", wire.ProtoVersion); proto < wire.ProtoVersionBatch {
-		t.Fatalf("negotiated proto %d, want >= %d", proto, wire.ProtoVersionBatch)
-	}
+	openSession(t, c, "batch")
 	payload := bytes.Repeat([]byte("coalesce"), 512)
 	ids := setupLoopback(t, c, len(payload))
 	enqueueCopyTask(t, c, ids, payload)
-	frames := drainTaskFrames(t, c, wire.ProtoVersion)
+	frames := drainTaskFrames(t, c)
 
-	// The tentpole's headline number: a 3-op task used to cost 9 frames
-	// (Accepted, Running, Complete per op); coalescing folds it into the
-	// Accepted batch at Flush plus one completion batch at task end.
+	// Nine notifications (Accepted, Running, Complete per op) in two frames:
+	// the Accepted batch at Flush plus one completion batch at task end.
 	if len(frames) > 2 {
 		t.Fatalf("3-op task emitted %d notification frames, want at most 2", len(frames))
 	}
 	total := 0
-	for i, f := range frames {
-		if !f.batch {
-			t.Errorf("frame %d is a single-notification frame; proto v2 must batch", i)
-		}
-		total += len(f.notes)
+	for _, f := range frames {
+		total += len(f)
 	}
 	if total != 9 {
 		t.Errorf("frames carry %d notifications, want all 9", total)
@@ -238,16 +216,14 @@ func TestTaskNotificationsCoalesced(t *testing.T) {
 	requireCopyResult(t, frames, payload)
 }
 
-// TestReleaseQueueFailsUnflushedOps: a batch-capable peer defers Accepted
-// acknowledgements to flush time, so releasing a queue with unflushed
-// operations must terminate those events explicitly — silence would leave
-// the client's tags dangling until connection teardown.
+// TestReleaseQueueFailsUnflushedOps: Accepted acknowledgements wait for
+// flush time, so releasing a queue with unflushed operations must
+// terminate those events explicitly — silence would leave the client's
+// tags dangling until connection teardown.
 func TestReleaseQueueFailsUnflushedOps(t *testing.T) {
 	rig := newRig(t, manager.Config{})
 	c := rawClient(t, rig)
-	if proto := helloNegotiate(t, c, "dropped-queue", wire.ProtoVersion); proto < wire.ProtoVersionBatch {
-		t.Fatalf("negotiated proto %d, want >= %d", proto, wire.ProtoVersionBatch)
-	}
+	openSession(t, c, "dropped-queue")
 	payload := bytes.Repeat([]byte("drop"), 16)
 	ids := setupLoopback(t, c, len(payload))
 	sendOp(t, c, wire.MethodEnqueueWrite, func(e *wire.Encoder) {
@@ -262,29 +238,9 @@ func TestReleaseQueueFailsUnflushedOps(t *testing.T) {
 	}))
 
 	states := map[uint64]wire.OpState{}
-	deadline := time.After(10 * time.Second)
 	for len(states) < 2 {
-		select {
-		case note, ok := <-c.Notifications():
-			if !ok {
-				t.Fatalf("notification channel closed with states %v", states)
-			}
-			d := wire.NewDecoder(note.Payload)
-			count := 1
-			if note.Batch {
-				count = int(d.U32())
-			}
-			for i := 0; i < count; i++ {
-				var n wire.OpNotification
-				n.Decode(d)
-				if d.Err() != nil {
-					t.Fatalf("note %d: %v", i, d.Err())
-				}
-				states[n.Tag] = n.State
-			}
-			wire.PutBuf(note.Payload)
-		case <-deadline:
-			t.Fatalf("timed out waiting for dropped-op notifications; states %v", states)
+		for _, n := range nextFrame(t, c) {
+			states[n.Tag] = n.State
 		}
 	}
 	for tag := uint64(1); tag <= 2; tag++ {
@@ -294,44 +250,21 @@ func TestReleaseQueueFailsUnflushedOps(t *testing.T) {
 	}
 }
 
-func TestPreBatchPeerInterop(t *testing.T) {
+// TestFailureOutsideTaskIsBatchOfOne: an operation that cannot join a task
+// fails its event through the one notification frame there is, holding a
+// batch of one.
+func TestFailureOutsideTaskIsBatchOfOne(t *testing.T) {
 	rig := newRig(t, manager.Config{})
 	c := rawClient(t, rig)
-	if proto := helloNegotiate(t, c, "legacy-v1", 1); proto != 1 {
-		t.Fatalf("negotiated proto %d, want 1", proto)
+	openSession(t, c, "no-queue")
+	sendOp(t, c, wire.MethodEnqueueRead, func(e *wire.Encoder) {
+		(&wire.EnqueueReadRequest{Tag: 7, Queue: 999, Buffer: 1, Length: 8}).Encode(e)
+	})
+	f := nextFrame(t, c)
+	if len(f) != 1 {
+		t.Fatalf("frame holds %d notifications, want 1", len(f))
 	}
-	payload := bytes.Repeat([]byte("legacy!!"), 256)
-	ids := setupLoopback(t, c, len(payload))
-	enqueueCopyTask(t, c, ids, payload)
-	frames := drainTaskFrames(t, c, 1)
-
-	// A pre-batching peer must see the exact v1 wire behaviour: one frame
-	// per notification, never a batch frame.
-	if len(frames) != 9 {
-		t.Fatalf("v1 peer got %d notification frames, want 9", len(frames))
+	if n := f[0]; n.Tag != 7 || n.State != wire.OpFailed || ocl.Status(n.Status) != ocl.ErrInvalidCommandQueue {
+		t.Fatalf("notification = %+v, want tag 7 failed with %v", n, ocl.ErrInvalidCommandQueue)
 	}
-	seq := map[uint64][]wire.OpState{}
-	for i, f := range frames {
-		if f.batch {
-			t.Fatalf("frame %d is a batch frame; those are gated on proto >= %d", i, wire.ProtoVersionBatch)
-		}
-		if len(f.notes) != 1 {
-			t.Fatalf("frame %d carries %d notifications", i, len(f.notes))
-		}
-		n := f.notes[0]
-		seq[n.Tag] = append(seq[n.Tag], n.State)
-	}
-	want := []wire.OpState{wire.OpAccepted, wire.OpRunning, wire.OpComplete}
-	for tag := uint64(1); tag <= 3; tag++ {
-		got := seq[tag]
-		if len(got) != len(want) {
-			t.Fatalf("tag %d states = %v, want %v", tag, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("tag %d states = %v, want %v", tag, got, want)
-			}
-		}
-	}
-	requireCopyResult(t, frames, payload)
 }

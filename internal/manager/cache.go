@@ -15,8 +15,8 @@ import (
 // content-addressed device buffer cache behind CreateBuffer, the kernel
 // memoization hook of the worker, and the /debug/cache stats view.
 
-// createCachedBuffer serves a CreateBuffer carrying a content hash
-// (proto >= wire.ProtoVersionReuse). Protocol:
+// createCachedBuffer serves a CreateBuffer carrying a content hash.
+// Protocol:
 //
 //   - probe (hash, no payload): a resident entry with the same (hash,
 //     size) yields a shared handle — the metadata-only RPC that makes

@@ -62,8 +62,7 @@ type Config struct {
 	// duration is expired: its queues, buffers and in-flight task slots are
 	// reclaimed exactly as on disconnect, and deferred acknowledgements
 	// fail with OpFailed before the connection is closed. Zero disables
-	// leases. Sessions negotiated below wire.ProtoVersionLease are never
-	// expired — they predate heartbeats.
+	// leases.
 	LeaseDuration time.Duration
 	// Scheduler selects the central-queue discipline: "fifo" (default,
 	// the paper's strict arrival order), "drr" (deficit round-robin
@@ -425,15 +424,13 @@ func (m *Manager) leaseSweeper() {
 	}
 }
 
-// sweepLeases expires every lease-bearing session silent past the lease
-// duration.
+// sweepLeases expires every session silent past the lease duration.
 func (m *Manager) sweepLeases(now time.Time) {
 	deadline := now.Add(-m.cfg.LeaseDuration).UnixNano()
 	m.mu.Lock()
 	var dead []*session
 	for _, s := range m.sessions {
-		// Pre-lease protocols have no heartbeat to send; never expire them.
-		if s.proto >= wire.ProtoVersionLease && s.lastBeat.Load() < deadline {
+		if s.lastBeat.Load() < deadline {
 			dead = append(dead, s)
 		}
 	}
@@ -637,12 +634,10 @@ func (m *Manager) handleHello(c *rpc.Conn, d *wire.Decoder) ([]byte, error) {
 	if err := d.Err(); err != nil {
 		return nil, ocl.Errf(ocl.ErrInvalidValue, "malformed Hello: %v", err)
 	}
-	// Accept the whole supported window so older libraries keep working
-	// against a newer manager. The session runs at the client's version;
-	// batch notification frames are gated on it.
-	if req.ProtoVersion < wire.MinProtoVersion || req.ProtoVersion > wire.ProtoVersion {
-		return nil, ocl.Errf(ocl.ErrInvalidValue, "protocol version %d, manager speaks %d through %d",
-			req.ProtoVersion, wire.MinProtoVersion, wire.ProtoVersion)
+	// Library and manager are built together: any other revision is skew.
+	if req.ProtoVersion != wire.ProtoVersion {
+		return nil, ocl.Errf(ocl.ErrInvalidValue, "protocol version %d, manager speaks %d",
+			req.ProtoVersion, wire.ProtoVersion)
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -651,7 +646,6 @@ func (m *Manager) handleHello(c *rpc.Conn, d *wire.Decoder) ([]byte, error) {
 	}
 	m.nextSess++
 	s := newSession(m.nextSess, req.ClientName)
-	s.proto = req.ProtoVersion
 	s.conn = c
 	s.log = m.log.With("client", s.clientName)
 	s.tm = m.tenantMetric(s.clientName)
@@ -667,14 +661,11 @@ func (m *Manager) handleHello(c *rpc.Conn, d *wire.Decoder) ([]byte, error) {
 	// renewals) attach to a synthetic per-session flight: they happen
 	// outside any task, before a trace can exist.
 	s.flight = m.flight.Begin(0, s.clientName)
-	m.log.Debug("session opened", "client", s.clientName, "session", s.id, "proto", int(s.proto))
+	m.log.Debug("session opened", "client", s.clientName, "session", s.id)
 
-	var leaseMillis uint32
-	if s.proto >= wire.ProtoVersionLease && m.cfg.LeaseDuration > 0 {
-		leaseMillis = uint32(m.cfg.LeaseDuration / time.Millisecond)
-	}
 	e := wire.GetEncoder(32)
-	(&wire.HelloResponse{SessionID: s.id, Node: m.cfg.Node, Proto: s.proto, LeaseMillis: leaseMillis}).Encode(e)
+	(&wire.HelloResponse{SessionID: s.id, Node: m.cfg.Node, Proto: wire.ProtoVersion,
+		LeaseMillis: uint32(max(m.cfg.LeaseDuration, 0) / time.Millisecond)}).Encode(e)
 	return e.Detach(), nil
 }
 

@@ -36,11 +36,18 @@ func hello(t *testing.T, c *rpc.Client, name string, version uint32) ([]byte, er
 	return c.Call(wire.MethodHello, e.Bytes())
 }
 
+// Hello is an equality guard: any revision but the manager's own is
+// refused and leaves no session behind.
 func TestProtocolVersionMismatchRejected(t *testing.T) {
 	rig := newRig(t, manager.Config{})
 	c := rawClient(t, rig)
-	if _, err := hello(t, c, "old-client", wire.ProtoVersion+1); !errors.Is(err, ocl.ErrInvalidValue) {
-		t.Fatalf("version mismatch err = %v", err)
+	for _, v := range []uint32{0, 1, wire.ProtoVersion - 1, wire.ProtoVersion + 1} {
+		if _, err := hello(t, c, "skewed-client", v); !errors.Is(err, ocl.ErrInvalidValue) {
+			t.Errorf("version %d: err = %v, want ErrInvalidValue", v, err)
+		}
+		if n := rig.mgr.Sessions(); n != 0 {
+			t.Fatalf("version %d left %d sessions", v, n)
+		}
 	}
 	// The connection itself survives; a correct Hello then works.
 	if _, err := hello(t, c, "fixed-client", wire.ProtoVersion); err != nil {
@@ -252,5 +259,80 @@ func TestTraceRingOverwritesOldest(t *testing.T) {
 	}
 	if traces[len(traces)-1].Seq != 600 {
 		t.Fatalf("newest seq = %d, want 600", traces[len(traces)-1].Seq)
+	}
+}
+
+// TestKernelPanicFailsOnlyItsTask: two tenants share one board, and one
+// tenant's kernel panics on a poisoned argument. Only that tenant's event
+// fails, with ErrOutOfResources; the other tenant's task completes and the
+// manager keeps serving.
+func TestKernelPanicFailsOnlyItsTask(t *testing.T) {
+	const poison = 13
+	bs := &fpga.Bitstream{ID: "poison", Accelerator: "poison", Kernels: []fpga.KernelSpec{{
+		Name: "k", NumArgs: 1,
+		Run: func(_ fpga.MemAccess, args []ocl.Arg, _ []int) error {
+			if args[0].IntValue() == poison {
+				panic("poisoned argument")
+			}
+			return nil
+		},
+	}}}
+	catalog := accel.Catalog()
+	catalog.Add(bs)
+	board := fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), catalog)
+	mgr := manager.New(manager.Config{Node: "n", DeviceID: "d"}, board)
+	srv := rpc.NewServer(mgr)
+	srv.Log = logx.NewLogf("rpc", t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); mgr.Close() })
+	rig := &testRig{mgr: mgr, srv: srv, addr: addr, board: board}
+
+	open := func(name string, arg int32) (ocl.CommandQueue, ocl.Kernel) {
+		ctx, dev, q := openDevice(t, dialRig(t, rig, 1 /* TransportGRPC */, name))
+		prog, err := ctx.CreateProgramWithBinary(dev, bs.Binary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prog.Build(""); err != nil {
+			t.Fatal(err)
+		}
+		k, err := prog.CreateKernel("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.SetArg(0, arg); err != nil {
+			t.Fatal(err)
+		}
+		return q, k
+	}
+	badQ, badK := open("bad", poison)
+	goodQ, goodK := open("good", 1)
+	badEv, err := badQ.EnqueueTask(badK, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodEv, err := goodQ.EnqueueTask(goodK, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badQ.Flush()
+	goodQ.Flush()
+	if err := badEv.Wait(); !errors.Is(err, ocl.ErrOutOfResources) {
+		t.Fatalf("poisoned kernel event err = %v, want ErrOutOfResources", err)
+	}
+	if err := goodEv.Wait(); err != nil {
+		t.Fatalf("neighbour's task: %v", err)
+	}
+	if _, err := goodQ.EnqueueTask(goodK, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := goodQ.Finish(); err != nil {
+		t.Fatalf("task after the panic: %v", err)
+	}
+	if text := mgr.Metrics().Render(); !strings.Contains(text, `bf_tenant_task_failures_total{device="d",node="n",tenant="bad"} 1`) {
+		t.Fatalf("failed task not counted against its tenant:\n%s", text)
 	}
 }

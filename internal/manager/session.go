@@ -25,9 +25,6 @@ type session struct {
 	log *logx.Logger
 	// tm holds the tenant's metric handles, resolved once at Hello.
 	tm *tenantMetrics
-	// proto is the protocol revision negotiated at Hello. Immutable after
-	// the handshake; gates the batch notification path.
-	proto uint32
 	// conn is the session's connection, set at Hello. The lease sweeper
 	// uses it to deliver OpFailed notifications and close an expired
 	// session from outside the request path.
@@ -63,8 +60,7 @@ type queueState struct {
 	// them into a task.
 	cur []op
 	// accepted holds the tags whose Accepted acknowledgement is deferred
-	// to flush time, where they leave as one batch frame (batch-capable
-	// peers only).
+	// to flush time, where they leave as one batch frame.
 	accepted []uint64
 }
 
@@ -207,9 +203,9 @@ func (s *session) releaseQueue(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte
 	delete(s.queues, req.ID)
 	s.mu.Unlock()
 	releaseOps(ops)
-	// Batch-capable peers never got an acknowledgement for these tags (it
-	// was deferred to flush); terminate their events instead of leaving
-	// them dangling until connection teardown.
+	// These tags never got an acknowledgement (it was deferred to flush);
+	// terminate their events instead of leaving them dangling until
+	// connection teardown.
 	for _, tag := range accepted {
 		s.sendFail(c, tag, ocl.Errf(ocl.ErrInvalidOperation, "queue released before flush"))
 	}
@@ -439,15 +435,15 @@ func (s *session) queue(id uint64) (*queueState, error) {
 	return q, nil
 }
 
-// sendFail pushes an OpFailed notification for a command-queue request
-// that could not even join a task. Command-queue methods never produce
-// unary errors: their failures travel on the event path, as in the
-// paper's asynchronous flow.
+// sendFail pushes an OpFailed notification, as a batch of one, for a
+// command-queue operation that fails outside a running task. Command-queue
+// methods never produce unary errors: their failures travel on the event
+// path, as in the paper's asynchronous flow.
 func (s *session) sendFail(c *rpc.Conn, tag uint64, err error) {
-	notifySingle(c, s.proto, &wire.OpNotification{
-		Tag:    tag,
-		State:  wire.OpFailed,
-		Status: int32(ocl.StatusOf(err)),
-		Error:  err.Error(),
-	})
+	msg := err.Error()
+	e := wire.GetEncoder(64 + len(msg))
+	e.U32(1)
+	(&wire.OpNotification{Tag: tag, State: wire.OpFailed, Status: int32(ocl.StatusOf(err)), Error: msg}).Encode(e)
+	c.Notify(e.Bytes()) // best effort: the client may already be gone
+	e.Release()
 }

@@ -188,7 +188,7 @@ func (s *session) enqueueWrite(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte
 		s.sendFail(c, req.Tag, ocl.Errf(ocl.ErrInvalidValue, "data path %d", req.Via))
 		return nil, nil
 	}
-	s.appendOp(c, q, o)
+	s.appendOp(q, o)
 	return nil, nil
 }
 
@@ -212,7 +212,7 @@ func (s *session) enqueueRead(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 		s.sendFail(c, req.Tag, ocl.Errf(ocl.ErrInvalidOperation, "no shared-memory segment negotiated"))
 		return nil, nil
 	}
-	s.appendOp(c, q, op{
+	s.appendOp(q, op{
 		kind:     opRead,
 		tag:      req.Tag,
 		boardBuf: buf.boardID,
@@ -267,7 +267,7 @@ func (s *session) enqueueKernel(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byt
 		}
 		return out
 	}
-	s.appendOp(c, q, op{
+	s.appendOp(q, op{
 		kind:       opKernel,
 		tag:        req.Tag,
 		kernelName: name,
@@ -281,9 +281,8 @@ func (s *session) enqueueKernel(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byt
 }
 
 // enqueueCopy joins a device-to-device buffer copy to the client's current
-// task (proto >= wire.ProtoVersionReuse). Ranges are validated here against
-// the session's buffer sizes so a bad chain fails at enqueue, not on the
-// board.
+// task. Ranges are validated here against the session's buffer sizes so a
+// bad chain fails at enqueue, not on the board.
 func (s *session) enqueueCopy(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error) {
 	var req wire.EnqueueCopyRequest
 	req.Decode(d)
@@ -318,7 +317,7 @@ func (s *session) enqueueCopy(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 			req.SrcOffset, req.DstOffset, req.Length, src.size, dst.size))
 		return nil, nil
 	}
-	s.appendOp(c, q, op{
+	s.appendOp(q, op{
 		kind:     opCopy,
 		tag:      req.Tag,
 		boardBuf: src.boardID,
@@ -332,20 +331,15 @@ func (s *session) enqueueCopy(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 	return nil, nil
 }
 
-// appendOp adds the operation to the queue's current task and acknowledges
-// it (the FIRST step of the client's event state machine). For batch-capable
-// peers the acknowledgement is deferred: all of a task's Accepted
-// notifications leave as one batch frame at flush time.
-func (s *session) appendOp(c *rpc.Conn, q *queueState, o op) {
+// appendOp adds the operation to the queue's current task. Its
+// acknowledgement (the FIRST step of the client's event state machine) is
+// deferred: all of a task's Accepted notifications leave as one batch frame
+// at flush time.
+func (s *session) appendOp(q *queueState, o op) {
 	s.mu.Lock()
 	q.cur = append(q.cur, o)
-	if s.proto >= wire.ProtoVersionBatch {
-		q.accepted = append(q.accepted, o.tag)
-		s.mu.Unlock()
-		return
-	}
+	q.accepted = append(q.accepted, o.tag)
 	s.mu.Unlock()
-	notifySingle(c, s.proto, &wire.OpNotification{Tag: o.tag, State: wire.OpAccepted})
 }
 
 // flush seals the queue's current task and submits it to the central FIFO
@@ -375,7 +369,7 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 		for _, tag := range accepted {
 			(&wire.OpNotification{Tag: tag, State: wire.OpAccepted}).EncodeHead(e)
 		}
-		c.NotifyBatch(e.Bytes()) // best effort
+		c.Notify(e.Bytes()) // best effort
 		e.Release()
 	}
 	if len(ops) == 0 {
@@ -397,38 +391,17 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 	return nil, nil
 }
 
-// notifySingle pushes one per-operation notification frame — the pre-batch
-// (proto 1) notification path, also used for failures outside any task.
-// The encoding follows the session's negotiated revision: pre-batch peers
-// decode the original v1 field order (Data mid-message), so they must
-// receive exactly that layout, not just unbatched frames.
-func notifySingle(c *rpc.Conn, proto uint32, n *wire.OpNotification) {
-	if proto < wire.ProtoVersionBatch {
-		e := wire.GetEncoder(64 + len(n.Error) + len(n.Data))
-		n.EncodeV1(e)
-		c.Notify(e.Bytes()) // best effort: the client may already be gone
-		e.Release()
-		return
-	}
-	e := wire.GetEncoder(64 + len(n.Error))
-	n.EncodeHead(e)
-	c.Notify(e.Bytes(), n.Data) // best effort
-	e.Release()
-}
-
 // notifyBatcher accumulates the notifications a task emits and sends them
-// as one frameNotifyBatch at the end of the task. Notification heads are
+// as one notification frame at the end of the task. Notification heads are
 // encoded into a single pooled buffer as they arrive; Data payloads stay
 // where they are and ride out as their own vectored-write segments, so a
-// read result is never copied between the board and the socket. For
-// pre-batch peers every add degenerates to an immediate single frame.
+// read result is never copied between the board and the socket.
 //
 // The worker owns one batcher and points it at each task in turn, so parts
 // and segs are scratch that stops allocating once it has grown to the
 // largest task seen.
 type notifyBatcher struct {
-	c     *rpc.Conn
-	proto uint32 // negotiated session revision; batching requires ProtoVersionBatch
+	c *rpc.Conn
 
 	e     *wire.Encoder
 	parts []notifyPart
@@ -444,13 +417,6 @@ type notifyPart struct {
 // add appends one notification. If own is set, the batcher assumes
 // ownership of n.Data and releases it after the wire write.
 func (nb *notifyBatcher) add(n *wire.OpNotification, own bool) {
-	if nb.proto < wire.ProtoVersionBatch {
-		notifySingle(nb.c, nb.proto, n)
-		if own {
-			wire.PutBuf(n.Data)
-		}
-		return
-	}
 	if nb.e == nil {
 		nb.e = wire.GetEncoder(256)
 		nb.e.U32(0) // notification count, patched in flush
@@ -475,7 +441,7 @@ func (nb *notifyBatcher) flush() {
 			segs = append(segs, p.data)
 		}
 	}
-	nb.c.NotifyBatch(segs...) // best effort
+	nb.c.Notify(segs...) // best effort
 	for _, p := range nb.parts {
 		if p.own {
 			wire.PutBuf(p.data)
@@ -493,10 +459,9 @@ func (nb *notifyBatcher) flush() {
 // runTask executes one task's operations back to back on the FPGA.
 // A failing operation aborts the rest of the task: the queue is in-order,
 // so later operations would observe inconsistent state. All of the task's
-// progress notifications leave as a single batch frame (for batch-capable
-// peers) once the task finishes.
-// runTask executes one popped task and reports whether any of its
-// operations failed (the availability SLI counts failed tasks).
+// progress notifications leave as a single batch frame once the task
+// finishes. runTask reports whether any of its operations failed (the
+// availability SLI counts failed tasks).
 func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	if t.sess.expired.Load() {
 		// The lease sweeper reclaimed this session between submit and
@@ -521,7 +486,7 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	if scale > 0 {
 		time.Sleep(time.Duration(float64(cost.TaskControlOverhead(len(t.ops))) * scale))
 	}
-	nb.c, nb.proto = t.conn, t.sess.proto
+	nb.c = t.conn
 	failed := false
 	var abortErr error
 	// The flight recorder is always on, so stage clocks run whether or

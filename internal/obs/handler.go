@@ -4,8 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 )
+
+// RegisterPprof mounts net/http/pprof under /debug/pprof/ on an explicit
+// mux (the package's init only touches http.DefaultServeMux, which no
+// binary here serves).
+func RegisterPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
 
 // Handler serves the tracer's span ring as JSON at /debug/spans.
 // Query parameters: ?trace=<hex id> filters to one trace, ?n=<count>

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -282,6 +283,18 @@ func TestRingGrowsOnDemand(t *testing.T) {
 			if sp.Trace != TraceID(first+i) {
 				t.Fatalf("after %d spans: position %d holds trace %d, want %d", n, i, sp.Trace, first+i)
 			}
+		}
+	}
+}
+
+func TestRegisterPprofMountsRoutes(t *testing.T) {
+	mux := http.NewServeMux()
+	RegisterPprof(mux)
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, rec.Code)
 		}
 	}
 }

@@ -76,10 +76,10 @@ func (c *context) CreateCommandQueue(d ocl.Device, props ocl.QueueProps) (ocl.Co
 // initialization data) is a synchronous context/information method.
 //
 // Full-size read-only payloads go through the manager's content-addressed
-// buffer cache when the session speaks wire.ProtoVersionReuse: a hash-only
-// probe first (a resident hit makes the create a metadata-only RPC — the
-// paper's repeated CNN weights upload once per board), then the payload
-// with its hash on a miss so the next create hits.
+// buffer cache unless Config.DisableContentCache is set: a hash-only probe
+// first (a resident hit makes the create a metadata-only RPC — the paper's
+// repeated CNN weights upload once per board), then the payload with its
+// hash on a miss so the next create hits.
 func (c *context) CreateBuffer(flags ocl.MemFlags, size int, hostData []byte) (ocl.Buffer, error) {
 	if !flags.Valid() {
 		return nil, ocl.Errf(ocl.ErrInvalidValue, "buffer flags %#x", uint32(flags))
@@ -89,8 +89,7 @@ func (c *context) CreateBuffer(flags ocl.MemFlags, size int, hostData []byte) (o
 	}
 	mc := c.mc
 	var hash uint64
-	if mc.reuseWire() && !mc.cfg.DisableContentCache &&
-		flags == ocl.MemReadOnly && len(hostData) == size {
+	if !mc.cfg.DisableContentCache && flags == ocl.MemReadOnly && len(hostData) == size {
 		// Cacheable: contents fully determined by (hash, size) and nobody
 		// may write the buffer afterwards.
 		hash = datacache.ContentHash64(hostData)
@@ -446,7 +445,7 @@ func (q *commandQueue) EnqueueWriteBuffer(b ocl.Buffer, blocking bool, offset in
 	}
 	trace, span, parent, issued := q.beginOp(ev)
 	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
-	if trace != 0 && mc.traceWire() {
+	if trace != 0 {
 		req.TraceID, req.SpanID = uint64(trace), uint64(span)
 	}
 	mc.enroll(ev)
@@ -526,7 +525,7 @@ func (q *commandQueue) EnqueueReadBuffer(b ocl.Buffer, blocking bool, offset int
 	}
 	trace, span, parent, issued := q.beginOp(ev)
 	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
-	if trace != 0 && mc.traceWire() {
+	if trace != 0 {
 		req.TraceID, req.SpanID = uint64(trace), uint64(span)
 	}
 	mc.enroll(ev)
@@ -558,8 +557,7 @@ func (q *commandQueue) EnqueueReadBuffer(b ocl.Buffer, blocking bool, offset int
 
 // EnqueueCopyBuffer implements ocl.CommandQueue: a device-to-device move
 // that joins the current task without routing the bytes through the
-// client. Against managers predating wire.ProtoVersionReuse it degrades to
-// a read+write through host memory — transparent, just not zero-copy.
+// client.
 func (q *commandQueue) EnqueueCopyBuffer(src, dst ocl.Buffer, srcOffset, dstOffset, n int, waitList []ocl.Event) (ocl.Event, error) {
 	rs, ok := src.(*buffer)
 	if !ok || rs.ctx != q.ctx {
@@ -585,16 +583,6 @@ func (q *commandQueue) EnqueueCopyBuffer(src, dst ocl.Buffer, srcOffset, dstOffs
 		return ocl.CompletedEvent(ocl.CommandCopyBuffer), nil
 	}
 	mc := q.ctx.mc
-	if !mc.reuseWire() {
-		// Pre-reuse manager: emulate through the client. A blocking read
-		// into a temp keeps the in-order semantics; the write joins the
-		// current task like the wire copy would.
-		tmp := make([]byte, n)
-		if _, err := q.EnqueueReadBuffer(rs, true, srcOffset, tmp, nil); err != nil {
-			return nil, err
-		}
-		return q.EnqueueWriteBuffer(rd, false, dstOffset, tmp, nil)
-	}
 	tag := mc.newTag()
 	ev := mc.register(ocl.CommandCopyBuffer, tag)
 	req := wire.EnqueueCopyRequest{
@@ -608,7 +596,7 @@ func (q *commandQueue) EnqueueCopyBuffer(src, dst ocl.Buffer, srcOffset, dstOffs
 	}
 	trace, span, parent, issued := q.beginOp(ev)
 	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
-	if trace != 0 && mc.traceWire() {
+	if trace != 0 {
 		req.TraceID, req.SpanID = uint64(trace), uint64(span)
 	}
 	mc.enroll(ev)
@@ -662,7 +650,7 @@ func (q *commandQueue) EnqueueNDRangeKernel(k ocl.Kernel, global, local []int, w
 	}
 	trace, span, parent, issued := q.beginOp(ev)
 	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
-	if trace != 0 && mc.traceWire() {
+	if trace != 0 {
 		req.TraceID, req.SpanID = uint64(trace), uint64(span)
 	}
 	mc.enroll(ev)
@@ -763,7 +751,7 @@ func (q *commandQueue) Flush() error {
 	}
 	mc := q.ctx.mc
 	req := wire.FlushRequest{Queue: q.id, DeadlineMillis: uint32(deadline / time.Millisecond)}
-	if trace != 0 && mc.traceWire() {
+	if trace != 0 {
 		req.TraceID, req.SpanID = uint64(trace), uint64(taskSpan)
 	}
 	e := wire.GetEncoder(32)

@@ -92,8 +92,8 @@ type Config struct {
 	// Tracer enables distributed tracing: the library samples a trace at
 	// the first operation of each flush-formed task, records client-side
 	// spans (call, send, ack-wait, task) into it, and propagates the IDs
-	// to managers that negotiated wire.ProtoVersionTrace. Nil disables
-	// tracing entirely — the hot path then pays one nil check.
+	// to the managers. Nil disables tracing entirely — the hot path then
+	// pays one nil check.
 	Tracer *obs.Tracer
 	// FlightRing bounds the library's flight-recorder ring (whole task
 	// skeletons; zero selects the flightrec default). Unlike sampled

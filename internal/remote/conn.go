@@ -26,7 +26,6 @@ type managerConn struct {
 
 	sessionID uint64
 	node      string
-	proto     uint32 // protocol revision negotiated at Hello
 	info      wire.DeviceInfoResponse
 
 	seg   *shm.Segment
@@ -89,11 +88,17 @@ func dialManager(cfg *Config, addr string) (*managerConn, error) {
 	}
 	var hello wire.HelloResponse
 	hello.Decode(wire.NewDecoder(resp))
+	wire.PutBuf(resp)
+	// Library and manager are built together: a different echoed revision
+	// (or a Hello too short to carry one) is skew.
+	if hello.Proto != wire.ProtoVersion {
+		cl.Close()
+		return nil, ocl.Errf(ocl.ErrInvalidValue, "manager speaks protocol version %d, library %d",
+			hello.Proto, wire.ProtoVersion)
+	}
 	mc.sessionID = hello.SessionID
 	mc.node = hello.Node
-	mc.proto = hello.Proto
 	mc.lease = time.Duration(hello.LeaseMillis) * time.Millisecond
-	wire.PutBuf(resp)
 
 	// Device information for the platform list. Idempotent, so a slow
 	// manager gets retried with jittered backoff; the session ID makes the
@@ -129,7 +134,7 @@ func dialManager(cfg *Config, addr string) (*managerConn, error) {
 
 	mc.log.Debug("connected to manager",
 		"manager", addr, "node", mc.node, "session", mc.sessionID,
-		"proto", int(mc.proto), "transport", mc.mode.String())
+		"transport", mc.mode.String())
 	go mc.connectionThread()
 	if mc.lease > 0 {
 		mc.stopBeat = make(chan struct{})
@@ -203,17 +208,6 @@ func (mc *managerConn) buildTimeout() time.Duration {
 	return base
 }
 
-// traceWire reports whether trace IDs may be put on the wire: the
-// session must have negotiated the trace-capable protocol revision.
-// Client-side spans are recorded regardless — against an old manager the
-// timeline simply lacks the manager stages.
-func (mc *managerConn) traceWire() bool { return mc.proto >= wire.ProtoVersionTrace }
-
-// reuseWire reports whether the session may use the data-plane reuse
-// features (content-hashed creates, device-to-device copies): the manager
-// must have negotiated the reuse-capable protocol revision.
-func (mc *managerConn) reuseWire() bool { return mc.proto >= wire.ProtoVersionReuse }
-
 func (mc *managerConn) isClosed() bool {
 	mc.closedMu.Lock()
 	defer mc.closedMu.Unlock()
@@ -240,33 +234,23 @@ func (mc *managerConn) close() error {
 
 // connectionThread is the paper's connection thread: it pulls tags from
 // the completion queue, retrieves the corresponding events and calls their
-// state machines (steps 5 and 6 of Figure 2). Batch frames (one per task
-// under proto v2) unwind into the same per-notification flow, preserving
-// the state machine unchanged. Frame payloads are pooled: decoded Data
-// aliases them, which is safe because finishRead copies read results into
-// the user buffer synchronously inside machine.
+// state machines (steps 5 and 6 of Figure 2). Each frame is a batch (one per
+// task) that unwinds into the same per-notification flow. Frame payloads are
+// pooled: decoded Data aliases them, which is safe because finishRead copies
+// read results into the user buffer synchronously inside machine.
 func (mc *managerConn) connectionThread() {
 	var d wire.Decoder
 	var n wire.OpNotification
-	legacy := mc.proto < wire.ProtoVersionBatch // v1 managers send the old field order
-	for note := range mc.rpc.Notifications() {
-		d.Reset(note.Payload)
-		count := 1
-		if note.Batch {
-			count = int(d.U32())
-		}
-		for i := 0; i < count; i++ {
-			if legacy {
-				n.DecodeV1(&d)
-			} else {
-				n.Decode(&d)
-			}
+	for payload := range mc.rpc.Notifications() {
+		d.Reset(payload)
+		for count := d.U32(); count > 0; count-- {
+			n.Decode(&d)
 			if d.Err() != nil {
 				break // malformed notification; drop rather than crash
 			}
 			mc.dispatch(&n)
 		}
-		wire.PutBuf(note.Payload)
+		wire.PutBuf(payload)
 	}
 	// Connection gone: fail everything still in flight, promptly and with
 	// the transport sentinel attached so callers can errors.Is the failure

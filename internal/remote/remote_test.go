@@ -47,6 +47,31 @@ func TestDialValidation(t *testing.T) {
 	}
 }
 
+// skewedManager answers Hello with a protocol revision other than the
+// library's.
+type skewedManager struct{}
+
+func (skewedManager) HandleConnect(*rpc.Conn)    {}
+func (skewedManager) HandleDisconnect(*rpc.Conn) {}
+func (skewedManager) HandleRequest(_ *rpc.Conn, _ wire.Method, _ []byte) ([]byte, error) {
+	e := wire.GetEncoder(32)
+	(&wire.HelloResponse{SessionID: 1, Node: "skew", Proto: wire.ProtoVersion - 1}).Encode(e)
+	return e.Detach(), nil
+}
+
+func TestDialRejectsProtocolSkew(t *testing.T) {
+	srv := rpc.NewServer(skewedManager{})
+	srv.Log = logx.NewLogf("rpc", t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := Dial(Config{Managers: []string{addr}, Transport: TransportGRPC}); !errors.Is(err, ocl.ErrInvalidValue) {
+		t.Fatalf("Dial against a skewed manager err = %v, want ErrInvalidValue", err)
+	}
+}
+
 func TestDialDefaultsClientName(t *testing.T) {
 	r := newRig(t)
 	c, err := Dial(Config{Managers: []string{r.addr}, Transport: TransportGRPC})

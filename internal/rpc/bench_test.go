@@ -90,6 +90,6 @@ func BenchmarkNotifyBurst(b *testing.B) {
 		if !ok {
 			b.Fatal("completion queue closed mid-burst")
 		}
-		wire.PutBuf(note.Payload)
+		wire.PutBuf(note)
 	}
 }

@@ -35,15 +35,6 @@ var ErrDeadlineExceeded = errors.New("rpc: call deadline exceeded")
 // wedged manager.
 const DefaultCallTimeout = time.Minute
 
-// Notification is one server push from the completion queue. Payload is a
-// pooled buffer owned by the receiver (release with wire.PutBuf once
-// consumed); Batch marks a frameNotifyBatch payload holding a
-// wire.OpNotificationBatch instead of a single wire.OpNotification.
-type Notification struct {
-	Batch   bool
-	Payload []byte
-}
-
 // Client is the Remote OpenCL Library's connection to one Device Manager.
 type Client struct {
 	conn net.Conn
@@ -66,7 +57,7 @@ type Client struct {
 	// notifications is the completion queue of the paper's Figure 2: the
 	// reader goroutine pushes notification payloads, the Remote Library's
 	// connection thread pulls them and advances event state machines.
-	notifications chan Notification
+	notifications chan []byte
 
 	dec wire.Decoder // response decoder scratch, used only by readLoop
 
@@ -94,16 +85,18 @@ func NewClient(conn net.Conn) *Client {
 		conn:          conn,
 		pending:       make(map[uint64]chan callResult),
 		closed:        make(chan struct{}),
-		notifications: make(chan Notification, 1024),
+		notifications: make(chan []byte, 1024),
 	}
 	c.fw.w = conn
 	go c.readLoop()
 	return c
 }
 
-// Notifications returns the completion queue. The channel closes when the
-// connection drops. Each Payload is pool-owned; see Notification.
-func (c *Client) Notifications() <-chan Notification { return c.notifications }
+// Notifications returns the completion queue: the payload of each
+// notification frame, in arrival order. The channel closes when the
+// connection drops. Each payload is a pooled buffer owned by the receiver,
+// released with wire.PutBuf once consumed.
+func (c *Client) Notifications() <-chan []byte { return c.notifications }
 
 // Call performs a unary request and waits for the response body. The body
 // is assembled from segs without copying. The returned body is the
@@ -245,9 +238,9 @@ func (c *Client) readLoop() {
 		switch typ {
 		case frameResponse:
 			c.dispatchResponse(payload)
-		case frameNotify, frameNotifyBatch:
+		case frameNotify:
 			select {
-			case c.notifications <- Notification{Batch: typ == frameNotifyBatch, Payload: payload}:
+			case c.notifications <- payload:
 			case <-c.closed:
 				wire.PutBuf(payload)
 				return

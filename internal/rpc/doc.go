@@ -33,16 +33,14 @@
 //	                  response frame will be produced).
 //	2  response       u64 request ID + i32 status + string error +
 //	                  method-encoded body.
-//	3  notify         one wire.OpNotification. The field order follows the
-//	                  session's negotiated revision: peers below
-//	                  wire.ProtoVersionBatch receive the proto-1 layout
-//	                  (Data mid-message), newer peers the head+trailing-data
-//	                  layout.
-//	4  notify-batch   one wire.OpNotificationBatch: u32 count followed by
-//	                  that many consecutive wire.OpNotification encodings.
-//	                  Sent only to peers whose Hello negotiated
-//	                  wire.ProtoVersionBatch or later; older peers receive
-//	                  per-operation notify frames instead.
+//	4  notify         server push, payload opaque to this package. The
+//	                  Device Manager sends one wire.OpNotificationBatch:
+//	                  u32 count followed by that many consecutive
+//	                  wire.OpNotification encodings.
+//
+// Any other type (3 included) closes the connection. Hello is a skew
+// guard, not a negotiation: both ends speak wire.ProtoVersion and refuse a
+// peer that does not.
 //
 // # Write path
 //
@@ -87,17 +85,14 @@
 //     buffer starts at 64 KiB and doubles as bytes arrive (wire.ReadBuf), so
 //     a truncated giant frame costs a small multiple of what was sent.
 //
-// # Trace propagation (proto 4)
+// # Optional fields
 //
-// Sessions negotiating wire.ProtoVersionTrace may carry distributed-
-// tracing identity on the command-queue requests: EnqueueWrite,
-// EnqueueRead, EnqueueKernel and Flush each gain two trailing u64 fields
-// (TraceID then SpanID), encoded only when the operation is part of a
-// sampled trace. Untraced requests omit the fields entirely, so their
-// frames stay byte-identical to proto 3 — decoders probe the remaining
-// length, the same trailing-field convention every prior revision used.
-// The transport itself is trace-agnostic: the fields live in the method
-// bodies, and the rpc layer moves them like any other payload bytes.
+// Some method bodies end in optional fields that are not encoded when
+// zero: a Hello's weight, a CreateBuffer's content hash, a DeviceInfo's
+// reconfiguration time, a Flush's deadline, and the trace IDs (TraceID
+// then SpanID) of a sampled command-queue request. Decoders probe the
+// remaining length. The transport moves them like any other payload
+// bytes.
 //
 // # Buffer ownership
 //
@@ -115,10 +110,10 @@
 //     body moved to its front (unary bodies are a few fields). The caller
 //     releases that slice with wire.PutBuf after decoding (values decoded
 //     by aliasing must be dead or copied first).
-//   - Client.Notifications: each Notification's Payload is the frame, owned
-//     by the receiver (the Remote Library's connection thread), released
-//     with wire.PutBuf after the notification — including any aliased
-//     Data — has been consumed.
+//   - Client.Notifications: each payload is the frame, owned by the
+//     receiver (the Remote Library's connection thread), released with
+//     wire.PutBuf after the notifications in it — including any aliased
+//     Data — have been consumed.
 //   - Server handlers: the body passed to HandleRequest is a view of the
 //     request frame, which the server releases when the handler returns.
 //     A handler that needs the payload to outlive the request (the
@@ -131,8 +126,8 @@
 //     server, which releases it after writing the response frame. Return
 //     a buffer owned exclusively by the handler (wire.Encoder.Detach), or
 //     nil — never a slice aliasing the request body or shared storage.
-//   - Conn.Notify / Conn.NotifyBatch: segments are only read during the
-//     call and never retained; the caller keeps ownership. Board read
+//   - Conn.Notify: segments are only read during the call and never
+//     retained; the caller keeps ownership. Board read
 //     results ride out this way as the wire.GetBuf slice the worker
 //     filled, which the notify batcher releases after the write.
 package rpc

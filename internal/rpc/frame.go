@@ -11,14 +11,12 @@ import (
 	"blastfunction/internal/wire"
 )
 
-// Frame types on the wire.
+// Frame types on the wire; 3 is unassigned, and a peer sending it is
+// dropped like any other unknown type.
 const (
 	frameRequest  byte = 1
 	frameResponse byte = 2
-	frameNotify   byte = 3
-	// frameNotifyBatch carries a wire.OpNotificationBatch payload. Only
-	// sent to peers that negotiated wire.ProtoVersionBatch or later.
-	frameNotifyBatch byte = 4
+	frameNotify   byte = 4
 )
 
 // MaxFrameBytes bounds one frame: large enough for the 2 GB inline

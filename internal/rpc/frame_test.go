@@ -211,6 +211,22 @@ func TestReadFrameTruncation(t *testing.T) {
 	}
 }
 
+// A manager pushes notifications only as type-4 frames; type 3, like any
+// unknown type, poisons the client instead of reaching the completion queue.
+func TestClientRejectsFrameType3(t *testing.T) {
+	srv, cli := net.Pipe()
+	defer srv.Close()
+	c := NewClient(cli)
+	defer c.Close()
+	go srv.Write(append(frameHeader(3, 3), "abc"...))
+	if _, ok := <-c.Notifications(); ok {
+		t.Fatal("a type-3 frame reached the completion queue")
+	}
+	if _, err := c.Call(1); !errors.Is(err, ErrManagerDown) {
+		t.Fatalf("call after a type-3 frame: %v, want ErrManagerDown", err)
+	}
+}
+
 type countingReader struct {
 	r     io.Reader
 	reads int
@@ -234,7 +250,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameHeader(2<<30, frameRequest))
 	f.Add(append(frameHeader(1<<30, frameRequest), make([]byte, 10)...))
 	f.Add(append(frameHeader(preSessionFrameMax+1, frameRequest), make([]byte, 64)...))
-	f.Add(append(append(frameHeader(1, frameResponse), 'x'), frameHeader(4<<20+1, frameNotifyBatch)...))
+	f.Add(append(append(frameHeader(1, frameResponse), 'x'), frameHeader(4<<20+1, frameNotify)...))
 	f.Add(frameHeader(0xFFFFFFFF, 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, limit := range []int{preSessionFrameMax, MaxFrameBytes} {

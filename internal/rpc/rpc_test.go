@@ -107,11 +107,8 @@ func TestNotificationsReachCompletionQueue(t *testing.T) {
 	}
 	select {
 	case n := <-c.Notifications():
-		if n.Batch {
-			t.Fatal("single notify arrived marked as batch")
-		}
-		if string(n.Payload) != "notify:evt" {
-			t.Fatalf("notification = %q", n.Payload)
+		if string(n) != "notify:evt" {
+			t.Fatalf("notification = %q", n)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("notification did not arrive")
@@ -310,7 +307,7 @@ func TestNotificationBurstDelivery(t *testing.T) {
 	for got < burst {
 		select {
 		case note := <-c.Notifications():
-			seq := binary.LittleEndian.Uint32(note.Payload)
+			seq := binary.LittleEndian.Uint32(note)
 			if seq != got {
 				t.Fatalf("notification %d arrived out of order (want %d)", seq, got)
 			}

@@ -87,23 +87,12 @@ func (c *Conn) RetainRequestPayload() []byte {
 // use; the Device Manager's worker calls it from outside the request
 // loop. Segments are not retained past the call.
 func (c *Conn) Notify(segs ...[]byte) error {
-	return c.push(frameNotify, segs)
-}
-
-// NotifyBatch pushes a batch notification frame (wire.OpNotificationBatch
-// payload assembled from segs). The caller must have negotiated
-// wire.ProtoVersionBatch with this peer. Safe for concurrent use.
-func (c *Conn) NotifyBatch(segs ...[]byte) error {
-	return c.push(frameNotifyBatch, segs)
-}
-
-func (c *Conn) push(typ byte, segs [][]byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if c.closed {
 		return errors.New("rpc: connection closed")
 	}
-	return c.fw.writeFrame(false, typ, nil, segs...)
+	return c.fw.writeFrame(false, frameNotify, nil, segs...)
 }
 
 func (c *Conn) respond(reqID uint64, status ocl.Status, errMsg string, body []byte) error {

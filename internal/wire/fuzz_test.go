@@ -22,7 +22,6 @@ func decodeAll(buf []byte) {
 	for _, m := range msgs {
 		m.Decode(NewDecoder(buf))
 	}
-	(&OpNotification{}).DecodeV1(NewDecoder(buf))
 }
 
 // fuzzSeeds is one populated message of every shape the decoders branch

@@ -34,15 +34,15 @@ const (
 	MethodEnqueueKernel
 	MethodFlush
 
-	// MethodHeartbeat renews the client's session lease (proto >=
-	// ProtoVersionLease). It carries no body and returns no body; its only
-	// effect is refreshing the manager-side lease deadline.
+	// MethodHeartbeat renews the client's session lease. It carries no body
+	// and returns no body; its only effect is refreshing the manager-side
+	// lease deadline.
 	MethodHeartbeat
 
 	// MethodEnqueueCopy moves bytes between two device buffers without
-	// routing them through the client (proto >= ProtoVersionReuse). It is
-	// the chaining primitive: a pipeline stage's output buffer becomes the
-	// next stage's input with a device-local copy.
+	// routing them through the client. It is the chaining primitive: a
+	// pipeline stage's output buffer becomes the next stage's input with a
+	// device-local copy.
 	MethodEnqueueCopy
 )
 
@@ -130,51 +130,24 @@ type HelloRequest struct {
 	// ClientName identifies the function instance (paper: functions are
 	// registered entities; the manager tracks per-client resource pools).
 	ClientName string
-	// ProtoVersion guards against protocol skew.
+	// ProtoVersion is the client's protocol revision; the manager refuses
+	// any value but its own ProtoVersion.
 	ProtoVersion uint32
 	// Weight is the client's fair-share weight under weighted scheduling
 	// disciplines, propagated from the Registry binding. Trailing field:
-	// zero means unweighted and is not encoded, so pre-scheduler frames
-	// stay byte-identical.
+	// zero means unweighted and is not encoded.
 	Weight uint32
 }
 
-// Protocol revisions. A Hello carries the client's version; the manager
-// accepts anything in [MinProtoVersion, ProtoVersion] and answers with the
-// negotiated (client's) version, so a newer manager keeps serving older
-// libraries. Capabilities are gated on the negotiated version: batch
-// notification frames (OpNotificationBatch) are only ever sent to peers
-// that negotiated ProtoVersionBatch or later.
-const (
-	// ProtoVersion is the current protocol revision.
-	ProtoVersion = 5
-	// ProtoVersionBatch is the first revision with coalesced notification
-	// batch frames.
-	ProtoVersionBatch = 2
-	// ProtoVersionLease is the first revision with session leases: the
-	// manager advertises a lease duration in HelloResponse and the client
-	// renews it with MethodHeartbeat. Sessions negotiated below this
-	// revision are never lease-expired (old clients do not heartbeat).
-	ProtoVersionLease = 3
-	// ProtoVersionTrace is the first revision whose command-queue
-	// requests may carry trailing distributed-tracing IDs. Untraced
-	// frames omit them and stay byte-identical to earlier revisions; the
-	// client only emits them to managers that negotiated this version.
-	ProtoVersionTrace = 4
-	// ProtoVersionReuse is the first revision with the data-plane reuse
-	// features: CreateBuffer may carry a trailing content hash addressing
-	// the manager's device buffer cache, and MethodEnqueueCopy chains one
-	// task's output buffer into the next task's input without moving the
-	// bytes through the client. Unhashed frames omit the tail and stay
-	// byte-identical to earlier revisions.
-	ProtoVersionReuse = 5
-	// MinProtoVersion is the oldest revision a manager still serves.
-	MinProtoVersion = 1
-)
+// ProtoVersion is the protocol revision. The Remote Library and the Device
+// Manager are built from one module, so Hello is a skew guard, not a
+// negotiation: each side refuses a peer whose revision differs from its
+// own.
+const ProtoVersion = 5
 
 // encodeTraceTail appends the trailing trace IDs of a command-queue
-// request. An untraced request (TraceID zero) appends nothing, keeping
-// the frame byte-identical to the pre-trace layout.
+// request. An untraced request (TraceID zero) appends nothing: zero is not
+// encoded.
 func encodeTraceTail(e *Encoder, traceID, spanID uint64) {
 	if traceID != 0 {
 		e.U64(traceID)
@@ -216,15 +189,12 @@ type HelloResponse struct {
 	// Node is the manager's node name, used by the shm transport to check
 	// co-location.
 	Node string
-	// Proto is the protocol revision the manager negotiated for this
-	// session (the client's offered version, clamped to what the manager
-	// speaks). It is a trailing field: version-1 managers don't send it and
-	// version-1 decoders ignore it, so Hello itself stays cross-version.
+	// Proto is the manager's ProtoVersion; the library refuses a manager
+	// whose revision differs from its own.
 	Proto uint32
 	// LeaseMillis is the session lease duration in milliseconds; the
 	// client must send a MethodHeartbeat at least that often or the
-	// manager reclaims the session. Zero disables leasing. Trailing field,
-	// only sent to sessions negotiated at ProtoVersionLease or later.
+	// manager reclaims the session. Zero disables leasing.
 	LeaseMillis uint32
 }
 
@@ -233,24 +203,15 @@ func (m *HelloResponse) Encode(e *Encoder) {
 	e.U64(m.SessionID)
 	e.String(m.Node)
 	e.U32(m.Proto)
-	if m.Proto >= ProtoVersionLease {
-		e.U32(m.LeaseMillis)
-	}
+	e.U32(m.LeaseMillis)
 }
 
 // Decode deserializes the message.
 func (m *HelloResponse) Decode(d *Decoder) {
 	m.SessionID = d.U64()
 	m.Node = d.String()
-	if d.Remaining() > 0 {
-		m.Proto = d.U32()
-	} else {
-		m.Proto = 1
-	}
-	m.LeaseMillis = 0
-	if m.Proto >= ProtoVersionLease && d.Remaining() > 0 {
-		m.LeaseMillis = d.U32()
-	}
+	m.Proto = d.U32()
+	m.LeaseMillis = d.U32()
 }
 
 // DeviceInfoResponse describes the managed board.
@@ -264,8 +225,7 @@ type DeviceInfoResponse struct {
 	// ReconfigMillis advertises the board's wall-clock reprogramming cost
 	// so clients can derive a BuildProgram deadline that outlives the
 	// flash instead of tripping the generic call timeout mid-reconfigure.
-	// Trailing field: zero (unknown) is not encoded, so frames from
-	// managers without the advertisement stay byte-identical.
+	// Trailing field: zero (unknown) is not encoded.
 	ReconfigMillis uint32
 }
 
@@ -325,11 +285,10 @@ type CreateBufferRequest struct {
 	Size     int64
 	InitData []byte
 	// ContentHash addresses the manager's content-keyed device buffer
-	// cache (proto >= ProtoVersionReuse). With InitData it labels the
-	// upload for later reuse; without InitData it is a cache probe — the
-	// manager answers with a shared buffer handle on a hit or ID 0 on a
-	// miss. Trailing field after the payload: unhashed frames omit it and
-	// stay byte-identical to earlier revisions.
+	// cache. With InitData it labels the upload for later reuse; without
+	// InitData it is a cache probe — the manager answers with a shared
+	// buffer handle on a hit or ID 0 on a miss. Trailing field after the
+	// payload: zero is not encoded.
 	ContentHash uint64
 }
 
@@ -484,10 +443,8 @@ type EnqueueWriteRequest struct {
 	// ShmOff/ShmLen reference the payload for ViaShm.
 	ShmOff int64
 	ShmLen int64
-	// TraceID/SpanID are the operation's distributed-tracing identity
-	// (proto >= ProtoVersionTrace). Trailing fields after the payload:
-	// untraced requests omit them and stay byte-identical to the
-	// pre-trace layout.
+	// TraceID/SpanID are the operation's distributed-tracing identity.
+	// Trailing fields after the payload: zero (untraced) is not encoded.
 	TraceID uint64
 	SpanID  uint64
 }
@@ -616,9 +573,9 @@ func (m *EnqueueKernelRequest) Decode(d *Decoder) {
 }
 
 // EnqueueCopyRequest moves Length bytes from one device buffer to another
-// on the board, joining the client's current task like the other enqueues
-// (proto >= ProtoVersionReuse). The bytes never leave the device, which is
-// what makes multi-stage pipelines zero-copy from the client's viewpoint.
+// on the board, joining the client's current task like the other enqueues.
+// The bytes never leave the device, which is what makes multi-stage
+// pipelines zero-copy from the client's viewpoint.
 type EnqueueCopyRequest struct {
 	Tag       uint64
 	Queue     uint64
@@ -662,15 +619,14 @@ type FlushRequest struct {
 	Queue uint64
 	// DeadlineMillis is the client's soft completion hint, relative to
 	// submission; the deadline discipline orders tasks by it. Trailing
-	// field: zero (no hint) is not encoded, keeping unhinted frames
-	// byte-identical to pre-scheduler ones.
+	// field: zero (no hint) is not encoded.
 	DeadlineMillis uint32
 	// TraceID/SpanID carry the flush-formed task's trace identity (the
 	// task's root span). Trailing after DeadlineMillis; a traced flush
 	// always encodes DeadlineMillis — even a zero one — so the decoder
 	// can tell a bare deadline (4 trailing bytes) from a trace tail
-	// (4+16) without ambiguity. Untraced unhinted flushes stay
-	// byte-identical to the proto-1 layout.
+	// (4+16) without ambiguity. An untraced unhinted flush is the queue
+	// alone.
 	TraceID uint64
 	SpanID  uint64
 }
@@ -730,12 +686,10 @@ func (s OpState) String() string {
 // OpNotification is pushed from the Device Manager to the client as an
 // operation progresses. Tag identifies the client-side event.
 //
-// Wire order puts Data LAST (proto v2 reordered it from the middle) so the
-// head — every fixed field plus the u32 data length — can be encoded
-// separately from the payload bytes, which then travel as their own
-// vectored-write segment without ever being copied into the encoder.
-// Sessions negotiated below ProtoVersionBatch still speak the original
-// field order: use EncodeV1/DecodeV1 for those peers.
+// Wire order puts Data LAST so the head — every fixed field plus the u32
+// data length — can be encoded separately from the payload bytes, which
+// then travel as their own vectored-write segment without ever being
+// copied into the encoder.
 type OpNotification struct {
 	Tag    uint64
 	State  OpState
@@ -785,43 +739,14 @@ func (m *OpNotification) Decode(d *Decoder) {
 	}
 }
 
-// EncodeV1 serializes the proto-1 field order, where Data sits mid-message
-// as a length-prefixed field instead of trailing the fixed head. Pre-batch
-// peers decode exactly this layout, so the manager must emit it verbatim to
-// any session negotiated below ProtoVersionBatch.
-func (m *OpNotification) EncodeV1(e *Encoder) {
-	e.U64(m.Tag)
-	e.U8(uint8(m.State))
-	e.I32(m.Status)
-	e.String(m.Error)
-	e.Bytes32(m.Data)
-	e.I64(m.ShmLen)
-	e.I64(m.DeviceNanos)
-}
-
-// DecodeV1 deserializes the proto-1 field order. Data aliases the decode
-// buffer, as in Decode.
-func (m *OpNotification) DecodeV1(d *Decoder) {
-	m.Tag = d.U64()
-	m.State = OpState(d.U8())
-	m.Status = d.I32()
-	m.Error = d.String()
-	m.Data = nil
-	if b := d.Bytes32(); len(b) > 0 {
-		m.Data = b
-	}
-	m.ShmLen = d.I64()
-	m.DeviceNanos = d.I64()
-}
-
 // minEncodedNotificationSize is the smallest possible OpNotification
 // encoding — all fixed fields plus empty Error and Data length prefixes
 // (8+1+4+4+8+8+4 bytes). Bounds the batch count a frame can plausibly
 // claim.
 const minEncodedNotificationSize = 37
 
-// OpNotificationBatch coalesces the notifications a task emits into one
-// frame (proto >= ProtoVersionBatch only). Wire layout: u32 count followed
+// OpNotificationBatch is the payload of every notification frame: the
+// notifications a task emits, coalesced. Wire layout: u32 count followed
 // by count consecutive OpNotification encodings. The manager's notify
 // batcher assembles the frame incrementally (reserving the count with
 // U32(0) and patching it via SetU32 at flush), so this type exists for

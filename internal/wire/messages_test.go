@@ -37,7 +37,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	cases := []struct{ in, out codec }{
 		{&HelloRequest{ClientName: "sobel-1", ProtoVersion: ProtoVersion}, &HelloRequest{}},
 		{&HelloRequest{ClientName: "sobel-2", ProtoVersion: ProtoVersion, Weight: 4}, &HelloRequest{}},
-		{&HelloResponse{SessionID: 9, Node: "nodeB"}, &HelloResponse{}},
+		{&HelloResponse{SessionID: 9, Node: "nodeB", Proto: ProtoVersion, LeaseMillis: 3000}, &HelloResponse{}},
 		{&DeviceInfoResponse{Name: "de5a_net", Vendor: "Intel", PlatformName: "FPGA SDK",
 			GlobalMem: 8 << 30, ConfiguredBit: "spector-sobel", Accelerator: "sobel"}, &DeviceInfoResponse{}},
 		{&IDRequest{ID: 4}, &IDRequest{}},
@@ -90,12 +90,12 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
-// TestSchedulerFieldsTrailing pins the compatibility contract of the
-// scheduler's trailing fields: unweighted Hellos and unhinted Flushes
-// encode byte-identically to the pre-scheduler layout, and pre-scheduler
-// frames decode with the fields zeroed.
+// TestSchedulerFieldsTrailing pins the zero-omitting encoding of the
+// scheduler's trailing fields: an unweighted Hello and an unhinted Flush
+// carry no bytes for them, and frames without them decode with the fields
+// zeroed.
 func TestSchedulerFieldsTrailing(t *testing.T) {
-	// Pre-scheduler HelloRequest layout: string name, u32 proto.
+	// HelloRequest without the weight: string name, u32 proto.
 	old := NewEncoder(32)
 	old.String("fn-1")
 	old.U32(ProtoVersion)
@@ -108,10 +108,10 @@ func TestSchedulerFieldsTrailing(t *testing.T) {
 	d := NewDecoder(old.Bytes())
 	h.Decode(d)
 	if d.Err() != nil || h.Weight != 0 {
-		t.Fatalf("pre-scheduler Hello decode: weight=%d err=%v", h.Weight, d.Err())
+		t.Fatalf("unweighted Hello decode: weight=%d err=%v", h.Weight, d.Err())
 	}
 
-	// Pre-scheduler FlushRequest layout: u64 queue.
+	// FlushRequest without the deadline: u64 queue.
 	old = NewEncoder(16)
 	old.U64(7)
 	now = NewEncoder(16)
@@ -123,17 +123,16 @@ func TestSchedulerFieldsTrailing(t *testing.T) {
 	d = NewDecoder(old.Bytes())
 	f.Decode(d)
 	if d.Err() != nil || f.DeadlineMillis != 0 {
-		t.Fatalf("pre-scheduler Flush decode: deadline=%d err=%v", f.DeadlineMillis, d.Err())
+		t.Fatalf("unhinted Flush decode: deadline=%d err=%v", f.DeadlineMillis, d.Err())
 	}
 }
 
-// TestTraceFieldsTrailing pins the compatibility contract of the tracing
-// tail: untraced command-queue requests encode byte-identically to the
-// pre-trace (proto <= 3) layout, pre-trace frames decode with the trace
-// IDs zeroed, and the Flush tail stays unambiguous against the deadline
-// hint that precedes it.
+// TestTraceFieldsTrailing pins the zero-omitting encoding of the tracing
+// tail: untraced command-queue requests carry no trace bytes, frames
+// without the tail decode with the trace IDs zeroed, and the Flush tail
+// stays unambiguous against the deadline hint that precedes it.
 func TestTraceFieldsTrailing(t *testing.T) {
-	// Pre-trace EnqueueWrite (inline): tag, queue, buffer, offset, via,
+	// Untraced EnqueueWrite (inline): tag, queue, buffer, offset, via,
 	// length-prefixed data.
 	old := NewEncoder(64)
 	old.U64(11)
@@ -152,10 +151,10 @@ func TestTraceFieldsTrailing(t *testing.T) {
 	d := NewDecoder(old.Bytes())
 	w.Decode(d)
 	if d.Err() != nil || w.TraceID != 0 || w.SpanID != 0 {
-		t.Fatalf("pre-trace EnqueueWrite decode: trace=%d span=%d err=%v", w.TraceID, w.SpanID, d.Err())
+		t.Fatalf("untraced EnqueueWrite decode: trace=%d span=%d err=%v", w.TraceID, w.SpanID, d.Err())
 	}
 
-	// Pre-trace EnqueueRead.
+	// Untraced EnqueueRead.
 	old = NewEncoder(64)
 	old.U64(13)
 	old.U64(1)
@@ -171,7 +170,7 @@ func TestTraceFieldsTrailing(t *testing.T) {
 		t.Fatalf("untraced EnqueueRead changed on the wire:\nold %x\nnew %x", old.Bytes(), now.Bytes())
 	}
 
-	// Pre-trace EnqueueKernel.
+	// Untraced EnqueueKernel.
 	old = NewEncoder(64)
 	old.U64(14)
 	old.U64(1)
@@ -185,8 +184,7 @@ func TestTraceFieldsTrailing(t *testing.T) {
 		t.Fatalf("untraced EnqueueKernel changed on the wire:\nold %x\nnew %x", old.Bytes(), now.Bytes())
 	}
 
-	// Untraced hinted Flush keeps the scheduler-era layout: u64 queue,
-	// u32 deadline.
+	// Untraced hinted Flush: u64 queue, u32 deadline.
 	old = NewEncoder(16)
 	old.U64(7)
 	old.U32(250)
@@ -211,13 +209,12 @@ func TestTraceFieldsTrailing(t *testing.T) {
 	}
 }
 
-// TestReuseFieldsTrailing pins the compatibility contract of the
-// data-plane reuse tail: unhashed CreateBuffers encode byte-identically
-// to the pre-reuse (proto <= 4) layout, and pre-reuse frames decode with
-// the content hash zeroed — so v4 peers interoperate unchanged.
+// TestReuseFieldsTrailing pins the zero-omitting encoding of the
+// data-plane reuse tail: an unhashed CreateBuffer carries no hash bytes,
+// and a frame without the tail decodes with the content hash zeroed.
 func TestReuseFieldsTrailing(t *testing.T) {
-	// Pre-reuse CreateBuffer layout: context, flags, size, length-prefixed
-	// init data.
+	// Unhashed CreateBuffer: context, flags, size, length-prefixed init
+	// data.
 	old := NewEncoder(64)
 	old.U64(3)
 	old.U32(1)
@@ -232,10 +229,10 @@ func TestReuseFieldsTrailing(t *testing.T) {
 	d := NewDecoder(old.Bytes())
 	c.Decode(d)
 	if d.Err() != nil || c.ContentHash != 0 {
-		t.Fatalf("pre-reuse CreateBuffer decode: hash=%#x err=%v", c.ContentHash, d.Err())
+		t.Fatalf("unhashed CreateBuffer decode: hash=%#x err=%v", c.ContentHash, d.Err())
 	}
 	if !bytes.Equal(c.InitData, []byte("abcdef")) {
-		t.Fatalf("pre-reuse CreateBuffer init data: %q", c.InitData)
+		t.Fatalf("unhashed CreateBuffer init data: %q", c.InitData)
 	}
 }
 
@@ -362,39 +359,6 @@ func TestEncodeHeadPlusDataMatchesEncode(t *testing.T) {
 	}
 }
 
-func TestOpNotificationV1GoldenLayout(t *testing.T) {
-	// EncodeV1 must emit the seed's exact byte layout (Data mid-message as a
-	// length-prefixed field): a proto-1 peer decodes with that layout, so
-	// any drift silently corrupts every field after the divergence point.
-	n := &OpNotification{Tag: 7, State: OpComplete, Status: -30, Error: "eh",
-		ShmLen: 9, DeviceNanos: 11, Data: []byte{0xAA, 0xBB, 0xCC}}
-	want := NewEncoder(64)
-	want.U64(7)
-	want.U8(uint8(OpComplete))
-	want.I32(-30)
-	want.String("eh")
-	want.Bytes32([]byte{0xAA, 0xBB, 0xCC})
-	want.I64(9)
-	want.I64(11)
-	e := NewEncoder(64)
-	n.EncodeV1(e)
-	if !bytes.Equal(e.Bytes(), want.Bytes()) {
-		t.Fatalf("EncodeV1 drifted from the seed layout:\ngot  %x\nwant %x", e.Bytes(), want.Bytes())
-	}
-	var out OpNotification
-	d := NewDecoder(e.Bytes())
-	out.DecodeV1(d)
-	if d.Err() != nil {
-		t.Fatalf("decode: %v", d.Err())
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d leftover bytes", d.Remaining())
-	}
-	if !reflect.DeepEqual(n, &out) {
-		t.Fatalf("v1 round trip:\n in: %+v\nout: %+v", n, &out)
-	}
-}
-
 func TestOpNotificationBatchRoundTrip(t *testing.T) {
 	in := &OpNotificationBatch{Notes: []OpNotification{
 		{Tag: 1, State: OpAccepted},
@@ -433,31 +397,6 @@ func TestOpNotificationBatchHostileCount(t *testing.T) {
 	}
 	if out.Notes != nil {
 		t.Fatalf("hostile count still allocated %d notes", len(out.Notes))
-	}
-}
-
-func TestHelloResponseProtoBackCompat(t *testing.T) {
-	// A proto-1 manager encodes no trailing Proto field; a current decoder
-	// must read that as proto 1 rather than failing or reporting 0.
-	e := NewEncoder(32)
-	e.U64(5)
-	e.String("nodeA")
-	var out HelloResponse
-	d := NewDecoder(e.Bytes())
-	out.Decode(d)
-	if d.Err() != nil {
-		t.Fatalf("decode: %v", d.Err())
-	}
-	if out.Proto != 1 {
-		t.Fatalf("missing trailing Proto decoded as %d, want 1", out.Proto)
-	}
-	// And the current encoding round-trips the negotiated version.
-	e = NewEncoder(32)
-	(&HelloResponse{SessionID: 5, Node: "nodeA", Proto: ProtoVersionBatch}).Encode(e)
-	out = HelloResponse{}
-	out.Decode(NewDecoder(e.Bytes()))
-	if out.Proto != ProtoVersionBatch {
-		t.Fatalf("Proto = %d, want %d", out.Proto, ProtoVersionBatch)
 	}
 }
 
