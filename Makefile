@@ -27,27 +27,8 @@ fuzz-smoke:
 vet:
 	$(GO) vet ./...
 
-# The transport hot path carries explicit buffer-ownership hand-offs and the
-# close/notify teardown races, simcluster hosts the chaos tests (fault
-# injection, lease expiry), sched is the manager's concurrent central
-# queue, obs records spans from every hot-path goroutine at once, logx
-# rings are written from every component concurrently, and the alert
-# engine evaluates while scrape goroutines append; always run them under
-# the race detector. datacache is the shared buffer/memo cache hit from
-# every session's RPC goroutine, and fpga carries the board counters and
-# device-to-device copy path those caches drive. gateway serves requests,
-# scales replicas and autoscales concurrently over shared per-endpoint
-# counters and the round-robin cursor. flash serializes reprogram jobs
-# through per-board workers while Submit coalesces followers onto open
-# windows, and registry's allocator races the reconfiguration fallback
-# against concurrent Allocates on the same blank boards. slo computes
-# burn rates from a TSDB that scrape goroutines append to concurrently.
-# wire's buffer pool is shared by every goroutine of the transport,
-# metrics renders a scrape while every hot path records into held handles
-# and new series are still being registered, and ocl's events are waited
-# on by application goroutines while the connection thread completes them.
 race:
-	$(GO) test -race ./internal/metrics/... ./internal/wire/... ./internal/rpc/... ./internal/manager/... ./internal/remote/... ./internal/ocl/... ./internal/sched/... ./internal/simcluster/... ./internal/obs/... ./internal/logx/... ./internal/alert/... ./internal/datacache/... ./internal/fpga/... ./internal/gateway/... ./internal/flash/... ./internal/registry/... ./internal/slo/... ./internal/flightrec/...
+	$(GO) test -race ./...
 
 # Run the scheduling fairness experiment: the two-tenant skew workload on
 # the real Device Manager under fifo vs drr, checked against the
@@ -68,15 +49,16 @@ bench-dataplane:
 
 # Record the cluster-scale front-door trajectory into BENCH_scale.json:
 # p50/p99 and rejection rate at 100 boards / 500 tenants past saturation,
-# bare round-robin vs admission + least-inflight, plus the placement
-# pass's Gatherer query cost.
+# bare round-robin vs admission + least-inflight (the gateway's own
+# Admission and Router under the DES clock), plus the placement pass's
+# Gatherer query cost.
 bench-scale:
 	BF_BENCH_SCALE=1 $(GO) test -run TestBenchScaleArtifact -count=1 -v .
 
 # Record the reconfiguration-storm trajectory into BENCH_reconfig.json:
-# p50/p99 and total reconfiguration seconds under serverless churn, naive
-# per-allocation flipping vs the lifecycle service's batched flash
-# windows.
+# p50/p99 and total reconfiguration seconds under serverless churn, placed
+# by the real Registry: Algorithm 1 alone vs Algorithm 1 with the
+# lifecycle service's flash windows.
 bench-reconfig:
 	BF_BENCH_RECONFIG=1 $(GO) test -run TestBenchReconfigArtifact -count=1 -v .
 

@@ -88,7 +88,7 @@ func main() {
 		alertInterval = flag.Duration("alert-interval", 5*time.Second, "alert rule evaluation interval")
 		logLevel      = flag.String("log-level", "info", "minimum level mirrored to stderr (debug|info|warn|error)")
 		logRing       = flag.Int("log-ring", 4096, "events kept in the /debug/logs ring")
-		routerName    = flag.String("router", "roundrobin", "routing policy: roundrobin|least-inflight|locality|weighted")
+		routerName    = flag.String("router", gateway.RouterRoundRobin, "routing policy: "+strings.Join(gateway.RouterNames, "|"))
 		profileDir    = flag.String("profile-dir", "", "directory receiving alert-triggered pprof snapshots and SLO fast-burn explain reports (empty disables)")
 		flightRing    = flag.Int("flight-ring", 0, "front-door flight-recorder ring size served at /debug/flight (0 = default 1024)")
 		flightLedger  = flag.String("flight-ledger", "", "durable JSONL spill file for notable front-door flights")

@@ -529,26 +529,6 @@ func (s *Service) RecordDrain(board string, n int) {
 	}
 }
 
-// Pending returns the bitstream of the board's open flash window (active
-// or queued), if any. The allocator uses it to treat a board already
-// scheduled for a bitstream as flashed for that bitstream — joining the
-// window costs no extra reprogramming.
-func (s *Service) Pending(board string) (bitstream string, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bq := s.boards[board]
-	if bq == nil {
-		return "", false
-	}
-	if bq.active != nil {
-		return bq.active.Bitstream, true
-	}
-	if len(bq.queue) > 0 {
-		return bq.queue[len(bq.queue)-1].Bitstream, true
-	}
-	return "", false
-}
-
 // Jobs snapshots every live (queued or active) job, ordered by ID.
 func (s *Service) Jobs() []Job {
 	s.mu.Lock()

@@ -205,9 +205,6 @@ func TestPlanningMode(t *testing.T) {
 	if st := w1.Job().State; st != StateFlashing {
 		t.Fatalf("first window state %s, want flashing", st)
 	}
-	if bits, ok := s.Pending("b"); !ok || bits != "first" {
-		t.Fatalf("Pending = %q,%v", bits, ok)
-	}
 	w2 := s.Submit(Request{Board: "b", Bitstream: "second", Requester: "fn-2"})
 	if st := w2.Job().State; st != StateQueued {
 		t.Fatalf("second window state %s, want queued", st)

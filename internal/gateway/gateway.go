@@ -106,15 +106,10 @@ func (l *lazyCounter) inc(reg *metrics.Registry, name, help, function string) {
 type funcState struct {
 	factory Factory
 	mu      sync.Mutex
-	eps     map[string]*epState // by instance UID
-	order   []string
-	// rr is the round-robin cursor: an index into order (not a modulo
-	// counter), adjusted on removals so a shrinking rotation neither
-	// skips nor double-serves the surviving endpoints.
-	rr int
-	// tie rotates the scan offset of load-based routers so equally
-	// loaded endpoints share work instead of the first always winning.
-	tie atomic.Int64
+	// ready holds the materialized endpoints in rotation order; rot is
+	// the router's state over it. Both are guarded by mu.
+	ready []*epState
+	rot   Rotation
 	// scaleMu serializes Scale per function: concurrent autoscaler and
 	// admin calls otherwise interleave their create/delete batches and
 	// over- or under-shoot the replica count.
@@ -132,30 +127,21 @@ type funcState struct {
 	mLatency                                 metrics.Histogram
 }
 
-// nextRR picks the next endpoint in rotation.
-func (fs *funcState) nextRR() *epState {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if len(fs.order) == 0 {
-		return nil
-	}
-	if fs.rr >= len(fs.order) {
-		fs.rr = 0
-	}
-	es := fs.eps[fs.order[fs.rr]]
-	fs.rr++
-	return es
-}
+// funcState is the routers' view of its ready endpoints; callers hold mu.
+func (fs *funcState) Len() int             { return len(fs.ready) }
+func (fs *funcState) Inflight(i int) int64 { return fs.ready[i].inflight.Load() }
+func (fs *funcState) Weight(i int) int     { return fs.ready[i].weight }
+func (fs *funcState) Node(i int) string    { return fs.ready[i].node }
 
-// endpoints snapshots the ready endpoints in rotation order.
-func (fs *funcState) endpoints() []*epState {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]*epState, 0, len(fs.order))
-	for _, uid := range fs.order {
-		out = append(out, fs.eps[uid])
+// index returns the position of an instance's endpoint in the rotation,
+// or -1. Called with mu held.
+func (fs *funcState) index(uid string) int {
+	for i, es := range fs.ready {
+		if es.uid == uid {
+			return i
+		}
 	}
-	return out
+	return -1
 }
 
 // factoryRetries bounds materialization attempts per instance; the delay
@@ -181,7 +167,7 @@ type Gateway struct {
 	// Router picks the endpoint serving each request; nil falls back to
 	// round-robin (the paper's behavior). Set before Run: an endpoint's
 	// routed flight detail names the policy it was materialized under.
-	Router Router
+	Router *Router
 	// Admission, when set, gates every /function/ request through the
 	// per-tenant token buckets; over-budget requests get 429 with a
 	// Retry-After. Nil admits everything.
@@ -214,15 +200,14 @@ func New(cl *cluster.Cluster) *Gateway {
 		cl:         cl,
 		Log:        logx.Default("gateway"),
 		RetryDelay: factoryRetryDelay,
-		Router:     roundRobinRouter{},
 		funcs:      make(map[string]*funcState),
 	}
 }
 
 // router returns the configured routing policy (round-robin when unset).
-func (g *Gateway) router() Router {
+func (g *Gateway) router() *Router {
 	if g.Router == nil {
-		return roundRobinRouter{}
+		return roundRobin
 	}
 	return g.Router
 }
@@ -249,7 +234,7 @@ func (g *Gateway) deploy(name string, factory Factory, replicas int, nodes []str
 		g.mu.Unlock()
 		return fmt.Errorf("gateway: function %q already deployed", name)
 	}
-	g.funcs[name] = &funcState{factory: factory, eps: make(map[string]*epState)}
+	g.funcs[name] = &funcState{factory: factory}
 	g.mu.Unlock()
 	for i := 0; i < replicas; i++ {
 		spec := cluster.Instance{Function: name}
@@ -344,23 +329,16 @@ func (g *Gateway) handle(ev cluster.Event) {
 		g.materialize(fs, ev.Instance, 0)
 	case cluster.Deleted:
 		fs.mu.Lock()
-		es, ok := fs.eps[ev.Instance.UID]
-		if ok {
-			delete(fs.eps, ev.Instance.UID)
-			for i, uid := range fs.order {
-				if uid == ev.Instance.UID {
-					fs.order = append(fs.order[:i], fs.order[i+1:]...)
-					// Keep the rotation aligned: everything before the
-					// cursor shifted left by one, so the cursor follows.
-					if i < fs.rr {
-						fs.rr--
-					}
-					break
-				}
+		var es *epState
+		if i := fs.index(ev.Instance.UID); i >= 0 {
+			es = fs.ready[i]
+			fs.ready = append(fs.ready[:i], fs.ready[i+1:]...)
+			if i < fs.rot.rr {
+				fs.rot.rr-- // the endpoints behind i shifted left
 			}
 		}
 		fs.mu.Unlock()
-		if ok {
+		if es != nil {
 			es.ep.Close()
 		}
 	}
@@ -378,7 +356,7 @@ func (g *Gateway) materialize(fs *funcState, in cluster.Instance, attempt int) {
 		return // the gateway shut down; abandon retries
 	}
 	fs.mu.Lock()
-	_, exists := fs.eps[in.UID]
+	exists := fs.index(in.UID) >= 0
 	fs.mu.Unlock()
 	if exists {
 		return
@@ -403,13 +381,12 @@ func (g *Gateway) materialize(fs *funcState, in cluster.Instance, attempt int) {
 	es := &epState{uid: in.UID, node: in.Node, weight: weight, ep: ep,
 		routed: g.router().Name() + " -> " + in.UID + " on " + in.Node}
 	fs.mu.Lock()
-	if _, exists := fs.eps[in.UID]; exists {
+	if fs.index(in.UID) >= 0 {
 		fs.mu.Unlock()
 		ep.Close()
 		return
 	}
-	fs.eps[in.UID] = es
-	fs.order = append(fs.order, in.UID)
+	fs.ready = append(fs.ready, es)
 	fs.mu.Unlock()
 	if g.OnReady != nil {
 		g.OnReady(in)
@@ -493,7 +470,13 @@ func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request) {
 	}
 	g.Flight.Record(flight, flightrec.Event{
 		Kind: flightrec.KindAdmitted, Dur: time.Since(admStart), Detail: name})
-	es := g.router().Pick(fs, RouteHint{Node: r.Header.Get(AffinityHeader)})
+	hint := RouteHint{Node: r.Header.Get(AffinityHeader)}
+	var es *epState
+	fs.mu.Lock()
+	if i := g.router().Pick(fs, &fs.rot, hint); i >= 0 {
+		es = fs.ready[i]
+	}
+	fs.mu.Unlock()
 	if es == nil {
 		g.Flight.Record(flight, flightrec.Event{
 			Kind: flightrec.KindFailure, Detail: "no ready instances"})
@@ -620,12 +603,14 @@ func (g *Gateway) Debug() DebugState {
 		if df.Requests > 0 {
 			df.AvgMillis = float64(fs.latSumUs.Load()) / float64(df.Requests) / 1000
 		}
-		for _, es := range fs.endpoints() {
+		fs.mu.Lock()
+		for _, es := range fs.ready {
 			df.Endpoints = append(df.Endpoints, DebugEndpoint{
 				UID: es.uid, Node: es.node, Weight: es.weight,
 				InFlight: es.inflight.Load(), Requests: es.requests.Load(),
 			})
 		}
+		fs.mu.Unlock()
 		df.Replicas = len(df.Endpoints)
 		st.Functions = append(st.Functions, df)
 	}
@@ -672,7 +657,7 @@ func (g *Gateway) Stats(name string) FuncStats {
 		return FuncStats{}
 	}
 	fs.mu.Lock()
-	replicas := len(fs.order)
+	replicas := len(fs.ready)
 	fs.mu.Unlock()
 	st := FuncStats{
 		Requests: fs.requests.Load(),

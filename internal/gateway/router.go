@@ -14,14 +14,48 @@ type RouteHint struct {
 	Node string
 }
 
-// Router picks the endpoint that serves a request. Policies are selected
-// by name (NewRouter) and must be safe for concurrent use; per-endpoint
-// load is read from the gateway's live per-instance counters.
-type Router interface {
-	// Name identifies the policy ("roundrobin", "least-inflight", ...).
-	Name() string
-	// Pick returns the chosen endpoint, or nil when none is ready.
-	Pick(fs *funcState, hint RouteHint) *epState
+// Endpoints is one function's ready endpoints in rotation order, as a
+// routing policy reads them. The gateway supplies its live per-instance
+// counters; the discrete-event simulator supplies its own under a
+// virtual clock.
+type Endpoints interface {
+	Len() int
+	// Inflight is the number of requests endpoint i is serving.
+	Inflight(i int) int64
+	// Weight is endpoint i's fair-share weight; below 1 counts as 1.
+	Weight(i int) int
+	// Node is the node hosting endpoint i's instance.
+	Node(i int) string
+}
+
+// Rotation is a router's per-function state. The caller serializes picks
+// on one Rotation; its zero value starts at the first endpoint.
+type Rotation struct {
+	// rr is the round-robin cursor: an index into the endpoints (not a
+	// modulo counter). Whoever removes endpoint i moves a cursor past i
+	// back by one, so a shrinking rotation neither skips nor
+	// double-serves the surviving endpoints.
+	rr int
+	// tie rotates the scan offset of load-based routers so equally
+	// loaded endpoints share work instead of the first always winning.
+	tie int
+}
+
+// Router is a routing policy: it picks the endpoint that serves a
+// request. Policies are selected by name (NewRouter) and hold no state
+// of their own.
+type Router struct {
+	name string
+	pick func(eps Endpoints, rot *Rotation, hint RouteHint) int
+}
+
+// Name identifies the policy ("roundrobin", "least-inflight", ...).
+func (r *Router) Name() string { return r.name }
+
+// Pick returns the index of the chosen endpoint, or -1 when there is
+// none.
+func (r *Router) Pick(eps Endpoints, rot *Rotation, hint RouteHint) int {
+	return r.pick(eps, rot, hint)
 }
 
 // Router policy names accepted by NewRouter.
@@ -32,118 +66,113 @@ const (
 	RouterWeighted      = "weighted"
 )
 
+// RouterNames lists every name NewRouter accepts besides the empty one.
+var RouterNames = []string{RouterRoundRobin, RouterLeastInflight, RouterLocality, RouterWeighted}
+
+// roundRobin is the paper-faithful default policy.
+var roundRobin = &Router{RouterRoundRobin, pickRoundRobin}
+
 // NewRouter builds a routing policy by name. The empty name selects
-// round-robin, the paper-faithful default.
-func NewRouter(name string) (Router, error) {
+// round-robin.
+func NewRouter(name string) (*Router, error) {
 	switch name {
 	case "", RouterRoundRobin:
-		return roundRobinRouter{}, nil
+		return roundRobin, nil
 	case RouterLeastInflight:
-		return leastInflightRouter{}, nil
+		return &Router{name, pickLeastInflight}, nil
 	case RouterLocality:
-		return localityRouter{}, nil
+		return &Router{name, pickLocality}, nil
 	case RouterWeighted:
-		return weightedRouter{}, nil
+		return &Router{name, pickWeighted}, nil
 	}
-	return nil, fmt.Errorf("gateway: unknown router %q (want %s)", name,
-		strings.Join([]string{RouterRoundRobin, RouterLeastInflight, RouterLocality, RouterWeighted}, "|"))
+	return nil, fmt.Errorf("gateway: unknown router %q (want %s)", name, strings.Join(RouterNames, "|"))
 }
 
-// roundRobinRouter cycles through ready endpoints in materialization
-// order — the paper's gateway behavior and the default policy.
-type roundRobinRouter struct{}
+// pickRoundRobin cycles through ready endpoints in materialization order
+// — the paper's gateway behavior.
+func pickRoundRobin(eps Endpoints, rot *Rotation, _ RouteHint) int {
+	n := eps.Len()
+	if n == 0 {
+		return -1
+	}
+	if rot.rr >= n {
+		rot.rr = 0
+	}
+	i := rot.rr
+	rot.rr++
+	return i
+}
 
-func (roundRobinRouter) Name() string                             { return RouterRoundRobin }
-func (roundRobinRouter) Pick(fs *funcState, _ RouteHint) *epState { return fs.nextRR() }
-
-// leastInflightRouter picks the endpoint with the fewest requests in
+// pickLeastInflight picks the endpoint with the fewest requests in
 // flight — the live load signal the admission/routing exemplar routes on.
 // Ties rotate so idle endpoints still share work evenly.
-type leastInflightRouter struct{}
-
-func (leastInflightRouter) Name() string { return RouterLeastInflight }
-
-func (leastInflightRouter) Pick(fs *funcState, _ RouteHint) *epState {
-	return pickLeastInflight(fs, fs.endpoints())
+func pickLeastInflight(eps Endpoints, rot *Rotation, _ RouteHint) int {
+	return pickLowest(eps, rot, "", inflightScore)
 }
 
-// pickLeastInflight scans eps starting at a rotating offset and returns
-// the lowest-inflight endpoint (the offset spreads ties).
-func pickLeastInflight(fs *funcState, eps []*epState) *epState {
-	if len(eps) == 0 {
-		return nil
-	}
-	start := int(fs.tie.Add(1)-1) % len(eps)
-	if start < 0 {
-		start = 0
-	}
-	best := eps[start]
-	bestLoad := best.inflight.Load()
-	for k := 1; k < len(eps); k++ {
-		es := eps[(start+k)%len(eps)]
-		if l := es.inflight.Load(); l < bestLoad {
-			best, bestLoad = es, l
-		}
-	}
-	return best
-}
-
-// localityRouter prefers endpoints whose instance node matches the
+// pickLocality prefers endpoints whose instance node matches the
 // request's shm-affinity hint (co-located instances reach the board over
 // /dev/shm with one copy instead of the network). Among the co-located
 // endpoints — or all of them when no hint matches — it falls back to
 // least-inflight, so locality never funnels everything onto one hot
 // instance.
-type localityRouter struct{}
-
-func (localityRouter) Name() string { return RouterLocality }
-
-func (localityRouter) Pick(fs *funcState, hint RouteHint) *epState {
-	eps := fs.endpoints()
+func pickLocality(eps Endpoints, rot *Rotation, hint RouteHint) int {
 	if hint.Node != "" {
-		local := make([]*epState, 0, len(eps))
-		for _, es := range eps {
-			if es.node == hint.Node {
-				local = append(local, es)
-			}
-		}
-		if len(local) > 0 {
-			eps = local
+		if i := pickLowest(eps, rot, hint.Node, inflightScore); i >= 0 {
+			return i
 		}
 	}
-	return pickLeastInflight(fs, eps)
+	return pickLowest(eps, rot, "", inflightScore)
 }
 
-// weightedRouter scores endpoints by in-flight load normalized by the
+// pickWeighted scores endpoints by in-flight load normalized by the
 // registry-propagated fair-share weight (BF_TENANT_WEIGHT): an endpoint
 // with weight 3 absorbs three times the concurrency of a weight-1 one
-// before looking equally loaded. Unweighted endpoints count as weight 1.
-type weightedRouter struct{}
+// before looking equally loaded.
+func pickWeighted(eps Endpoints, rot *Rotation, _ RouteHint) int {
+	return pickLowest(eps, rot, "", weightedScore)
+}
 
-func (weightedRouter) Name() string { return RouterWeighted }
+func inflightScore(eps Endpoints, i int) float64 { return float64(eps.Inflight(i)) }
 
-func (weightedRouter) Pick(fs *funcState, _ RouteHint) *epState {
-	eps := fs.endpoints()
-	if len(eps) == 0 {
-		return nil
+func weightedScore(eps Endpoints, i int) float64 {
+	w := eps.Weight(i)
+	if w < 1 {
+		w = 1
 	}
-	start := int(fs.tie.Add(1)-1) % len(eps)
-	if start < 0 {
-		start = 0
-	}
-	score := func(es *epState) float64 {
-		w := es.weight
-		if w < 1 {
-			w = 1
+	return float64(eps.Inflight(i)+1) / float64(w)
+}
+
+// pickLowest returns the lowest-scoring endpoint among those on node
+// (every endpoint when node is empty), or -1 when none qualifies. The
+// scan starts at the rotation's tie offset among the qualifying
+// endpoints, so equal scores take turns.
+func pickLowest(eps Endpoints, rot *Rotation, node string, score func(Endpoints, int) float64) int {
+	n := eps.Len()
+	m := n
+	if node != "" {
+		m = 0
+		for i := 0; i < n; i++ {
+			if eps.Node(i) == node {
+				m++
+			}
 		}
-		return float64(es.inflight.Load()+1) / float64(w)
 	}
-	best := eps[start]
-	bestScore := score(best)
-	for k := 1; k < len(eps); k++ {
-		es := eps[(start+k)%len(eps)]
-		if s := score(es); s < bestScore {
-			best, bestScore = es, s
+	if m == 0 {
+		return -1
+	}
+	start := rot.tie % m
+	rot.tie = start + 1
+	best, bestPos, bestScore := -1, 0, 0.0
+	for i, j := 0, 0; i < n; i++ {
+		if node != "" && eps.Node(i) != node {
+			continue
+		}
+		// pos is the endpoint's place in the scan that starts at start.
+		pos := (j - start + m) % m
+		j++
+		if s := score(eps, i); best < 0 || s < bestScore || (s == bestScore && pos < bestPos) {
+			best, bestPos, bestScore = i, pos, s
 		}
 	}
 	return best

@@ -7,27 +7,44 @@ import (
 	"time"
 )
 
-// makeFuncState builds a funcState with synthetic endpoints for direct
-// router tests: specs are (uid, node, weight, inflight).
-func makeFuncState(specs ...[4]interface{}) *funcState {
-	fs := &funcState{eps: make(map[string]*epState)}
-	for _, s := range specs {
-		es := &epState{uid: s[0].(string), node: s[1].(string), weight: s[2].(int)}
-		es.inflight.Store(int64(s[3].(int)))
-		fs.eps[es.uid] = es
-		fs.order = append(fs.order, es.uid)
+// testEP is one synthetic endpoint of a view built directly for router
+// tests.
+type testEP struct {
+	uid      string
+	node     string
+	weight   int
+	inflight int64
+}
+
+type testEndpoints []testEP
+
+func (t testEndpoints) Len() int             { return len(t) }
+func (t testEndpoints) Inflight(i int) int64 { return t[i].inflight }
+func (t testEndpoints) Weight(i int) int     { return t[i].weight }
+func (t testEndpoints) Node(i int) string    { return t[i].node }
+
+// pickUID runs one pick and returns the chosen endpoint's UID.
+func pickUID(t *testing.T, r *Router, eps testEndpoints, rot *Rotation, hint RouteHint) string {
+	t.Helper()
+	i := r.Pick(eps, rot, hint)
+	if i < 0 {
+		t.Fatalf("%s picked nothing from %d endpoints", r.Name(), len(eps))
 	}
-	return fs
+	return eps[i].uid
 }
 
 func TestNewRouterNames(t *testing.T) {
-	for _, name := range []string{"", RouterRoundRobin, RouterLeastInflight, RouterLocality, RouterWeighted} {
+	for _, name := range append([]string{""}, RouterNames...) {
 		r, err := NewRouter(name)
 		if err != nil {
 			t.Fatalf("NewRouter(%q): %v", name, err)
 		}
 		if name != "" && r.Name() != name {
 			t.Fatalf("NewRouter(%q).Name() = %q", name, r.Name())
+		}
+		var rot Rotation
+		if i := r.Pick(testEndpoints{}, &rot, RouteHint{Node: "n1"}); i != -1 {
+			t.Fatalf("%s picked %d from no endpoints", r.Name(), i)
 		}
 	}
 	if _, err := NewRouter("bogus"); err == nil {
@@ -36,24 +53,21 @@ func TestNewRouterNames(t *testing.T) {
 }
 
 func TestLeastInflightPicksIdlest(t *testing.T) {
-	fs := makeFuncState(
-		[4]interface{}{"a", "n1", 0, 5},
-		[4]interface{}{"b", "n1", 0, 1},
-		[4]interface{}{"c", "n2", 0, 3},
-	)
+	eps := testEndpoints{{"a", "n1", 0, 5}, {"b", "n1", 0, 1}, {"c", "n2", 0, 3}}
 	r, _ := NewRouter(RouterLeastInflight)
+	var rot Rotation
 	for i := 0; i < 4; i++ {
-		if es := r.Pick(fs, RouteHint{}); es.uid != "b" {
-			t.Fatalf("pick %d = %q, want b (lowest inflight)", i, es.uid)
+		if uid := pickUID(t, r, eps, &rot, RouteHint{}); uid != "b" {
+			t.Fatalf("pick %d = %q, want b (lowest inflight)", i, uid)
 		}
 	}
 	// Ties rotate: with everyone equal, repeated picks spread.
-	for _, es := range fs.endpoints() {
-		es.inflight.Store(0)
+	for i := range eps {
+		eps[i].inflight = 0
 	}
 	seen := map[string]int{}
 	for i := 0; i < 6; i++ {
-		seen[r.Pick(fs, RouteHint{}).uid]++
+		seen[pickUID(t, r, eps, &rot, RouteHint{})]++
 	}
 	if len(seen) != 3 {
 		t.Fatalf("tied endpoints not rotated: %v", seen)
@@ -61,43 +75,80 @@ func TestLeastInflightPicksIdlest(t *testing.T) {
 }
 
 func TestLocalityPrefersHintedNode(t *testing.T) {
-	fs := makeFuncState(
-		[4]interface{}{"a", "n1", 0, 0},
-		[4]interface{}{"b", "n2", 0, 9},
-		[4]interface{}{"c", "n2", 0, 2},
-	)
+	eps := testEndpoints{{"a", "n1", 0, 0}, {"b", "n2", 0, 9}, {"c", "n2", 0, 2}}
 	r, _ := NewRouter(RouterLocality)
+	var rot Rotation
 	// Hinted node wins even when busier overall; among co-located
 	// endpoints the idler one is picked.
-	if es := r.Pick(fs, RouteHint{Node: "n2"}); es.uid != "c" {
-		t.Fatalf("locality pick = %q, want c", es.uid)
+	if uid := pickUID(t, r, eps, &rot, RouteHint{Node: "n2"}); uid != "c" {
+		t.Fatalf("locality pick = %q, want c", uid)
 	}
 	// No matching node: falls back to global least-inflight.
-	if es := r.Pick(fs, RouteHint{Node: "n9"}); es.uid != "a" {
-		t.Fatalf("fallback pick = %q, want a", es.uid)
+	if uid := pickUID(t, r, eps, &rot, RouteHint{Node: "n9"}); uid != "a" {
+		t.Fatalf("fallback pick = %q, want a", uid)
 	}
-	if es := r.Pick(fs, RouteHint{}); es.uid != "a" {
-		t.Fatalf("unhinted pick = %q, want a", es.uid)
+	if uid := pickUID(t, r, eps, &rot, RouteHint{}); uid != "a" {
+		t.Fatalf("unhinted pick = %q, want a", uid)
+	}
+	// Ties among the co-located endpoints rotate too.
+	eps[1].inflight = 2
+	seen := map[string]int{}
+	for i := 0; i < 4; i++ {
+		seen[pickUID(t, r, eps, &rot, RouteHint{Node: "n2"})]++
+	}
+	if seen["b"] != 2 || seen["c"] != 2 {
+		t.Fatalf("tied co-located endpoints not rotated: %v", seen)
 	}
 }
 
 func TestWeightedAbsorbsProportionalLoad(t *testing.T) {
-	fs := makeFuncState(
-		[4]interface{}{"light", "n1", 1, 1},
-		[4]interface{}{"heavy", "n1", 3, 2},
-	)
+	eps := testEndpoints{{"light", "n1", 1, 1}, {"heavy", "n1", 3, 2}}
 	r, _ := NewRouter(RouterWeighted)
+	var rot Rotation
 	// (2+1)/3 = 1.0 < (1+1)/1 = 2.0: the weight-3 endpoint still looks
 	// less loaded despite more in-flight requests.
-	if es := r.Pick(fs, RouteHint{}); es.uid != "heavy" {
-		t.Fatalf("weighted pick = %q, want heavy", es.uid)
+	if uid := pickUID(t, r, eps, &rot, RouteHint{}); uid != "heavy" {
+		t.Fatalf("weighted pick = %q, want heavy", uid)
 	}
-	fs.eps["heavy"].inflight.Store(8)
+	eps[1].inflight = 8
 	// (8+1)/3 = 3.0 > 2.0: now the light endpoint wins.
-	if es := r.Pick(fs, RouteHint{}); es.uid != "light" {
-		t.Fatalf("weighted pick = %q, want light", es.uid)
+	if uid := pickUID(t, r, eps, &rot, RouteHint{}); uid != "light" {
+		t.Fatalf("weighted pick = %q, want light", uid)
 	}
 }
+
+// TestPickAllocatesNothing holds every policy to zero allocations per
+// pick on the gateway's own view, the path serveFunction takes under
+// fs.mu.
+func TestPickAllocatesNothing(t *testing.T) {
+	fs := &funcState{}
+	for i, node := range []string{"n1", "n2", "n2"} {
+		es := &epState{uid: string(rune('a' + i)), node: node, weight: i}
+		es.inflight.Store(int64(i))
+		fs.ready = append(fs.ready, es)
+	}
+	hint := RouteHint{Node: "n2"}
+	for _, name := range RouterNames {
+		r, _ := NewRouter(name)
+		if n := testing.AllocsPerRun(100, func() { pickOn(fs, r, hint) }); n != 0 {
+			t.Errorf("%s: %.1f allocations per pick, want 0", name, n)
+		}
+	}
+}
+
+// pickOn routes one request on a live function the way serveFunction
+// does: under fs.mu, over the function's own view and rotation.
+func pickOn(fs *funcState, r *Router, hint RouteHint) *epState {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if i := r.Pick(fs, &fs.rot, hint); i >= 0 {
+		return fs.ready[i]
+	}
+	return nil
+}
+
+// nextRR is one round-robin pick on a live function's rotation.
+func nextRR(fs *funcState) *epState { return pickOn(fs, roundRobin, RouteHint{}) }
 
 // TestRoundRobinCursorSurvivesRemoval is the rotation regression: with the
 // old modulo counter, removing an endpoint behind the cursor skipped the
@@ -113,15 +164,18 @@ func TestRoundRobinCursorSurvivesRemoval(t *testing.T) {
 	g.mu.Lock()
 	fs := g.funcs["rr"]
 	g.mu.Unlock()
+	var order []string
 	fs.mu.Lock()
-	order := append([]string(nil), fs.order...)
+	for _, es := range fs.ready {
+		order = append(order, es.uid)
+	}
 	fs.mu.Unlock()
 
 	// Serve the first two endpoints of the cycle.
-	if got := fs.nextRR().uid; got != order[0] {
+	if got := nextRR(fs).uid; got != order[0] {
 		t.Fatalf("pick 1 = %s, want %s", got, order[0])
 	}
-	if got := fs.nextRR().uid; got != order[1] {
+	if got := nextRR(fs).uid; got != order[1] {
 		t.Fatalf("pick 2 = %s, want %s", got, order[1])
 	}
 
@@ -134,7 +188,7 @@ func TestRoundRobinCursorSurvivesRemoval(t *testing.T) {
 	// The not-yet-served endpoints must complete the cycle before anyone
 	// repeats: order[2], order[3], and only then back to order[1].
 	for i, want := range []string{order[2], order[3], order[1]} {
-		if got := fs.nextRR().uid; got != want {
+		if got := nextRR(fs).uid; got != want {
 			t.Fatalf("post-removal pick %d = %s, want %s", i, got, want)
 		}
 	}

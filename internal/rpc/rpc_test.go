@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,8 @@ import (
 )
 
 // echoHandler echoes request bodies; method 99 returns an error; method 98
-// pushes the body back as a notification; method 97 blocks briefly.
+// pushes the body back as a notification; method 97 blocks briefly;
+// method 95 panics.
 type echoHandler struct {
 	connects    atomic.Int32
 	disconnects atomic.Int32
@@ -51,6 +53,8 @@ func (h *echoHandler) HandleRequest(c *Conn, method wire.Method, body []byte) ([
 		h.lastOrder = append(h.lastOrder, body...)
 		h.orderMu.Unlock()
 		return nil, nil
+	case 95:
+		panic("handler bug: " + string(body))
 	}
 	return append([]byte("echo:"), body...), nil
 }
@@ -248,6 +252,66 @@ func TestCallTimeout(t *testing.T) {
 	if _, err := c.Call(1, []byte("ok")); err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}
+}
+
+// TestHandlerPanicClosesOnlyItsConnection: a panicking handler fails the
+// one connection whose request triggered it, is logged at Error, and
+// leaves other connections and the accept loop serving.
+func TestHandlerPanicClosesOnlyItsConnection(t *testing.T) {
+	h := &echoHandler{}
+	s := NewServer(h)
+	var logMu sync.Mutex
+	var logged []string
+	s.Log = logx.NewLogf("rpc", func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	victim, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	bystander, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bystander.Close()
+
+	if _, err := victim.Call(95, []byte("boom")); err == nil {
+		t.Fatal("call into a panicking handler succeeded")
+	}
+	if resp, err := bystander.Call(1, []byte("still")); err != nil || string(resp) != "echo:still" {
+		t.Fatalf("bystander after panic: %q, %v", resp, err)
+	}
+	late, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial after panic: %v", err)
+	}
+	defer late.Close()
+	if resp, err := late.Call(1, []byte("new")); err != nil || string(resp) != "echo:new" {
+		t.Fatalf("new connection after panic: %q, %v", resp, err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for h.disconnects.Load() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := h.disconnects.Load(); n != 1 {
+		t.Fatalf("disconnects = %d, want 1 (only the panicking connection)", n)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "ERROR") && strings.Contains(line, "handler bug: boom") {
+			return
+		}
+	}
+	t.Fatalf("panic not logged at Error: %q", logged)
 }
 
 func TestSessionState(t *testing.T) {

@@ -245,7 +245,10 @@ func (s *Server) serveConn(c *Conn) {
 		reqID := binary.LittleEndian.Uint64(payload[:8])
 		method := wire.Method(binary.LittleEndian.Uint16(payload[8:10]))
 		c.frame = payload
-		resp, err := s.handler.HandleRequest(c, method, payload[10:])
+		resp, err := s.handle(c, method, payload[10:])
+		if err == errHandlerPanicked {
+			return
+		}
 		if reqID == 0 {
 			// Fire-and-forget request: any error already travelled to the
 			// client as an OpFailed notification from the handler.
@@ -264,6 +267,26 @@ func (s *Server) serveConn(c *Conn) {
 			return
 		}
 	}
+}
+
+// errHandlerPanicked is handle's result for a request whose handler
+// panicked; it never reaches the client.
+var errHandlerPanicked = errors.New("rpc: handler panicked")
+
+// handle runs the handler on one request. A handler panic is contained
+// to the connection that sent the request: it is logged, and serveConn
+// closes that connection, after which HandleDisconnect reclaims its
+// session. The request frame is not returned to the pool: the handler
+// may have retained it before panicking.
+func (s *Server) handle(c *Conn, method wire.Method, body []byte) (resp []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.Log.Error("rpc server: handler panicked, closing connection",
+				"method", method.String(), "peer", c.RemoteAddr().String(), "panic", fmt.Sprint(v))
+			resp, err = nil, errHandlerPanicked
+		}
+	}()
+	return s.handler.HandleRequest(c, method, body)
 }
 
 // String describes the server for logs.

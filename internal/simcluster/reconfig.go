@@ -2,48 +2,41 @@ package simcluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"blastfunction/internal/flash"
+	"blastfunction/internal/registry"
 	"blastfunction/internal/sim"
 )
 
 // ReconfigConfig parameterizes the reconfiguration-storm experiment: a
-// DES of serverless churn across more accelerator families than the
-// allocator can keep resident, contrasting a lifecycle-unaware placement
-// pass (spread by load, flash whatever board you land on) with the
-// bitstream lifecycle service's batched flash windows (pile a phase's
-// same-family allocations onto one reprogram).
+// DES of serverless churn across accelerator families, placed by the
+// real Registry, contrasting Algorithm 1 without lifecycle tracking with
+// Algorithm 1 plus the bitstream lifecycle service's flash windows.
 type ReconfigConfig struct {
 	// Boards is the cluster size; default 8.
 	Boards int
 	// Accels is the number of accelerator families tenants draw from;
-	// default equals Boards (every family can stay resident — the regime
-	// where batching converges to zero reprograms).
+	// default equals Boards (every family can stay resident).
 	Accels int
-	// Tenants is the number of function instances re-placed each phase;
-	// default 32.
-	Tenants int
-	// ServiceTime is the per-request board service demand; default 8ms.
-	ServiceTime time.Duration
-	// ReconfigTime is the modelled board reprogramming latency; default 2s
-	// (the paper's full-region reconfiguration).
-	ReconfigTime time.Duration
-	// PhaseEvery is the churn period: at each phase boundary every tenant
-	// is torn down and re-placed (a new serverless incarnation); default 5s.
-	PhaseEvery time.Duration
-	// Phases is the number of churn phases; default 6.
-	Phases int
-	// Load is the offered request load as a fraction of aggregate cluster
-	// capacity; default 0.4 (reconfiguration stalls, not queueing, should
-	// dominate the naive arm's tail).
-	Load float64
-	// Batched selects the lifecycle-aware placement pass; false is the
-	// naive per-allocation-flipping baseline.
+	// Batched selects registry.DefaultPolicy with a planning-mode
+	// flash.Service attached; false is the same Registry with no
+	// reconfiguration penalty and no flash service.
 	Batched bool
-	// Seed perturbs the arrival jitter and family-choice streams; default 1.
-	Seed uint64
 }
+
+// The storm's fixed shape: 32 tenants are torn down and re-placed (a new
+// serverless incarnation) every 5s for 6 phases; a reprogram blocks its
+// board for 2s (the paper's full-region reconfiguration); requests offer
+// 0.4x the cluster's capacity, so reconfiguration stalls, not queueing,
+// dominate a tail.
+const (
+	stormTenants    = 32
+	stormPhaseEvery = 5 * time.Second
+	stormPhases     = 6
+	stormReconfig   = 2 * time.Second
+	stormLoad       = 0.4
+)
 
 func (c ReconfigConfig) withDefaults() ReconfigConfig {
 	if c.Boards <= 0 {
@@ -51,27 +44,6 @@ func (c ReconfigConfig) withDefaults() ReconfigConfig {
 	}
 	if c.Accels <= 0 {
 		c.Accels = c.Boards
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 32
-	}
-	if c.ServiceTime <= 0 {
-		c.ServiceTime = 8 * time.Millisecond
-	}
-	if c.ReconfigTime <= 0 {
-		c.ReconfigTime = 2 * time.Second
-	}
-	if c.PhaseEvery <= 0 {
-		c.PhaseEvery = 5 * time.Second
-	}
-	if c.Phases <= 0 {
-		c.Phases = 6
-	}
-	if c.Load <= 0 {
-		c.Load = 0.4
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -92,148 +64,135 @@ type ReconfigResult struct {
 
 	// Reconfigs counts board reprograms; ReconfigSeconds is the total
 	// board time they consumed. In batched mode each reprogram is one
-	// flash window shared by every same-family allocation of the phase, so
-	// TenantsPerWindow reports the amortization factor.
+	// flash job, and TenantsPerWindow is its requesters (the opener plus
+	// the BatchedRequesters that coalesced onto it) averaged over the jobs.
 	Reconfigs        int     `json:"reconfigs"`
 	ReconfigSeconds  float64 `json:"reconfig_seconds"`
 	TenantsPerWindow float64 `json:"tenants_per_window"`
 }
 
-// RunReconfigStorm drives Phases churn rounds: at each phase boundary
-// every tenant picks an accelerator family (deterministic per seed) and is
-// re-placed. The naive arm spreads placements by load and reprograms
-// whichever board each allocation lands on when the bitstream mismatches —
-// per-allocation flipping. The batched arm groups the phase's allocations
-// by family, reuses boards already flashed with that family, and opens at
-// most one reprogram window per family, onto which the whole group rides.
-// Requests flow open-loop throughout, queueing behind reprograms on the
-// same board FIFO, so the arms' p99 difference is the storm's cost.
+// RunReconfigStorm drives the churn phases: at each phase boundary every
+// tenant draws an accelerator family (deterministic), its instance is
+// released, and it is placed again under a fresh UID by the real
+// Registry's Allocate (Algorithm 1); an Allocate that finds no board
+// fails the run. A placement that claims a blank board or needs a
+// reconfiguration reprograms that board: the flash is enqueued on its
+// FIFO server, and when it ends in virtual time Registry.BuildLanded
+// closes the window. In the batched arm the Registry opens those windows
+// on a planning-mode flash.Service, and a placement that coalesces onto a
+// window already open for its board and bitstream costs no second
+// reprogram. Requests flow open-loop throughout, queueing behind
+// reprograms on the same board, so the arms' p99 difference is the
+// storm's cost.
 func RunReconfigStorm(cfg ReconfigConfig) (*ReconfigResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Accels > cfg.Boards {
-		// More families than boards would force batched-mode groups to
-		// steal each other's freshly flashed boards within one phase; the
-		// experiment keeps the regimes comparable instead.
-		return nil, fmt.Errorf("simcluster: Accels (%d) must not exceed Boards (%d)", cfg.Accels, cfg.Boards)
+	penalty := 0.0
+	if cfg.Batched {
+		penalty = registry.DefaultPolicy(nil).ReconfigPenalty
 	}
-
-	engine := sim.NewEngine()
-	servers := make([]*sim.Server, cfg.Boards)
-	for i := range servers {
-		servers[i] = engine.NewServer()
+	c, err := newSimCluster(cfg.Boards, penalty)
+	if err != nil {
+		return nil, err
 	}
-
-	boardAccel := make([]int, cfg.Boards) // -1 = blank
-	for i := range boardAccel {
-		boardAccel[i] = -1
-	}
-	tenantBoard := make([]int, cfg.Tenants)
-	tenantAccel := make([]int, cfg.Tenants)
-	for i := range tenantBoard {
-		tenantBoard[i] = -1
-	}
-
-	var reconfigs, ridingTenants int
-	flashBoard := func(b, accel int) {
-		boardAccel[b] = accel
-		reconfigs++
-		servers[b].Enqueue(cfg.ReconfigTime, nil)
-	}
-
-	famRng := cfg.Seed ^ 0xA5A5A5A5A5A5A5A5
-	rePlace := func() {
-		// New incarnation: every tenant draws a family for this phase.
-		for t := range tenantAccel {
-			tenantAccel[t] = int(scaleRng(&famRng) * float64(cfg.Accels))
-			if tenantAccel[t] >= cfg.Accels {
-				tenantAccel[t] = cfg.Accels - 1
-			}
+	engine := c.engine
+	var fl *flash.Service
+	if cfg.Batched {
+		base := time.Unix(0, 0)
+		if fl, err = flash.New(flash.Config{Now: func() time.Time { return base.Add(engine.Now()) }}); err != nil {
+			return nil, err
 		}
-		assigned := make([]int, cfg.Boards) // placements made this phase
-
-		if !cfg.Batched {
-			// Naive: least-assigned board wins regardless of its bitstream;
-			// a mismatch reprograms it on the spot.
-			for t := 0; t < cfg.Tenants; t++ {
-				b := 0
-				for i := 1; i < cfg.Boards; i++ {
-					if assigned[i] < assigned[b] {
-						b = i
-					}
-				}
-				if boardAccel[b] != tenantAccel[t] {
-					flashBoard(b, tenantAccel[t])
-				}
-				tenantBoard[t] = b
-				assigned[b]++
-			}
-			return
-		}
-
-		// Batched: group the phase's tenants by family, then give each
-		// group one board — an already-flashed one when available,
-		// otherwise the least-loaded unclaimed victim, reprogrammed once
-		// for the whole group.
-		groups := make([][]int, cfg.Accels)
-		for t := 0; t < cfg.Tenants; t++ {
-			groups[tenantAccel[t]] = append(groups[tenantAccel[t]], t)
-		}
-		claimed := make([]bool, cfg.Boards)
-		for accel, group := range groups {
-			if len(group) == 0 {
-				continue
-			}
-			b := -1
-			for i := 0; i < cfg.Boards; i++ {
-				if !claimed[i] && boardAccel[i] == accel {
-					b = i
-					break
-				}
-			}
-			if b == -1 {
-				for i := 0; i < cfg.Boards; i++ {
-					if claimed[i] {
-						continue
-					}
-					if b == -1 || assigned[i] < assigned[b] {
-						b = i
-					}
-				}
-				flashBoard(b, accel)
-				ridingTenants += len(group)
-			}
-			claimed[b] = true
-			for _, t := range group {
-				tenantBoard[t] = b
-				assigned[b]++
-			}
+		c.SetFlash(fl)
+	}
+	families := make([]string, cfg.Accels)
+	for a := range families {
+		families[a] = fmt.Sprintf("accel-%d", a)
+		if err := c.RegisterFunction(registry.Function{
+			Name:      families[a],
+			Query:     registry.DeviceQuery{Accelerator: families[a]},
+			Bitstream: families[a] + "-bits",
+		}); err != nil {
+			return nil, err
 		}
 	}
 
-	end := time.Duration(cfg.Phases) * cfg.PhaseEvery
-	warmup := cfg.PhaseEvery // the cold first phase flashes in both arms
-	for p := 0; p < cfg.Phases; p++ {
-		engine.At(time.Duration(p)*cfg.PhaseEvery, rePlace)
+	tenantServer := make([]*sim.Server, stormTenants) // nil until placed
+	tenantAccel := make([]int, stormTenants)
+	tenantUID := make([]string, stormTenants)
+	var uidTenant map[string]int // this phase's instances
+	var reconfigs int
+	var placeErr error
+
+	// place allocates tenant t's current instance and migrates whatever
+	// the allocation displaced, as the registry controller would.
+	var place func(t int) error
+	place = func(t int) error {
+		uid := tenantUID[t]
+		alloc, err := c.Allocate(registry.AllocRequest{
+			InstanceUID: uid, InstanceName: uid, Function: families[tenantAccel[t]],
+		})
+		if err != nil {
+			return fmt.Errorf("simcluster: placing %s: %w", uid, err)
+		}
+		srv := c.server[alloc.Device.ID]
+		tenantServer[t] = srv
+		if (alloc.NeedsReconfigure || alloc.Device.Accelerator == "") &&
+			(fl == nil || opensWindow(fl, alloc.Device.ID, uid)) {
+			reconfigs++
+			srv.Enqueue(stormReconfig, func(_, _ time.Duration) { c.BuildLanded(uid) })
+		}
+		for _, moved := range alloc.Displaced {
+			c.Release(moved)
+			if err := place(uidTenant[moved]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
-	perTenantRate := cfg.Load * (float64(cfg.Boards) / cfg.ServiceTime.Seconds()) / float64(cfg.Tenants)
+	famRng := uint64(1) ^ 0xA5A5A5A5A5A5A5A5
+	for p := 0; p < stormPhases; p++ {
+		p := p
+		engine.At(time.Duration(p)*stormPhaseEvery, func() {
+			uidTenant = make(map[string]int, stormTenants)
+			for t := range tenantAccel {
+				tenantAccel[t] = int(scaleRng(&famRng) * float64(cfg.Accels))
+				if tenantAccel[t] >= cfg.Accels {
+					tenantAccel[t] = cfg.Accels - 1
+				}
+				if tenantUID[t] != "" {
+					c.Release(tenantUID[t])
+				}
+				tenantUID[t] = fmt.Sprintf("t%03d-p%d", t, p)
+				uidTenant[tenantUID[t]] = t
+			}
+			for t := range tenantUID {
+				if placeErr = place(t); placeErr != nil {
+					return
+				}
+			}
+		})
+	}
+
+	end := stormPhases * stormPhaseEvery
+	warmup := stormPhaseEvery // the cold first phase flashes in both arms
+	perTenantRate := stormLoad * (float64(cfg.Boards) / serviceTime.Seconds()) / stormTenants
 	meanGap := time.Duration(float64(time.Second) / perTenantRate)
 
 	var arrivals, completed int
 	var latencies []time.Duration
-	rngs := make([]uint64, cfg.Tenants)
+	rngs := make([]uint64, stormTenants)
 	for t := range rngs {
-		rngs[t] = cfg.Seed + uint64(t)*0x9E3779B97F4A7C15
+		rngs[t] = tenantRng(t)
 	}
 	var arrive func(t int)
 	arrive = func(t int) {
 		now := engine.Now()
 		measured := now >= warmup && now < end
-		if b := tenantBoard[t]; b >= 0 {
+		if srv := tenantServer[t]; srv != nil {
 			if measured {
 				arrivals++
 			}
-			servers[b].Enqueue(cfg.ServiceTime, func(wait, service time.Duration) {
+			srv.Enqueue(serviceTime, func(wait, service time.Duration) {
 				if measured {
 					completed++
 					latencies = append(latencies, wait+service)
@@ -245,42 +204,53 @@ func RunReconfigStorm(cfg ReconfigConfig) (*ReconfigResult, error) {
 			engine.After(gap, func() { arrive(t) })
 		}
 	}
-	for t := 0; t < cfg.Tenants; t++ {
+	for t := 0; t < stormTenants; t++ {
 		// Offset past the phase-0 placement so every arrival has a board.
 		engine.At(time.Duration(1+scaleRng(&rngs[t])*float64(meanGap-1)), func(t int) func() {
 			return func() { arrive(t) }
 		}(t))
 	}
-	for engine.Step() {
+	for placeErr == nil && engine.Step() {
+	}
+	if placeErr != nil {
+		return nil, placeErr
 	}
 
 	res := &ReconfigResult{
 		Boards:  cfg.Boards,
 		Accels:  cfg.Accels,
-		Tenants: cfg.Tenants,
-		Phases:  cfg.Phases,
+		Tenants: stormTenants,
+		Phases:  stormPhases,
 		Batched: cfg.Batched,
 
 		Arrivals:  arrivals,
 		Completed: completed,
+		MeanUtil:  c.meanUtil(),
 
 		Reconfigs:       reconfigs,
-		ReconfigSeconds: float64(reconfigs) * cfg.ReconfigTime.Seconds(),
+		ReconfigSeconds: float64(reconfigs) * stormReconfig.Seconds(),
 	}
-	if cfg.Batched && reconfigs > 0 {
-		res.TenantsPerWindow = float64(ridingTenants) / float64(reconfigs)
+	if fl != nil {
+		jobs := append(fl.History(""), fl.Jobs()...)
+		requesters := 0
+		for _, j := range jobs {
+			requesters += 1 + len(j.BatchedRequesters)
+		}
+		if len(jobs) > 0 {
+			res.TenantsPerWindow = float64(requesters) / float64(len(jobs))
+		}
 	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		res.P50Ms = float64(latencies[(len(latencies)-1)*50/100].Microseconds()) / 1000
-		res.P99Ms = float64(latencies[(len(latencies)-1)*99/100].Microseconds()) / 1000
-	}
-	var busy time.Duration
-	for _, s := range servers {
-		busy += s.BusyTime()
-	}
-	if elapsed := engine.Now(); elapsed > 0 {
-		res.MeanUtil = busy.Seconds() / (float64(cfg.Boards) * elapsed.Seconds())
-	}
+	res.P50Ms, res.P99Ms = percentilesMs(latencies)
 	return res, nil
+}
+
+// opensWindow reports whether requester's allocation opened a new flash
+// window on board rather than coalescing onto one already open there.
+func opensWindow(fl *flash.Service, board, requester string) bool {
+	for _, j := range fl.Jobs() {
+		if j.Board == board && j.Requester == requester {
+			return true
+		}
+	}
+	return false
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"blastfunction/internal/gateway"
 	"blastfunction/internal/metrics"
 	"blastfunction/internal/registry"
 	"blastfunction/internal/sim"
@@ -12,41 +13,42 @@ import (
 
 // ScaleConfig parameterizes the cluster-scale front-door experiment: a
 // DES of hundreds of boards and hundreds of tenants driving the gateway's
-// admission + routing plane near saturation, with the placement pass run
-// through the real Registry/Gatherer/TSDB stack so the experiment also
-// measures Algorithm 1's cost at scale.
+// own admission and routing code near saturation, with the placement
+// pass run through the real Registry/Gatherer/TSDB stack so the
+// experiment also measures Algorithm 1's cost at scale.
 type ScaleConfig struct {
 	// Boards is the cluster size (simulated FPGA boards, one per node);
 	// default 100.
 	Boards int
 	// Tenants is the number of independent request sources; default 500.
 	Tenants int
-	// ReplicasPerTenant is each tenant's function replica count; every
-	// replica is placed on a board by the real Allocate. Default 2.
-	ReplicasPerTenant int
-	// ServiceTime is the per-request board service demand; default 8ms.
-	ServiceTime time.Duration
-	// Load is the offered load as a fraction of aggregate cluster
-	// capacity; default 1.05 (5 % past saturation — the regime where the
-	// front door earns its keep).
-	Load float64
-	// Admission enables per-tenant token buckets at the front door.
+	// Admission puts the gateway's per-tenant token buckets
+	// (gateway.Admission) in front of the router.
 	Admission bool
-	// AdmitRate is the per-tenant admitted rate (requests/second); zero
-	// derives 90 % of the tenant's fair capacity share.
-	AdmitRate float64
-	// AdmitBurst is the bucket capacity; default 5.
-	AdmitBurst float64
-	// Router selects the routing policy over each tenant's replicas:
-	// "roundrobin" (default) or "least-inflight".
+	// Router names the gateway routing policy over each tenant's
+	// replicas: any name gateway.NewRouter accepts; empty is round-robin.
 	Router string
 	// Warmup is discarded before measurement; default 2s.
 	Warmup time.Duration
 	// Measure is the measured window; default 10s.
 	Measure time.Duration
-	// Seed perturbs the arrival jitter streams; default 1.
-	Seed uint64
 }
+
+// The scale experiment's fixed shape: every tenant's function has two
+// replicas, each placed by the real Allocate; tenants together offer
+// 1.05x the cluster's capacity, 5% past saturation, the regime where the
+// front door earns its keep; admission grants each tenant 90% of its fair
+// capacity share with a burst of 5.
+const (
+	scaleReplicas   = 2
+	scaleLoad       = 1.05
+	scaleAdmitShare = 0.9
+	scaleAdmitBurst = 5
+)
+
+// serviceTime is the board time one request takes in both cluster-scale
+// experiments.
+const serviceTime = 8 * time.Millisecond
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.Boards <= 0 {
@@ -55,33 +57,11 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.Tenants <= 0 {
 		c.Tenants = 500
 	}
-	if c.ReplicasPerTenant <= 0 {
-		c.ReplicasPerTenant = 2
-	}
-	if c.ServiceTime <= 0 {
-		c.ServiceTime = 8 * time.Millisecond
-	}
-	if c.Load <= 0 {
-		c.Load = 1.05
-	}
-	if c.AdmitBurst <= 0 {
-		c.AdmitBurst = 5
-	}
-	if c.Router == "" {
-		c.Router = "roundrobin"
-	}
 	if c.Warmup <= 0 {
 		c.Warmup = 2 * time.Second
 	}
 	if c.Measure <= 0 {
 		c.Measure = 10 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.AdmitRate <= 0 {
-		capacity := float64(c.Boards) / c.ServiceTime.Seconds()
-		c.AdmitRate = 0.9 * capacity / float64(c.Tenants)
 	}
 	return c
 }
@@ -118,123 +98,167 @@ func scaleRng(state *uint64) float64 {
 	return float64(*state>>11) / float64(1<<53)
 }
 
-// RunScale places Tenants×Replicas function instances on Boards simulated
-// boards through the real Registry (Algorithm 1 over a Gatherer-backed
-// TSDB), then drives open-loop arrivals through a front-door model —
-// optional per-tenant token buckets plus a routing policy over each
-// tenant's replicas — into per-board FIFO servers, and reports tail
-// latency, rejection rate and the placement pass's metric-query cost.
-func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
-	cfg = cfg.withDefaults()
+// tenantRng seeds tenant t's arrival jitter stream.
+func tenantRng(t int) uint64 { return 1 + uint64(t)*0x9E3779B97F4A7C15 }
 
-	// Placement: real TSDB + Gatherer + Registry. Two scrape generations
-	// seed every board's busy-seconds series so Rate() has a window.
+// simCluster is Boards simulated boards ("board-000" on "node-000", ...),
+// each a FIFO server on one engine, registered with a real Registry whose
+// Algorithm 1 reads metrics through a real Gatherer. The TSDB holds two
+// scrape generations (so Rate() has a window) of equal busy-seconds:
+// every board looks equally, lightly utilized.
+type simCluster struct {
+	*registry.Registry
+	gatherer *registry.Gatherer
+	engine   *sim.Engine
+	servers  []*sim.Server
+	server   map[string]*sim.Server // by device ID
+}
+
+// newSimCluster builds the cluster under registry.DefaultPolicy with the
+// given reconfiguration penalty.
+func newSimCluster(boards int, reconfigPenalty float64) (*simCluster, error) {
 	db := metrics.NewTSDB(15 * time.Minute)
 	gatherer := registry.NewGatherer(db)
 	base := time.Unix(0, 0)
 	gatherer.Now = func() time.Time { return base.Add(20 * time.Second) }
-	// The scale experiment isolates the front door (admission + routing):
-	// the reconfiguration penalty is zeroed so placements spread by load
-	// exactly as in the paper's Algorithm 1, instead of piling onto
-	// already-flashed boards. The reconfig-storm experiment studies that
-	// tradeoff separately.
 	policy := registry.DefaultPolicy(gatherer)
-	policy.ReconfigPenalty = 0
+	policy.ReconfigPenalty = reconfigPenalty
 	reg, err := registry.New(policy)
 	if err != nil {
 		return nil, err
 	}
+	c := &simCluster{Registry: reg, gatherer: gatherer, engine: sim.NewEngine(), server: make(map[string]*sim.Server, boards)}
 	var samples0, samples1 []metrics.Sample
-	for i := 0; i < cfg.Boards; i++ {
+	for i := 0; i < boards; i++ {
 		id := fmt.Sprintf("board-%03d", i)
 		node := fmt.Sprintf("node-%03d", i)
 		if err := reg.RegisterDevice(registry.Device{ID: id, Node: node}); err != nil {
 			return nil, err
 		}
+		c.servers = append(c.servers, c.engine.NewServer())
+		c.server[id] = c.servers[i]
 		lbl := metrics.Labels{"device": id, "node": node}
 		samples0 = append(samples0, metrics.Sample{Name: "bf_device_busy_seconds_total", Labels: lbl, Value: 0})
 		samples1 = append(samples1, metrics.Sample{Name: "bf_device_busy_seconds_total", Labels: lbl, Value: 0.1})
 	}
 	db.Append(base, samples0)
 	db.Append(base.Add(10*time.Second), samples1)
+	return c, nil
+}
+
+// meanUtil is the boards' mean busy fraction over the engine's run.
+func (c *simCluster) meanUtil() float64 {
+	elapsed := c.engine.Now()
+	if elapsed <= 0 {
+		return 0
+	}
+	var busy time.Duration
+	for _, s := range c.servers {
+		busy += s.BusyTime()
+	}
+	return busy.Seconds() / (float64(len(c.servers)) * elapsed.Seconds())
+}
+
+// percentilesMs returns the p50 and p99 of latencies in milliseconds
+// (zero when there are none); it sorts latencies in place.
+func percentilesMs(latencies []time.Duration) (p50, p99 float64) {
+	if len(latencies) == 0 {
+		return 0, 0
+	}
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	at := func(pct int) float64 {
+		return float64(latencies[(len(latencies)-1)*pct/100].Microseconds()) / 1000
+	}
+	return at(50), at(99)
+}
+
+// replica is one placed function instance as the gateway tracks it.
+type replica struct {
+	server   *sim.Server
+	node     string
+	inflight int64
+}
+
+// replicas is one tenant's replicas as the gateway's routers see them.
+type replicas []replica
+
+func (r replicas) Len() int             { return len(r) }
+func (r replicas) Inflight(i int) int64 { return r[i].inflight }
+func (r replicas) Weight(int) int       { return 0 }
+func (r replicas) Node(i int) string    { return r[i].node }
+
+// RunScale places Tenants×2 function instances on Boards simulated boards
+// through the real Registry (Algorithm 1 over a Gatherer-backed TSDB),
+// then drives open-loop arrivals through the gateway's own front door —
+// gateway.Admission's per-tenant token buckets on the virtual clock, then
+// the gateway.Router named by Router over each tenant's replicas — into
+// per-board FIFO servers, and reports tail latency, rejection rate and
+// the placement pass's metric-query cost.
+func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
+	cfg = cfg.withDefaults()
+	router, err := gateway.NewRouter(cfg.Router)
+	if err != nil {
+		return nil, err
+	}
+	// The scale experiment isolates the front door (admission + routing):
+	// the reconfiguration penalty is zeroed so placements spread by load
+	// exactly as in the paper's Algorithm 1, instead of piling onto
+	// already-flashed boards. The reconfig-storm experiment studies that
+	// tradeoff separately.
+	c, err := newSimCluster(cfg.Boards, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	// One accelerator family: every tenant's function claims blank boards
 	// on first touch and shares them afterwards.
-	boardIdx := make(map[string]int, cfg.Boards)
-	for i := 0; i < cfg.Boards; i++ {
-		boardIdx[fmt.Sprintf("board-%03d", i)] = i
+	type tenantState struct {
+		name string
+		rng  uint64
+		reps replicas
+		rot  gateway.Rotation
 	}
-	endpoints := make([][]int, cfg.Tenants) // tenant -> board index per replica
+	tenants := make([]*tenantState, cfg.Tenants)
 	allocStart := time.Now()
-	allocations := 0
-	for t := 0; t < cfg.Tenants; t++ {
-		fn := fmt.Sprintf("tenant-%04d", t)
-		if err := reg.RegisterFunction(registry.Function{
-			Name:      fn,
+	for t := range tenants {
+		ts := &tenantState{name: fmt.Sprintf("tenant-%04d", t), rng: tenantRng(t)}
+		tenants[t] = ts
+		if err := c.RegisterFunction(registry.Function{
+			Name:      ts.name,
 			Query:     registry.DeviceQuery{Accelerator: "bench"},
 			Bitstream: "bench-bits",
 		}); err != nil {
 			return nil, err
 		}
-		for rep := 0; rep < cfg.ReplicasPerTenant; rep++ {
-			uid := fmt.Sprintf("%s-r%d", fn, rep)
-			alloc, err := reg.Allocate(registry.AllocRequest{
-				InstanceUID: uid, InstanceName: uid, Function: fn,
+		for rep := 0; rep < scaleReplicas; rep++ {
+			uid := fmt.Sprintf("%s-r%d", ts.name, rep)
+			alloc, err := c.Allocate(registry.AllocRequest{
+				InstanceUID: uid, InstanceName: uid, Function: ts.name,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("placing %s: %w", uid, err)
 			}
-			endpoints[t] = append(endpoints[t], boardIdx[alloc.Device.ID])
-			allocations++
+			ts.reps = append(ts.reps, replica{server: c.server[alloc.Device.ID], node: alloc.Node})
 		}
 	}
 	allocWall := time.Since(allocStart)
-	gstats := gatherer.Stats()
+	gstats := c.gatherer.Stats()
 
-	// DES: per-board FIFO servers with live in-flight counters.
-	engine := sim.NewEngine()
-	servers := make([]*sim.Server, cfg.Boards)
-	inflight := make([]int, cfg.Boards)
-	for i := range servers {
-		servers[i] = engine.NewServer()
+	engine := c.engine
+	capacity := float64(cfg.Boards) / serviceTime.Seconds()
+	var adm *gateway.Admission
+	if cfg.Admission {
+		adm = gateway.NewAdmission(gateway.Budget{
+			Rate: scaleAdmitShare * capacity / float64(cfg.Tenants), Burst: scaleAdmitBurst})
+		base := time.Unix(0, 0)
+		adm.Now = func() time.Time { return base.Add(engine.Now()) }
 	}
 
 	end := cfg.Warmup + cfg.Measure
-	perTenantRate := cfg.Load * (float64(cfg.Boards) / cfg.ServiceTime.Seconds()) / float64(cfg.Tenants)
-	meanGap := time.Duration(float64(time.Second) / perTenantRate)
+	meanGap := time.Duration(float64(time.Second) / (scaleLoad * capacity / float64(cfg.Tenants)))
 
 	var arrivals, completed, rejected int
 	var latencies []time.Duration
-
-	type tenantState struct {
-		rng    uint64
-		rr     int
-		tokens float64
-		lastT  time.Duration
-	}
-	tenants := make([]*tenantState, cfg.Tenants)
-	for t := range tenants {
-		tenants[t] = &tenantState{rng: cfg.Seed + uint64(t)*0x9E3779B97F4A7C15, tokens: cfg.AdmitBurst}
-	}
-
-	route := func(ts *tenantState, eps []int) int {
-		switch cfg.Router {
-		case "least-inflight":
-			start := ts.rr % len(eps)
-			ts.rr++
-			best := eps[start]
-			for k := 1; k < len(eps); k++ {
-				if b := eps[(start+k)%len(eps)]; inflight[b] < inflight[best] {
-					best = b
-				}
-			}
-			return best
-		default: // roundrobin
-			b := eps[ts.rr%len(eps)]
-			ts.rr++
-			return b
-		}
-	}
 
 	var arrive func(t int)
 	arrive = func(t int) {
@@ -243,19 +267,8 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		measured := now >= cfg.Warmup && now < end
 
 		admitted := true
-		if cfg.Admission {
-			// Virtual-time token bucket.
-			dt := (now - ts.lastT).Seconds()
-			ts.lastT = now
-			ts.tokens += cfg.AdmitRate * dt
-			if ts.tokens > cfg.AdmitBurst {
-				ts.tokens = cfg.AdmitBurst
-			}
-			if ts.tokens >= 1 {
-				ts.tokens--
-			} else {
-				admitted = false
-			}
+		if adm != nil {
+			admitted, _ = adm.Admit(ts.name)
 		}
 		if measured {
 			arrivals++
@@ -264,10 +277,10 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			}
 		}
 		if admitted {
-			b := route(ts, endpoints[t])
-			inflight[b]++
-			servers[b].Enqueue(cfg.ServiceTime, func(wait, service time.Duration) {
-				inflight[b]--
+			rep := &ts.reps[router.Pick(ts.reps, &ts.rot, gateway.RouteHint{})]
+			rep.inflight++
+			rep.server.Enqueue(serviceTime, func(wait, service time.Duration) {
+				rep.inflight--
 				if measured {
 					completed++
 					latencies = append(latencies, wait+service)
@@ -296,16 +309,17 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	res := &ScaleResult{
 		Boards:   cfg.Boards,
 		Tenants:  cfg.Tenants,
-		Replicas: cfg.ReplicasPerTenant,
-		Router:   cfg.Router,
+		Replicas: scaleReplicas,
+		Router:   router.Name(),
 		Admitted: cfg.Admission,
-		Load:     cfg.Load,
+		Load:     scaleLoad,
 
 		Arrivals:  arrivals,
 		Completed: completed,
 		Rejected:  rejected,
+		MeanUtil:  c.meanUtil(),
 
-		Allocations:       allocations,
+		Allocations:       cfg.Tenants * scaleReplicas,
 		GathererComputes:  gstats.Computes,
 		GathererCacheHits: gstats.CacheHits,
 		AllocWallMs:       float64(allocWall.Microseconds()) / 1000,
@@ -313,17 +327,6 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	if arrivals > 0 {
 		res.RejectionRate = float64(rejected) / float64(arrivals)
 	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		res.P50Ms = float64(latencies[(len(latencies)-1)*50/100].Microseconds()) / 1000
-		res.P99Ms = float64(latencies[(len(latencies)-1)*99/100].Microseconds()) / 1000
-	}
-	var busy time.Duration
-	for _, s := range servers {
-		busy += s.BusyTime()
-	}
-	if elapsed := engine.Now(); elapsed > 0 {
-		res.MeanUtil = busy.Seconds() / (float64(cfg.Boards) * elapsed.Seconds())
-	}
+	res.P50Ms, res.P99Ms = percentilesMs(latencies)
 	return res, nil
 }

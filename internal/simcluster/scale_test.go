@@ -3,6 +3,8 @@ package simcluster
 import (
 	"testing"
 	"time"
+
+	"blastfunction/internal/gateway"
 )
 
 // TestScaleExperiment runs the cluster-scale front-door DES at the
@@ -80,5 +82,30 @@ func TestScaleExperiment(t *testing.T) {
 	}
 	if again.P99Ms != treatment.P99Ms || again.Completed != treatment.Completed {
 		t.Fatalf("experiment not deterministic: %+v vs %+v", again, treatment)
+	}
+}
+
+// TestScaleRunsEveryRouter drives a small cluster through each policy the
+// gateway can select, with and without admission, and rejects a name the
+// gateway does not know with the gateway's own error.
+func TestScaleRunsEveryRouter(t *testing.T) {
+	small := ScaleConfig{Boards: 4, Tenants: 8, Warmup: 100 * time.Millisecond, Measure: time.Second}
+	for _, name := range gateway.RouterNames {
+		for _, admission := range []bool{false, true} {
+			cfg := small
+			cfg.Router, cfg.Admission = name, admission
+			res, err := RunScale(cfg)
+			if err != nil {
+				t.Fatalf("%s (admission %v): %v", name, admission, err)
+			}
+			if res.Router != name || res.Completed == 0 || (res.Rejected > 0) != admission {
+				t.Fatalf("%s (admission %v): router %q, %d completed, %d rejected",
+					name, admission, res.Router, res.Completed, res.Rejected)
+			}
+		}
+	}
+	_, want := gateway.NewRouter("bogus")
+	if _, err := RunScale(ScaleConfig{Boards: 4, Tenants: 8, Router: "bogus"}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("unknown router: err = %v, want %v", err, want)
 	}
 }
