@@ -17,12 +17,16 @@ test: vet race fuzz-smoke test-benchmark
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Ten seconds of mutation per native fuzz target, starting from the seeds
-# in the test files and the corpora committed under testdata/fuzz. A
-# failing input is written there too; commit it with the fix.
+# Ten seconds of mutation per native fuzz target (the wire decoders and
+# the flag grammars), starting from the seeds in the test files and the
+# corpora committed under testdata/fuzz. A failing input is written
+# there too; commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoders$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseWeights$$' -fuzztime 10s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAdmission$$' -fuzztime 10s ./internal/gateway/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime 10s ./internal/slo/
 
 vet:
 	$(GO) vet ./...

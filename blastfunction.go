@@ -8,7 +8,8 @@
 // Device Managers and RPC servers together, which is what the runnable
 // examples and most integration tests build on. Production-style
 // deployments run the pieces as separate processes via cmd/devicemanager,
-// cmd/registry and cmd/gateway instead.
+// cmd/registry and cmd/gateway instead; their shared operations plane
+// (logger, debug mux, monitoring, graceful shutdown) is internal/opsplane.
 package blastfunction
 
 import (

@@ -55,13 +55,13 @@ func main() {
 	bases := dedup(*registryURL, *gatewayURL, *managerURL)
 	switch cmd {
 	case "devices":
-		showDevices(*registryURL)
+		showDevices(os.Stdout, *registryURL)
 	case "functions":
-		showFunctions(*registryURL)
+		showFunctions(os.Stdout, *registryURL)
 	case "traces":
-		showTraces(*managerURL)
+		showTraces(os.Stdout, *managerURL)
 	case "tenants":
-		showTenants(*managerURL)
+		showTenants(os.Stdout, *managerURL)
 	case "trace":
 		id := flag.Arg(1)
 		if id == "" {
@@ -79,7 +79,7 @@ func main() {
 	case "top":
 		showTop(*registryURL, *gatewayURL, *managerURL, flag.Args()[1:])
 	case "flash":
-		showFlash(bases, flag.Args()[1:])
+		showFlash(os.Stdout, bases, flag.Args()[1:])
 	default:
 		log.Fatalf("blastctl: unknown command %q (want devices|functions|traces|tenants|trace|explain|logs|alerts|slo|top|flash)", cmd)
 	}
@@ -792,7 +792,7 @@ func showExplain(bases []string, args []string) {
 // showTenants joins the manager's scheduling snapshot with its trace ring
 // into a per-tenant fairness view: occupancy share, queue depth, and p95
 // queue wait over the recently executed tasks.
-func showTenants(base string) {
+func showTenants(out io.Writer, base string) {
 	var stats struct {
 		Discipline string `json:"discipline"`
 		Depth      int    `json:"depth"`
@@ -824,8 +824,8 @@ func showTenants(base string) {
 		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 		return float64(v[(len(v)-1)*95/100]) / 1e6
 	}
-	fmt.Printf("discipline: %s, queued: %d\n", stats.Discipline, stats.Depth)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(out, "discipline: %s, queued: %d\n", stats.Discipline, stats.Depth)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "TENANT\tWEIGHT\tQUEUED\tTASKS\tSHARE\tP95_WAIT_MS\tMAX_WAIT_MS\tDEVICE_MS")
 	for _, ts := range stats.Tenants {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f%%\t%.3f\t%.3f\t%.3f\n",
@@ -835,7 +835,7 @@ func showTenants(base string) {
 	w.Flush()
 }
 
-func showTraces(base string) {
+func showTraces(out io.Writer, base string) {
 	var traces []struct {
 		Seq         uint64 `json:"seq"`
 		Client      string `json:"client"`
@@ -845,7 +845,7 @@ func showTraces(base string) {
 		CompletedAt string `json:"completed_at"`
 	}
 	mustFetch(base+"/debug/tasks", &traces)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "SEQ\tCLIENT\tOPS\tDEVICE_MS\tSTATUS\tCOMPLETED")
 	for _, tr := range traces {
 		status := "ok"
@@ -925,7 +925,7 @@ func forEachBase(bases []string, fn func(i int, base string)) {
 	wg.Wait()
 }
 
-func showDevices(base string) {
+func showDevices(out io.Writer, base string) {
 	var devices []struct {
 		ID, Node, ManagerAddr, Bitstream, Accelerator string
 		Healthy                                       bool
@@ -935,7 +935,7 @@ func showDevices(base string) {
 		Connected []string
 	}
 	mustFetch(base+"/devices", &devices)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "DEVICE\tNODE\tHEALTHY\tMANAGER\tBITSTREAM\tUTIL\tCLIENTS\tINSTANCES")
 	for _, d := range devices {
 		util, clients := "-", "-"
@@ -953,14 +953,14 @@ func showDevices(base string) {
 	w.Flush()
 }
 
-func showFunctions(base string) {
+func showFunctions(out io.Writer, base string) {
 	var functions []struct {
 		Name      string
 		Bitstream string
 		Query     struct{ Vendor, Platform, Accelerator string }
 	}
 	mustFetch(base+"/functions", &functions)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "FUNCTION\tACCELERATOR\tBITSTREAM\tVENDOR")
 	for _, f := range functions {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", f.Name, f.Query.Accelerator, f.Bitstream, f.Query.Vendor)
@@ -972,7 +972,7 @@ func showFunctions(base string) {
 // process (Device Managers flash locally; the registry/gateway plans
 // windows). Subcommands: "list" (live jobs + queue depths), "status"
 // (one board's pipeline), "history" (the durable reflash ledger).
-func showFlash(bases []string, args []string) {
+func showFlash(out io.Writer, bases []string, args []string) {
 	sub := "list"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		sub = args[0]
@@ -1023,7 +1023,7 @@ func showFlash(bases []string, args []string) {
 		log.Fatalf("blastctl: no /debug/flash endpoint reachable (tried %s)", strings.Join(bases, ", "))
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	defer w.Flush()
 	printJob := func(j flash.Job) {
 		riders := ""

@@ -10,26 +10,18 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
 	"net/http"
-	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"blastfunction/internal/accel"
 	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/metrics"
 	"blastfunction/internal/model"
-	"blastfunction/internal/obs"
+	"blastfunction/internal/opsplane"
 	"blastfunction/internal/rpc"
 	"blastfunction/internal/sched"
 )
@@ -48,8 +40,6 @@ func main() {
 		weights      = flag.String("weights", "", "per-tenant drr weights as name=w,name=w (overrides Hello-declared weights)")
 		guard        = flag.Duration("starvation-guard", 0, "drr starvation guard: max queue wait before a tenant is served out of turn (0 = default 2s, negative disables)")
 		traceRing    = flag.Int("trace-ring", 0, "distributed-tracing span ring size served at /debug/spans (0 = default 4096)")
-		logLevel     = flag.String("log-level", "info", "minimum level mirrored to stderr (debug|info|warn|error)")
-		logRing      = flag.Int("log-ring", 4096, "events kept in the /debug/logs ring")
 		bufCache     = flag.Int64("buffer-cache-bytes", 0, "content-addressed buffer cache capacity (0 = default 256 MiB, negative disables)")
 		memoize      = flag.Bool("memoize", false, "memoize idempotent kernel results keyed by bitstream/kernel/argument content")
 		memoCache    = flag.Int64("memo-cache-bytes", 0, "memoized-result cache capacity (0 = default 64 MiB)")
@@ -57,26 +47,18 @@ func main() {
 		flashKeep    = flag.Int("flash-history-limit", 0, "flash history entries kept per board (0 = default 64)")
 		flightRing   = flag.Int("flight-ring", 0, "flight-recorder ring size served at /debug/flight (0 = default 1024)")
 		flightLedger = flag.String("flight-ledger", "", "durable JSONL spill file for notable flights (failures, tail outliers)")
+		base         opsplane.Flags
 	)
+	base.Register(flag.CommandLine)
 	flag.Parse()
 
-	sinkLevel, err := logx.ParseLevel(*logLevel)
+	p := opsplane.New("devicemanager", "manager", base)
+	weightTable, err := sched.ParseWeights(*weights)
 	if err != nil {
-		log.Fatalf("devicemanager: -log-level: %v", err)
-	}
-	rootLog := logx.New(logx.Config{
-		Component: "manager",
-		RingSize:  *logRing,
-		Sink:      logx.TextSink(os.Stderr),
-		SinkLevel: sinkLevel,
-	})
-
-	weightTable, err := parseWeights(*weights)
-	if err != nil {
-		log.Fatalf("devicemanager: -weights: %v", err)
+		p.Fatal(fmt.Errorf("-weights: %w", err))
 	}
 	if _, err := sched.ParseDiscipline(*schedFlag); err != nil {
-		log.Fatalf("devicemanager: -sched: %v", err)
+		p.Fatal(fmt.Errorf("-sched: %w", err))
 	}
 
 	cost := model.WorkerNode()
@@ -94,7 +76,7 @@ func main() {
 		TenantWeights:     weightTable,
 		StarvationGuard:   *guard,
 		TraceRing:         *traceRing,
-		Log:               rootLog,
+		Log:               p.Log,
 		BufferCacheBytes:  *bufCache,
 		MemoizeKernels:    *memoize,
 		MemoCacheBytes:    *memoCache,
@@ -107,72 +89,33 @@ func main() {
 
 	// Runtime health rides the manager's own /metrics: the registry
 	// scrapes it into the TSDB where GoroutineLeak/HeapGrowth watch it.
-	runtimeCol := obs.NewRuntimeCollector(mgr.Metrics(),
-		metrics.Labels{"component": "manager", "device": *device, "node": *node})
-	ctx, cancelCol := context.WithCancel(context.Background())
-	defer cancelCol()
-	go runtimeCol.Run(ctx, 5*time.Second)
+	p.CollectRuntime(mgr.Metrics(), metrics.Labels{"component": "manager", "device": *device, "node": *node}, 5*time.Second)
 
 	srv := rpc.NewServer(mgr)
-	srv.Log = rootLog.Named("rpc")
+	srv.Log = p.Log.Named("rpc")
 	addr, err := srv.Listen(*listen)
 	if err != nil {
-		log.Fatalf("devicemanager: listen: %v", err)
+		p.Fatal(fmt.Errorf("listen: %w", err))
 	}
 	defer srv.Close()
-	rootLog.Info("serving RPC", "device", *device, "node", *node, "addr", addr)
+	p.Log.Info("serving RPC", "device", *device, "node", *node, "addr", addr)
 
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", mgr.MetricsHandler())
-	mux.Handle("/debug/tasks", mgr.TraceHandler())
-	mux.Handle("/debug/spans", mgr.SpanHandler())
-	mux.Handle("/debug/sched", mgr.SchedStatsHandler())
-	mux.Handle("/debug/cache", mgr.CacheStatsHandler())
-	mux.Handle("/debug/flash", mgr.Flash().Handler())
-	mux.Handle("/debug/flight", mgr.FlightHandler())
-	mux.Handle("/debug/logs", rootLog.Handler())
-	obs.RegisterPprof(mux)
-	metricsSrv := &http.Server{Addr: *metricsAt, Handler: mux}
-	go func() {
-		if err := metricsSrv.ListenAndServe(); err != http.ErrServerClosed {
-			log.Fatalf("devicemanager: metrics server: %v", err)
-		}
-	}()
-	rootLog.Info("metrics endpoint up", "url", "http://"+*metricsAt+"/metrics")
+	p.Mux.Handle("/metrics", mgr.MetricsHandler())
+	p.Mux.Handle("/debug/tasks", mgr.TraceHandler())
+	p.Mux.Handle("/debug/spans", mgr.SpanHandler())
+	p.Mux.Handle("/debug/sched", mgr.SchedStatsHandler())
+	p.Mux.Handle("/debug/cache", mgr.CacheStatsHandler())
+	p.Mux.Handle("/debug/flash", mgr.Flash().Handler())
+	p.Mux.Handle("/debug/flight", mgr.FlightHandler())
+	p.Listen(*metricsAt)
 
 	if *register != "" {
 		if err := selfRegister(*register, *device, *node, addr, "http://"+*metricsAt+"/metrics", board); err != nil {
-			log.Fatalf("devicemanager: registration: %v", err)
+			p.Fatal(fmt.Errorf("registration: %w", err))
 		}
-		rootLog.Info("registered with registry", "registry", *register)
+		p.Log.Info("registered with registry", "registry", *register)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	rootLog.Info("shutting down")
-	metricsSrv.Close()
-}
-
-// parseWeights parses the -weights table: "tenant=w,tenant=w" with
-// positive integer weights.
-func parseWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	table := make(map[string]int)
-	for _, entry := range strings.Split(s, ",") {
-		kv := strings.SplitN(entry, "=", 2)
-		if len(kv) != 2 || kv[0] == "" {
-			return nil, fmt.Errorf("malformed entry %q (want name=weight)", entry)
-		}
-		w, err := strconv.Atoi(kv[1])
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("weight %q of %q: want a positive integer", kv[1], kv[0])
-		}
-		table[kv[0]] = w
-	}
-	return table, nil
+	p.Run()
 }
 
 func selfRegister(base, device, node, rpcAddr, metricsURL string, board *fpga.Board) error {

@@ -12,6 +12,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -137,6 +138,9 @@ func New() *Cluster {
 	}
 }
 
+// ErrNodeExists is wrapped by AddNode when the name is already taken.
+var ErrNodeExists = errors.New("node already registered")
+
 // AddNode registers a node.
 func (c *Cluster) AddNode(n Node) error {
 	if n.Name == "" {
@@ -145,7 +149,7 @@ func (c *Cluster) AddNode(n Node) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.nodes[n.Name]; ok {
-		return fmt.Errorf("cluster: node %q already registered", n.Name)
+		return fmt.Errorf("cluster: node %q: %w", n.Name, ErrNodeExists)
 	}
 	c.nodes[n.Name] = n
 	return nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -34,10 +35,10 @@ func TestNodeRegistration(t *testing.T) {
 	if len(nodes) != 3 || nodes[0].Name != "A" || nodes[2].Name != "C" {
 		t.Fatalf("nodes = %v", nodes)
 	}
-	if err := c.AddNode(Node{Name: "A"}); err == nil {
-		t.Fatal("duplicate node must fail")
+	if err := c.AddNode(Node{Name: "A"}); !errors.Is(err, ErrNodeExists) {
+		t.Fatalf("duplicate node = %v, want ErrNodeExists", err)
 	}
-	if err := c.AddNode(Node{}); err == nil {
+	if err := c.AddNode(Node{}); err == nil || errors.Is(err, ErrNodeExists) {
 		t.Fatal("anonymous node must fail")
 	}
 }

@@ -224,12 +224,13 @@ func parseBudget(s string) (Budget, error) {
 	if len(parts) < 2 || len(parts) > 3 {
 		return Budget{}, fmt.Errorf("want rate:burst[:priority]")
 	}
+	// The negated comparisons also reject NaN; a budget must be finite.
 	rate, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil || rate < 0 {
+	if err != nil || !(rate >= 0) || math.IsInf(rate, 1) {
 		return Budget{}, fmt.Errorf("bad rate %q", parts[0])
 	}
 	burst, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || burst < 1 {
+	if err != nil || !(burst >= 1) || math.IsInf(burst, 1) {
 		return Budget{}, fmt.Errorf("bad burst %q (want >= 1)", parts[1])
 	}
 	b := Budget{Rate: rate, Burst: burst}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -99,21 +100,52 @@ func TestParseAdmission(t *testing.T) {
 		t.Fatal("default burst must be 100")
 	}
 
-	for _, bad := range [][]string{
-		{},             // no default
-		{"gold=1:1"},   // override only, still no default
-		{"1:1", "2:2"}, // default twice
-		{"abc:1"},      // bad rate
-		{"1:0"},        // burst < 1
-		{"1:1:0"},      // priority < 1
-		{"=1:1"},       // empty tenant
-		{"1"},          // missing burst
-		{"1:1:1:1"},    // too many fields
-	} {
+	for _, bad := range badAdmissionSpecs {
 		if _, err := ParseAdmission(bad); err == nil {
 			t.Fatalf("ParseAdmission(%v) must fail", bad)
 		}
 	}
+}
+
+var badAdmissionSpecs = [][]string{
+	{},             // no default
+	{"gold=1:1"},   // override only, still no default
+	{"1:1", "2:2"}, // default twice
+	{"abc:1"},      // bad rate
+	{"1:0"},        // burst < 1
+	{"1:1:0"},      // priority < 1
+	{"=1:1"},       // empty tenant
+	{"1"},          // missing burst
+	{"1:1:1:1"},    // too many fields
+	{"NaN:1"},      // not a number
+	{"Inf:1"},      // unbounded rate
+	{"1:Inf"},      // unbounded burst
+}
+
+// FuzzParseAdmission feeds two -admission values joined by a newline: no
+// input panics, and every budget an accepted set installs has a finite,
+// non-negative rate (zero is a burst-only tenant), a finite burst of at
+// least one token and a priority that is unset or at least 1.
+func FuzzParseAdmission(f *testing.F) {
+	f.Add("50:100\ngold=500:1000:2")
+	for _, specs := range badAdmissionSpecs {
+		f.Add(strings.Join(specs, "\n"))
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		adm, err := ParseAdmission(strings.Split(s, "\n"))
+		if err != nil {
+			return
+		}
+		budgets := []Budget{adm.def}
+		for _, b := range adm.overrides {
+			budgets = append(budgets, b)
+		}
+		for _, b := range budgets {
+			if !(b.Rate >= 0) || math.IsInf(b.Rate, 0) || !(b.Burst >= 1) || math.IsInf(b.Burst, 0) || b.Priority < 0 {
+				t.Fatalf("ParseAdmission(%q) accepted %+v", s, b)
+			}
+		}
+	})
 }
 
 func TestHandlerRejectsOverBudget(t *testing.T) {

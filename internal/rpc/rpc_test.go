@@ -315,8 +315,8 @@ func TestHandlerPanicClosesOnlyItsConnection(t *testing.T) {
 }
 
 func TestSessionState(t *testing.T) {
-	var got any
-	h := &sessionHandler{check: func(v any) { got = v }}
+	got := make(chan any, 1) // the handler runs on the server's goroutine
+	h := &sessionHandler{check: func(v any) { got <- v }}
 	s := NewServer(h)
 	s.Log = nil // silence expected transport errors
 	addr, err := s.Listen("127.0.0.1:0")
@@ -332,8 +332,8 @@ func TestSessionState(t *testing.T) {
 	if _, err := c.Call(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got != "state-from-connect" {
-		t.Fatalf("session = %v", got)
+	if v := <-got; v != "state-from-connect" {
+		t.Fatalf("session = %v", v)
 	}
 }
 

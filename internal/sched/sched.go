@@ -23,6 +23,8 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -50,6 +52,27 @@ func ParseDiscipline(s string) (Discipline, error) {
 		return Discipline(s), nil
 	}
 	return "", fmt.Errorf("sched: unknown discipline %q (want %s, %s or %s)", s, FIFO, DRR, Deadline)
+}
+
+// ParseWeights parses a drr weight table, "tenant=w,tenant=w" with
+// positive integer weights; the empty string is no table.
+func ParseWeights(s string) (map[string]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	table := make(map[string]int)
+	for _, entry := range strings.Split(s, ",") {
+		kv := strings.SplitN(entry, "=", 2)
+		if len(kv) != 2 || kv[0] == "" {
+			return nil, fmt.Errorf("malformed entry %q (want name=weight)", entry)
+		}
+		w, err := strconv.Atoi(kv[1])
+		if err != nil || w < 1 {
+			return nil, fmt.Errorf("weight %q of %q: want a positive integer", kv[1], kv[0])
+		}
+		table[kv[0]] = w
+	}
+	return table, nil
 }
 
 // Item is one schedulable unit: a sealed multi-operation task.

@@ -43,6 +43,64 @@ func TestParseDiscipline(t *testing.T) {
 	}
 }
 
+// weightCases is the -weights grammar: a nil want marks a rejected table.
+var weightCases = []struct {
+	in   string
+	want map[string]int
+}{
+	{"", nil},
+	{"a=1", map[string]int{"a": 1}},
+	{"gold=3,free=1", map[string]int{"gold": 3, "free": 1}},
+	{"a=1,a=2", map[string]int{"a": 2}},
+	{"a=b=2", nil},
+	{"a=0", nil},
+	{"a=-1", nil},
+	{"a=x", nil},
+	{"=2", nil},
+	{"a", nil},
+	{"a=1,", nil},
+}
+
+func TestParseWeights(t *testing.T) {
+	for _, c := range weightCases {
+		got, err := ParseWeights(c.in)
+		if c.want == nil && c.in != "" {
+			if err == nil {
+				t.Errorf("ParseWeights(%q) = %v, want an error", c.in, got)
+			}
+			continue
+		}
+		if err != nil || len(got) != len(c.want) {
+			t.Errorf("ParseWeights(%q) = %v, %v; want %v", c.in, got, err, c.want)
+			continue
+		}
+		for k, w := range c.want {
+			if got[k] != w {
+				t.Errorf("ParseWeights(%q)[%q] = %d, want %d", c.in, k, got[k], w)
+			}
+		}
+	}
+}
+
+// FuzzParseWeights: no input panics, and an accepted table holds only
+// named tenants with weights of at least 1.
+func FuzzParseWeights(f *testing.F) {
+	for _, c := range weightCases {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		table, err := ParseWeights(s)
+		if err != nil {
+			return
+		}
+		for k, w := range table {
+			if k == "" || w < 1 {
+				t.Fatalf("ParseWeights(%q) accepted %q=%d", s, k, w)
+			}
+		}
+	})
+}
+
 func TestFIFOOrder(t *testing.T) {
 	q := mustNew(t, FIFO, Config{})
 	defer q.Close()

@@ -142,7 +142,7 @@ func ParseObjective(s string) (Objective, error) {
 		return o, fmt.Errorf("slo: %q: latency part %q: want pNN<duration", s, lat)
 	}
 	pct, err := strconv.ParseFloat(lat[1:lt], 64)
-	if err != nil || pct <= 0 || pct >= 100 {
+	if err != nil || !(pct > 0 && pct < 100) { // also rejects NaN
 		return o, fmt.Errorf("slo: %q: quantile %q: want a percentile in (0,100)", s, lat[1:lt])
 	}
 	o.Quantile = pct / 100
@@ -153,7 +153,7 @@ func ParseObjective(s string) (Objective, error) {
 	o.Target = target
 	goalText := strings.TrimSuffix(parts[2], "%")
 	goal, err := strconv.ParseFloat(goalText, 64)
-	if err != nil || goal <= 0 || goal >= 100 {
+	if err != nil || !(goal > 0 && goal < 100) {
 		return o, fmt.Errorf("slo: %q: availability goal %q: want a percentage in (0,100)", s, goalText)
 	}
 	o.Goal = goal / 100

@@ -28,15 +28,43 @@ func TestParseObjective(t *testing.T) {
 	if !near(o.Quantile, 0.95) || o.Target != 2*time.Second || !near(o.Goal, 0.99) || o.Window != 10*time.Minute {
 		t.Fatalf("parsed %+v", o)
 	}
-	for _, bad := range []string{
-		"", "justname", "a:b:c", "x:p99:99%", "x:p99<50ms:99.9%:zz",
-		"x:p0<50ms:99%", "x:p100<50ms:99%", "x:p99<50ms:0%", "x:p99<50ms:100%",
-		":p99<50ms:99%", "x:q99<50ms:99%", "x:p99<-5ms:99%",
-	} {
+	for _, bad := range badObjectives {
 		if _, err := ParseObjective(bad); err == nil {
 			t.Errorf("ParseObjective(%q) accepted", bad)
 		}
 	}
+}
+
+var badObjectives = []string{
+	"", "justname", "a:b:c", "x:p99:99%", "x:p99<50ms:99.9%:zz",
+	"x:p0<50ms:99%", "x:p100<50ms:99%", "x:p99<50ms:0%", "x:p99<50ms:100%",
+	":p99<50ms:99%", "x:q99<50ms:99%", "x:p99<-5ms:99%",
+	"x:pNaN<50ms:99%", "x:p99<50ms:NaN%",
+}
+
+// FuzzParseObjective: no input panics, and an accepted objective
+// re-parses from its String form to the same objective (the window
+// made explicit).
+func FuzzParseObjective(f *testing.F) {
+	f.Add("checkout:p99<50ms:99.9%")
+	f.Add("t1:p95<2s:99%:10m")
+	for _, s := range badObjectives {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		o, err := ParseObjective(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseObjective(o.String())
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", s, o.String(), err)
+		}
+		o.Window = o.window()
+		if back != o {
+			t.Fatalf("%q: round trip through %q gives %+v, want %+v", s, o.String(), back, o)
+		}
+	})
 }
 
 func TestFlagRepeatable(t *testing.T) {
