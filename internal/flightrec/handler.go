@@ -1,7 +1,6 @@
 package flightrec
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,7 +32,7 @@ func (r *Recorder) Handler() http.Handler {
 			if f, ok := r.FlightFor(id); ok {
 				snap.Flights = []Flight{f}
 			}
-			writeJSON(w, snap)
+			obs.WriteJSON(w, snap)
 			return
 		}
 		snap := r.Snapshot()
@@ -49,21 +48,8 @@ func (r *Recorder) Handler() http.Handler {
 				snap.Flights = snap.Flights[len(snap.Flights)-n:]
 			}
 		}
-		writeJSON(w, snap)
+		obs.WriteJSON(w, snap)
 	})
-}
-
-// writeJSON mirrors obs.ServeTail's encode-to-memory-first discipline.
-func writeJSON(w http.ResponseWriter, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
 }
 
 // FetchFlight retrieves one trace's flight snapshot from base's

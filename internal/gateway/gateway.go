@@ -14,7 +14,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -621,10 +620,7 @@ func (g *Gateway) Debug() DebugState {
 }
 
 func (g *Gateway) serveDebug(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(g.Debug())
+	obs.WriteJSON(w, g.Debug())
 }
 
 // statusWriter records the status an endpoint answered with. Requests

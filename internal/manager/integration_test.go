@@ -716,7 +716,7 @@ func TestManyTenantsSoak(t *testing.T) {
 	if rig.mgr.Sessions() != tenants {
 		t.Fatalf("sessions = %d", rig.mgr.Sessions())
 	}
-	// The trace ring attributes tasks to every tenant.
+	// The task view attributes tasks to every tenant.
 	byClient := map[string]int{}
 	for _, tr := range rig.mgr.Traces() {
 		byClient[tr.Client]++

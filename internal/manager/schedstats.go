@@ -1,10 +1,10 @@
 package manager
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
+	"blastfunction/internal/obs"
 	"blastfunction/internal/sched"
 )
 
@@ -81,9 +81,6 @@ func (m *Manager) SchedStats() SchedStats {
 // blastctl-style per-tenant fairness inspection.
 func (m *Manager) SchedStatsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(m.SchedStats())
+		obs.WriteJSON(w, m.SchedStats())
 	})
 }

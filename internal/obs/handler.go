@@ -51,10 +51,9 @@ func (t *Tracer) Handler() http.Handler {
 	})
 }
 
-// ServeTail writes a ring snapshot (oldest first) as indented JSON,
-// honouring an optional ?n= limit — keep the n most recent entries — and
-// reporting encode failures as an HTTP error status instead of a
-// truncated 200. Shared by /debug/spans and the manager's /debug/tasks.
+// ServeTail writes a ring snapshot (oldest first) with WriteJSON,
+// honouring an optional ?n= limit — keep the n most recent entries.
+// Shared by /debug/spans and the manager's /debug/tasks.
 func ServeTail[T any](w http.ResponseWriter, r *http.Request, snapshot []T) {
 	if s := r.URL.Query().Get("n"); s != "" {
 		n, err := strconv.Atoi(s)
@@ -66,13 +65,18 @@ func ServeTail[T any](w http.ResponseWriter, r *http.Request, snapshot []T) {
 			snapshot = snapshot[len(snapshot)-n:]
 		}
 	}
-	// Encode into memory first: once body bytes are on the wire the
-	// status line is fixed, and a mid-stream encode error would leave the
-	// client with garbage under a 200.
+	WriteJSON(w, snapshot)
+}
+
+// WriteJSON writes v as indented JSON, the form of every debug endpoint.
+// It encodes into memory first: once body bytes are on the wire the status
+// line is fixed, and a mid-stream encode error would leave the client with
+// garbage under a 200 instead of an error status.
+func WriteJSON(w http.ResponseWriter, v any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(snapshot); err != nil {
+	if err := enc.Encode(v); err != nil {
 		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}

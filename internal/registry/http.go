@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"blastfunction/internal/obs"
 )
 
 // apiDevice is the JSON view of a device record plus live metrics.
@@ -42,7 +44,7 @@ func (r *Registry) Handler() http.Handler {
 				}
 				out = append(out, ad)
 			}
-			writeJSON(w, out)
+			obs.WriteJSON(w, out)
 		case http.MethodPost:
 			var d Device
 			if err := json.NewDecoder(req.Body).Decode(&d); err != nil {
@@ -61,7 +63,7 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("/functions", func(w http.ResponseWriter, req *http.Request) {
 		switch req.Method {
 		case http.MethodGet:
-			writeJSON(w, r.Functions())
+			obs.WriteJSON(w, r.Functions())
 		case http.MethodPost:
 			var f Function
 			if err := json.NewDecoder(req.Body).Decode(&f); err != nil {
@@ -78,11 +80,4 @@ func (r *Registry) Handler() http.Handler {
 		}
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
