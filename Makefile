@@ -1,7 +1,7 @@
 # BlastFunction reproduction build targets.
 GO ?= go
 
-.PHONY: all build test test-benchmark fuzz-smoke vet race bench bench-dataplane bench-scale bench-reconfig bench-obs trace-overhead log-overhead check experiments examples sched-ablation clean
+.PHONY: all build test test-benchmark fuzz-smoke vet race allocs bench bench-dataplane bench-scale bench-reconfig bench-obs trace-overhead log-overhead check experiments examples sched-ablation clean
 
 all: build test
 
@@ -33,6 +33,12 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Every allocation-budget test, by name. Most are built !race (sync.Pool
+# drops Puts at random under the race detector), so `make race` never
+# runs them; this is the one command that shows them all.
+allocs:
+	$(GO) test -count=1 -run 'Allocat' -v ./...
 
 # Run the scheduling fairness experiment: the two-tenant skew workload on
 # the real Device Manager under fifo vs drr, checked against the

@@ -460,6 +460,9 @@ func (m *Manager) expireSession(s *session) {
 				"client", s.clientName, "ops", len(t.ops), "trace", obs.TraceID(t.trace))
 		}
 		t.sess.tm.depth.Add(-1)
+		// The availability SLI counts a task killed in the queue, as the
+		// worker does one it finds expired at pop.
+		t.sess.tm.failures.Inc()
 		for i := range t.ops {
 			t.sess.sendFail(t.conn, t.ops[i].tag, err) // best effort
 		}
@@ -530,6 +533,7 @@ func (m *Manager) worker() {
 		tm.latHist.ObserveExemplar(residency.Seconds(), traceID)
 		m.flight.CompleteWith(t.flight, t.sess.clientName, t.flightEvs, residency, failed, t.failCause)
 		scratch, t.flightEvs = t.flightEvs, nil
+		t.sess.recycle(t)
 		m.syncBoardCounters()
 	}
 }

@@ -44,6 +44,10 @@ type session struct {
 	// session-scoped milestones happen outside any traced task). Set once
 	// at Hello, before the connection serves requests.
 	flight obs.TraceID
+	// kernelReq is EnqueueKernel's decode scratch, so its NDRange arrays
+	// are reused. Only the connection's goroutine touches it: requests on
+	// a connection are dispatched one at a time.
+	kernelReq wire.EnqueueKernelRequest
 
 	mu       sync.Mutex
 	nextID   uint64
@@ -62,6 +66,9 @@ type queueState struct {
 	// accepted holds the tags whose Accepted acknowledgement is deferred
 	// to flush time, where they leave as one batch frame.
 	accepted []uint64
+	// spare is an executed task the worker handed back; the next flush
+	// reuses it, and its op array becomes the next cur.
+	spare *task
 }
 
 type bufferInfo struct {
@@ -144,6 +151,17 @@ func (s *session) expire(m *Manager) {
 		s.sendFail(s.conn, tag, ocl.Errf(ocl.ErrDeviceNotAvailable, "session lease expired"))
 	}
 	s.release(m)
+}
+
+// recycle hands an executed task back to its queue as the spare the next
+// flush reuses. The worker calls it last: nothing reads the task after.
+// Tasks failed in the queue (lease expiry) or at submit never come here.
+func (s *session) recycle(t *task) {
+	s.mu.Lock()
+	if t.q.spare == nil {
+		t.q.spare = t
+	}
+	s.mu.Unlock()
 }
 
 func encodeID(id uint64) []byte {

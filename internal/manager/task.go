@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -79,7 +80,10 @@ type task struct {
 	item sched.Item
 	sess *session
 	conn *rpc.Conn
-	ops  []op
+	// q is the command queue the task was flushed from; the worker hands
+	// the executed task back to it (recycle).
+	q   *queueState
+	ops []op
 	// deadline is the client's soft completion hint (zero when unhinted);
 	// only the deadline discipline orders by it.
 	deadline time.Time
@@ -188,7 +192,7 @@ func (s *session) enqueueWrite(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte
 		s.sendFail(c, req.Tag, ocl.Errf(ocl.ErrInvalidValue, "data path %d", req.Via))
 		return nil, nil
 	}
-	s.appendOp(q, o)
+	s.appendOp(q, &o)
 	return nil, nil
 }
 
@@ -212,7 +216,7 @@ func (s *session) enqueueRead(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 		s.sendFail(c, req.Tag, ocl.Errf(ocl.ErrInvalidOperation, "no shared-memory segment negotiated"))
 		return nil, nil
 	}
-	s.appendOp(q, op{
+	s.appendOp(q, &op{
 		kind:     opRead,
 		tag:      req.Tag,
 		boardBuf: buf.boardID,
@@ -227,7 +231,7 @@ func (s *session) enqueueRead(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 }
 
 func (s *session) enqueueKernel(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error) {
-	var req wire.EnqueueKernelRequest
+	req := &s.kernelReq
 	req.Decode(d)
 	if err := d.Err(); err != nil {
 		return nil, ocl.Errf(ocl.ErrInvalidValue, "malformed EnqueueKernel: %v", err)
@@ -253,30 +257,19 @@ func (s *session) enqueueKernel(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byt
 			return nil, nil
 		}
 	}
-	args := append([]ocl.Arg(nil), k.args...)
-	name := k.name
-	s.mu.Unlock()
-
-	toInts := func(v []int64) []int {
-		if v == nil {
-			return nil
-		}
-		out := make([]int, len(v))
-		for i, x := range v {
-			out[i] = int(x)
-		}
-		return out
-	}
-	s.appendOp(q, op{
+	// The launch snapshots the arguments and the NDRange into its slot's
+	// own arrays, which the slot keeps from the launch that last used it.
+	o := q.push(&op{
 		kind:       opKernel,
 		tag:        req.Tag,
-		kernelName: name,
-		args:       args,
-		global:     toInts(req.Global),
-		local:      toInts(req.Local),
+		kernelName: k.name,
 		trace:      req.TraceID,
 		span:       req.SpanID,
 	})
+	o.args = append(o.args, k.args...)
+	o.global = append(o.global, req.Global...)
+	o.local = append(o.local, req.Local...)
+	s.mu.Unlock()
 	return nil, nil
 }
 
@@ -317,7 +310,7 @@ func (s *session) enqueueCopy(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 			req.SrcOffset, req.DstOffset, req.Length, src.size, dst.size))
 		return nil, nil
 	}
-	s.appendOp(q, op{
+	s.appendOp(q, &op{
 		kind:     opCopy,
 		tag:      req.Tag,
 		boardBuf: src.boardID,
@@ -335,11 +328,25 @@ func (s *session) enqueueCopy(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 // acknowledgement (the FIRST step of the client's event state machine) is
 // deferred: all of a task's Accepted notifications leave as one batch frame
 // at flush time.
-func (s *session) appendOp(q *queueState, o op) {
+func (s *session) appendOp(q *queueState, o *op) {
 	s.mu.Lock()
-	q.cur = append(q.cur, o)
-	q.accepted = append(q.accepted, o.tag)
+	q.push(o)
 	s.mu.Unlock()
+}
+
+// push copies o into the next slot of the current task, with s.mu held,
+// and returns the slot. A slot is reused across tasks: it keeps the args,
+// global and local arrays of the launch that last used it, emptied, for
+// the caller to append into. Its frame was released when that operation
+// ran or was dropped, so a slot never keeps a pooled frame.
+func (q *queueState) push(o *op) *op {
+	q.cur = slices.Grow(q.cur, 1)[:len(q.cur)+1]
+	slot := &q.cur[len(q.cur)-1]
+	args, global, local := slot.args[:0], slot.global[:0], slot.local[:0]
+	*slot = *o
+	slot.args, slot.global, slot.local = args, global, local
+	q.accepted = append(q.accepted, o.tag)
+	return slot
 }
 
 // flush seals the queue's current task and submits it to the central FIFO
@@ -356,7 +363,18 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 	}
 	s.mu.Lock()
 	ops := q.cur
-	q.cur = make([]op, 0, len(ops)) // the next task is likely this one's size
+	var t *task
+	if len(ops) > 0 {
+		// The task the worker handed back carries these ops, and its old
+		// op array collects the next task's. Without one, the next task is
+		// likely this one's size.
+		t, q.spare = q.spare, nil
+		if t != nil {
+			q.cur = t.ops[:0]
+		} else {
+			t, q.cur = new(task), make([]op, 0, len(ops))
+		}
+	}
 	// Only this goroutine, the connection's, appends to q.accepted, so the
 	// tags can be encoded below while the backing array is kept.
 	accepted := q.accepted
@@ -381,8 +399,9 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 	if req.DeadlineMillis > 0 {
 		deadline = time.Now().Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
 	}
-	if err := m.submit(&task{sess: s, conn: c, ops: ops, deadline: deadline,
-		trace: req.TraceID, span: req.SpanID}); err != nil {
+	*t = task{sess: s, conn: c, q: q, ops: ops, deadline: deadline,
+		trace: req.TraceID, span: req.SpanID}
+	if err := m.submit(t); err != nil {
 		for _, o := range ops {
 			s.sendFail(c, o.tag, err)
 		}

@@ -16,7 +16,10 @@ import (
 // Complete, or any state -> error); SetStatus enforces this so a late
 // network response cannot move a completed event backwards.
 type BaseEvent struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// done is the completion channel, made by the first Wait on an event
+	// that has not terminated yet: most events end before anyone blocks on
+	// them, and those never pay for one.
 	done    chan struct{}
 	cmdType CommandType
 	status  ExecStatus
@@ -44,7 +47,6 @@ func NewEvent(cmd CommandType) *BaseEvent {
 // Init puts a zero BaseEvent in the Queued state, for runtimes that embed
 // one by value in their own event type. Call it once, before first use.
 func (e *BaseEvent) Init(cmd CommandType) {
-	e.done = make(chan struct{})
 	e.cmdType = cmd
 	e.status = Queued
 }
@@ -68,16 +70,24 @@ func (e *BaseEvent) Err() error {
 
 // Wait implements Event.
 func (e *BaseEvent) Wait() error {
-	<-e.done
+	e.mu.Lock()
+	if e.status.Done() {
+		err := e.err
+		e.mu.Unlock()
+		return err
+	}
+	if e.done == nil {
+		e.done = make(chan struct{})
+	}
+	done := e.done
+	e.mu.Unlock()
+	<-done
 	return e.Err()
 }
 
-// Done exposes the completion channel for select-based waiting.
-func (e *BaseEvent) Done() <-chan struct{} { return e.done }
-
 // SetStatus advances the event to the given status. Regressions (including
 // repeating the current status) are ignored, preserving monotonicity.
-// Reaching Complete closes the completion channel and fires callbacks.
+// Reaching Complete wakes the waiters and fires callbacks.
 func (e *BaseEvent) SetStatus(s ExecStatus) {
 	e.transition(s, nil)
 }
@@ -138,7 +148,7 @@ func (e *BaseEvent) transition(s ExecStatus, err error) {
 	e.callbacks = rest
 	terminal := e.status.Done()
 	status, cbErr := e.status, e.err
-	if terminal {
+	if terminal && e.done != nil {
 		close(e.done)
 	}
 	e.mu.Unlock()

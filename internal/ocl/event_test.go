@@ -160,12 +160,65 @@ func TestEventOnStatusFiresOnFailure(t *testing.T) {
 func TestWaitForEvents(t *testing.T) {
 	a := CompletedEvent(CommandMarker)
 	b := NewEvent(CommandTask)
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		b.Complete()
-	}()
-	if err := WaitForEvents(a, b); err != nil {
+	done := make(chan error, 1)
+	go func() { done <- WaitForEvents(a, b) }()
+	select {
+	case err := <-done:
+		t.Fatalf("WaitForEvents returned %v before its last event completed", err)
+	default:
+	}
+	b.Complete()
+	if err := <-done; err != nil {
 		t.Fatalf("WaitForEvents = %v", err)
+	}
+}
+
+// The completion channel is made by the first waiter of a live event:
+// waiters and callback registrations racing the terminal transition must
+// all see it, whichever side gets the event lock first.
+func TestEventWaitersRaceTermination(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		for round := 0; round < 50; round++ {
+			e := NewEvent(CommandTask)
+			const n = 8
+			start := make(chan struct{})
+			errs := make(chan error, n)
+			fired := make(chan ExecStatus, n)
+			for i := 0; i < n; i++ {
+				go func() {
+					<-start
+					errs <- e.Wait()
+				}()
+				go func() {
+					<-start
+					e.OnStatus(Complete, func(s ExecStatus, _ error) { fired <- s })
+				}()
+			}
+			go func() {
+				<-start
+				if fail {
+					e.Fail(ErrOutOfResources)
+				} else {
+					e.Complete()
+				}
+			}()
+			close(start)
+			timeout := time.After(5 * time.Second)
+			for i := 0; i < 2*n; i++ {
+				select {
+				case err := <-errs:
+					if fail && StatusOf(err) != ErrOutOfResources || !fail && err != nil {
+						t.Fatalf("fail=%v: Wait returned %v", fail, err)
+					}
+				case s := <-fired:
+					if !s.Done() {
+						t.Fatalf("callback fired at %v", s)
+					}
+				case <-timeout:
+					t.Fatalf("fail=%v round %d: %d of %d waiters and callbacks returned", fail, round, i, 2*n)
+				}
+			}
+		}
 	}
 }
 

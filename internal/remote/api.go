@@ -355,6 +355,17 @@ func (q *commandQueue) beginOp(ev *remoteEvent) (trace obs.TraceID, span, parent
 	return trace, tr.NewSpan(), parent, time.Now()
 }
 
+// reuseFlightEvs takes back a finished task's milestone array, which the
+// recorder copied out, for the next task to append into. A task that
+// already began one keeps its own.
+func (q *commandQueue) reuseFlightEvs(evs []flightrec.Event) {
+	q.mu.Lock()
+	if q.flightEvs == nil {
+		q.flightEvs = evs[:0]
+	}
+	q.mu.Unlock()
+}
+
 // DeadlineHinter is the optional command-queue extension for attaching a
 // soft completion deadline to flushed tasks. Managers running the
 // deadline discipline order tasks by the hint (earliest first); other
@@ -628,16 +639,6 @@ func (q *commandQueue) EnqueueNDRangeKernel(k ocl.Kernel, global, local []int, w
 	if err := q.waitDependencies(waitList); err != nil {
 		return nil, err
 	}
-	toI64 := func(v []int) []int64 {
-		if v == nil {
-			return nil
-		}
-		out := make([]int64, len(v))
-		for i, x := range v {
-			out[i] = int64(x)
-		}
-		return out
-	}
 	mc := q.ctx.mc
 	tag := mc.newTag()
 	ev := mc.register(ocl.CommandNDRangeKernel, tag)
@@ -645,8 +646,8 @@ func (q *commandQueue) EnqueueNDRangeKernel(k ocl.Kernel, global, local []int, w
 		Tag:    tag,
 		Queue:  q.id,
 		Kernel: rk.id,
-		Global: toI64(global),
-		Local:  toI64(local),
+		Global: global,
+		Local:  local,
 	}
 	trace, span, parent, issued := q.beginOp(ev)
 	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
@@ -740,6 +741,9 @@ func (q *commandQueue) Flush() error {
 		q.flightEvs = nil
 		last.taskEnd.Store(true)
 	}
+	// The flushed events are the completion path's from here on: keep the
+	// array, not them (nor, through dst, the caller's read buffers).
+	clear(q.unflushed)
 	q.unflushed = q.unflushed[:0]
 	deadline := q.deadline
 	trace, taskSpan, taskStart := q.trace, q.taskSpan, q.taskStart
@@ -795,6 +799,7 @@ func (q *commandQueue) Finish() error {
 				kept = append(kept, ev)
 			}
 		}
+		clear(q.events[len(kept):]) // the dead tail would keep events and their dst alive
 		q.events = kept
 	}
 	q.mu.Unlock()

@@ -407,6 +407,8 @@ func (ev *remoteEvent) machine(mc *managerConn, n *wire.OpNotification) {
 			// application goroutine batched on the queue land in the same
 			// recorder call.
 			mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName, ev.flightEvs, time.Since(ev.taskStart), false, "")
+			ev.queue.reuseFlightEvs(ev.flightEvs)
+			ev.flightEvs = nil
 		}
 		ev.Complete()
 	case wire.OpFailed:

@@ -258,3 +258,26 @@ func TestConcurrentFinish(t *testing.T) {
 		t.Fatalf("after the last Finish: %d events kept, %d Finishes walking", len(q.events), q.finishing)
 	}
 }
+
+// Finish's prune and Flush's reset keep their arrays but not the events in
+// them: a completed event left in a dead tail would keep its read buffer
+// reachable until a later task overwrote the slot.
+func TestFinishLeavesNoEventInDeadTails(t *testing.T) {
+	r := newRig(t)
+	c, _ := dialCounted(t, r, TransportShm)
+	lt := newLoopbackTask(t, c, 64)
+	lt.enqueue(t, make([]byte, 64), make([]byte, 64))
+	if err := lt.q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	q := lt.q.(*commandQueue)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for name, evs := range map[string][]*remoteEvent{"events": q.events, "unflushed": q.unflushed} {
+		for i, ev := range evs[:cap(evs)] {
+			if ev != nil {
+				t.Errorf("%s[%d] of %d still holds a %v event", name, i, len(evs), ev.CommandType())
+			}
+		}
+	}
+}

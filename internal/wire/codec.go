@@ -104,11 +104,11 @@ func (e *Encoder) String(v string) {
 	e.buf = append(e.buf, v...)
 }
 
-// I64Slice appends a count-prefixed slice of int64.
-func (e *Encoder) I64Slice(v []int64) {
+// Ints appends a count-prefixed slice of ints, each as an int64.
+func (e *Encoder) Ints(v []int) {
 	e.U32(uint32(len(v)))
 	for _, x := range v {
-		e.I64(x)
+		e.I64(int64(x))
 	}
 }
 
@@ -225,21 +225,21 @@ func (d *Decoder) Bytes32() []byte {
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.Bytes32()) }
 
-// I64Slice reads a count-prefixed slice of int64.
-func (d *Decoder) I64Slice() []int64 {
+// AppendInts reads a count-prefixed slice of int64 and appends it to dst
+// as ints. A caller that keeps dst decodes without allocating.
+func (d *Decoder) AppendInts(dst []int) []int {
 	n := d.U32()
 	if d.err != nil {
-		return nil
+		return dst
 	}
 	if uint64(n)*8 > uint64(d.Remaining()) {
 		d.err = fmt.Errorf("%w: slice of %d int64", ErrTruncated, n)
-		return nil
+		return dst
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.I64()
+	for ; n > 0; n-- {
+		dst = append(dst, int(d.I64()))
 	}
-	return out
+	return dst
 }
 
 // StringSlice reads a count-prefixed slice of strings.

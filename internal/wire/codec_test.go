@@ -20,7 +20,7 @@ func TestEncodeDecodePrimitives(t *testing.T) {
 	e.F64(3.14159)
 	e.Bytes32([]byte("payload"))
 	e.String("hello")
-	e.I64Slice([]int64{1, -2, 3})
+	e.Ints([]int{1, -2, 3})
 	e.StringSlice([]string{"a", "bb"})
 
 	d := NewDecoder(e.Bytes())
@@ -42,9 +42,9 @@ func TestEncodeDecodePrimitives(t *testing.T) {
 	if d.String() != "hello" {
 		t.Fatal("string mismatch")
 	}
-	s := d.I64Slice()
-	if len(s) != 3 || s[0] != 1 || s[1] != -2 || s[2] != 3 {
-		t.Fatalf("i64 slice = %v", s)
+	s := d.AppendInts([]int{9})
+	if len(s) != 4 || s[0] != 9 || s[1] != 1 || s[2] != -2 || s[3] != 3 {
+		t.Fatalf("appended ints = %v", s)
 	}
 	ss := d.StringSlice()
 	if len(ss) != 2 || ss[0] != "a" || ss[1] != "bb" {
@@ -89,9 +89,8 @@ func TestDecoderRejectsLyingSliceCounts(t *testing.T) {
 	e := NewEncoder(8)
 	e.U32(1 << 30) // claims a billion elements with no data
 	d := NewDecoder(e.Bytes())
-	d.I64Slice()
-	if !errors.Is(d.Err(), ErrTruncated) {
-		t.Fatalf("i64 slice err = %v", d.Err())
+	if got := d.AppendInts(nil); !errors.Is(d.Err(), ErrTruncated) || got != nil {
+		t.Fatalf("int slice err = %v, appended %d", d.Err(), len(got))
 	}
 	d2 := NewDecoder(e.Bytes())
 	d2.StringSlice()
@@ -128,10 +127,10 @@ func TestEmptyFields(t *testing.T) {
 	e := NewEncoder(8)
 	e.Bytes32(nil)
 	e.String("")
-	e.I64Slice(nil)
+	e.Ints(nil)
 	e.StringSlice(nil)
 	d := NewDecoder(e.Bytes())
-	if len(d.Bytes32()) != 0 || d.String() != "" || len(d.I64Slice()) != 0 || len(d.StringSlice()) != 0 {
+	if len(d.Bytes32()) != 0 || d.String() != "" || len(d.AppendInts(nil)) != 0 || len(d.StringSlice()) != 0 {
 		t.Fatal("empty fields must round-trip empty")
 	}
 	if d.Err() != nil {

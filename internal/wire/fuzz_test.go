@@ -39,7 +39,7 @@ func fuzzSeeds() []codec {
 		&SetupShmRequest{Path: "/dev/shm/bf-1", Size: 1 << 20},
 		&EnqueueWriteRequest{Tag: 2, Queue: 3, Buffer: 4, Via: ViaInline, Data: []byte("inline"), TraceID: 5, SpanID: 6},
 		&EnqueueReadRequest{Tag: 2, Queue: 3, Buffer: 4, Length: 64, Via: ViaShm, ShmOff: 128},
-		&EnqueueKernelRequest{Tag: 7, Queue: 8, Kernel: 9, Global: []int64{100, 200}, Local: []int64{10}},
+		&EnqueueKernelRequest{Tag: 7, Queue: 8, Kernel: 9, Global: []int{100, 200}, Local: []int{10}},
 		&EnqueueCopyRequest{Tag: 1, Queue: 2, SrcBuffer: 3, DstBuffer: 4, Length: 5},
 		&FlushRequest{Queue: 3, DeadlineMillis: 20, TraceID: 1, SpanID: 2},
 		&note,
@@ -67,7 +67,7 @@ func TestDecodersNeverPanicOnTruncatedValidMessages(t *testing.T) {
 	e := NewEncoder(256)
 	(&EnqueueKernelRequest{
 		Tag: 7, Queue: 8, Kernel: 9,
-		Global: []int64{100, 200}, Local: []int64{10},
+		Global: []int{100, 200}, Local: []int{10},
 	}).Encode(e)
 	full := e.Bytes()
 	for cut := 0; cut <= len(full); cut++ {

@@ -540,13 +540,14 @@ func (m *EnqueueReadRequest) Decode(d *Decoder) {
 	m.TraceID, m.SpanID = decodeTraceTail(d)
 }
 
-// EnqueueKernelRequest launches a kernel.
+// EnqueueKernelRequest launches a kernel. The NDRange travels as
+// count-prefixed int64s.
 type EnqueueKernelRequest struct {
 	Tag    uint64
 	Queue  uint64
 	Kernel uint64
-	Global []int64
-	Local  []int64
+	Global []int
+	Local  []int
 	// TraceID/SpanID: trailing trace identity, as on EnqueueWriteRequest.
 	TraceID uint64
 	SpanID  uint64
@@ -557,18 +558,19 @@ func (m *EnqueueKernelRequest) Encode(e *Encoder) {
 	e.U64(m.Tag)
 	e.U64(m.Queue)
 	e.U64(m.Kernel)
-	e.I64Slice(m.Global)
-	e.I64Slice(m.Local)
+	e.Ints(m.Global)
+	e.Ints(m.Local)
 	encodeTraceTail(e, m.TraceID, m.SpanID)
 }
 
-// Decode deserializes the message.
+// Decode deserializes the message. The NDRange is appended to the
+// emptied Global and Local the caller set, so preset arrays are reused.
 func (m *EnqueueKernelRequest) Decode(d *Decoder) {
 	m.Tag = d.U64()
 	m.Queue = d.U64()
 	m.Kernel = d.U64()
-	m.Global = d.I64Slice()
-	m.Local = d.I64Slice()
+	m.Global = d.AppendInts(m.Global[:0])
+	m.Local = d.AppendInts(m.Local[:0])
 	m.TraceID, m.SpanID = decodeTraceTail(d)
 }
 

@@ -64,7 +64,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		{&EnqueueReadRequest{Tag: 13, Queue: 1, Buffer: 2, Offset: 8, Length: 100,
 			Via: ViaShm, ShmOff: 8192}, &EnqueueReadRequest{}},
 		{&EnqueueKernelRequest{Tag: 14, Queue: 1, Kernel: 3,
-			Global: []int64{1024, 8}, Local: []int64{16}}, &EnqueueKernelRequest{}},
+			Global: []int{1024, 8}, Local: []int{16}}, &EnqueueKernelRequest{}},
 		{&EnqueueWriteRequest{Tag: 16, Queue: 1, Buffer: 2, Offset: 64,
 			Via: ViaInline, Data: []byte("abcdef"), TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueWriteRequest{}},
 		{&EnqueueWriteRequest{Tag: 17, Queue: 1, Buffer: 2,
@@ -72,7 +72,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		{&EnqueueReadRequest{Tag: 18, Queue: 1, Buffer: 2, Offset: 8, Length: 100,
 			Via: ViaShm, ShmOff: 8192, TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueReadRequest{}},
 		{&EnqueueKernelRequest{Tag: 19, Queue: 1, Kernel: 3,
-			Global: []int64{1024, 8}, Local: []int64{16}, TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueKernelRequest{}},
+			Global: []int{1024, 8}, Local: []int{16}, TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueKernelRequest{}},
 		{&FlushRequest{Queue: 1}, &FlushRequest{}},
 		{&FlushRequest{Queue: 2, DeadlineMillis: 250}, &FlushRequest{}},
 		{&FlushRequest{Queue: 3, TraceID: 0xdead, SpanID: 0xbeef}, &FlushRequest{}},
@@ -175,11 +175,14 @@ func TestTraceFieldsTrailing(t *testing.T) {
 	old.U64(14)
 	old.U64(1)
 	old.U64(3)
-	old.I64Slice([]int64{1024, 8})
-	old.I64Slice([]int64{16})
+	old.U32(2) // global: count-prefixed int64s
+	old.I64(1024)
+	old.I64(8)
+	old.U32(1) // local
+	old.I64(16)
 	now = NewEncoder(64)
 	(&EnqueueKernelRequest{Tag: 14, Queue: 1, Kernel: 3,
-		Global: []int64{1024, 8}, Local: []int64{16}}).Encode(now)
+		Global: []int{1024, 8}, Local: []int{16}}).Encode(now)
 	if !bytes.Equal(old.Bytes(), now.Bytes()) {
 		t.Fatalf("untraced EnqueueKernel changed on the wire:\nold %x\nnew %x", old.Bytes(), now.Bytes())
 	}
