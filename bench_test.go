@@ -26,6 +26,7 @@ import (
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/registry"
 	"blastfunction/internal/remote"
+	"blastfunction/internal/sched"
 	"blastfunction/internal/shm"
 	"blastfunction/internal/sim"
 	"blastfunction/internal/simcluster"
@@ -432,9 +433,12 @@ func BenchmarkAllocationAlgorithm(b *testing.B) {
 func BenchmarkDESEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
-		s := e.NewServer()
+		s, err := e.NewServer(sched.FIFO)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for j := 0; j < 1000; j++ {
-			s.Enqueue(time.Millisecond, nil)
+			s.Enqueue("t", 1, time.Millisecond, nil)
 		}
 		e.Run(time.Hour)
 	}
@@ -541,24 +545,18 @@ func BenchmarkAblationAllocation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScheduling compares the paper's FIFO central queue with
-// per-client round-robin service under high Sobel load.
+// BenchmarkAblationScheduling runs high Sobel load under every
+// central-queue discipline the manager ships.
 func BenchmarkAblationScheduling(b *testing.B) {
-	for _, d := range []struct {
-		name string
-		disc simcluster.Discipline
-	}{
-		{"fifo", simcluster.FIFO},
-		{"round-robin", simcluster.RoundRobin},
-	} {
-		b.Run(d.name, func(b *testing.B) {
+	for _, d := range sched.Disciplines {
+		b.Run(string(d), func(b *testing.B) {
 			var res *simcluster.Result
 			for i := 0; i < b.N; i++ {
 				exp, err := simcluster.BlastFunctionExperiment(simcluster.UseSobel, simcluster.HighLoad)
 				if err != nil {
 					b.Fatal(err)
 				}
-				exp.Scheduling = d.disc
+				exp.Scheduling = d
 				res, err = simcluster.Run(exp)
 				if err != nil {
 					b.Fatal(err)

@@ -36,7 +36,7 @@ func main() {
 		timescale    = flag.Float64("timescale", 0.01, "wall seconds per modelled second (0 disables sleeping)")
 		register     = flag.String("register", "", "registry base URL for self-registration (optional)")
 		lease        = flag.Duration("lease", 30*time.Second, "session lease duration; silent clients are reclaimed after this (0 disables)")
-		schedFlag    = flag.String("sched", "fifo", "central-queue discipline: fifo, drr or deadline")
+		schedFlag    = flag.String("sched", "fifo", fmt.Sprintf("central-queue discipline, one of %v", sched.Disciplines))
 		weights      = flag.String("weights", "", "per-tenant drr weights as name=w,name=w (overrides Hello-declared weights)")
 		guard        = flag.Duration("starvation-guard", 0, "drr starvation guard: max queue wait before a tenant is served out of turn (0 = default 2s, negative disables)")
 		traceRing    = flag.Int("trace-ring", 0, "distributed-tracing span ring size served at /debug/spans (0 = default 4096)")

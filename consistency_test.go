@@ -8,6 +8,7 @@ package blastfunction
 // to agree.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
 	"blastfunction/internal/rpc"
+	"blastfunction/internal/sched"
 	"blastfunction/internal/sim"
 )
 
@@ -140,16 +142,20 @@ func runLive(t *testing.T) float64 {
 func runDES(t *testing.T) float64 {
 	t.Helper()
 	engine := sim.NewEngine()
-	server := engine.NewServer()
+	server, err := engine.NewServer(sched.FIFO)
+	if err != nil {
+		t.Fatal(err)
+	}
 	interval := time.Duration(float64(time.Second) / consistencyRate)
 	for tenant := 0; tenant < consistencyTenants; tenant++ {
+		name := fmt.Sprintf("tenant-%d", tenant)
 		var issue func()
 		next := time.Duration(tenant) * time.Millisecond // phase offset
 		issue = func() {
 			if engine.Now() >= consistencyRun {
 				return
 			}
-			server.Enqueue(tickKernelTime, func(wait, service time.Duration) {
+			server.Enqueue(name, 1, tickKernelTime, func(wait, service time.Duration) {
 				next += interval
 				if next < engine.Now() {
 					next = engine.Now()

@@ -246,14 +246,11 @@ func New(cfg Config, board *fpga.Board) *Manager {
 	if err != nil {
 		disc = sched.FIFO
 	}
-	q, err := sched.New(disc, sched.Config{
+	q, _ := sched.New(disc, sched.Config{ // disc is a known discipline
 		Capacity:        cfg.QueueCapacity,
 		Weights:         cfg.TenantWeights,
 		StarvationGuard: cfg.StarvationGuard,
 	})
-	if err != nil { // unreachable: disc is one of the known values
-		q, _ = sched.New(sched.FIFO, sched.Config{Capacity: cfg.QueueCapacity})
-	}
 	reg := metrics.NewRegistry()
 	lbl := metrics.Labels{"device": cfg.DeviceID, "node": cfg.Node}
 	m := &Manager{

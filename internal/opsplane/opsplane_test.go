@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -35,14 +36,15 @@ func startRun(t *testing.T, p *Process) (base string, done <-chan struct{}, stop
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	stopped := false
+	// A test may call stop from its own goroutine before the cleanup
+	// calls it again; the Once keeps the signal single and race-free.
+	var kill sync.Once
 	stop = func() {
-		if !stopped {
-			stopped = true
+		kill.Do(func() {
 			if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 				t.Fatal(err)
 			}
-		}
+		})
 		select {
 		case <-ran:
 		case <-time.After(ShutdownGrace + 5*time.Second):

@@ -22,6 +22,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,16 +43,19 @@ const (
 	Deadline Discipline = "deadline"
 )
 
+// Disciplines lists every name New accepts besides the empty one.
+var Disciplines = []Discipline{FIFO, DRR, Deadline}
+
 // ParseDiscipline validates a discipline name; the empty string selects
 // FIFO, the paper's default.
 func ParseDiscipline(s string) (Discipline, error) {
-	switch Discipline(s) {
-	case "":
+	if s == "" {
 		return FIFO, nil
-	case FIFO, DRR, Deadline:
+	}
+	if slices.Contains(Disciplines, Discipline(s)) {
 		return Discipline(s), nil
 	}
-	return "", fmt.Errorf("sched: unknown discipline %q (want %s, %s or %s)", s, FIFO, DRR, Deadline)
+	return "", fmt.Errorf("sched: unknown discipline %q (want one of %v)", s, Disciplines)
 }
 
 // ParseWeights parses a drr weight table, "tenant=w,tenant=w" with

@@ -41,6 +41,11 @@ func TestParseDiscipline(t *testing.T) {
 	if _, err := ParseDiscipline("lottery"); err == nil {
 		t.Error("unknown discipline accepted")
 	}
+	for _, d := range Disciplines {
+		if _, err := New(d, Config{}); err != nil {
+			t.Errorf("New(%q): %v", d, err)
+		}
+	}
 }
 
 // weightCases is the -weights grammar: a nil want marks a rejected table.

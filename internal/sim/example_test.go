@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"blastfunction/internal/sched"
 	"blastfunction/internal/sim"
 )
 
@@ -11,8 +12,12 @@ import (
 // fixed intervals with 10ms service, reporting the utilization.
 func ExampleEngine() {
 	engine := sim.NewEngine()
-	board := engine.NewServer()
+	board, err := engine.NewServer(sched.FIFO)
+	if err != nil {
+		panic(err)
+	}
 	for tenant := 0; tenant < 2; tenant++ {
+		name := fmt.Sprintf("tenant-%d", tenant)
 		offset := time.Duration(tenant) * 5 * time.Millisecond
 		var issue func()
 		next := offset
@@ -20,7 +25,7 @@ func ExampleEngine() {
 			if engine.Now() >= time.Second {
 				return
 			}
-			board.Enqueue(10*time.Millisecond, func(wait, service time.Duration) {
+			board.Enqueue(name, 1, 10*time.Millisecond, func(wait, service time.Duration) {
 				next += 50 * time.Millisecond
 				engine.At(next, issue)
 			})

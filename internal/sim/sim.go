@@ -4,18 +4,24 @@
 // functions and hours of HTTP load against real boards. This reproduction
 // regenerates them deterministically in milliseconds by simulating the
 // same queueing structure in virtual time: closed-loop request generators,
-// per-board FIFO servers (the Device Manager's central task queue plus the
+// per-board servers (the Device Manager's central task queue plus the
 // exclusive device), and the calibrated cost models for service times.
 //
 // The kernel is callback-based: events are (time, func) pairs in a binary
-// heap; a Server models a capacity-1 resource with FIFO admission. Events
-// scheduled at equal times fire in schedule order, which makes runs fully
+// heap. A Server is a capacity-1 resource admitting jobs through the
+// manager's own sched queue, so the simulator runs the fifo, drr and
+// deadline disciplines rather than modelling them. Events scheduled at
+// equal times fire in schedule order, which makes runs fully
 // deterministic.
 package sim
 
 import (
 	"container/heap"
+	"context"
+	"math"
 	"time"
+
+	"blastfunction/internal/sched"
 )
 
 // event is one scheduled callback.
@@ -87,8 +93,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run processes events until the queue drains or the clock passes until.
-// The clock is left at min(until, last event time).
+// Run processes events up to and including time until, then leaves the
+// clock at until, whether the events drained earlier or some remain
+// scheduled past it.
 func (e *Engine) Run(until time.Duration) {
 	for len(e.events) > 0 && e.events[0].at <= until {
 		e.Step()
@@ -101,52 +108,66 @@ func (e *Engine) Run(until time.Duration) {
 // Pending returns the number of scheduled events (diagnostics).
 func (e *Engine) Pending() int { return len(e.events) }
 
-// Server is a capacity-1 FIFO resource: the combination of a Device
-// Manager's central task queue and its exclusive board.
+// epoch is virtual time zero on the wall-clock time line.
+var epoch = time.Unix(0, 0)
+
+// Clock returns the virtual time as a time.Time, for code that takes a
+// wall clock (the sched queue, flash.Service).
+func (e *Engine) Clock() time.Time { return epoch.Add(e.now) }
+
+// Server is a capacity-1 resource: a Device Manager's central task queue,
+// a real sched.Queue, in front of its exclusive board.
 type Server struct {
 	engine *Engine
+	queue  sched.Queue
 	busy   bool
-	queue  []*job
 
-	busyTime  time.Duration
-	served    uint64
-	maxQueue  int
-	waitTotal time.Duration
+	busyTime time.Duration
+	served   uint64
 }
 
+// job is a queued item and, as its payload, the service it asks for; one
+// allocation holds both.
 type job struct {
-	service  time.Duration
-	enqueued time.Duration
-	done     func(wait, service time.Duration)
+	item    sched.Item
+	service time.Duration
+	done    func(wait, service time.Duration)
 }
 
-// NewServer creates a server on the engine.
-func (e *Engine) NewServer() *Server { return &Server{engine: e} }
-
-// Enqueue admits a job with the given service demand. When the job
-// completes, done receives the time it waited in queue and its service
-// time. FIFO order is strict.
-func (s *Server) Enqueue(service time.Duration, done func(wait, service time.Duration)) {
-	j := &job{service: service, enqueued: s.engine.Now(), done: done}
-	s.queue = append(s.queue, j)
-	if len(s.queue) > s.maxQueue {
-		s.maxQueue = len(s.queue)
+// NewServer creates a server on the engine whose queue runs discipline d
+// on the virtual clock; it fails on an unknown discipline. The queue is
+// unbounded, so a simulation never blocks on backpressure.
+func (e *Engine) NewServer(d sched.Discipline) (*Server, error) {
+	q, err := sched.New(d, sched.Config{Capacity: math.MaxInt, Now: e.Clock})
+	if err != nil {
+		return nil, err
 	}
+	return &Server{engine: e, queue: q}, nil
+}
+
+// Enqueue admits a job for tenant with the given cost (the manager charges
+// a task its op count) and service demand. When the job completes, done
+// receives the time it waited in queue and its service time.
+func (s *Server) Enqueue(tenant string, cost int64, service time.Duration, done func(wait, service time.Duration)) {
+	j := &job{service: service, done: done}
+	j.item = sched.Item{Tenant: tenant, Cost: cost, Payload: j}
+	// The queue is unbounded and never closed, so Push neither blocks nor
+	// fails.
+	_ = s.queue.Push(&j.item)
 	if !s.busy {
 		s.startNext()
 	}
 }
 
 func (s *Server) startNext() {
-	if len(s.queue) == 0 {
+	if s.queue.Len() == 0 {
 		s.busy = false
 		return
 	}
-	j := s.queue[0]
-	s.queue = s.queue[1:]
+	it, _ := s.queue.Pop(context.Background()) // non-empty: does not block
+	j := it.Payload.(*job)
 	s.busy = true
-	wait := s.engine.Now() - j.enqueued
-	s.waitTotal += wait
+	wait := s.engine.Clock().Sub(it.Submitted)
 	s.engine.After(j.service, func() {
 		s.busyTime += j.service
 		s.served++
@@ -159,92 +180,10 @@ func (s *Server) startNext() {
 
 // QueueLen returns the number of waiting jobs (excluding the one in
 // service).
-func (s *Server) QueueLen() int { return len(s.queue) }
-
-// Busy reports whether a job is in service.
-func (s *Server) Busy() bool { return s.busy }
+func (s *Server) QueueLen() int { return s.queue.Len() }
 
 // BusyTime returns the cumulative service time delivered.
 func (s *Server) BusyTime() time.Duration { return s.busyTime }
 
 // Served returns the number of completed jobs.
 func (s *Server) Served() uint64 { return s.served }
-
-// MaxQueue returns the high-water mark of the queue.
-func (s *Server) MaxQueue() int { return s.maxQueue }
-
-// TotalWait returns the cumulative queueing delay across completed jobs.
-func (s *Server) TotalWait() time.Duration { return s.waitTotal }
-
-// RRServer is a capacity-1 resource with per-key round-robin admission
-// instead of global FIFO: each key (client) has its own queue and the
-// server cycles across non-empty queues. It exists for the scheduling
-// ablation — the paper's Device Manager uses the FIFO Server.
-type RRServer struct {
-	engine *Engine
-	busy   bool
-	queues map[string][]*job
-	ring   []string
-	next   int
-
-	busyTime time.Duration
-	served   uint64
-}
-
-// NewRRServer creates a round-robin server on the engine.
-func (e *Engine) NewRRServer() *RRServer {
-	return &RRServer{engine: e, queues: make(map[string][]*job)}
-}
-
-// Enqueue admits a job under the given client key.
-func (s *RRServer) Enqueue(key string, service time.Duration, done func(wait, service time.Duration)) {
-	j := &job{service: service, enqueued: s.engine.Now(), done: done}
-	if _, ok := s.queues[key]; !ok {
-		s.ring = append(s.ring, key)
-	}
-	s.queues[key] = append(s.queues[key], j)
-	if !s.busy {
-		s.startNext()
-	}
-}
-
-func (s *RRServer) startNext() {
-	// Find the next key with pending work, scanning at most one full ring.
-	for scanned := 0; scanned < len(s.ring); scanned++ {
-		key := s.ring[s.next%len(s.ring)]
-		s.next++
-		q := s.queues[key]
-		if len(q) == 0 {
-			continue
-		}
-		j := q[0]
-		s.queues[key] = q[1:]
-		s.busy = true
-		wait := s.engine.Now() - j.enqueued
-		s.engine.After(j.service, func() {
-			s.busyTime += j.service
-			s.served++
-			if j.done != nil {
-				j.done(wait, j.service)
-			}
-			s.startNext()
-		})
-		return
-	}
-	s.busy = false
-}
-
-// BusyTime returns the cumulative service time delivered.
-func (s *RRServer) BusyTime() time.Duration { return s.busyTime }
-
-// Served returns the number of completed jobs.
-func (s *RRServer) Served() uint64 { return s.served }
-
-// QueueLen returns the number of waiting jobs across all keys.
-func (s *RRServer) QueueLen() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q)
-	}
-	return n
-}

@@ -1,9 +1,21 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"blastfunction/internal/sched"
 )
+
+func newServer(t *testing.T, e *Engine, d sched.Discipline) *Server {
+	t.Helper()
+	s, err := e.NewServer(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestEngineOrdersEvents(t *testing.T) {
 	e := NewEngine()
@@ -61,9 +73,15 @@ func TestEngineRunStopsAtUntil(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d", e.Pending())
 	}
+	if e.Now() != time.Second {
+		t.Fatalf("clock = %v after stopping at the horizon, want 1s", e.Now())
+	}
 	e.Run(3 * time.Second)
 	if !fired {
 		t.Fatal("event within horizon did not fire")
+	}
+	if e.Now() != 3*time.Second {
+		t.Fatalf("clock = %v after draining early, want 3s", e.Now())
 	}
 }
 
@@ -81,14 +99,18 @@ func TestEnginePastSchedulingClamps(t *testing.T) {
 
 func TestServerFIFOAndBusyTime(t *testing.T) {
 	e := NewEngine()
-	s := e.NewServer()
+	s := newServer(t, e, sched.FIFO)
 	var completions []time.Duration
 	var waits []time.Duration
 	for i := 0; i < 3; i++ {
-		s.Enqueue(10*time.Millisecond, func(wait, service time.Duration) {
+		s.Enqueue("a", 1, 10*time.Millisecond, func(wait, service time.Duration) {
 			completions = append(completions, e.Now())
 			waits = append(waits, wait)
 		})
+	}
+	// The first job went straight into service; two wait.
+	if s.QueueLen() != 2 {
+		t.Fatalf("queue length = %d, want 2", s.QueueLen())
 	}
 	e.Run(time.Second)
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
@@ -103,25 +125,50 @@ func TestServerFIFOAndBusyTime(t *testing.T) {
 	if s.BusyTime() != 30*time.Millisecond {
 		t.Fatalf("busy = %v", s.BusyTime())
 	}
-	// MaxQueue counts waiting jobs: the first was admitted straight into
-	// service, so at most two waited.
-	if s.Served() != 3 || s.MaxQueue() != 2 {
-		t.Fatalf("served=%d maxq=%d", s.Served(), s.MaxQueue())
+	if s.Served() != 3 {
+		t.Fatalf("served = %d", s.Served())
 	}
-	if s.TotalWait() != 30*time.Millisecond {
-		t.Fatalf("total wait = %v", s.TotalWait())
+}
+
+// TestServerOrdersByDiscipline checks that the server serves jobs in its
+// queue's order: tenant A enqueues three cost-4 jobs, then tenant B one
+// cost-1 job. fifo serves B last. Under drr (quantum 4) A's first job
+// goes straight into service, its second spends A's round, and B's round
+// comes before A's third.
+func TestServerOrdersByDiscipline(t *testing.T) {
+	for _, c := range []struct {
+		d    sched.Discipline
+		want string
+	}{
+		{sched.FIFO, "AAAB"},
+		{sched.DRR, "AABA"},
+	} {
+		e := NewEngine()
+		s := newServer(t, e, c.d)
+		var order strings.Builder
+		enqueue := func(tenant string, cost int64) {
+			s.Enqueue(tenant, cost, time.Millisecond, func(_, _ time.Duration) { order.WriteString(tenant) })
+		}
+		for i := 0; i < 3; i++ {
+			enqueue("A", 4)
+		}
+		enqueue("B", 1)
+		e.Run(time.Second)
+		if got := order.String(); got != c.want {
+			t.Errorf("%s: order = %s, want %s", c.d, got, c.want)
+		}
 	}
 }
 
 func TestServerInterleavedArrivals(t *testing.T) {
 	e := NewEngine()
-	s := e.NewServer()
+	s := newServer(t, e, sched.FIFO)
 	var log []string
 	e.At(0, func() {
-		s.Enqueue(20*time.Millisecond, func(w, _ time.Duration) { log = append(log, "a") })
+		s.Enqueue("a", 1, 20*time.Millisecond, func(w, _ time.Duration) { log = append(log, "a") })
 	})
 	e.At(5*time.Millisecond, func() {
-		s.Enqueue(10*time.Millisecond, func(w, _ time.Duration) {
+		s.Enqueue("b", 1, 10*time.Millisecond, func(w, _ time.Duration) {
 			log = append(log, "b")
 			if w != 15*time.Millisecond {
 				t.Errorf("b waited %v, want 15ms", w)
@@ -129,7 +176,7 @@ func TestServerInterleavedArrivals(t *testing.T) {
 		})
 	})
 	e.At(50*time.Millisecond, func() {
-		s.Enqueue(time.Millisecond, func(w, _ time.Duration) {
+		s.Enqueue("c", 1, time.Millisecond, func(w, _ time.Duration) {
 			log = append(log, "c")
 			if w != 0 {
 				t.Errorf("c waited %v on idle server", w)
@@ -149,7 +196,7 @@ func TestServerUtilizationUnderLoad(t *testing.T) {
 	// Open arrivals at 50/s with 10ms service: utilization converges to
 	// ~50%.
 	e := NewEngine()
-	s := e.NewServer()
+	s := newServer(t, e, sched.FIFO)
 	interval := 20 * time.Millisecond
 	var arrive func()
 	n := 0
@@ -158,7 +205,7 @@ func TestServerUtilizationUnderLoad(t *testing.T) {
 			return
 		}
 		n++
-		s.Enqueue(10*time.Millisecond, nil)
+		s.Enqueue("a", 1, 10*time.Millisecond, nil)
 		e.After(interval, arrive)
 	}
 	e.At(0, arrive)

@@ -7,6 +7,7 @@ import (
 
 	"blastfunction/internal/model"
 	"blastfunction/internal/registry"
+	"blastfunction/internal/sched"
 	"blastfunction/internal/sim"
 )
 
@@ -63,9 +64,9 @@ type Experiment struct {
 	// Measure is the measured load interval.
 	Measure time.Duration
 
-	// Scheduling selects the Device Manager queue discipline; the paper's
-	// system uses FIFO. RoundRobin exists for the scheduling ablation.
-	Scheduling Discipline
+	// Scheduling selects the Device Manager queue discipline every board
+	// queue runs; the empty value selects fifo, the paper's design.
+	Scheduling sched.Discipline
 	// OverlapDMA enables the pipelining ablation: each board gets a
 	// separate DMA engine so one task's transfers overlap another task's
 	// kernel (the paper's board executes one operation at a time).
@@ -81,17 +82,6 @@ type Experiment struct {
 	Order   []registry.Criterion
 	Filters []registry.Filter
 }
-
-// Discipline is the central-queue service discipline.
-type Discipline int
-
-// Queue disciplines.
-const (
-	// FIFO serves tasks strictly in arrival order (the paper's design).
-	FIFO Discipline = iota
-	// RoundRobin cycles across clients' private queues.
-	RoundRobin
-)
 
 // FunctionResult is one row of the per-function tables.
 type FunctionResult struct {
@@ -121,22 +111,6 @@ type Result struct {
 	Target    float64
 }
 
-// boardQueue abstracts the central-queue discipline (FIFO vs the
-// round-robin ablation).
-type boardQueue interface {
-	Enqueue(key string, service time.Duration, done func(wait, service time.Duration))
-	BusyTime() time.Duration
-	QueueLen() int
-}
-
-// fifoQueue adapts sim.Server (global FIFO, the paper's discipline).
-type fifoQueue struct{ *sim.Server }
-
-// Enqueue implements boardQueue, discarding the client key.
-func (f fifoQueue) Enqueue(_ string, service time.Duration, done func(wait, service time.Duration)) {
-	f.Server.Enqueue(service, done)
-}
-
 // SpaceSharePenalty scales kernel service times when two designs share
 // the fabric: each gets roughly half the logic, so the unrolled pipelines
 // shrink. 1.6x is in line with halving the Spector designs' parallelism.
@@ -151,16 +125,16 @@ type board struct {
 	id     string
 	node   string
 	cost   *model.CostModel
-	server boardQueue
+	server *sim.Server
 
 	// Space-sharing mode: one sub-server per resident accelerator, each
 	// running at SpaceSharePenalty. nil when time-sharing.
-	slots    map[string]boardQueue
-	makeSlot func() boardQueue
+	slots    map[string]*sim.Server
+	makeSlot func() (*sim.Server, error)
 
 	// Pipelining ablation: a separate DMA engine. nil when the board
 	// serializes transfers and kernels (the paper's design).
-	dma boardQueue
+	dma *sim.Server
 
 	connected int
 	// busy history for the utilization metric Algorithm 1 consumes:
@@ -176,7 +150,7 @@ type busySample struct {
 // queueFor returns the queue serving the given accelerator: the single
 // central queue when time-sharing, the accelerator's slot (created on
 // demand, up to maxResidentDesigns) when space-sharing.
-func (b *board) queueFor(accelerator string) (boardQueue, error) {
+func (b *board) queueFor(accelerator string) (*sim.Server, error) {
 	if b.slots == nil {
 		return b.server, nil
 	}
@@ -186,7 +160,10 @@ func (b *board) queueFor(accelerator string) (boardQueue, error) {
 	if len(b.slots) >= maxResidentDesigns {
 		return nil, fmt.Errorf("simcluster: board %s has no free region for %q", b.id, accelerator)
 	}
-	q := b.makeSlot()
+	q, err := b.makeSlot()
+	if err != nil {
+		return nil, err
+	}
 	b.slots[accelerator] = q
 	return q, nil
 }
@@ -287,25 +264,21 @@ func Run(exp Experiment) (*Result, error) {
 	engine := sim.NewEngine()
 	boards := make(map[string]*board, len(exp.Nodes))
 	var boardList []*board
+	newServer := func() (*sim.Server, error) { return engine.NewServer(exp.Scheduling) }
 	for _, n := range exp.Nodes {
-		var q boardQueue
-		if exp.Scheduling == RoundRobin {
-			q = engine.NewRRServer()
-		} else {
-			q = fifoQueue{engine.NewServer()}
+		server, err := newServer()
+		if err != nil {
+			return nil, err
 		}
-		b := &board{
-			id:     "fpga-" + n.Name,
-			node:   n.Name,
-			cost:   n.Cost,
-			server: q,
-		}
+		b := &board{id: "fpga-" + n.Name, node: n.Name, cost: n.Cost, server: server}
 		if exp.SpaceSharing {
-			b.slots = make(map[string]boardQueue, maxResidentDesigns)
-			b.makeSlot = func() boardQueue { return fifoQueue{engine.NewServer()} }
+			b.slots = make(map[string]*sim.Server, maxResidentDesigns)
+			b.makeSlot = newServer
 		}
 		if exp.OverlapDMA {
-			b.dma = fifoQueue{engine.NewServer()}
+			if b.dma, err = newServer(); err != nil {
+				return nil, err
+			}
 		}
 		boards[b.id] = b
 		boardList = append(boardList, b)
@@ -547,7 +520,8 @@ func phaseOffset(name string, conn int, interval time.Duration) time.Duration {
 }
 
 // runTasks executes the request's tasks sequentially: transport overhead
-// as host-side delay, then the board's FIFO queue for the device time.
+// as host-side delay, then the board's central queue for the device
+// time, charged the task's op count as the manager charges Item.Cost.
 func runTasks(engine *sim.Engine, st *functionState, idx int, t0 time.Duration, measured bool, done func()) {
 	if idx >= len(st.spec.Workload.Tasks) {
 		done()
@@ -571,6 +545,7 @@ func runTasks(engine *sim.Engine, st *functionState, idx int, t0 time.Duration, 
 				runTasks(engine, st, idx+1, t0, measured, done)
 			}
 		}
+		ops := int64(task.Ops)
 		service := task.Device(cost)
 		if st.board.slots != nil {
 			service = time.Duration(float64(service) * SpaceSharePenalty)
@@ -579,15 +554,15 @@ func runTasks(engine *sim.Engine, st *functionState, idx int, t0 time.Duration, 
 			// Pipelining ablation: the DMA engine moves data while the
 			// kernel engine computes another task.
 			dmaTime, kernelTime := task.Split(cost)
-			st.board.dma.Enqueue(st.spec.Name, dmaTime, func(_, dmaService time.Duration) {
+			st.board.dma.Enqueue(st.spec.Name, ops, dmaTime, func(_, dmaService time.Duration) {
 				if kernelTime <= 0 {
 					finish(0)(0, dmaService)
 					return
 				}
-				queue.Enqueue(st.spec.Name, kernelTime, finish(dmaService))
+				queue.Enqueue(st.spec.Name, ops, kernelTime, finish(dmaService))
 			})
 			return
 		}
-		queue.Enqueue(st.spec.Name, service, finish(0))
+		queue.Enqueue(st.spec.Name, ops, service, finish(0))
 	})
 }

@@ -1,11 +1,13 @@
 package simcluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"blastfunction/internal/accel"
 	"blastfunction/internal/model"
+	"blastfunction/internal/sched"
 )
 
 func TestWorkloadDeviceTimes(t *testing.T) {
@@ -327,5 +329,45 @@ func TestOverlapDMANeverHurts(t *testing.T) {
 	}
 	if overlapped.AvgLatency > serial.AvgLatency*101/100 {
 		t.Fatalf("overlap latency %v > serialized %v", overlapped.AvgLatency, serial.AvgLatency)
+	}
+}
+
+// TestExperimentRunsEveryDiscipline runs Table II's high-load Sobel
+// scenario and the medium-load space-sharing mix under each discipline
+// the manager's queue ships. At the paper's loads the disciplines agree:
+// every result must equal fifo's. A name the queue does not know fails
+// with the queue's own error.
+func TestExperimentRunsEveryDiscipline(t *testing.T) {
+	sobel, err := BlastFunctionExperiment(UseSobel, HighLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := MixedExperiment(MediumLoad, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []struct {
+		name string
+		exp  Experiment
+	}{{"sobel-high", sobel}, {"mixed-space-sharing", mixed}} {
+		var fifo *Result
+		for _, d := range sched.Disciplines {
+			exp := base.exp
+			exp.Scheduling = d
+			res, err := Run(exp)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", base.name, d, err)
+			}
+			if fifo == nil {
+				fifo = res
+			} else if !reflect.DeepEqual(res, fifo) {
+				t.Errorf("%s under %s = %+v, want fifo's %+v", base.name, d, res, fifo)
+			}
+		}
+	}
+	_, want := sched.New("bogus", sched.Config{})
+	sobel.Scheduling = "bogus"
+	if _, err := Run(sobel); err == nil || err.Error() != want.Error() {
+		t.Fatalf("unknown discipline: err = %v, want %v", err, want)
 	}
 }

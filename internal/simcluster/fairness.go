@@ -18,6 +18,7 @@ import (
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
 	"blastfunction/internal/rpc"
+	"blastfunction/internal/sched"
 	"blastfunction/internal/sim"
 )
 
@@ -246,44 +247,27 @@ func driveTenant(stop <-chan struct{}, addr, name string, ops, payloadBytes, win
 }
 
 // FairnessAblation runs the skew workload through the pure
-// discrete-event simulation (sim.Server vs sim.RRServer) and returns the
-// light tenant's occupancy share under each — the prediction the live
-// experiment must reproduce: fair queuing lifts the minority tenant's
-// share, strict FIFO starves it.
+// discrete-event simulation, under the fifo and drr disciplines of the
+// manager's own queue, and returns the light tenant's occupancy share
+// under each — the prediction the live experiment must reproduce: fair
+// queuing lifts the minority tenant's share, strict FIFO starves it.
 //
-// Jobs are enqueued at OP granularity (a heavy task is heavyOps unit
-// jobs, re-armed closed-loop when its last op completes), because that
-// is what the real drr discipline equalizes: Item.Cost is the task's op
-// count, so fairness is measured in service demand, not task count.
+// Each task is one job charged its op count, as the manager sets
+// Item.Cost, so drr equalizes service demand, not task count; a task's
+// completion re-arms the closed loop.
 func FairnessAblation(heavyOps, lightOps int, opService time.Duration, window int, horizon time.Duration) (fifoLightShare, fairLightShare float64) {
-	run := func(fair bool) float64 {
+	run := func(d sched.Discipline) float64 {
 		eng := sim.NewEngine()
+		srv, _ := eng.NewServer(d) // d is a known discipline
 		busy := map[string]time.Duration{}
 		var enqueueTask func(name string, ops int)
-		// unit accounts one op's service; the task's last op re-arms the
-		// closed loop.
-		unit := func(name string, ops int, last bool) func(wait, service time.Duration) {
-			return func(_, service time.Duration) {
+		enqueueTask = func(name string, ops int) {
+			srv.Enqueue(name, int64(ops), time.Duration(ops)*opService, func(_, service time.Duration) {
 				busy[name] += service
-				if last && eng.Now() < horizon {
+				if eng.Now() < horizon {
 					enqueueTask(name, ops)
 				}
-			}
-		}
-		if fair {
-			srv := eng.NewRRServer()
-			enqueueTask = func(name string, ops int) {
-				for i := 0; i < ops; i++ {
-					srv.Enqueue(name, opService, unit(name, ops, i == ops-1))
-				}
-			}
-		} else {
-			srv := eng.NewServer()
-			enqueueTask = func(name string, ops int) {
-				for i := 0; i < ops; i++ {
-					srv.Enqueue(opService, unit(name, ops, i == ops-1))
-				}
-			}
+			})
 		}
 		for i := 0; i < window; i++ {
 			enqueueTask("heavy", heavyOps)
@@ -296,5 +280,5 @@ func FairnessAblation(heavyOps, lightOps int, opService time.Duration, window in
 		}
 		return float64(busy["light"]) / float64(total)
 	}
-	return run(false), run(true)
+	return run(sched.FIFO), run(sched.DRR)
 }

@@ -97,8 +97,7 @@ func RunReconfigStorm(cfg ReconfigConfig) (*ReconfigResult, error) {
 	engine := c.engine
 	var fl *flash.Service
 	if cfg.Batched {
-		base := time.Unix(0, 0)
-		if fl, err = flash.New(flash.Config{Now: func() time.Time { return base.Add(engine.Now()) }}); err != nil {
+		if fl, err = flash.New(flash.Config{Now: engine.Clock}); err != nil {
 			return nil, err
 		}
 		c.SetFlash(fl)
@@ -138,7 +137,7 @@ func RunReconfigStorm(cfg ReconfigConfig) (*ReconfigResult, error) {
 		if (alloc.NeedsReconfigure || alloc.Device.Accelerator == "") &&
 			(fl == nil || opensWindow(fl, alloc.Device.ID, uid)) {
 			reconfigs++
-			srv.Enqueue(stormReconfig, func(_, _ time.Duration) { c.BuildLanded(uid) })
+			srv.Enqueue(uid, 1, stormReconfig, func(_, _ time.Duration) { c.BuildLanded(uid) })
 		}
 		for _, moved := range alloc.Displaced {
 			c.Release(moved)
@@ -192,7 +191,7 @@ func RunReconfigStorm(cfg ReconfigConfig) (*ReconfigResult, error) {
 			if measured {
 				arrivals++
 			}
-			srv.Enqueue(serviceTime, func(wait, service time.Duration) {
+			srv.Enqueue(tenantUID[t], 1, serviceTime, func(wait, service time.Duration) {
 				if measured {
 					completed++
 					latencies = append(latencies, wait+service)

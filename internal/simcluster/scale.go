@@ -8,6 +8,7 @@ import (
 	"blastfunction/internal/gateway"
 	"blastfunction/internal/metrics"
 	"blastfunction/internal/registry"
+	"blastfunction/internal/sched"
 	"blastfunction/internal/sim"
 )
 
@@ -102,10 +103,11 @@ func scaleRng(state *uint64) float64 {
 func tenantRng(t int) uint64 { return 1 + uint64(t)*0x9E3779B97F4A7C15 }
 
 // simCluster is Boards simulated boards ("board-000" on "node-000", ...),
-// each a FIFO server on one engine, registered with a real Registry whose
-// Algorithm 1 reads metrics through a real Gatherer. The TSDB holds two
-// scrape generations (so Rate() has a window) of equal busy-seconds:
-// every board looks equally, lightly utilized.
+// each a server running the manager's default fifo queue on one engine,
+// registered with a real Registry whose Algorithm 1 reads metrics through
+// a real Gatherer. The TSDB holds two scrape generations (so Rate() has a
+// window) of equal busy-seconds: every board looks equally, lightly
+// utilized.
 type simCluster struct {
 	*registry.Registry
 	gatherer *registry.Gatherer
@@ -135,8 +137,12 @@ func newSimCluster(boards int, reconfigPenalty float64) (*simCluster, error) {
 		if err := reg.RegisterDevice(registry.Device{ID: id, Node: node}); err != nil {
 			return nil, err
 		}
-		c.servers = append(c.servers, c.engine.NewServer())
-		c.server[id] = c.servers[i]
+		srv, err := c.engine.NewServer(sched.FIFO)
+		if err != nil {
+			return nil, err
+		}
+		c.servers = append(c.servers, srv)
+		c.server[id] = srv
 		lbl := metrics.Labels{"device": id, "node": node}
 		samples0 = append(samples0, metrics.Sample{Name: "bf_device_busy_seconds_total", Labels: lbl, Value: 0})
 		samples1 = append(samples1, metrics.Sample{Name: "bf_device_busy_seconds_total", Labels: lbl, Value: 0.1})
@@ -279,7 +285,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		if admitted {
 			rep := &ts.reps[router.Pick(ts.reps, &ts.rot, gateway.RouteHint{})]
 			rep.inflight++
-			rep.server.Enqueue(serviceTime, func(wait, service time.Duration) {
+			rep.server.Enqueue(ts.name, 1, serviceTime, func(wait, service time.Duration) {
 				rep.inflight--
 				if measured {
 					completed++

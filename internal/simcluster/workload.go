@@ -2,8 +2,9 @@
 // experiments (Section IV-B, Tables II-IV) on the discrete-event engine.
 //
 // It rebuilds the same structure as the live system — closed-loop load
-// generators per function (hey with one connection), per-board FIFO task
-// queues, Algorithm 1 placements through the real registry package — with
+// generators per function (hey with one connection), per-board central
+// task queues running the manager's own sched disciplines (fifo by
+// default), Algorithm 1 placements through the real registry package — with
 // all service times taken from the calibrated cost models, so a full
 // three-node, five-function, minutes-long campaign reproduces in
 // milliseconds of wall time.
@@ -17,7 +18,7 @@ import (
 )
 
 // Task is one flushed BlastFunction task of a request: the unit that
-// enters a board's central FIFO queue.
+// enters a board's central queue, charged Ops as its cost.
 type Task struct {
 	// Ops is the number of operations in the task (drives per-op control
 	// overhead on the remote paths).
