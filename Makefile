@@ -17,8 +17,8 @@ test: vet race fuzz-smoke test-benchmark
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Ten seconds of mutation per native fuzz target (the wire decoders and
-# the flag grammars), starting from the seeds in the test files and the
+# Ten seconds of mutation per native fuzz target (the wire decoders, the
+# flag grammars and the metrics exposition parser), starting from the seeds in the test files and the
 # corpora committed under testdata/fuzz. A failing input is written
 # there too; commit it with the fix.
 fuzz-smoke:
@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWeights$$' -fuzztime 10s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAdmission$$' -fuzztime 10s ./internal/gateway/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime 10s ./internal/slo/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/metrics/
 
 vet:
 	$(GO) vet ./...

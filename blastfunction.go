@@ -38,9 +38,6 @@ type NodeConfig struct {
 	// Log, when non-nil, receives the node's Device Manager structured
 	// events (nil keeps the manager silent at zero cost).
 	Log *logx.Logger
-	// Memoize enables kernel-result memoization on the node's Device
-	// Manager (the content-addressed buffer cache is on regardless).
-	Memoize bool
 	// NoFlightRecorder disables the manager's always-on task flight
 	// recorder — benchmark baselines only.
 	NoFlightRecorder bool
@@ -84,7 +81,6 @@ func NewTestbed(nodes ...NodeConfig) (*Testbed, error) {
 			Node:             nc.Name,
 			DeviceID:         "fpga-" + nc.Name,
 			Log:              nc.Log,
-			MemoizeKernels:   nc.Memoize,
 			NoFlightRecorder: nc.NoFlightRecorder,
 		}, board)
 		srv := rpc.NewServer(mgr)

@@ -385,14 +385,6 @@ type topCache struct {
 		BytesSaved    int64  `json:"bytes_saved"`
 		Evictions     uint64 `json:"evictions"`
 	} `json:"buffer_cache"`
-	MemoEnabled bool `json:"memo_enabled"`
-	MemoCache   struct {
-		Entries       int    `json:"entries"`
-		ResidentBytes int64  `json:"resident_bytes"`
-		Hits          uint64 `json:"hits"`
-		Misses        uint64 `json:"misses"`
-		Invalidations uint64 `json:"invalidations"`
-	} `json:"memo_cache"`
 	CopyOps   int64 `json:"copy_ops"`
 	CopyBytes int64 `json:"copy_bytes"`
 }
@@ -624,13 +616,6 @@ func topFrame(deviceBases, alertBases []string, gatewayBase, managerBase string)
 		bc := cache.BufferCache
 		fmt.Fprintf(&b, "data-plane reuse: buffer cache %d entries / %s resident, %d hits / %d misses, %s upload saved, %d evicted\n",
 			bc.Entries, fmtBytes(bc.ResidentBytes), bc.Hits, bc.Misses, fmtBytes(bc.BytesSaved), bc.Evictions)
-		if cache.MemoEnabled {
-			mc := cache.MemoCache
-			fmt.Fprintf(&b, "  kernel memo: %d entries / %s resident, %d hits / %d misses, %d invalidated\n",
-				mc.Entries, fmtBytes(mc.ResidentBytes), mc.Hits, mc.Misses, mc.Invalidations)
-		} else {
-			b.WriteString("  kernel memo: disabled\n")
-		}
 		fmt.Fprintf(&b, "  device copies: %d ops / %s chained without a client hop\n",
 			cache.CopyOps, fmtBytes(cache.CopyBytes))
 	}

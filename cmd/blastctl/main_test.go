@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +28,9 @@ var managerJSON = map[string]string{
 		"history":{"fpga-B":[
 			{"id":1,"board":"fpga-B","bitstream":"mm","requester":"mm-1-1","state":"done","queued":"2026-01-02T11:59:00Z","wait_seconds":0.5,"flash_seconds":1.25,"drained_sessions":2},
 			{"id":2,"board":"fpga-B","bitstream":"cnn","requester":"cnn-1-1","state":"failed","queued":"2026-01-02T11:59:30Z","error":"bitstream rejected"}]}}`,
+	"/debug/cache": `{"device":"fpga-B","node":"B",
+		"buffer_cache":{"entries":3,"resident_bytes":3145728,"hits":12,"misses":3,"bytes_saved":12582912,"evictions":1},
+		"copy_ops":4,"copy_bytes":8192}`,
 }
 
 // registryJSON is an Accelerators Registry's canned API and flash planner.
@@ -41,6 +45,30 @@ var registryJSON = map[string]string{
 	"/debug/flash": `{"jobs":[
 		{"id":4,"board":"fpga-C","bitstream":"mm","requester":"mm-2-1","state":"queued","queued":"2026-01-02T12:00:05Z"}],
 		"queue_depths":{"fpga-C":1},"history":{}}`,
+	// A firing alert renders its age against the wall clock, so the
+	// canned rule is pending to keep the top golden stable.
+	"/debug/alerts": `[
+		{"rule":"QueueBacklog","labels":{"device":"fpga-B"},"state":"pending","value":9,"threshold":8,"op":">","since":"2026-01-02T12:00:00Z"}]`,
+	"/debug/slo": `[
+		{"name":"sobel-fast","subject":"sobel-1","spec":"sobel-1:p99<50ms:99.9%","window_ns":3600000000000,
+		 "latency":{"kind":"latency","goal":0.99,"budget_remaining":0.25,"exemplar_trace":"00000000000000aa","has_data":true,
+		  "burns":[{"window":{"name":"fast","severity":"page","factor":14.4},"long_burn":20,"short_burn":18,"breached":true,"has_data":true}]},
+		 "availability":{"kind":"availability","goal":0.999,"budget_remaining":1,"has_data":true,"burns":[]}},
+		{"name":"mm-steady","subject":"mm-1","spec":"mm-1:p99<200ms:99%","window_ns":3600000000000,
+		 "latency":{"kind":"latency","goal":0.99,"budget_remaining":0.9,"has_data":true,"burns":[]},
+		 "availability":{"kind":"availability","goal":0.99,"budget_remaining":0.6,"has_data":true,
+		  "burns":[{"window":{"name":"slow","severity":"warn","factor":6},"long_burn":7,"short_burn":6.5,"breached":true,"has_data":true}]}}]`,
+}
+
+// gatewayJSON is a gateway's canned front-door view.
+var gatewayJSON = map[string]string{
+	"/debug/gateway": `{"router":"least-loaded","admission":true,
+		"functions":[
+			{"function":"mm-1","requests":40,"errors":1,"inflight":2,"replicas":1,"admitted":40,"rejected":0,"avg_ms":12.5},
+			{"function":"sobel-1","requests":120,"errors":0,"inflight":0,"replicas":2,"admitted":110,"rejected":10,"avg_ms":3.25}],
+		"tenants":[
+			{"tenant":"acme","rate":50,"priority":1,"admitted":110,"rejected":10},
+			{"tenant":"quiet","rate":5,"priority":0,"admitted":40,"rejected":0}]}`,
 }
 
 func serveJSON(t *testing.T, routes map[string]string) string {
@@ -61,7 +89,7 @@ func serveJSON(t *testing.T, routes map[string]string) string {
 // TestRenderersGolden runs each renderer against canned JSON and
 // compares its output byte for byte to testdata/<name>.golden.
 func TestRenderersGolden(t *testing.T) {
-	mgr, reg := serveJSON(t, managerJSON), serveJSON(t, registryJSON)
+	mgr, reg, gw := serveJSON(t, managerJSON), serveJSON(t, registryJSON), serveJSON(t, gatewayJSON)
 	for _, c := range []struct {
 		name   string
 		render func(out *bytes.Buffer)
@@ -73,6 +101,12 @@ func TestRenderersGolden(t *testing.T) {
 		{"flash_list", func(out *bytes.Buffer) { showFlash(out, []string{reg, mgr}, []string{"list"}) }},
 		{"flash_status", func(out *bytes.Buffer) { showFlash(out, []string{reg, mgr}, []string{"status"}) }},
 		{"flash_history", func(out *bytes.Buffer) { showFlash(out, []string{reg, mgr}, []string{"history"}) }},
+		// The first line of a top frame is the wall clock; the rest is
+		// deterministic.
+		{"top", func(out *bytes.Buffer) {
+			frame := topFrame([]string{reg}, []string{reg, gw}, gw, mgr)
+			out.WriteString(frame[strings.IndexByte(frame, '\n')+1:])
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer

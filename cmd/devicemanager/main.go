@@ -41,8 +41,6 @@ func main() {
 		guard        = flag.Duration("starvation-guard", 0, "drr starvation guard: max queue wait before a tenant is served out of turn (0 = default 2s, negative disables)")
 		traceRing    = flag.Int("trace-ring", 0, "distributed-tracing span ring size served at /debug/spans (0 = default 4096)")
 		bufCache     = flag.Int64("buffer-cache-bytes", 0, "content-addressed buffer cache capacity (0 = default 256 MiB, negative disables)")
-		memoize      = flag.Bool("memoize", false, "memoize idempotent kernel results keyed by bitstream/kernel/argument content")
-		memoCache    = flag.Int64("memo-cache-bytes", 0, "memoized-result cache capacity (0 = default 64 MiB)")
 		flashHist    = flag.String("flash-history", "", "append-only JSONL file persisting the bitstream flash history across restarts")
 		flashKeep    = flag.Int("flash-history-limit", 0, "flash history entries kept per board (0 = default 64)")
 		flightRing   = flag.Int("flight-ring", 0, "flight-recorder ring size served at /debug/flight (0 = default 1024)")
@@ -78,8 +76,6 @@ func main() {
 		TraceRing:         *traceRing,
 		Log:               p.Log,
 		BufferCacheBytes:  *bufCache,
-		MemoizeKernels:    *memoize,
-		MemoCacheBytes:    *memoCache,
 		FlashHistoryPath:  *flashHist,
 		FlashHistoryLimit: *flashKeep,
 		FlightRing:        *flightRing,

@@ -20,18 +20,6 @@ func TestContentHash64(t *testing.T) {
 	}
 }
 
-func TestHasherPartsDoNotConcatenate(t *testing.T) {
-	h1 := NewHasher()
-	h1.String("ab")
-	h1.String("c")
-	h2 := NewHasher()
-	h2.String("a")
-	h2.String("bc")
-	if h1.Sum() == h2.Sum() {
-		t.Fatal("length prefixing failed: split points collide")
-	}
-}
-
 func TestBufferCacheHitMissRelease(t *testing.T) {
 	var freed []uint64
 	c := NewBufferCache(1<<20, func(id uint64) { freed = append(freed, id) })
@@ -176,83 +164,6 @@ func TestBufferCacheConcurrent(t *testing.T) {
 	st := c.Stats()
 	if st.ResidentBytes > 4096 {
 		t.Fatalf("resident %d over cap with nothing pinned", st.ResidentBytes)
-	}
-}
-
-func TestMemoLookupStoreEvict(t *testing.T) {
-	c := NewMemoCache(256)
-	if _, ok := c.Lookup(1); ok {
-		t.Fatal("hit on empty cache")
-	}
-	entry := func(owner uint64, n int) *MemoEntry {
-		return &MemoEntry{Owner: owner, Bitstream: "bs", DeviceNanos: 5, Outputs: []MemoOutput{{BoardArg: 2, Data: make([]byte, n)}}}
-	}
-	if !c.Store(1, entry(100, 128)) {
-		t.Fatal("store rejected")
-	}
-	if got, ok := c.Lookup(1); !ok || got.DeviceNanos != 5 || got.Outputs[0].BoardArg != 2 {
-		t.Fatalf("Lookup = %+v, %v", got, ok)
-	}
-	// Oversized entries are rejected, not admitted by flushing the cache.
-	if c.Store(2, entry(100, 512)) {
-		t.Fatal("oversized entry admitted")
-	}
-	// Filling past the cap evicts the LRU entry (key 1).
-	c.Store(3, entry(100, 128))
-	c.Store(4, entry(100, 128))
-	if _, ok := c.Lookup(1); ok {
-		t.Fatal("LRU entry survived eviction")
-	}
-	st := c.Stats()
-	if st.Evictions == 0 || st.ResidentBytes > 256 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestMemoInvalidateOwnerAndClear(t *testing.T) {
-	c := NewMemoCache(1 << 20)
-	e := func(owner uint64) *MemoEntry {
-		return &MemoEntry{Owner: owner, Outputs: []MemoOutput{{Data: []byte{1}}}}
-	}
-	c.Store(1, e(100))
-	c.Store(2, e(100))
-	c.Store(3, e(200))
-	if n := c.InvalidateOwner(100); n != 2 {
-		t.Fatalf("InvalidateOwner = %d, want 2", n)
-	}
-	if _, ok := c.Lookup(3); !ok {
-		t.Fatal("other owner's entry dropped")
-	}
-	if n := c.Clear(); n != 1 {
-		t.Fatalf("Clear = %d, want 1", n)
-	}
-	if st := c.Stats(); st.Entries != 0 || st.ResidentBytes != 0 || st.Invalidations != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestMemoConcurrent(t *testing.T) {
-	c := NewMemoCache(1 << 16)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				key := uint64(i % 32)
-				if _, ok := c.Lookup(key); !ok {
-					c.Store(key, &MemoEntry{Owner: uint64(g), Outputs: []MemoOutput{{Data: make([]byte, 64)}}})
-				}
-				if i%10 == 0 {
-					c.InvalidateOwner(uint64(g))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	c.Clear()
-	if st := c.Stats(); st.ResidentBytes != 0 {
-		t.Fatalf("resident %d after Clear", st.ResidentBytes)
 	}
 }
 

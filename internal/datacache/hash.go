@@ -1,8 +1,7 @@
 package datacache
 
-// FNV-1a 64-bit parameters. Hand-rolled rather than hash/fnv so the fold
-// helpers below can hash discontiguous key parts without allocating a
-// hash.Hash64 per call.
+// FNV-1a 64-bit parameters. Hand-rolled rather than hash/fnv so hashing a
+// payload allocates no hash.Hash64 per call.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -23,47 +22,3 @@ func ContentHash64(b []byte) uint64 {
 	}
 	return h
 }
-
-// Hasher folds heterogeneous key parts into one 64-bit FNV-1a digest.
-// The manager builds memoization keys with it: owner session, bitstream,
-// kernel name, launch geometry, and per-argument content. Each part is
-// folded with a leading length/kind byte sequence via the typed methods,
-// so adjacent variable-length parts cannot collide by concatenation.
-type Hasher struct{ h uint64 }
-
-// NewHasher returns a Hasher at the FNV offset basis.
-func NewHasher() Hasher { return Hasher{h: fnvOffset64} }
-
-func (s *Hasher) byte(c byte) {
-	s.h ^= uint64(c)
-	s.h *= fnvPrime64
-}
-
-// U64 folds a fixed-width integer.
-func (s *Hasher) U64(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.byte(byte(v >> (8 * i)))
-	}
-}
-
-// I64 folds a fixed-width signed integer.
-func (s *Hasher) I64(v int64) { s.U64(uint64(v)) }
-
-// Bytes folds a variable-length part, length-prefixed.
-func (s *Hasher) Bytes(b []byte) {
-	s.U64(uint64(len(b)))
-	for _, c := range b {
-		s.byte(c)
-	}
-}
-
-// String folds a string part, length-prefixed.
-func (s *Hasher) String(v string) {
-	s.U64(uint64(len(v)))
-	for i := 0; i < len(v); i++ {
-		s.byte(v[i])
-	}
-}
-
-// Sum returns the digest folded so far.
-func (s *Hasher) Sum() uint64 { return s.h }

@@ -365,8 +365,6 @@ func attribute(pm *Postmortem, flights []procFlight) {
 				}
 			case KindBufferHit:
 				evidence = append(evidence, withCount("data: buffer-cache hit skipped an upload", ev.Count))
-			case KindMemoHit:
-				evidence = append(evidence, fmt.Sprintf("data: kernel served from memo cache in %s", round(ev.Dur)))
 			case KindFailure:
 				evidence = append(evidence, "failure: "+ev.Detail)
 			case KindRetry:

@@ -47,8 +47,6 @@ const (
 	// probes (session-scoped: buffers are created outside tasks).
 	KindBufferHit  Kind = "buffer-cache-hit"
 	KindBufferMiss Kind = "buffer-cache-miss"
-	// KindMemoHit is a kernel launch served from the memoization cache.
-	KindMemoHit Kind = "memo-hit"
 	// KindFlashJoin is a reconfiguration request joining a flash window;
 	// KindFlashWait is the blocking wait for that window to land.
 	KindFlashJoin Kind = "flash-join"

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blastfunction/internal/datacache"
 	"blastfunction/internal/model"
 	"blastfunction/internal/ocl"
 )
@@ -269,54 +268,6 @@ func (b *Board) Copy(src, dst uint64, srcOff, dstOff, n int64) (time.Duration, e
 	d := b.cfg.Cost.DDRCopy(n)
 	b.copyOps.Add(1)
 	b.copyBytes.Add(n)
-	b.occupy(d)
-	return d, nil
-}
-
-// ContentHash returns the content digest of buffer id. Host-side
-// bookkeeping for the memoization cache — it models no device time (the
-// real system would track content identity on the host as buffers are
-// written, not re-scan DDR).
-func (b *Board) ContentHash(id uint64) (uint64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	buf, ok := b.buffers[id]
-	if !ok {
-		return 0, ocl.Errf(ocl.ErrInvalidMemObject, "hash: buffer %d", id)
-	}
-	return datacache.ContentHash64(buf), nil
-}
-
-// SnapshotBuffer returns a copy of buffer id's contents. Host-side
-// bookkeeping for the memoization cache (no device time modelled).
-func (b *Board) SnapshotBuffer(id uint64) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	buf, ok := b.buffers[id]
-	if !ok {
-		return nil, ocl.Errf(ocl.ErrInvalidMemObject, "snapshot: buffer %d", id)
-	}
-	return append([]byte(nil), buf...), nil
-}
-
-// RestoreBuffer overwrites buffer id with a memoized snapshot, modelled as
-// an on-device DDR move (the snapshot conceptually lives in spare board
-// memory; the paper's boards have 8 GB). Returns the modelled time.
-func (b *Board) RestoreBuffer(id uint64, data []byte) (time.Duration, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	buf, ok := b.buffers[id]
-	if !ok {
-		return 0, ocl.Errf(ocl.ErrInvalidMemObject, "restore: buffer %d", id)
-	}
-	if len(data) > len(buf) {
-		return 0, ocl.Errf(ocl.ErrInvalidValue,
-			"restore out of range: snapshot=%d buf=%d", len(data), len(buf))
-	}
-	copy(buf, data)
-	d := b.cfg.Cost.DDRCopy(int64(len(data)))
-	b.copyOps.Add(1)
-	b.copyBytes.Add(int64(len(data)))
 	b.occupy(d)
 	return d, nil
 }

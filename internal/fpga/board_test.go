@@ -219,46 +219,6 @@ func TestBoardCopyValidation(t *testing.T) {
 	}
 }
 
-func TestBoardSnapshotRestoreHash(t *testing.T) {
-	b := testBoard(t)
-	id, _ := b.Alloc(32)
-	b.Write(id, 0, []byte("snapshot me"))
-	h1, err := b.ContentHash(id)
-	if err != nil || h1 == 0 {
-		t.Fatalf("ContentHash: %#x, %v", h1, err)
-	}
-	snap, err := b.SnapshotBuffer(id)
-	if err != nil {
-		t.Fatalf("SnapshotBuffer: %v", err)
-	}
-	b.Write(id, 0, []byte("overwritten"))
-	if h2, _ := b.ContentHash(id); h2 == h1 {
-		t.Fatal("hash must change when content changes")
-	}
-	d, err := b.RestoreBuffer(id, snap)
-	if err != nil {
-		t.Fatalf("RestoreBuffer: %v", err)
-	}
-	if d <= 0 {
-		t.Fatal("restore must cost modelled DDR time")
-	}
-	if h3, _ := b.ContentHash(id); h3 != h1 {
-		t.Fatal("hash must return to the snapshotted value after restore")
-	}
-	if _, err := b.RestoreBuffer(id, make([]byte, 64)); !errors.Is(err, ocl.ErrInvalidValue) {
-		t.Fatalf("oversized restore err = %v", err)
-	}
-	if _, err := b.ContentHash(999); !errors.Is(err, ocl.ErrInvalidMemObject) {
-		t.Fatalf("unknown buffer hash err = %v", err)
-	}
-	if _, err := b.SnapshotBuffer(999); !errors.Is(err, ocl.ErrInvalidMemObject) {
-		t.Fatalf("unknown buffer snapshot err = %v", err)
-	}
-	if _, err := b.RestoreBuffer(999, snap); !errors.Is(err, ocl.ErrInvalidMemObject) {
-		t.Fatalf("unknown buffer restore err = %v", err)
-	}
-}
-
 func TestBoardRunKernel(t *testing.T) {
 	b := testBoard(t)
 	configure(t, b)

@@ -2,7 +2,6 @@ package manager
 
 import (
 	"net/http"
-	"time"
 
 	"blastfunction/internal/datacache"
 	"blastfunction/internal/flightrec"
@@ -12,8 +11,8 @@ import (
 )
 
 // This file is the manager side of the data-plane reuse layer: the
-// content-addressed device buffer cache behind CreateBuffer, the kernel
-// memoization hook of the worker, and the /debug/cache stats view.
+// content-addressed device buffer cache behind CreateBuffer and the
+// /debug/cache stats view.
 
 // createCachedBuffer serves a CreateBuffer carrying a content hash.
 // Protocol:
@@ -92,128 +91,23 @@ func (m *Manager) dropBuffer(b bufferInfo) error {
 	return m.board.Free(b.boardID)
 }
 
-// runKernelMemo executes one kernel operation through the memoization
-// cache. The key is content-canonical: owner session (results are
-// tenant-scoped), configured bitstream, kernel name, launch geometry, and
-// the content of every argument — scalars by value, buffers by digest.
-// Identical state always produces the same key, so re-invocations hit
-// regardless of which buffers carry the content. On a hit the modified
-// buffers are restored from snapshots at on-board DDR speed instead of
-// re-running the kernel; the returned DeviceNanos is the board time the
-// restore actually occupied.
-func (m *Manager) runKernelMemo(t *task, o *op) (int64, error) {
-	bitID := m.board.ConfiguredID()
-	h := datacache.NewHasher()
-	h.U64(t.sess.id)
-	h.String(bitID)
-	h.String(o.kernelName)
-	h.U64(uint64(len(o.global)))
-	for _, g := range o.global {
-		h.I64(int64(g))
-	}
-	h.U64(uint64(len(o.local)))
-	for _, l := range o.local {
-		h.I64(int64(l))
-	}
-	h.U64(uint64(len(o.args)))
-	preHash := make(map[int]uint64, len(o.args))
-	for i, a := range o.args {
-		if a.Kind == ocl.ArgBuffer {
-			bh, err := m.board.ContentHash(a.BufferID)
-			if err != nil {
-				return 0, err // dangling buffer: same failure Run would report
-			}
-			h.U64(1)
-			h.U64(bh)
-			preHash[i] = bh
-		} else {
-			h.U64(2)
-			h.Bytes(a.Scalar[:a.ScalarLen])
-		}
-	}
-	key := h.Sum()
-
-	if ent, ok := m.memo.Lookup(key); ok {
-		var restore time.Duration
-		for _, out := range ent.Outputs {
-			d, err := m.board.RestoreBuffer(o.args[out.BoardArg].BufferID, out.Data)
-			if err != nil {
-				return 0, err
-			}
-			restore += d
-		}
-		m.mMemoHits.Inc()
-		t.flightEvs = append(t.flightEvs, flightrec.Event{
-			Kind: flightrec.KindMemoHit, Dur: restore, Detail: o.kernelName, Time: time.Now()})
-		m.syncCacheGauges()
-		return int64(restore), nil
-	}
-
-	d, err := m.board.Run(o.kernelName, o.args, o.global)
-	if err != nil {
-		return 0, err
-	}
-	ent := &datacache.MemoEntry{Owner: t.sess.id, Bitstream: bitID, DeviceNanos: int64(d)}
-	store := true
-	for i, a := range o.args {
-		if a.Kind != ocl.ArgBuffer {
-			continue
-		}
-		post, herr := m.board.ContentHash(a.BufferID)
-		if herr != nil {
-			store = false // buffer vanished mid-task: result not replayable
-			break
-		}
-		if post != preHash[i] {
-			snap, serr := m.board.SnapshotBuffer(a.BufferID)
-			if serr != nil {
-				store = false
-				break
-			}
-			ent.Outputs = append(ent.Outputs, datacache.MemoOutput{BoardArg: i, Data: snap})
-		}
-	}
-	if store {
-		m.memo.Store(key, ent)
-	}
-	m.mMemoMisses.Inc()
-	m.syncCacheGauges()
-	return int64(d), nil
-}
-
-// invalidateMemoOwner drops a departing session's memoized results.
-func (m *Manager) invalidateMemoOwner(sessionID uint64) {
-	if m.memo == nil {
-		return
-	}
-	if n := m.memo.InvalidateOwner(sessionID); n > 0 {
-		m.mMemoInval.Add(float64(n))
-		m.syncCacheGauges()
-	}
-}
-
-// syncCacheGauges pushes the caches' resident sizes into the exported
-// gauges.
+// syncCacheGauges pushes the buffer cache's resident size into the
+// exported gauges.
 func (m *Manager) syncCacheGauges() {
 	if m.bufcache != nil {
 		st := m.bufcache.Stats()
 		m.gBufResident.Set(float64(st.ResidentBytes))
 		m.gBufEntries.Set(float64(st.Entries))
 	}
-	if m.memo != nil {
-		m.gMemoResident.Set(float64(m.memo.Stats().ResidentBytes))
-	}
 }
 
-// CacheStats is the /debug/cache snapshot: both reuse caches plus the
+// CacheStats is the /debug/cache snapshot: the buffer cache plus the
 // board's device-to-device copy counters, which together describe how much
 // data the reuse layer kept off the client path.
 type CacheStats struct {
 	Device      string                `json:"device"`
 	Node        string                `json:"node"`
 	BufferCache datacache.BufferStats `json:"buffer_cache"`
-	MemoEnabled bool                  `json:"memo_enabled"`
-	MemoCache   datacache.MemoStats   `json:"memo_cache"`
 	CopyOps     int64                 `json:"copy_ops"`
 	CopyBytes   int64                 `json:"copy_bytes"`
 }
@@ -223,10 +117,6 @@ func (m *Manager) CacheStats() CacheStats {
 	st := CacheStats{Device: m.cfg.DeviceID, Node: m.cfg.Node}
 	if m.bufcache != nil {
 		st.BufferCache = m.bufcache.Stats()
-	}
-	if m.memo != nil {
-		st.MemoEnabled = true
-		st.MemoCache = m.memo.Stats()
 	}
 	bs := m.board.Stats()
 	st.CopyOps = bs.CopyOps

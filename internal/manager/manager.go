@@ -93,13 +93,6 @@ type Config struct {
 	// 256 MiB; negative disables the cache, making every content-hash
 	// probe a miss.
 	BufferCacheBytes int64
-	// MemoizeKernels enables memoization of kernel results. Opt-in: only
-	// deployments whose kernels are idempotent pure functions of their
-	// arguments (the Spector benchmarks, CNN inference) should set it.
-	MemoizeKernels bool
-	// MemoCacheBytes bounds the memoized result snapshots. Zero selects
-	// 64 MiB.
-	MemoCacheBytes int64
 	// FlashHistoryPath is the flash service's durable JSONL ledger of
 	// board reprogrammings, reloaded on restart; empty keeps the history
 	// in memory only.
@@ -160,22 +153,17 @@ type Manager struct {
 	// job, concurrent demand for one bitstream coalesces onto one flash.
 	flash *flash.Service
 
-	// Data-plane reuse layer (ISSUE 6): content-addressed buffer cache,
-	// kernel memoization, device-to-device copy accounting.
-	bufcache      *datacache.BufferCache // nil when disabled
-	memo          *datacache.MemoCache   // nil unless MemoizeKernels
-	mBufHits      metrics.Counter
-	mBufMisses    metrics.Counter
-	mBufSaved     metrics.Counter
-	mBufEvict     metrics.Counter
-	gBufResident  metrics.Gauge
-	gBufEntries   metrics.Gauge
-	mMemoHits     metrics.Counter
-	mMemoMisses   metrics.Counter
-	mMemoInval    metrics.Counter
-	gMemoResident metrics.Gauge
-	mCopies       metrics.Counter
-	mCopyBytes    metrics.Counter
+	// Data-plane reuse layer: content-addressed buffer cache and
+	// device-to-device copy accounting.
+	bufcache     *datacache.BufferCache // nil when disabled
+	mBufHits     metrics.Counter
+	mBufMisses   metrics.Counter
+	mBufSaved    metrics.Counter
+	mBufEvict    metrics.Counter
+	gBufResident metrics.Gauge
+	gBufEntries  metrics.Gauge
+	mCopies      metrics.Counter
+	mCopyBytes   metrics.Counter
 
 	// Per-tenant series (device/node/tenant labels), created at the
 	// tenant's first Hello.
@@ -279,19 +267,15 @@ func New(cfg Config, board *fpga.Board) *Manager {
 			"Modelled board reprogramming time per reconfiguration.", lbl, nil),
 		mBufInval: reg.Counter("bf_bufcache_invalidations_total",
 			"Cached buffers dropped because a reconfiguration changed the memory geometry.", lbl),
-		mBufHits:      reg.Counter("bf_bufcache_hits_total", "Content-hashed buffer creates served from resident device buffers.", lbl),
-		mBufMisses:    reg.Counter("bf_bufcache_misses_total", "Content-hashed buffer creates that uploaded a new payload.", lbl),
-		mBufSaved:     reg.Counter("bf_bufcache_bytes_saved_total", "Payload bytes the buffer cache kept off the wire and the PCIe link.", lbl),
-		mBufEvict:     reg.Counter("bf_bufcache_evictions_total", "Idle cached buffers evicted to respect the cache byte bound.", lbl),
-		gBufResident:  reg.Gauge("bf_bufcache_resident_bytes", "Device memory held by the content-addressed buffer cache.", lbl),
-		gBufEntries:   reg.Gauge("bf_bufcache_entries", "Buffers resident in the content-addressed cache.", lbl),
-		mMemoHits:     reg.Counter("bf_memo_hits_total", "Kernel launches served from the memoization cache.", lbl),
-		mMemoMisses:   reg.Counter("bf_memo_misses_total", "Memoizable kernel launches that executed on the device.", lbl),
-		mMemoInval:    reg.Counter("bf_memo_invalidations_total", "Memoized results dropped by reconfiguration or session teardown.", lbl),
-		gMemoResident: reg.Gauge("bf_memo_resident_bytes", "Result snapshot bytes resident in the memoization cache.", lbl),
-		mCopies:       reg.Counter("bf_copy_ops_total", "Device-to-device buffer copies executed (task chaining).", lbl),
-		mCopyBytes:    reg.Counter("bf_copy_bytes_total", "Bytes moved by device-to-device buffer copies.", lbl),
-		log:           cfg.Log,
+		mBufHits:     reg.Counter("bf_bufcache_hits_total", "Content-hashed buffer creates served from resident device buffers.", lbl),
+		mBufMisses:   reg.Counter("bf_bufcache_misses_total", "Content-hashed buffer creates that uploaded a new payload.", lbl),
+		mBufSaved:    reg.Counter("bf_bufcache_bytes_saved_total", "Payload bytes the buffer cache kept off the wire and the PCIe link.", lbl),
+		mBufEvict:    reg.Counter("bf_bufcache_evictions_total", "Idle cached buffers evicted to respect the cache byte bound.", lbl),
+		gBufResident: reg.Gauge("bf_bufcache_resident_bytes", "Device memory held by the content-addressed buffer cache.", lbl),
+		gBufEntries:  reg.Gauge("bf_bufcache_entries", "Buffers resident in the content-addressed cache.", lbl),
+		mCopies:      reg.Counter("bf_copy_ops_total", "Device-to-device buffer copies executed (task chaining).", lbl),
+		mCopyBytes:   reg.Counter("bf_copy_bytes_total", "Bytes moved by device-to-device buffer copies.", lbl),
+		log:          cfg.Log,
 		tracer: obs.New(obs.Config{
 			Component: "manager",
 			RingSize:  cfg.TraceRing,
@@ -318,13 +302,6 @@ func New(cfg Config, board *fpga.Board) *Manager {
 			board.Free(boardID)
 			m.mBufEvict.Inc()
 		})
-	}
-	if cfg.MemoizeKernels {
-		capBytes := cfg.MemoCacheBytes
-		if capBytes <= 0 {
-			capBytes = 64 << 20
-		}
-		m.memo = datacache.NewMemoCache(capBytes)
 	}
 	// The flash service owns every board reprogramming: one active flash,
 	// FIFO within priority, durable history, coalesced concurrent demand.
@@ -758,14 +735,6 @@ func (m *Manager) flashBoard(job flash.Job, binary []byte) (time.Duration, error
 	}
 	m.mReconfigs.Inc()
 	m.mReconfigHist.Observe(d.Seconds())
-	// Reconfiguration is the memoization invalidation barrier: every
-	// cached result was computed under the previous bitstream.
-	if m.memo != nil {
-		if n := m.memo.Clear(); n > 0 {
-			m.mMemoInval.Add(float64(n))
-			m.log.Debug("memo cache cleared on reconfiguration", "entries", n, "bitstream", job.Bitstream)
-		}
-	}
 	// Cached device buffers survive a reflash only while the new design
 	// addresses DDR the same way; a geometry change makes every resident
 	// buffer unreachable garbage.

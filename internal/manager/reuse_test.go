@@ -7,17 +7,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"blastfunction/internal/accel"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
 )
 
 // Integration tests for the data-plane reuse layer: the content-addressed
-// buffer cache, kernel memoization, and zero-copy chaining, all exercised
-// through real clients over real TCP.
+// buffer cache and zero-copy chaining, both exercised through real clients
+// over real TCP.
 
 // dialReuse is dialRig with control over the client's content-cache knob.
 func dialReuse(t *testing.T, rig *testRig, name string, disableCache bool) *remote.Client {
@@ -119,7 +117,7 @@ func TestContentCacheSharesUploadsAcrossSessions(t *testing.T) {
 }
 
 func TestCacheStatsEndpoint(t *testing.T) {
-	rig := newRig(t, manager.Config{MemoizeKernels: true})
+	rig := newRig(t, manager.Config{})
 	c := dialReuse(t, rig, "cache-http", false)
 	ctx, _, _ := openDevice(t, c)
 	const size = 4 << 10
@@ -136,13 +134,12 @@ func TestCacheStatsEndpoint(t *testing.T) {
 			Entries       int   `json:"entries"`
 			ResidentBytes int64 `json:"resident_bytes"`
 		} `json:"buffer_cache"`
-		MemoEnabled bool `json:"memo_enabled"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.Bytes())
 	}
-	if got.BufferCache.Entries != 1 || got.BufferCache.ResidentBytes != size || !got.MemoEnabled {
-		t.Fatalf("snapshot = %+v, want 1 entry / %d bytes / memo on", got, size)
+	if got.BufferCache.Entries != 1 || got.BufferCache.ResidentBytes != size {
+		t.Fatalf("snapshot = %+v, want 1 entry / %d bytes", got, size)
 	}
 }
 
@@ -225,156 +222,6 @@ func TestContentCacheClientOptOutUploadsEveryTime(t *testing.T) {
 	if st := rig.mgr.CacheStats().BufferCache; st.Hits != 0 {
 		t.Fatalf("opted-out clients produced %d cache hits", st.Hits)
 	}
-}
-
-// runLoopbackOnce is one serverless-style invocation: fresh output buffer,
-// kernel run, blocking read, release. The input buffer is reused by the
-// caller across invocations (its content is what memoization keys on).
-func runLoopbackOnce(t *testing.T, ctx ocl.Context, q ocl.CommandQueue, k ocl.Kernel, in ocl.Buffer, size int) []byte {
-	t.Helper()
-	out, err := ctx.CreateBuffer(ocl.MemWriteOnly, size, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Release()
-	k.SetArg(0, in)
-	k.SetArg(1, out)
-	k.SetArg(2, int32(size))
-	if _, err := q.EnqueueTask(k, nil); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, size)
-	if _, err := q.EnqueueReadBuffer(out, true, 0, got, nil); err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-func TestMemoHitReplaysKernelResult(t *testing.T) {
-	rig := newRig(t, manager.Config{MemoizeKernels: true})
-	c := dialReuse(t, rig, "memo-hit", false)
-	ctx, dev, q := openDevice(t, c)
-	k := buildLoopback(t, ctx, dev)
-	const size = 4 << 10
-	payload := weights(size)
-	in, err := ctx.CreateBuffer(ocl.MemReadOnly, size, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	first := runLoopbackOnce(t, ctx, q, k, in, size)
-	if !bytes.Equal(first, payload) {
-		t.Fatal("first invocation produced wrong bytes")
-	}
-	runsAfterFirst := rig.board.Stats().KernelRuns
-
-	second := runLoopbackOnce(t, ctx, q, k, in, size)
-	if !bytes.Equal(second, payload) {
-		t.Fatal("memoized invocation produced wrong bytes")
-	}
-	if got := rig.board.Stats().KernelRuns; got != runsAfterFirst {
-		t.Fatalf("second invocation ran the kernel (%d runs, want %d)", got, runsAfterFirst)
-	}
-	st := rig.mgr.CacheStats().MemoCache
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("memo stats = %+v, want 1 hit / 1 miss", st)
-	}
-}
-
-func TestMemoInvalidatesOnReconfiguration(t *testing.T) {
-	rig := newRig(t, manager.Config{MemoizeKernels: true})
-	c := dialReuse(t, rig, "memo-reconf", false)
-	ctx, dev, q := openDevice(t, c)
-	k := buildLoopback(t, ctx, dev)
-	const size = 1 << 10
-	in, err := ctx.CreateBuffer(ocl.MemReadOnly, size, weights(size))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runLoopbackOnce(t, ctx, q, k, in, size)
-
-	// Reconfiguring the board drops every memoized result: a different
-	// bitstream leaves no guarantee about replayed state.
-	k2 := buildSobel(t, ctx, dev)
-	_ = k2
-	st := rig.mgr.CacheStats().MemoCache
-	if st.Invalidations == 0 || st.Entries != 0 {
-		t.Fatalf("memo stats after reconfigure = %+v, want cleared", st)
-	}
-
-	// Back on the original bitstream the old key must miss (re-run), not
-	// replay a stale snapshot.
-	k = buildLoopback(t, ctx, dev)
-	runLoopbackOnce(t, ctx, q, k, in, size)
-	if st := rig.mgr.CacheStats().MemoCache; st.Misses < 2 {
-		t.Fatalf("memo stats after re-run = %+v, want a second miss", st)
-	}
-}
-
-func TestMemoInvalidatesOnSessionRelease(t *testing.T) {
-	rig := newRig(t, manager.Config{MemoizeKernels: true})
-	c := dialReuse(t, rig, "memo-close", false)
-	ctx, dev, q := openDevice(t, c)
-	k := buildLoopback(t, ctx, dev)
-	const size = 1 << 10
-	in, err := ctx.CreateBuffer(ocl.MemReadOnly, size, weights(size))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runLoopbackOnce(t, ctx, q, k, in, size)
-	c.Close()
-
-	// Disconnect handling is asynchronous to Close returning.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := rig.mgr.CacheStats().MemoCache
-		if st.Invalidations >= 1 && st.Entries == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("memo stats after close = %+v, want owner invalidated", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestMemoInvalidatesOnSessionExpiry(t *testing.T) {
-	rig := newRig(t, manager.Config{MemoizeKernels: true, LeaseDuration: time.Hour})
-	c := dialReuse(t, rig, "memo-expire", false)
-	ctx, dev, q := openDevice(t, c)
-	k := buildLoopback(t, ctx, dev)
-	const size = 1 << 10
-	in, err := ctx.CreateBuffer(ocl.MemReadOnly, size, weights(size))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runLoopbackOnce(t, ctx, q, k, in, size)
-
-	// Force the sweep from two lease periods in the future: the session
-	// is past its deadline regardless of heartbeats sent so far.
-	rig.mgr.SweepLeases(time.Now().Add(2 * time.Hour))
-	st := rig.mgr.CacheStats().MemoCache
-	if st.Invalidations == 0 || st.Entries != 0 {
-		t.Fatalf("memo stats after expiry = %+v, want owner invalidated", st)
-	}
-}
-
-// buildSobel mirrors buildLoopback for the Sobel design (used to force a
-// reconfiguration).
-func buildSobel(t *testing.T, ctx ocl.Context, dev ocl.Device) ocl.Kernel {
-	t.Helper()
-	prog, err := ctx.CreateProgramWithBinary(dev, accel.SobelBitstream().Binary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.Build(""); err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.CreateKernel("sobel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
 }
 
 func TestZeroCopyChainingMovesNoIntermediates(t *testing.T) {

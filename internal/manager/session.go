@@ -115,8 +115,6 @@ func (s *session) newID() uint64 {
 
 // release frees everything the client still holds. Called on disconnect.
 func (s *session) release(m *Manager) {
-	// The departing tenant's memoized results go with it.
-	m.invalidateMemoOwner(s.id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, q := range s.queues {

@@ -62,7 +62,6 @@ type op struct {
 	kernelName string
 	args       []ocl.Arg
 	global     []int
-	local      []int
 
 	// Tracing identity carried from the client's enqueue (zero when
 	// untraced): span is the client-side "call" span of this operation, so
@@ -268,7 +267,6 @@ func (s *session) enqueueKernel(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byt
 	})
 	o.args = append(o.args, k.args...)
 	o.global = append(o.global, req.Global...)
-	o.local = append(o.local, req.Local...)
 	s.mu.Unlock()
 	return nil, nil
 }
@@ -335,16 +333,16 @@ func (s *session) appendOp(q *queueState, o *op) {
 }
 
 // push copies o into the next slot of the current task, with s.mu held,
-// and returns the slot. A slot is reused across tasks: it keeps the args,
-// global and local arrays of the launch that last used it, emptied, for
+// and returns the slot. A slot is reused across tasks: it keeps the args
+// and global arrays of the launch that last used it, emptied, for
 // the caller to append into. Its frame was released when that operation
 // ran or was dropped, so a slot never keeps a pooled frame.
 func (q *queueState) push(o *op) *op {
 	q.cur = slices.Grow(q.cur, 1)[:len(q.cur)+1]
 	slot := &q.cur[len(q.cur)-1]
-	args, global, local := slot.args[:0], slot.global[:0], slot.local[:0]
+	args, global := slot.args[:0], slot.global[:0]
 	*slot = *o
-	slot.args, slot.global, slot.local = args, global, local
+	slot.args, slot.global = args, global
 	q.accepted = append(q.accepted, o.tag)
 	return slot
 }
@@ -667,19 +665,11 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64, n 
 		}
 		m.mBytesOut.Add(float64(o.length))
 	case opKernel:
-		if m.memo != nil {
-			dn, merr := m.runKernelMemo(t, o)
-			if merr != nil {
-				return false, merr
-			}
-			n.DeviceNanos = dn
-		} else {
-			d, kerr := m.board.Run(o.kernelName, o.args, o.global)
-			if kerr != nil {
-				return false, kerr
-			}
-			n.DeviceNanos = int64(d)
+		d, kerr := m.board.Run(o.kernelName, o.args, o.global)
+		if kerr != nil {
+			return false, kerr
 		}
+		n.DeviceNanos = int64(d)
 		m.mKernels.Inc()
 	case opCopy:
 		// Device-to-device: the bytes stay on the board, so neither the

@@ -76,12 +76,77 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseReadsEscapedLabelValues pins that every label value Render
+// escapes comes back from Parse unchanged. Tenant names reach label values
+// unvalidated, so one odd name must not fail a whole scrape.
+func TestParseReadsEscapedLabelValues(t *testing.T) {
+	tenants := []string{`a"b`, `a\b`, "a # b", "line\nbreak", "ténant-名前", `}{=",`}
+	r := NewRegistry()
+	for i, tn := range tenants {
+		r.Counter("bf_tenant_tasks_total", "Tasks.", Labels{"device": "fpga0", "tenant": tn}).Add(float64(i + 1))
+	}
+	h := r.Histogram("bf_tenant_wait_seconds", "Wait.", Labels{"tenant": "a # b"}, []float64{0.1})
+	h.ObserveExemplar(0.05, "trace # 1")
+	samples, err := Parse(r.Render())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64)
+	for _, s := range samples {
+		if s.Name == "bf_tenant_tasks_total" {
+			got[s.Labels["tenant"]] = s.Value
+		}
+		if s.Name == "bf_tenant_wait_seconds_bucket" && s.Labels["le"] == "0.1" {
+			if s.Labels["tenant"] != "a # b" || s.Exemplar == nil || s.Exemplar.TraceID != "trace # 1" {
+				t.Errorf("bucket = %+v, exemplar %+v", s.Labels, s.Exemplar)
+			}
+		}
+	}
+	for i, tn := range tenants {
+		if v, ok := got[tn]; !ok || v != float64(i+1) {
+			t.Errorf("tenant %q: got %v, %v; want %d", tn, v, ok, i+1)
+		}
+	}
+}
+
+// FuzzParse checks that Parse never panics on arbitrary exposition text,
+// and that a gauge with a fuzzed label value and a fuzzed value comes back
+// from Render then Parse with the same name, labels and value.
+func FuzzParse(f *testing.F) {
+	f.Add("bf_tasks_total{device=\"fpga0\"} 12\n", "sobel-1", 1.5)
+	f.Add("h_bucket{le=\"0.1\"} 3 # {trace_id=\"ab\"} 0.05 1719321600.123\n", `a"b`, math.Inf(-1))
+	f.Add("x{k=\"a # b\"} 1 # {", "a # b\n", math.NaN())
+	f.Add("# HELP x\nx{k=\"\\xff\"} -0\n", "\xff\x00}", math.Copysign(0, -1))
+	f.Fuzz(func(t *testing.T, text, label string, v float64) {
+		Parse(text)
+
+		r := NewRegistry()
+		r.Gauge("fuzz_value", "Fuzzed.", Labels{"tenant": label}).Set(v)
+		samples, err := Parse(r.Render())
+		if err != nil {
+			t.Fatalf("label %q, value %v: %v", label, v, err)
+		}
+		if len(samples) != 1 {
+			t.Fatalf("label %q: %d samples, want 1", label, len(samples))
+		}
+		s := samples[0]
+		sameValue := s.Value == v || (math.IsNaN(s.Value) && math.IsNaN(v))
+		if s.Name != "fuzz_value" || len(s.Labels) != 1 || s.Labels["tenant"] != label || !sameValue {
+			t.Fatalf("round trip of (%q, %v) gave %+v", label, v, s)
+		}
+	})
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"novalue",
 		"name{unterminated 1",
 		`name{k=nov} 1`,
 		`name{k="open} 1`,
+		`name{k="v"}1`,
+		`name{k='v'} 1`,
+		"name{k=`v`} 1",
+		`name{k="\q"} 1`,
 		"1badname 2",
 		"name notanumber",
 	} {

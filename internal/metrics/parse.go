@@ -45,69 +45,71 @@ func Parse(text string) ([]Sample, error) {
 
 func parseLine(line string) (Sample, error) {
 	var s Sample
-	// An OpenMetrics exemplar rides after " # " — split it off first so
-	// the value split below sees only the plain sample.
-	if hash := strings.Index(line, " # "); hash >= 0 {
-		ex, err := parseExemplar(strings.TrimSpace(line[hash+3:]))
+	// The name runs to the label set or to the space before the value.
+	end := strings.IndexAny(line, "{ ")
+	if end < 0 {
+		return s, fmt.Errorf("no value separator in %q", line)
+	}
+	s.Name = line[:end]
+	if err := validName(s.Name); err != nil {
+		return s, err
+	}
+	rest := line[end:]
+	if rest[0] == '{' {
+		labels, n, err := parseLabelSet(rest)
+		if err != nil {
+			return s, fmt.Errorf("%w in %q", err, line)
+		}
+		s.Labels = labels
+		rest = rest[n:]
+		if !strings.HasPrefix(rest, " ") {
+			return s, fmt.Errorf("no value separator in %q", line)
+		}
+	}
+	// An OpenMetrics exemplar rides after " # ". It is looked for only
+	// past the label set, where no quoted value can contain one.
+	if hash := strings.Index(rest, " # "); hash >= 0 {
+		ex, err := parseExemplar(strings.TrimSpace(rest[hash+3:]))
 		if err != nil {
 			return s, fmt.Errorf("bad exemplar in %q: %w", line, err)
 		}
 		s.Exemplar = ex
-		line = strings.TrimSpace(line[:hash])
+		rest = rest[:hash]
 	}
-	// Split metric part from value at the last space.
-	sp := strings.LastIndexByte(line, ' ')
-	if sp < 0 {
-		return s, fmt.Errorf("no value separator in %q", line)
-	}
-	metricPart := strings.TrimSpace(line[:sp])
-	v, err := strconv.ParseFloat(strings.TrimSpace(line[sp+1:]), 64)
+	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 	if err != nil {
 		return s, fmt.Errorf("bad value in %q: %w", line, err)
 	}
 	s.Value = v
-	brace := strings.IndexByte(metricPart, '{')
-	if brace < 0 {
-		s.Name = metricPart
-		return s, validName(s.Name)
-	}
-	if !strings.HasSuffix(metricPart, "}") {
-		return s, fmt.Errorf("unterminated label set in %q", line)
-	}
-	s.Name = metricPart[:brace]
-	if err := validName(s.Name); err != nil {
-		return s, err
-	}
-	labels, err := parseLabels(metricPart[brace+1 : len(metricPart)-1])
-	if err != nil {
-		return s, fmt.Errorf("%w in %q", err, line)
-	}
-	s.Labels = labels
 	return s, nil
 }
 
-// parseLabels parses the inside of a {...} label set (no braces).
-func parseLabels(labelText string) (Labels, error) {
-	if labelText == "" {
-		return nil, nil
-	}
-	labels := make(Labels)
-	for len(labelText) > 0 {
-		eq := strings.IndexByte(labelText, '=')
-		if eq < 0 || len(labelText) < eq+2 || labelText[eq+1] != '"' {
-			return nil, fmt.Errorf("malformed label")
+// parseLabelSet parses the {k="v",...} label set text starts with and
+// returns it with the number of bytes it spans. Values are read as Go
+// quoted strings, the syntax Labels.appendKey writes them in.
+func parseLabelSet(text string) (Labels, int, error) {
+	var labels Labels
+	rest := text[1:]
+	for !strings.HasPrefix(rest, "}") {
+		if rest == "" {
+			return nil, 0, fmt.Errorf("unterminated label set")
 		}
-		key := labelText[:eq]
-		rest := labelText[eq+2:]
-		end := strings.IndexByte(rest, '"')
-		if end < 0 {
-			return nil, fmt.Errorf("unterminated label value")
+		eq := strings.IndexByte(rest, '=')
+		if eq < 0 {
+			return nil, 0, fmt.Errorf("malformed label")
 		}
-		labels[key] = rest[:end]
-		labelText = rest[end+1:]
-		labelText = strings.TrimPrefix(labelText, ",")
+		quoted, err := strconv.QuotedPrefix(rest[eq+1:])
+		if err != nil || quoted[0] != '"' {
+			return nil, 0, fmt.Errorf("malformed label value")
+		}
+		value, _ := strconv.Unquote(quoted) // QuotedPrefix validated it
+		if labels == nil {
+			labels = make(Labels)
+		}
+		labels[rest[:eq]] = value
+		rest = strings.TrimPrefix(rest[eq+1+len(quoted):], ",")
 	}
-	return labels, nil
+	return labels, len(text) - len(rest) + 1, nil
 }
 
 // parseExemplar parses the clause after " # ":
@@ -119,15 +121,11 @@ func parseExemplar(text string) (*Exemplar, error) {
 	if !strings.HasPrefix(text, "{") {
 		return nil, fmt.Errorf("missing label set")
 	}
-	close := strings.IndexByte(text, '}')
-	if close < 0 {
-		return nil, fmt.Errorf("unterminated label set")
-	}
-	labels, err := parseLabels(text[1:close])
+	labels, n, err := parseLabelSet(text)
 	if err != nil {
 		return nil, err
 	}
-	fields := strings.Fields(text[close+1:])
+	fields := strings.Fields(text[n:])
 	if len(fields) < 1 || len(fields) > 2 {
 		return nil, fmt.Errorf("want value [timestamp] after labels")
 	}

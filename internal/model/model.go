@@ -63,9 +63,9 @@ type CostModel struct {
 	// bitstream (Arria 10 via CvP takes on the order of seconds).
 	ReconfigureTime time.Duration
 	// DDRGBps is the effective on-board DDR4 copy bandwidth, paid by
-	// device-to-device buffer copies (task chaining) and memoized-result
-	// restores. Roughly 2x the PCIe link: the DE5a-Net's two DDR4-2133
-	// banks sustain ~12 GB/s for a read+write stream.
+	// device-to-device buffer copies (task chaining). Roughly 2x the PCIe
+	// link: the DE5a-Net's two DDR4-2133 banks sustain ~12 GB/s for a
+	// read+write stream.
 	DDRGBps float64
 }
 

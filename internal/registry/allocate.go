@@ -224,7 +224,7 @@ func (r *Registry) fullPool(q DeviceQuery, node string) []*deviceState {
 // candidates wraps a device pool with its metrics snapshots and
 // accelerator-compatibility flags. Called with r.mu held; note the
 // MetricsSource call happens under the lock, which is why the Gatherer
-// memoizes per scrape generation.
+// caches per scrape generation.
 func (r *Registry) candidates(pool []*deviceState, q DeviceQuery) []*candidate {
 	cands := make([]*candidate, 0, len(pool))
 	for _, ds := range pool {

@@ -36,7 +36,7 @@ type Gatherer struct {
 	hits     uint64
 }
 
-// cachedDeviceMetrics memoizes one DeviceMetrics answer, including the
+// cachedDeviceMetrics caches one DeviceMetrics answer, including the
 // negative ("no data yet") case.
 type cachedDeviceMetrics struct {
 	m  DeviceMetrics
