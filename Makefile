@@ -78,7 +78,8 @@ bench-reconfig:
 # Record the observability tax into BENCH_obs.json: the three histogram
 # observation paths (plain, unsampled exemplar, sampled exemplar), the
 # runtime collector's sampling cost, the scrape render with exemplars
-# on vs off, and the always-on flight recorder's per-task cost against
+# on vs off, one ingest (render, parse, append) of 500 histogram series
+# into a TSDB that holds them, and the always-on flight recorder's per-task cost against
 # the live 4K round trip. Two gates fail the run on regression: the
 # unsampled exemplar path — what every request pays at default
 # sampling — must stay within 2% of a plain Observe, and the flight

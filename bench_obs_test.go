@@ -37,6 +37,10 @@ type obsReport struct {
 	Render500PlainNs          float64 `json:"render_500_histograms_plain_ns"`
 	RenderWithExemplarsNs     float64 `json:"render_50_histograms_exemplars_ns"`
 	RenderExemplarOverheadPct float64 `json:"render_exemplar_overhead_pct"`
+	// One scrape's ingest of the 500-series registry: render, parse and
+	// append to a TSDB that already holds every series.
+	Ingest500Ns     float64 `json:"ingest_500_histograms_ns"`
+	Ingest500Allocs float64 `json:"ingest_500_histograms_allocs"`
 
 	// Flight-recorder tax. FlightLifecycleNs is the total recorder work
 	// one task costs across both processes (the client library's key
@@ -227,7 +231,7 @@ func TestBenchObsArtifact(t *testing.T) {
 	// Scrape-path cost: rendering 50 histogram series, with and without
 	// an exemplar pinned in every bucket, and 500 plain ones — the 500
 	// tenants of the scale exemplar on one registry.
-	renderCost := func(series int, exemplars bool) float64 {
+	histRegistry := func(series int, exemplars bool) *metrics.Registry {
 		reg := metrics.NewRegistry()
 		for i := 0; i < series; i++ {
 			h := reg.Histogram("bf_bench_latency_seconds", "bench",
@@ -240,6 +244,10 @@ func TestBenchObsArtifact(t *testing.T) {
 				}
 			}
 		}
+		return reg
+	}
+	renderCost := func(series int, exemplars bool) float64 {
+		reg := histRegistry(series, exemplars)
 		return minBench(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if len(reg.Render()) == 0 {
@@ -252,6 +260,29 @@ func TestBenchObsArtifact(t *testing.T) {
 	report.RenderWithExemplarsNs = renderCost(50, true)
 	report.Render500PlainNs = renderCost(500, false)
 	report.RenderExemplarOverheadPct = 100 * (report.RenderWithExemplarsNs - report.RenderPlainNs) / report.RenderPlainNs
+
+	// The same 500 series through the scraper's text path into a TSDB
+	// that holds them from the first ingest on. A 2 s tick against a
+	// minute of retention keeps the store at its steady-state size.
+	reg500, db := histRegistry(500, false), metrics.NewTSDB(time.Minute)
+	scrapeAt := time.Unix(1700000000, 0)
+	ingest := func() {
+		samples, err := metrics.Parse(reg500.Render())
+		if err != nil {
+			t.Fatal(err)
+		}
+		scrapeAt = scrapeAt.Add(2 * time.Second)
+		db.Append(scrapeAt, samples)
+	}
+	for i := 0; i < 40; i++ {
+		ingest()
+	}
+	report.Ingest500Ns = minBench(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ingest()
+		}
+	})
+	report.Ingest500Allocs = testing.AllocsPerRun(20, ingest)
 
 	// The flight recorder's per-task cost: everything both processes'
 	// recorders do for one write->kernel->read round trip, in the exact
@@ -303,6 +334,7 @@ func TestBenchObsArtifact(t *testing.T) {
 	t.Logf("runtime collector sample: %.0fns", report.RuntimeSampleNs)
 	t.Logf("render 50 histograms: plain=%.0fns exemplars=%.0fns (%.1f%%); 500 plain=%.0fns",
 		report.RenderPlainNs, report.RenderWithExemplarsNs, report.RenderExemplarOverheadPct, report.Render500PlainNs)
+	t.Logf("ingest 500 histograms: %.0fns, %.0f allocations", report.Ingest500Ns, report.Ingest500Allocs)
 	t.Logf("flight recorder: lifecycle=%.0fns (%.2f%% of round trip) in-situ off=%.0fns on=%.0fns (delta %.2f%%)",
 		report.FlightLifecycleNs, report.RecorderOverheadPct,
 		report.RoundTripRecorderOffNs, report.RoundTripRecorderOnNs, report.RoundTripRecorderDeltaPct)

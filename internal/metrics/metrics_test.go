@@ -1,14 +1,19 @@
 package metrics
 
 import (
+	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -111,14 +116,31 @@ func TestParseReadsEscapedLabelValues(t *testing.T) {
 
 // FuzzParse checks that Parse never panics on arbitrary exposition text,
 // and that a gauge with a fuzzed label value and a fuzzed value comes back
-// from Render then Parse with the same name, labels and value.
+// from Render then Parse with the same name, labels and value. Every
+// sample Parse accepts is appended to a TSDB and read back by Latest and
+// Series: the key ingest builds and the key a query builds agree, and the
+// label set the TSDB stores is the one appended.
 func FuzzParse(f *testing.F) {
 	f.Add("bf_tasks_total{device=\"fpga0\"} 12\n", "sobel-1", 1.5)
 	f.Add("h_bucket{le=\"0.1\"} 3 # {trace_id=\"ab\"} 0.05 1719321600.123\n", `a"b`, math.Inf(-1))
 	f.Add("x{k=\"a # b\"} 1 # {", "a # b\n", math.NaN())
 	f.Add("# HELP x\nx{k=\"\\xff\"} -0\n", "\xff\x00}", math.Copysign(0, -1))
 	f.Fuzz(func(t *testing.T, text, label string, v float64) {
-		Parse(text)
+		db := NewTSDB(time.Hour)
+		appendAndRead := func(samples []Sample) {
+			for _, s := range samples {
+				db.Append(time.Unix(1700000000, 0), []Sample{s})
+				got, ok := db.Latest(s.Name, s.Labels)
+				if !ok || !(got == s.Value || (math.IsNaN(got) && math.IsNaN(s.Value))) {
+					t.Fatalf("appended %s = %v, Latest gave %v ok=%v", s.SeriesKey(), s.Value, got, ok)
+				}
+				if !slices.ContainsFunc(db.Series(s.Name), func(l Labels) bool { return maps.Equal(l, s.Labels) }) {
+					t.Fatalf("appended %s, Series(%q) gave %v", s.SeriesKey(), s.Name, db.Series(s.Name))
+				}
+			}
+		}
+		parsed, _ := Parse(text)
+		appendAndRead(parsed)
 
 		r := NewRegistry()
 		r.Gauge("fuzz_value", "Fuzzed.", Labels{"tenant": label}).Set(v)
@@ -126,6 +148,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("label %q, value %v: %v", label, v, err)
 		}
+		appendAndRead(samples)
 		if len(samples) != 1 {
 			t.Fatalf("label %q: %d samples, want 1", label, len(samples))
 		}
@@ -330,6 +353,72 @@ func TestScraperHungTargetDoesNotBlockOthers(t *testing.T) {
 	}
 	if err := sc.LastError("ok0"); err != nil {
 		t.Fatalf("healthy target errored: %v", err)
+	}
+}
+
+// An exposition past the 8 MiB bound fails its target's scrape. It must
+// not be cut at the bound and parsed: the cut last line would still parse,
+// as a wrong value.
+func TestScrapeRejectsOversizeExposition(t *testing.T) {
+	padding := strings.Repeat("# padding\n", (8<<20)/10+1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, padding)
+		io.WriteString(w, "bf_x 12345\n")
+	}))
+	defer srv.Close()
+
+	db := NewTSDB(time.Minute)
+	sc := NewScraper(db, time.Second)
+	sc.AddTarget("big", srv.URL)
+	sc.ScrapeOnce()
+	if err := sc.LastError("big"); err == nil {
+		t.Fatal("oversize exposition scraped without error")
+	}
+	if v, ok := db.Latest("bf_scrape_up", Labels{"target": "big"}); !ok || v != 0 {
+		t.Fatalf("bf_scrape_up = %v ok=%v, want 0", v, ok)
+	}
+	if v, ok := db.Latest("bf_x", nil); ok {
+		t.Fatalf("bf_x stored as %v from a truncated exposition", v)
+	}
+}
+
+// Parse returns strings that alias the scraped body; the TSDB keeps
+// copies, so a stored series never pins a body.
+func TestTSDBDoesNotPinScrapedBody(t *testing.T) {
+	raw, err := os.ReadFile("testdata/manager.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw) + "bf_x_bucket{le=\"0.1\",tenant=\"t\"} 1 # {trace_id=\"00000000deadbeef\"} 0.05\n"
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+	inBody := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && p >= lo && p < lo+uintptr(len(body))
+	}
+	samples, err := Parse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := samples[len(samples)-1]; !inBody(last.Name) || !inBody(last.Labels["tenant"]) || !inBody(last.Exemplar.TraceID) {
+		t.Fatal("Parse copied the strings out of the body; this test checks nothing")
+	}
+
+	db := NewTSDB(time.Minute)
+	db.Append(time.Unix(1700000000, 0), samples)
+	if len(db.series) != len(samples) {
+		t.Fatalf("%d series stored from %d samples", len(db.series), len(samples))
+	}
+	for key, st := range db.series {
+		pinned := inBody(key) || inBody(st.name) || inBody(st.exemplar.TraceID)
+		for k, v := range st.labels {
+			pinned = pinned || inBody(k) || inBody(v)
+		}
+		if pinned {
+			t.Fatalf("series %s points into the scraped body", key)
+		}
+	}
+	if e, ok := db.Exemplar("bf_x_bucket", Labels{"le": "0.1", "tenant": "t"}); !ok || e.TraceID != "00000000deadbeef" {
+		t.Fatalf("exemplar %+v ok=%v", e, ok)
 	}
 }
 

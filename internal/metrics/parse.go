@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bufio"
 	"fmt"
 	"math"
 	"strconv"
@@ -23,14 +22,13 @@ func (s Sample) SeriesKey() string { return s.Name + s.Labels.String() }
 // Parse reads the text exposition format, skipping comments and blanks.
 // It accepts exactly the subset Render produces (names, optional label
 // sets, float values) and rejects malformed lines rather than guessing.
+// Names and label values are substrings of text; TSDB.Append copies them.
 func Parse(text string) ([]Sample, error) {
-	var out []Sample
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	out := make([]Sample, 0, strings.Count(text, "\n")+1)
+	for lineNo := 1; text != ""; lineNo++ {
+		line, rest, _ := strings.Cut(text, "\n")
+		text = rest
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -40,7 +38,7 @@ func Parse(text string) ([]Sample, error) {
 		}
 		out = append(out, s)
 	}
-	return out, sc.Err()
+	return out, nil
 }
 
 func parseLine(line string) (Sample, error) {

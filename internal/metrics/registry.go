@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -210,7 +209,9 @@ func (r *Registry) Gauge(name, help string, labels Labels) Gauge {
 // It holds a family's lock only to copy its series list and a series' lock
 // only to copy its values; formatting happens outside both, so a scrape
 // never delays a look-up or an observation by more than a copy.
-func (r *Registry) Render() string {
+func (r *Registry) Render() string { return string(r.render()) }
+
+func (r *Registry) render() []byte {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.order...)
 	b := make([]byte, 0, r.size+r.size/8)
@@ -252,7 +253,7 @@ func (r *Registry) Render() string {
 	r.mu.Lock()
 	r.size = len(b)
 	r.mu.Unlock()
-	return string(b)
+	return b
 }
 
 // appendSample appends one sample line up to and including the space
@@ -277,6 +278,8 @@ func appendSample(b []byte, name, suffix, key, le string) []byte {
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		io.WriteString(w, r.Render())
+		b := r.render()
+		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+		w.Write(b)
 	})
 }

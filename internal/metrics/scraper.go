@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Scraper polls metric endpoints and feeds a TSDB, standing in for the
@@ -79,7 +81,7 @@ func (s *Scraper) RemoveTarget(name string) {
 	delete(s.errs, name)
 }
 
-// Targets lists registered target names.
+// Targets lists the names of the HTTP targets, not the local ones.
 func (s *Scraper) Targets() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,11 +186,19 @@ func (s *Scraper) fetch(url string) ([]Sample, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("metrics: scrape %s: HTTP %d", url, resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
+	// One read into a buffer of the announced size, to one byte past the
+	// bound: an oversize exposition fails, where a cut one would parse.
+	const maxBody = 8 << 20
+	var body bytes.Buffer
+	body.Grow(int(min(max(resp.ContentLength, 0), maxBody)) + bytes.MinRead)
+	if _, err := body.ReadFrom(io.LimitReader(resp.Body, maxBody+1)); err != nil {
 		return nil, err
 	}
-	return Parse(string(body))
+	if body.Len() > maxBody {
+		return nil, fmt.Errorf("metrics: scrape %s: exposition exceeds %d MiB", url, maxBody>>20)
+	}
+	// The samples alias the body, which nothing writes again.
+	return Parse(unsafe.String(unsafe.SliceData(body.Bytes()), body.Len()))
 }
 
 // startJitter picks a random phase in [0, interval): many managers

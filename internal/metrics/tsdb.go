@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -17,10 +18,17 @@ type Point struct {
 type TSDB struct {
 	mu        sync.Mutex
 	retention time.Duration
-	series    map[string][]Point  // keyed by Sample.SeriesKey()
-	meta      map[string]Sample   // name+labels of each key
-	exemplars map[string]Exemplar // latest exemplar per series key
-	gen       uint64              // bumped once per Append (scrape generation)
+	series    map[string]*stored // keyed by Sample.SeriesKey()
+	key       []byte             // look-up scratch: the key of the series being found
+	gen       uint64             // bumped once per Append (scrape generation)
+}
+
+// stored is one series, its strings copied off the scrape that created it.
+type stored struct {
+	name     string
+	labels   Labels
+	points   []Point
+	exemplar Exemplar // TraceID "" until the series carries one
 }
 
 // NewTSDB creates a store keeping points for the given retention window.
@@ -28,35 +36,51 @@ func NewTSDB(retention time.Duration) *TSDB {
 	if retention <= 0 {
 		retention = 15 * time.Minute
 	}
-	return &TSDB{
-		retention: retention,
-		series:    make(map[string][]Point),
-		meta:      make(map[string]Sample),
-		exemplars: make(map[string]Exemplar),
+	return &TSDB{retention: retention, series: make(map[string]*stored)}
+}
+
+// lookup finds a series by its SeriesKey, built in db.key and looked up
+// without becoming a string: ingest and every query, under db.mu.
+func (db *TSDB) lookup(name string, labels Labels) *stored {
+	db.key = append(db.key[:0], name...)
+	if len(labels) > 0 {
+		db.key = append(labels.appendKey(append(db.key, '{')), '}')
 	}
+	return db.series[string(db.key)]
 }
 
 // Append stores samples observed at time t. Each call advances the
 // store's generation (see Generation), even when samples is empty.
+// A new series copies its strings: samples may alias a scraped body.
 func (db *TSDB) Append(t time.Time, samples []Sample) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.gen++
 	cutoff := t.Add(-db.retention)
 	for _, s := range samples {
-		k := s.SeriesKey()
-		pts := append(db.series[k], Point{T: t, V: s.Value})
+		st := db.lookup(s.Name, s.Labels)
+		if st == nil {
+			// One copy of the key holds the name and the label set, parsed
+			// back: label names hold no '=', so it parses back as given.
+			k := string(db.key)
+			st = &stored{name: k[:len(s.Name)]}
+			if len(k) > len(s.Name) {
+				st.labels, _, _ = parseLabelSet(k[len(s.Name):])
+			}
+			db.series[k] = st
+		}
+		pts := append(st.points, Point{T: t, V: s.Value})
 		// Drop points past retention (they are sorted by time).
 		i := 0
 		for i < len(pts) && pts[i].T.Before(cutoff) {
 			i++
 		}
-		db.series[k] = pts[i:]
-		if _, ok := db.meta[k]; !ok {
-			db.meta[k] = Sample{Name: s.Name, Labels: s.Labels}
-		}
-		if s.Exemplar != nil && s.Exemplar.TraceID != "" {
-			db.exemplars[k] = *s.Exemplar
+		st.points = pts[i:]
+		if e := s.Exemplar; e != nil && e.TraceID != "" {
+			if e.TraceID != st.exemplar.TraceID {
+				st.exemplar.TraceID = strings.Clone(e.TraceID)
+			}
+			st.exemplar.Value, st.exemplar.Time = e.Value, e.Time
 		}
 	}
 }
@@ -65,8 +89,10 @@ func (db *TSDB) Append(t time.Time, samples []Sample) {
 func (db *TSDB) Exemplar(name string, labels Labels) (Exemplar, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	e, ok := db.exemplars[Sample{Name: name, Labels: labels}.SeriesKey()]
-	return e, ok
+	if st := db.lookup(name, labels); st != nil && st.exemplar.TraceID != "" {
+		return st.exemplar, true
+	}
+	return Exemplar{}, false
 }
 
 // Generation reports how many Append batches the store has absorbed.
@@ -83,16 +109,19 @@ func (db *TSDB) Generation() uint64 {
 func (db *TSDB) Latest(name string, labels Labels) (float64, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	pts := db.series[Sample{Name: name, Labels: labels}.SeriesKey()]
-	if len(pts) == 0 {
+	st := db.lookup(name, labels)
+	if st == nil || len(st.points) == 0 {
 		return 0, false
 	}
-	return pts[len(pts)-1].V, true
+	return st.points[len(st.points)-1].V, true
 }
 
 // window returns the points of a series within [now-window, now].
-func (db *TSDB) window(key string, now time.Time, window time.Duration) []Point {
-	pts := db.series[key]
+func (db *TSDB) window(name string, labels Labels, now time.Time, window time.Duration) []Point {
+	var pts []Point
+	if st := db.lookup(name, labels); st != nil {
+		pts = st.points
+	}
 	lo := sort.Search(len(pts), func(i int) bool {
 		return !pts[i].T.Before(now.Add(-window))
 	})
@@ -105,7 +134,7 @@ func (db *TSDB) window(key string, now time.Time, window time.Duration) []Point 
 func (db *TSDB) Rate(name string, labels Labels, now time.Time, window time.Duration) (float64, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	pts := db.window(Sample{Name: name, Labels: labels}.SeriesKey(), now, window)
+	pts := db.window(name, labels, now, window)
 	if len(pts) < 2 {
 		return 0, false
 	}
@@ -130,7 +159,7 @@ func (db *TSDB) Rate(name string, labels Labels, now time.Time, window time.Dura
 func (db *TSDB) Increase(name string, labels Labels, now time.Time, window time.Duration) (float64, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	pts := db.window(Sample{Name: name, Labels: labels}.SeriesKey(), now, window)
+	pts := db.window(name, labels, now, window)
 	if len(pts) < 2 {
 		return 0, false
 	}
@@ -148,7 +177,7 @@ func (db *TSDB) Increase(name string, labels Labels, now time.Time, window time.
 func (db *TSDB) Delta(name string, labels Labels, now time.Time, window time.Duration) (float64, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	pts := db.window(Sample{Name: name, Labels: labels}.SeriesKey(), now, window)
+	pts := db.window(name, labels, now, window)
 	if len(pts) < 2 {
 		return 0, false
 	}
@@ -159,7 +188,7 @@ func (db *TSDB) Delta(name string, labels Labels, now time.Time, window time.Dur
 func (db *TSDB) Avg(name string, labels Labels, now time.Time, window time.Duration) (float64, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	pts := db.window(Sample{Name: name, Labels: labels}.SeriesKey(), now, window)
+	pts := db.window(name, labels, now, window)
 	if len(pts) == 0 {
 		return 0, false
 	}
@@ -175,9 +204,9 @@ func (db *TSDB) Series(name string) []Labels {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var out []Labels
-	for _, m := range db.meta {
-		if m.Name == name {
-			out = append(out, m.Labels)
+	for _, st := range db.series {
+		if st.name == name {
+			out = append(out, st.labels)
 		}
 	}
 	return out
