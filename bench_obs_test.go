@@ -61,19 +61,23 @@ type obsReport struct {
 
 // benchWriteReadFlight is the live write->kernel->read round trip with
 // the flight recorder toggled on both ends of the path: the Remote
-// Library's (Dial creates one unless told not to) and the Device
-// Manager's. Mirrors bench_test.go's benchWriteRead otherwise.
+// Library's (the recorder its Config hands it) and the Device Manager's.
+// Mirrors bench_test.go's benchWriteRead otherwise.
 func benchWriteReadFlight(b *testing.B, size int, off bool) {
 	b.Helper()
 	tb, err := NewTestbed(NodeConfig{Name: "bench", NoFlightRecorder: off})
 	if err != nil {
 		b.Fatal(err)
 	}
+	var flight *flightrec.Recorder
+	if !off {
+		flight = flightrec.New(flightrec.Config{Process: "library/bench"})
+	}
 	client, err := remote.Dial(remote.Config{
-		ClientName:       "bench",
-		Managers:         []string{tb.Nodes[0].Addr},
-		Transport:        remote.TransportGRPC,
-		NoFlightRecorder: off,
+		ClientName: "bench",
+		Managers:   []string{tb.Nodes[0].Addr},
+		Transport:  remote.TransportGRPC,
+		Flight:     flight,
 	})
 	if err != nil {
 		tb.Close()
@@ -81,6 +85,7 @@ func benchWriteReadFlight(b *testing.B, size int, off bool) {
 	}
 	b.Cleanup(func() {
 		client.Close()
+		flight.Close()
 		tb.Close()
 	})
 	_, q, k, in, out := setupCopy(b, client, size)

@@ -133,7 +133,7 @@ func showLogs(bases []string, args []string) {
 	fetched := make([][]logx.Event, len(bases))
 	errs := make([]error, len(bases))
 	forEachBase(bases, func(i int, base string) {
-		fetched[i], errs[i] = logx.FetchRing(base, q)
+		fetched[i], errs[i] = logx.FetchRing(httpClient, base, q)
 	})
 	var rings [][]logx.Event
 	for i := range bases {

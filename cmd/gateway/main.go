@@ -29,7 +29,6 @@ import (
 	"blastfunction/internal/cluster"
 	"blastfunction/internal/flightrec"
 	"blastfunction/internal/gateway"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/opsplane"
 	"blastfunction/internal/registry"
@@ -88,8 +87,8 @@ func main() {
 	flag.DurationVar(&mon.Grace, "grace", 30*time.Second, "unhealthy-device grace window before instances are migrated (0 disables)")
 	traceSample := flag.Float64("trace-sample", 0, "distributed-tracing sample rate 0..1 (0 disables; spans served at /debug/spans)")
 	routerName := flag.String("router", gateway.RouterRoundRobin, "routing policy: "+strings.Join(gateway.RouterNames, "|"))
-	flightRing := flag.Int("flight-ring", 0, "front-door flight-recorder ring size served at /debug/flight (0 = default 1024)")
-	flightLedger := flag.String("flight-ledger", "", "durable JSONL spill file for notable front-door flights")
+	flightRing := flag.Int("flight-ring", 0, "flight-recorder ring size, front-door and library flights together, served at /debug/flight (0 = default 1024)")
+	flightLedger := flag.String("flight-ledger", "", "durable JSONL spill file for notable front-door and library flights")
 	flag.Var(&managers, "manager", "Device Manager spec: node=N,id=I,addr=H:P[,metrics=URL] (repeatable)")
 	flag.Var(&deploys, "deploy", "function deployment: name=usecase (usecase: sobel|mm|cnn; repeatable)")
 	flag.Var(&admissions, "admission", "per-tenant admission budget: rate:burst[:priority] default, tenant=rate:burst[:priority] override (repeatable; absent disables admission control)")
@@ -139,8 +138,10 @@ func main() {
 	// The gateway's per-function SLI counters ride the monitor's local
 	// registry, so they land in the TSDB next to the managers' series.
 	gw.Metrics = m.Metrics
-	// Front-door flight recorder: every request leaves a milestone
-	// skeleton at /debug/flight, notable ones spill to the ledger.
+	// The process's flight recorder: every request leaves a front-door
+	// milestone skeleton and every task of a function instance its Remote
+	// Library's, all served at /debug/flight; notable ones spill to the
+	// ledger.
 	gwFlight := flightrec.New(flightrec.Config{
 		Process:    "gateway",
 		Flights:    *flightRing,
@@ -175,6 +176,7 @@ func main() {
 	}
 	go gw.Run(p.Context())
 
+	lib := remote.Config{Transport: remote.TransportAuto, Tracer: tracer, Log: p.Log.Named("library"), Flight: gwFlight}
 	for _, d := range deploys {
 		kv := strings.SplitN(d, "=", 2)
 		if len(kv) != 2 {
@@ -199,7 +201,7 @@ func main() {
 		}); err != nil {
 			p.Fatal(err)
 		}
-		if err := gw.Deploy(name, 1, factory(name, usecase, tracer, p.Log.Named("library"))); err != nil {
+		if err := gw.Deploy(name, 1, factory(name, usecase, lib)); err != nil {
 			p.Fatal(fmt.Errorf("deploy %s: %w", name, err))
 		}
 		p.Log.Info("deployed function", "function", name, "usecase", usecase)
@@ -238,9 +240,9 @@ func bitstream(usecase string) string {
 
 // factory materializes a function instance: it dials the Device Manager
 // the Registry injected into the environment and builds the matching app.
-// A non-nil tracer enables distributed tracing in the instance's Remote
-// Library; lg carries its structured events into the process log ring.
-func factory(name, usecase string, tracer *obs.Tracer, lg *logx.Logger) gateway.Factory {
+// lib holds what the instance's Remote Library shares with the process:
+// its transport policy, tracer, log ring and flight recorder.
+func factory(name, usecase string, lib remote.Config) gateway.Factory {
 	return func(in cluster.Instance) (gateway.Endpoint, error) {
 		addr := in.Env[registry.EnvManagerAddr]
 		if addr == "" {
@@ -249,14 +251,9 @@ func factory(name, usecase string, tracer *obs.Tracer, lg *logx.Logger) gateway.
 		// The Registry-propagated fair-share weight rides the binding; a
 		// missing or malformed value means unweighted.
 		weight, _ := strconv.Atoi(in.Env[registry.EnvWeight])
-		client, err := remote.Dial(remote.Config{
-			ClientName: in.Name,
-			Managers:   []string{addr},
-			Transport:  remote.TransportAuto,
-			Weight:     weight,
-			Tracer:     tracer,
-			Log:        lg,
-		})
+		cfg := lib
+		cfg.ClientName, cfg.Managers, cfg.Weight = in.Name, []string{addr}, weight
+		client, err := remote.Dial(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"time"
 
-	"blastfunction/internal/flightrec"
 	"blastfunction/internal/opsplane"
 )
 
@@ -25,7 +24,6 @@ func main() {
 	flag.DurationVar(&mon.Window, "window", 30*time.Second, "utilization rate window")
 	flag.DurationVar(&mon.Grace, "grace", 30*time.Second, "unhealthy grace before the DeviceUnhealthy alert fires")
 	flag.StringVar(&mon.FlashHistory, "flash-history", "", "append-only JSONL file persisting the flash-window history across restarts")
-	flightLedger := flag.String("flight-ledger", "", "durable JSONL spill file for notable flights")
 	base.Register(flag.CommandLine)
 	mon.Register(flag.CommandLine)
 	flag.Parse()
@@ -37,10 +35,7 @@ func main() {
 		p.Fatal(err)
 	}
 	defer m.Close()
-	flightRec := flightrec.New(flightrec.Config{Process: "registry", LedgerPath: *flightLedger})
-	defer flightRec.Close()
 	p.Mux.Handle("/", m.Registry.Handler())
-	p.Mux.Handle("/debug/flight", flightRec.Handler())
 	m.Start()
 	p.Run()
 }

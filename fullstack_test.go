@@ -17,10 +17,12 @@ import (
 	"blastfunction/internal/accel"
 	"blastfunction/internal/apps"
 	"blastfunction/internal/cluster"
+	"blastfunction/internal/flightrec"
 	"blastfunction/internal/gateway"
 	"blastfunction/internal/loadgen"
 	"blastfunction/internal/logx"
 	"blastfunction/internal/metrics"
+	"blastfunction/internal/obs"
 	"blastfunction/internal/registry"
 	"blastfunction/internal/remote"
 )
@@ -86,6 +88,11 @@ func newStack(t *testing.T) *stack {
 	go ctrl.Run(ctx)
 	gw := gateway.New(cl)
 	gw.Log = logx.NewLogf("gateway", t.Logf)
+	// As in cmd/gateway: one flight recorder and one tracer for the
+	// process, shared by the front door and every Remote Library it dials.
+	gw.Flight = flightrec.New(flightrec.Config{Process: "gateway"})
+	t.Cleanup(gw.Flight.Close)
+	gw.Tracer = obs.New(obs.Config{Component: "library", SampleRate: 1})
 	go gw.Run(ctx)
 	gwSrv := httptest.NewServer(gw.Handler())
 	t.Cleanup(gwSrv.Close)
@@ -93,16 +100,23 @@ func newStack(t *testing.T) *stack {
 	return &stack{tb: tb, cl: cl, reg: reg, gw: gw, gwSrv: gwSrv, scraper: scraper, db: db, cancel: cancel}
 }
 
-// sobelFactory builds a small-image Sobel endpoint over the allocated
-// manager.
-func sobelFactory(in cluster.Instance) (gateway.Endpoint, error) {
+// dial connects an instance's Remote Library to its allocated manager,
+// recording into the gateway's recorder and tracer.
+func (s *stack) dial(in cluster.Instance) (*remote.Client, error) {
 	addr := in.Env[registry.EnvManagerAddr]
 	if addr == "" {
 		return nil, fmt.Errorf("instance %s not allocated", in.Name)
 	}
-	client, err := remote.Dial(remote.Config{
+	return remote.Dial(remote.Config{
 		ClientName: in.Name, Managers: []string{addr}, Transport: remote.TransportAuto,
+		Tracer: s.gw.Tracer, Flight: s.gw.Flight,
 	})
+}
+
+// sobelFactory builds a small-image Sobel endpoint over the allocated
+// manager.
+func (s *stack) sobelFactory(in cluster.Instance) (gateway.Endpoint, error) {
+	client, err := s.dial(in)
 	if err != nil {
 		return nil, err
 	}
@@ -114,14 +128,8 @@ func sobelFactory(in cluster.Instance) (gateway.Endpoint, error) {
 	return gateway.HandlerEndpoint{Handler: apps.SobelHandler(app, 64, 64), CloseFunc: client.Close}, nil
 }
 
-func mmFactory(in cluster.Instance) (gateway.Endpoint, error) {
-	addr := in.Env[registry.EnvManagerAddr]
-	if addr == "" {
-		return nil, fmt.Errorf("instance %s not allocated", in.Name)
-	}
-	client, err := remote.Dial(remote.Config{
-		ClientName: in.Name, Managers: []string{addr}, Transport: remote.TransportAuto,
-	})
+func (s *stack) mmFactory(in cluster.Instance) (gateway.Endpoint, error) {
+	client, err := s.dial(in)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +150,7 @@ func (s *stack) deploySobel(t *testing.T, name string) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.gw.Deploy(name, 1, sobelFactory); err != nil {
+	if err := s.gw.Deploy(name, 1, s.sobelFactory); err != nil {
 		t.Fatal(err)
 	}
 	s.waitReady(t, name)
@@ -222,6 +230,50 @@ func TestFullStackServesAcceleratedFunctions(t *testing.T) {
 	}
 }
 
+// The gateway's /debug/flight serves the task flights of the Remote
+// Libraries it dials beside its front door's: for a sampled request, the
+// library's wire-send upload and its client-observed completion.
+func TestFullStackGatewayServesLibraryFlights(t *testing.T) {
+	s := newStack(t)
+	s.deploySobel(t, "sobel-1")
+	if rep := s.invoke(t, "/function/sobel-1?w=16&h=16"); rep.Error != "" {
+		t.Fatalf("sobel-1: %s", rep.Error)
+	}
+	var trace obs.TraceID
+	for _, sp := range s.gw.Tracer.Spans() {
+		if sp.Stage == "task" {
+			trace = sp.Trace
+		}
+	}
+	if trace == 0 {
+		t.Fatal("the request's task left no sampled task span")
+	}
+	resp, err := s.gwSrv.Client().Get(s.gwSrv.URL + "/debug/flight?trace=" + trace.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap flightrec.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Process != "gateway" || len(snap.Flights) != 1 {
+		t.Fatalf("/debug/flight?trace=%s: process %q, %d flights, want the gateway's one", trace, snap.Process, len(snap.Flights))
+	}
+	var upload, complete bool
+	for _, ev := range snap.Flights[0].Events {
+		switch ev.Kind {
+		case flightrec.KindUpload:
+			upload = upload || ev.Detail == "wire-send"
+		case flightrec.KindComplete:
+			complete = ev.Dur > 0 && ev.Detail == ""
+		}
+	}
+	if !upload || !complete {
+		t.Fatalf("library flight lacks its wire-send upload (%v) or its completion (%v): %+v", upload, complete, snap.Flights[0].Events)
+	}
+}
+
 func TestFullStackReconfigurationMigratesInstances(t *testing.T) {
 	s := newStack(t)
 	for i := 1; i <= 3; i++ {
@@ -244,7 +296,7 @@ func TestFullStackReconfigurationMigratesInstances(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.gw.Deploy("mm-1", 1, mmFactory); err != nil {
+	if err := s.gw.Deploy("mm-1", 1, s.mmFactory); err != nil {
 		t.Fatal(err)
 	}
 	s.waitReady(t, "mm-1")

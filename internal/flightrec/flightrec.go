@@ -121,7 +121,9 @@ type Flight struct {
 // Config parameterizes a Recorder.
 type Config struct {
 	// Process stamps snapshots and ledger lines ("manager/fpga-A",
-	// "library/payments", "gateway").
+	// "gateway"). A process keeps one recorder, shared by everything it
+	// records: the gateway's holds its front door's flights and those of
+	// the Remote Libraries it dials.
 	Process string
 	// Flights bounds the ring (whole flights; default 1024). Under churn
 	// the oldest flights are evicted — the newest skeletons survive.

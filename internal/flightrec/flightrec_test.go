@@ -33,11 +33,7 @@ func TestNilRecorder(t *testing.T) {
 	}
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
-	snap, err := FetchFlight(srv.URL, 42)
-	if err != nil {
-		t.Fatalf("nil handler fetch: %v", err)
-	}
-	if len(snap.Flights) != 0 {
+	if snap := getFlight(t, srv.URL, 42); len(snap.Flights) != 0 {
 		t.Fatalf("nil handler served flights: %+v", snap)
 	}
 }
@@ -287,6 +283,21 @@ func TestTailDetection(t *testing.T) {
 
 // TestHandlerQueries pins the /debug/flight query surface: ?trace= for a
 // single flight (including the ledger fallback) and ?n= tailing.
+// getFlight reads one trace's snapshot from base's /debug/flight.
+func getFlight(t *testing.T, base string, trace obs.TraceID) Snapshot {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/flight?trace=" + trace.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("?trace=%s: %s: %v", trace, resp.Status, err)
+	}
+	return snap
+}
+
 func TestHandlerQueries(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.jsonl")
@@ -305,10 +316,7 @@ func TestHandlerQueries(t *testing.T) {
 	defer srv.Close()
 
 	// ?trace= finds a resident flight.
-	snap, err := FetchFlight(srv.URL, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := getFlight(t, srv.URL, 5)
 	if len(snap.Flights) != 1 || snap.Flights[0].Trace != 5 {
 		t.Fatalf("?trace=5 returned %+v", snap.Flights)
 	}
@@ -317,10 +325,7 @@ func TestHandlerQueries(t *testing.T) {
 	}
 
 	// ?trace= falls back to the ledger for the evicted failed flight.
-	snap, err = FetchFlight(srv.URL, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap = getFlight(t, srv.URL, 1)
 	if len(snap.Flights) != 1 || !strings.HasPrefix(snap.Flights[0].Notable, "failed") {
 		t.Fatalf("?trace=1 (ledger fallback) returned %+v", snap.Flights)
 	}

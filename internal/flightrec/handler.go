@@ -1,9 +1,7 @@
 package flightrec
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"blastfunction/internal/obs"
@@ -50,25 +48,4 @@ func (r *Recorder) Handler() http.Handler {
 		}
 		obs.WriteJSON(w, snap)
 	})
-}
-
-// FetchFlight retrieves one trace's flight snapshot from base's
-// /debug/flight endpoint — the client half of Handler, shared by
-// `blastctl explain` and the end-to-end tests.
-func FetchFlight(base string, trace obs.TraceID) (Snapshot, error) {
-	u := base + "/debug/flight?trace=" + trace.String()
-	resp, err := http.Get(u)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return Snapshot{}, fmt.Errorf("GET %s: %s: %s", u, resp.Status, body)
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return Snapshot{}, fmt.Errorf("GET %s: decoding: %w", u, err)
-	}
-	return snap, nil
 }

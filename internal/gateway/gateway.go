@@ -175,7 +175,9 @@ type Gateway struct {
 	// /function/ request leaves a milestone skeleton (admitted, routed,
 	// complete) under a synthetic per-request key — the front-door leg of a
 	// postmortem timeline. Handler serves it at /debug/flight; nil records
-	// nothing.
+	// nothing. A process that dials Remote Libraries hands them the same
+	// recorder (remote.Config.Flight), so their task flights are served
+	// beside the requests'.
 	Flight *flightrec.Recorder
 	// Metrics, when set, receives the front-door counters
 	// (bf_gateway_admitted_total / bf_gateway_rejected_total per

@@ -111,15 +111,16 @@ func (l *Logger) Handler() http.Handler {
 	})
 }
 
-// FetchRing retrieves base's /debug/logs ring filtered by q. It is the
-// client half of Handler, shared by `blastctl logs` and the end-to-end
-// tests so both exercise the same merge path.
-func FetchRing(base string, q Query) ([]Event, error) {
+// FetchRing retrieves base's /debug/logs ring filtered by q through c,
+// whose timeout bounds the fetch. It is the client half of Handler,
+// shared by `blastctl logs` and the end-to-end tests so both exercise the
+// same merge path.
+func FetchRing(c *http.Client, base string, q Query) ([]Event, error) {
 	u := base + "/debug/logs"
 	if vals := q.Values(); len(vals) > 0 {
 		u += "?" + vals.Encode()
 	}
-	resp, err := http.Get(u)
+	resp, err := c.Get(u)
 	if err != nil {
 		return nil, err
 	}

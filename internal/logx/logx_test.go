@@ -3,6 +3,7 @@ package logx
 import (
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -207,6 +208,27 @@ func TestHandlerFilters(t *testing.T) {
 	}
 }
 
+// A process that never answers must not wedge the fetch: the caller's
+// client timeout bounds it.
+func TestFetchRingHonoursClientTimeout(t *testing.T) {
+	stop := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
+	}))
+	defer srv.Close()
+	defer close(stop)
+	start := time.Now()
+	if _, err := FetchRing(&http.Client{Timeout: 100 * time.Millisecond}, srv.URL, Query{}); err == nil {
+		t.Fatal("fetch from a process that never answers succeeded")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("fetch returned after %v, want about the 100ms client timeout", d)
+	}
+}
+
 func TestFetchRingAndMerge(t *testing.T) {
 	a := testLogger(16)
 	b := New(Config{
@@ -223,11 +245,11 @@ func TestFetchRingAndMerge(t *testing.T) {
 	srvB := httptest.NewServer(b.Handler())
 	defer srvB.Close()
 
-	ringA, err := FetchRing(srvA.URL, Query{Trace: 7})
+	ringA, err := FetchRing(srvA.Client(), srvA.URL, Query{Trace: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ringB, err := FetchRing(srvB.URL, Query{Trace: 7})
+	ringB, err := FetchRing(srvB.Client(), srvB.URL, Query{Trace: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,8 +311,9 @@ type commandQueue struct {
 	trace     obs.TraceID // zero: task unsampled
 	taskSpan  obs.SpanID  // the task's root span
 	taskStart time.Time
-	// flightKey keys the current task's always-on flight-recorder skeleton:
-	// the sampled trace when one exists, a synthetic local key otherwise.
+	// flightKey keys the current task's flight-recorder skeleton: the
+	// sampled trace when one exists, a synthetic local key otherwise, zero
+	// without a recorder.
 	flightKey obs.TraceID
 	// flightEvs accumulates the current task's client-side flight
 	// milestones under q.mu; Flush hands them to the task's terminal
@@ -324,10 +325,9 @@ type commandQueue struct {
 
 // beginOp joins an operation to the current task's trace and flight,
 // deciding trace sampling at the task's first operation. It stamps the
-// event's flight identity (always on) and returns the operation's
-// trace/span identity and issue time — all zero when tracing is off or
-// the task is unsampled.
-func (q *commandQueue) beginOp(ev *remoteEvent) (trace obs.TraceID, span, parent obs.SpanID, issued time.Time) {
+// event's flight identity and its trace/span identity and issue time,
+// the latter all zero when tracing is off or the task is unsampled.
+func (q *commandQueue) beginOp(ev *remoteEvent) {
 	mc := q.ctx.mc
 	tr := mc.tracer
 	q.mu.Lock()
@@ -346,13 +346,12 @@ func (q *commandQueue) beginOp(ev *remoteEvent) (trace obs.TraceID, span, parent
 		// CompleteWith, together with the batched milestones.
 		q.flightKey = mc.flight.Alloc(q.trace)
 	}
-	trace, parent = q.trace, q.taskSpan
+	ev.trace, ev.parent = q.trace, q.taskSpan
 	ev.flight, ev.taskStart = q.flightKey, q.taskStart
 	q.mu.Unlock()
-	if trace == 0 {
-		return 0, 0, 0, time.Time{}
+	if ev.trace != 0 {
+		ev.span, ev.issued = tr.NewSpan(), time.Now()
 	}
-	return trace, tr.NewSpan(), parent, time.Now()
 }
 
 // reuseFlightEvs takes back a finished task's milestone array, which the
@@ -387,13 +386,53 @@ func (q *commandQueue) SetDeadlineHint(d time.Duration) {
 	q.mu.Unlock()
 }
 
-// track registers an event as in-flight and part of the current task.
-func (q *commandQueue) track(ev *remoteEvent) {
+// send is the tail every enqueue shares. It publishes ev and hands the
+// encoded request to the connection as delayed segments: e's bytes up to
+// head, the caller's payload, then e's bytes after head. A write's
+// wire-send milestone and a traced op's send span share one pair of
+// clock reads. On success the op joins the current task, and a blocking
+// one flushes the task and waits for it.
+func (q *commandQueue) send(ev *remoteEvent, method wire.Method, e *wire.Encoder, head int, data []byte, blocking bool) (ocl.Event, error) {
+	mc := q.ctx.mc
+	mc.enroll(ev)
+	// The client side of the upload stage (the manager's device-write is
+	// the other half): wire-send, or the staging copy of a frame that
+	// waits for the flush. Joins the task's milestone batch.
+	upload := method == wire.MethodEnqueueWrite && ev.flight != 0
+	timed := upload || ev.trace != 0
+	var start, end time.Time
+	if timed {
+		start = time.Now()
+	}
+	buf := e.Bytes()
+	err := mc.rpc.SendDelayed(method, buf[:head], data, buf[head:])
+	e.Release()
+	if err != nil {
+		mc.forget(ev.tag)
+		ev.releaseStaging(mc)
+		return nil, err
+	}
+	if timed {
+		end = time.Now()
+	}
+	if ev.trace != 0 {
+		mc.tracer.Record(obs.Span{Trace: ev.trace, ID: mc.tracer.NewSpan(), Parent: ev.span,
+			Stage: "send", Start: start, Duration: end.Sub(start)})
+	}
 	ev.queue = q
 	q.mu.Lock()
+	if upload {
+		q.flightEvs = append(q.flightEvs, flightrec.Event{
+			Kind: flightrec.KindUpload, Dur: end.Sub(start), Detail: "wire-send", Time: end})
+	}
 	q.events = append(q.events, ev)
 	q.unflushed = append(q.unflushed, ev)
 	q.mu.Unlock()
+	if !blocking {
+		return ev, nil
+	}
+	q.Flush()
+	return ev, ev.Wait()
 }
 
 // waitDependencies implements event wait lists. In-order queues already
@@ -454,12 +493,8 @@ func (q *commandQueue) EnqueueWriteBuffer(b ocl.Buffer, blocking bool, offset in
 			}
 		}
 	}
-	trace, span, parent, issued := q.beginOp(ev)
-	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
-	if trace != 0 {
-		req.TraceID, req.SpanID = uint64(trace), uint64(span)
-	}
-	mc.enroll(ev)
+	q.beginOp(ev)
+	req.TraceID, req.SpanID = uint64(ev.trace), uint64(ev.span)
 	// EncodeHead + a separate data segment: for the inline path the user's
 	// bytes go from their slice straight into the socket (writev), never
 	// through an intermediate concatenation. The trace tail lands in the
@@ -468,36 +503,7 @@ func (q *commandQueue) EnqueueWriteBuffer(b ocl.Buffer, blocking bool, offset in
 	req.EncodeHead(e)
 	head := e.Len()
 	req.EncodeTail(e)
-	buf := e.Bytes()
-	sendStart := time.Now()
-	err := mc.rpc.SendDelayed(wire.MethodEnqueueWrite, buf[:head], req.Data, buf[head:])
-	if err == nil {
-		// The client side of the upload stage (the manager's device-write is
-		// the other half): wire-send, or the staging copy of a frame that
-		// waits for the flush. Joins the task's milestone batch.
-		sendEnd := time.Now()
-		q.mu.Lock()
-		q.flightEvs = append(q.flightEvs, flightrec.Event{
-			Kind: flightrec.KindUpload, Dur: sendEnd.Sub(sendStart), Detail: "wire-send", Time: sendEnd})
-		q.mu.Unlock()
-		if trace != 0 {
-			mc.tracer.End(trace, mc.tracer.NewSpan(), span, "send", "", sendStart)
-		}
-	}
-	e.Release()
-	if err != nil {
-		mc.forget(tag)
-		ev.releaseStaging(mc)
-		return nil, err
-	}
-	q.track(ev)
-	if blocking {
-		q.Flush()
-		if err := ev.Wait(); err != nil {
-			return ev, err
-		}
-	}
-	return ev, nil
+	return q.send(ev, wire.MethodEnqueueWrite, e, head, req.Data, blocking)
 }
 
 // EnqueueReadBuffer implements ocl.CommandQueue.
@@ -534,36 +540,11 @@ func (q *commandQueue) EnqueueReadBuffer(b ocl.Buffer, blocking bool, offset int
 			ev.shmOff, ev.shmLen, ev.freeArena = off, int64(len(dst)), true
 		}
 	}
-	trace, span, parent, issued := q.beginOp(ev)
-	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
-	if trace != 0 {
-		req.TraceID, req.SpanID = uint64(trace), uint64(span)
-	}
-	mc.enroll(ev)
+	q.beginOp(ev)
+	req.TraceID, req.SpanID = uint64(ev.trace), uint64(ev.span)
 	e := wire.GetEncoder(64)
 	req.Encode(e)
-	var sendStart time.Time
-	if trace != 0 {
-		sendStart = time.Now()
-	}
-	err := mc.rpc.SendDelayed(wire.MethodEnqueueRead, e.Bytes())
-	if err == nil && trace != 0 {
-		mc.tracer.End(trace, mc.tracer.NewSpan(), span, "send", "", sendStart)
-	}
-	e.Release()
-	if err != nil {
-		mc.forget(tag)
-		ev.releaseStaging(mc)
-		return nil, err
-	}
-	q.track(ev)
-	if blocking {
-		q.Flush()
-		if err := ev.Wait(); err != nil {
-			return ev, err
-		}
-	}
-	return ev, nil
+	return q.send(ev, wire.MethodEnqueueRead, e, e.Len(), nil, blocking)
 }
 
 // EnqueueCopyBuffer implements ocl.CommandQueue: a device-to-device move
@@ -605,29 +586,11 @@ func (q *commandQueue) EnqueueCopyBuffer(src, dst ocl.Buffer, srcOffset, dstOffs
 		DstOffset: int64(dstOffset),
 		Length:    int64(n),
 	}
-	trace, span, parent, issued := q.beginOp(ev)
-	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
-	if trace != 0 {
-		req.TraceID, req.SpanID = uint64(trace), uint64(span)
-	}
-	mc.enroll(ev)
+	q.beginOp(ev)
+	req.TraceID, req.SpanID = uint64(ev.trace), uint64(ev.span)
 	e := wire.GetEncoder(64)
 	req.Encode(e)
-	var sendStart time.Time
-	if trace != 0 {
-		sendStart = time.Now()
-	}
-	err := mc.rpc.SendDelayed(wire.MethodEnqueueCopy, e.Bytes())
-	if err == nil && trace != 0 {
-		mc.tracer.End(trace, mc.tracer.NewSpan(), span, "send", "", sendStart)
-	}
-	e.Release()
-	if err != nil {
-		mc.forget(tag)
-		return nil, err
-	}
-	q.track(ev)
-	return ev, nil
+	return q.send(ev, wire.MethodEnqueueCopy, e, e.Len(), nil, false)
 }
 
 // EnqueueNDRangeKernel implements ocl.CommandQueue.
@@ -649,29 +612,11 @@ func (q *commandQueue) EnqueueNDRangeKernel(k ocl.Kernel, global, local []int, w
 		Global: global,
 		Local:  local,
 	}
-	trace, span, parent, issued := q.beginOp(ev)
-	ev.trace, ev.span, ev.parent, ev.issued = trace, span, parent, issued
-	if trace != 0 {
-		req.TraceID, req.SpanID = uint64(trace), uint64(span)
-	}
-	mc.enroll(ev)
+	q.beginOp(ev)
+	req.TraceID, req.SpanID = uint64(ev.trace), uint64(ev.span)
 	e := wire.GetEncoder(64)
 	req.Encode(e)
-	var sendStart time.Time
-	if trace != 0 {
-		sendStart = time.Now()
-	}
-	err := mc.rpc.SendDelayed(wire.MethodEnqueueKernel, e.Bytes())
-	if err == nil && trace != 0 {
-		mc.tracer.End(trace, mc.tracer.NewSpan(), span, "send", "", sendStart)
-	}
-	e.Release()
-	if err != nil {
-		mc.forget(tag)
-		return nil, err
-	}
-	q.track(ev)
-	return ev, nil
+	return q.send(ev, wire.MethodEnqueueKernel, e, e.Len(), nil, false)
 }
 
 // EnqueueTask implements ocl.CommandQueue: a single work-item launch, the

@@ -95,23 +95,12 @@ type Config struct {
 	// to the managers. Nil disables tracing entirely — the hot path then
 	// pays one nil check.
 	Tracer *obs.Tracer
-	// FlightRing bounds the library's flight-recorder ring (whole task
-	// skeletons; zero selects the flightrec default). Unlike sampled
-	// spans, the recorder is always on: every flush-formed task leaves a
-	// milestone skeleton, keyed by its trace ID when sampled and a
-	// synthetic local key otherwise.
-	FlightRing int
-	// FlightLedgerPath is the durable JSONL spill file for notable
-	// flights (failures, tail-latency outliers); empty keeps flights in
-	// memory only.
-	FlightLedgerPath string
-	// NoFlightRecorder disables the flight recorder entirely — the
-	// recorder-overhead benchmark's baseline, not a production knob.
-	NoFlightRecorder bool
-
-	// flight is the per-Client recorder, created in Dial and shared by
-	// every manager connection.
-	flight *flightrec.Recorder
+	// Flight is the process's flight recorder, shared with whatever else
+	// the process records: every flush-formed task leaves its client-side
+	// milestone skeleton there (wire-send, client-observed total), keyed
+	// by its trace ID when sampled and a synthetic local key otherwise.
+	// Nil records nothing.
+	Flight *flightrec.Recorder
 }
 
 // Client is the Remote OpenCL Library entry point; it implements
@@ -136,13 +125,6 @@ func Dial(cfg Config) (*Client, error) {
 	}
 	if cfg.ShmBytes <= 0 {
 		cfg.ShmBytes = 64 << 20
-	}
-	if !cfg.NoFlightRecorder {
-		cfg.flight = flightrec.New(flightrec.Config{
-			Process:    "library/" + cfg.ClientName,
-			Flights:    cfg.FlightRing,
-			LedgerPath: cfg.FlightLedgerPath,
-		})
 	}
 	c := &Client{cfg: cfg}
 	for _, addr := range cfg.Managers {
@@ -217,13 +199,8 @@ func (c *Client) Close() error {
 			errs = append(errs, err)
 		}
 	}
-	c.cfg.flight.Close()
 	return errors.Join(errs...)
 }
-
-// Flight exposes the library's flight recorder (nil-safe; nil when
-// disabled). Embedding binaries mount its Handler at /debug/flight.
-func (c *Client) Flight() *flightrec.Recorder { return c.cfg.flight }
 
 // platform is the BlastFunction OpenCL platform.
 type platform struct{ client *Client }

@@ -40,7 +40,7 @@ type managerConn struct {
 	tracer *obs.Tracer
 	// log records structured events; nil-safe.
 	log *logx.Logger
-	// flight is the Client's always-on flight recorder (nil-safe).
+	// flight is the process's flight recorder (Config.Flight; nil-safe).
 	// connFlight is the connection's synthetic session flight: lease
 	// renewals and connection-level failures land there, task milestones
 	// on their own per-task flights.
@@ -72,7 +72,7 @@ func dialManager(cfg *Config, addr string) (*managerConn, error) {
 		}
 	}
 	cl.CallTimeout = cfg.CallTimeout
-	mc := &managerConn{cfg: cfg, addr: addr, rpc: cl, mode: model.TransportGRPC, tracer: cfg.Tracer, log: cfg.Log, flight: cfg.flight,
+	mc := &managerConn{cfg: cfg, addr: addr, rpc: cl, mode: model.TransportGRPC, tracer: cfg.Tracer, log: cfg.Log, flight: cfg.Flight,
 		pending: make(map[uint64]*remoteEvent)}
 	mc.connFlight = mc.flight.Begin(0, cfg.ClientName)
 
@@ -260,26 +260,24 @@ func (mc *managerConn) connectionThread() {
 	lost := mc.pending
 	mc.pending = make(map[uint64]*remoteEvent)
 	mc.pendingMu.Unlock()
-	failedFlights := make(map[obs.TraceID]bool)
+	// One terminal milestone per task flight, not one per op, completed
+	// from the task's final op when it is among the lost: only that op
+	// carries the milestones batched on the queue.
+	ends := make(map[obs.TraceID]*remoteEvent)
+	for _, ev := range lost {
+		if end := ends[ev.flight]; ev.flight != 0 && (end == nil || !end.taskEnd.Load()) {
+			ends[ev.flight] = ev
+		}
+	}
+	for _, ev := range ends {
+		ev.endFlight(mc, "connection to manager lost")
+	}
 	for _, ev := range lost {
 		if ev.trace != 0 {
 			// Correlate the connection loss with every traced in-flight
 			// operation it kills.
 			mc.log.Warn("in-flight operation failed: connection lost",
 				"manager", mc.addr, "trace", ev.trace)
-		}
-		if ev.flight != 0 && !failedFlights[ev.flight] {
-			// One terminal milestone per task flight, not one per op.
-			failedFlights[ev.flight] = true
-			// flightEvs is published by the taskEnd store (see remoteEvent);
-			// an application thread may be inside Flush writing it right now.
-			var evs []flightrec.Event
-			if ev.taskEnd.Load() {
-				evs = ev.flightEvs
-			}
-			mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName,
-				append(evs, flightrec.Event{Kind: flightrec.KindFailure, Detail: "connection to manager lost"}),
-				time.Since(ev.taskStart), true, "connection lost")
 		}
 		ev.Fail(ocl.ErrfCause(ocl.ErrDeviceNotAvailable, rpc.ErrManagerDown,
 			"connection to %s lost", mc.addr))
@@ -355,14 +353,15 @@ type remoteEvent struct {
 	parent obs.SpanID
 	issued time.Time
 
-	// Flight-recorder identity: flight keys the task's always-on milestone
-	// skeleton, taskStart anchors the client-observed total. taskEnd marks
-	// the task's final op (set by Flush on the application thread, read by
-	// the connection thread once the terminal notification arrives — which
-	// cannot precede the flush that sent the task). flightEvs rides on the
-	// terminal op: the task's client-side milestones, batched on the queue
-	// and applied by the completion in one recorder call (written before
-	// the taskEnd store, read after its load).
+	// Flight-recorder identity: flight keys the task's milestone skeleton
+	// (zero without a recorder), taskStart anchors the client-observed
+	// total. taskEnd marks the task's final op (set by Flush on the
+	// application thread, read by the connection thread once the terminal
+	// notification arrives — which cannot precede the flush that sent the
+	// task). flightEvs rides on the terminal op: the task's client-side
+	// milestones, batched on the queue and applied by the completion in
+	// one recorder call (written before the taskEnd store, read after its
+	// load).
 	flight    obs.TraceID
 	taskStart time.Time
 	taskEnd   atomic.Bool
@@ -402,13 +401,7 @@ func (ev *remoteEvent) machine(mc *managerConn, n *wire.OpNotification) {
 		ev.finishRead(mc, n)
 		ev.endCallSpan(mc, "")
 		if ev.taskEnd.Load() {
-			// Last op of the flush-formed task: the client-observed total is
-			// first enqueue through final completion, and the milestones the
-			// application goroutine batched on the queue land in the same
-			// recorder call.
-			mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName, ev.flightEvs, time.Since(ev.taskStart), false, "")
-			ev.queue.reuseFlightEvs(ev.flightEvs)
-			ev.flightEvs = nil
+			ev.endFlight(mc, "")
 		}
 		ev.Complete()
 	case wire.OpFailed:
@@ -416,15 +409,39 @@ func (ev *remoteEvent) machine(mc *managerConn, n *wire.OpNotification) {
 		ev.endCallSpan(mc, "failed")
 		mc.log.Warn("operation failed", "manager", mc.addr, "error", n.Error, "trace", ev.trace)
 		if ev.taskEnd.Load() {
-			mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName,
-				append(ev.flightEvs, flightrec.Event{Kind: flightrec.KindFailure, Detail: n.Error}),
-				time.Since(ev.taskStart), true, n.Error)
+			ev.endFlight(mc, n.Error)
 		} else {
 			mc.flight.Record(ev.flight, flightrec.Event{
 				Kind: flightrec.KindFailure, Detail: n.Error})
 			mc.flight.MarkNotable(ev.flight, "operation failed")
 		}
 		ev.Fail(ocl.Errf(ocl.Status(n.Status), "%s", n.Error))
+	}
+}
+
+// endFlight completes the task's flight: the client-observed total is
+// first enqueue through this terminal notification, and a non-empty
+// cause fails the flight with that failure milestone. The task's final
+// op also applies the milestones the application goroutine batched on
+// the queue, in the same recorder call, and hands their array back.
+func (ev *remoteEvent) endFlight(mc *managerConn, cause string) {
+	if ev.flight == 0 {
+		return // no recorder: nothing was batched
+	}
+	// taskEnd publishes flightEvs (see remoteEvent): an op not yet final
+	// may be inside Flush, having them written, and must not read them.
+	final := ev.taskEnd.Load()
+	var evs []flightrec.Event
+	if final {
+		evs = ev.flightEvs
+	}
+	if cause != "" {
+		evs = append(evs, flightrec.Event{Kind: flightrec.KindFailure, Detail: cause})
+	}
+	mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName, evs, time.Since(ev.taskStart), cause != "", cause)
+	if final {
+		ev.queue.reuseFlightEvs(evs)
+		ev.flightEvs = nil
 	}
 }
 

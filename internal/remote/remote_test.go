@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blastfunction/internal/accel"
+	"blastfunction/internal/flightrec"
 	"blastfunction/internal/fpga"
 	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
@@ -26,7 +27,13 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	board := fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), accel.Catalog())
+	return newRigOn(t, fpga.DE5aNet(model.WorkerNode()))
+}
+
+// newRigOn serves a manager over a board built from cfg.
+func newRigOn(t *testing.T, cfg fpga.Config) *rig {
+	t.Helper()
+	board := fpga.NewBoard(cfg, accel.Catalog())
 	mgr := manager.New(manager.Config{Node: "rignode", DeviceID: "rig0"}, board)
 	srv := rpc.NewServer(mgr)
 	srv.Log = logx.NewLogf("rpc", t.Logf)
@@ -36,6 +43,14 @@ func newRig(t *testing.T) *rig {
 	}
 	t.Cleanup(func() { srv.Close(); mgr.Close() })
 	return &rig{mgr: mgr, srv: srv, addr: addr, board: board}
+}
+
+// newFlight is a library recorder that lives as long as the test.
+func newFlight(t *testing.T) *flightrec.Recorder {
+	t.Helper()
+	rec := flightrec.New(flightrec.Config{Process: "library/" + t.Name()})
+	t.Cleanup(rec.Close)
+	return rec
 }
 
 func TestDialValidation(t *testing.T) {
@@ -194,7 +209,7 @@ func TestReadCompletionCopiesInlineData(t *testing.T) {
 
 func TestConnectionLossFailsInFlightEvents(t *testing.T) {
 	r := newRig(t)
-	c, err := Dial(Config{ClientName: "loss", Managers: []string{r.addr}, Transport: TransportGRPC})
+	c, err := Dial(Config{ClientName: "loss", Managers: []string{r.addr}, Transport: TransportGRPC, Flight: newFlight(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +285,7 @@ func TestArenaStagingIsReleased(t *testing.T) {
 // buffer-lifecycle edge tests.
 func openRig(t *testing.T, r *rig, name string) (*Client, ocl.Context, ocl.CommandQueue) {
 	t.Helper()
-	c, err := Dial(Config{ClientName: name, Managers: []string{r.addr}, Transport: TransportGRPC})
+	c, err := Dial(Config{ClientName: name, Managers: []string{r.addr}, Transport: TransportGRPC, Flight: newFlight(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

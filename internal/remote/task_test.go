@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"blastfunction/internal/accel"
+	"blastfunction/internal/flightrec"
+	"blastfunction/internal/fpga"
+	"blastfunction/internal/model"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/rpc"
 )
@@ -90,7 +93,7 @@ func dialCounted(t *testing.T, r *rig, transport TransportMode) (*Client, *write
 	t.Helper()
 	var wc *writeCounter
 	c, err := Dial(Config{ClientName: t.Name(), Managers: []string{r.addr}, Transport: transport,
-		ShmDir: t.TempDir(), ShmBytes: 4 << 20,
+		ShmDir: t.TempDir(), ShmBytes: 4 << 20, Flight: newFlight(t),
 		DialConn: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
 			wc = &writeCounter{Conn: conn}
@@ -181,7 +184,7 @@ func TestDelayedFramesFailOnConnectionLoss(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	var fc *rpc.FaultConn
 	c, err := Dial(Config{ClientName: "delayed-loss", Managers: []string{r.addr}, Transport: TransportShm,
-		ShmDir: t.TempDir(), ShmBytes: 1 << 20,
+		ShmDir: t.TempDir(), ShmBytes: 1 << 20, Flight: newFlight(t),
 		DialConn: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
 			fc = rpc.InjectFaults(conn, rpc.Faults{})
@@ -279,5 +282,64 @@ func TestFinishLeavesNoEventInDeadTails(t *testing.T) {
 				t.Errorf("%s[%d] of %d still holds a %v event", name, i, len(evs), ev.CommandType())
 			}
 		}
+	}
+}
+
+// A connection lost under flushed multi-op tasks ends each task's flight
+// once, from its final op when that op is among the lost: only it carries
+// the milestones batched on the queue. With the board slow enough that
+// no task finishes first, every flight keeps its wire-send upload.
+func TestConnectionLossKeepsTaskMilestones(t *testing.T) {
+	cost := model.WorkerNode()
+	cost.PCIeGBps = 0.001 // a 16 KiB transfer holds the board ~16 ms
+	cost.ReconfigureTime = time.Millisecond
+	cfg := fpga.DE5aNet(cost)
+	cfg.TimeScale = 1
+	r := newRigOn(t, cfg)
+	flight := newFlight(t)
+	c, err := Dial(Config{ClientName: t.Name(), Managers: []string{r.addr}, Transport: TransportGRPC, Flight: flight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const tasks, size = 24, 16 << 10
+	lt := newLoopbackTask(t, c, size)
+	src, dst := make([]byte, size), make([]byte, size)
+	var last []ocl.Event
+	for i := 0; i < tasks; i++ {
+		_, _, rd := lt.enqueue(t, src, dst)
+		if err := lt.q.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		last = append(last, rd)
+	}
+	r.srv.Close()
+	for i, ev := range last {
+		if err := ev.Wait(); !errors.Is(err, rpc.ErrManagerDown) {
+			t.Fatalf("task %d: %v, want ErrManagerDown", i, err)
+		}
+	}
+	n := 0
+	for _, f := range flight.Snapshot().Flights {
+		count := map[flightrec.Kind]int{}
+		for _, ev := range f.Events {
+			count[ev.Kind] += max(ev.Count, 1)
+		}
+		if count[flightrec.KindComplete] == 0 {
+			continue // the connection's own flight
+		}
+		n++
+		for _, ev := range f.Events {
+			if ev.Kind == flightrec.KindFailure && ev.Detail != "connection to manager lost" {
+				t.Errorf("flight %s: failure %q", f.Trace, ev.Detail)
+			}
+		}
+		if count[flightrec.KindUpload] != 1 || count[flightrec.KindFailure] != 1 || count[flightrec.KindComplete] != 1 {
+			t.Errorf("flight %s: %d uploads, %d failures, %d completes, want one each", f.Trace,
+				count[flightrec.KindUpload], count[flightrec.KindFailure], count[flightrec.KindComplete])
+		}
+	}
+	if n != tasks {
+		t.Fatalf("%d task flights, want %d", n, tasks)
 	}
 }

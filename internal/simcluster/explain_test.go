@@ -32,7 +32,7 @@ import (
 // explainServers mounts the two debug endpoints the Explainer reads from
 // each process. The remaining signals (logs, alerts, slo, flash) are
 // soft misses, as with a process that does not serve them.
-func explainServers(t *testing.T, mgr *manager.Manager, client *remote.Client, tracer *obs.Tracer) []string {
+func explainServers(t *testing.T, mgr *manager.Manager, libFlight *flightrec.Recorder, tracer *obs.Tracer) []string {
 	t.Helper()
 	mgrMux := http.NewServeMux()
 	mgrMux.Handle("/debug/flight", mgr.FlightHandler())
@@ -41,7 +41,7 @@ func explainServers(t *testing.T, mgr *manager.Manager, client *remote.Client, t
 	t.Cleanup(mgrSrv.Close)
 
 	libMux := http.NewServeMux()
-	libMux.Handle("/debug/flight", client.Flight().Handler())
+	libMux.Handle("/debug/flight", libFlight.Handler())
 	libMux.Handle("/debug/spans", tracer.Handler())
 	libSrv := httptest.NewServer(libMux)
 	t.Cleanup(libSrv.Close)
@@ -71,11 +71,14 @@ func TestExplainEndToEnd(t *testing.T) {
 	rig := newSLORig(t) // 0.05 GB/s PCIe: a 4 MiB transfer sleeps ~80ms
 
 	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
+	libFlight := flightrec.New(flightrec.Config{Process: "library"})
+	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "payments",
 		Managers:   []string{rig.addr},
 		Transport:  remote.TransportGRPC,
 		Tracer:     tracer,
+		Flight:     libFlight,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +128,10 @@ func TestExplainEndToEnd(t *testing.T) {
 		t.Fatal("sampled task left no client spans")
 	}
 	trace := spans[0].Trace
-	waitComplete(t, client.Flight(), trace)
+	waitComplete(t, libFlight, trace)
 	waitComplete(t, rig.mgr.Flight(), trace)
 
-	ex := &flightrec.Explainer{Bases: explainServers(t, rig.mgr, client, tracer)}
+	ex := &flightrec.Explainer{Bases: explainServers(t, rig.mgr, libFlight, tracer)}
 	pm, err := ex.Explain(trace)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
@@ -213,11 +216,14 @@ func TestExplainPartialSpanWarning(t *testing.T) {
 	defer func() { srv.Close(); mgr.Close() }()
 
 	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
+	libFlight := flightrec.New(flightrec.Config{Process: "library"})
+	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "payments",
 		Managers:   []string{addr},
 		Transport:  remote.TransportGRPC,
 		Tracer:     tracer,
+		Flight:     libFlight,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +233,7 @@ func TestExplainPartialSpanWarning(t *testing.T) {
 
 	runCopyTask(t, cctx, q, k, 4096)
 	first := tracer.Spans()[0].Trace
-	waitComplete(t, client.Flight(), first)
+	waitComplete(t, libFlight, first)
 
 	// Each later task records several manager spans into the 8-slot
 	// ring; a dozen tasks guarantee the first trace has been evicted.
@@ -245,7 +251,7 @@ func TestExplainPartialSpanWarning(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	ex := &flightrec.Explainer{Bases: explainServers(t, mgr, client, tracer)}
+	ex := &flightrec.Explainer{Bases: explainServers(t, mgr, libFlight, tracer)}
 	pm, err := ex.Explain(first)
 	if err != nil {
 		t.Fatalf("explain: %v", err)

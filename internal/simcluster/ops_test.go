@@ -242,12 +242,13 @@ func TestLogsCorrelatedAcrossProcesses(t *testing.T) {
 	// The manager's "task executed" event lands after the notification is
 	// on the wire; poll the fetch/merge path briefly.
 	q1 := logx.Query{Trace: trace}
+	hc := &http.Client{Timeout: 5 * time.Second}
 	var merged []logx.Event
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		var rings [][]logx.Event
 		for _, base := range []string{mgrSrv.URL, libSrv.URL} {
-			ring, err := logx.FetchRing(base, q1)
+			ring, err := logx.FetchRing(hc, base, q1)
 			if err != nil {
 				t.Fatal(err)
 			}
