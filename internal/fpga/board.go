@@ -21,9 +21,12 @@ type Config struct {
 	// Cost is the host-link cost model (PCIe bandwidth, reconfiguration
 	// time). Nil selects the worker-node model.
 	Cost *model.CostModel
-	// TimeScale converts modelled durations into real sleeps: a kernel
-	// modelled at 10 ms occupies the board for 10ms*TimeScale of wall
-	// time. Zero disables sleeping entirely (unit tests); 1.0 is faithful.
+	// TimeScale converts modelled durations into wall time: a kernel
+	// modelled at 10 ms occupies the board for 10ms*TimeScale. Configure
+	// sleeps it; the data and kernel operations only return their modelled
+	// time, and their caller holds the board for it (the Device Manager
+	// once per task, the native runtime once per operation). Zero disables
+	// sleeping entirely (unit tests); 1.0 is faithful.
 	TimeScale float64
 }
 
@@ -40,7 +43,9 @@ func DE5aNet(cost *model.CostModel) Config {
 
 // Board simulates one FPGA board. All operations serialize on the board —
 // the device executes one DMA or kernel at a time, which is exactly the
-// contention the time-sharing experiments measure.
+// contention the time-sharing experiments measure. The wall time a data
+// or kernel operation occupies is its caller's to spend (Hold, or the
+// Device Manager's one deadline per task); only Configure sleeps itself.
 type Board struct {
 	cfg     Config
 	catalog *Catalog
@@ -84,14 +89,21 @@ func (b *Board) Config() Config { return b.cfg }
 // Cost returns the board's host-link cost model.
 func (b *Board) Cost() *model.CostModel { return b.cfg.Cost }
 
-// occupy accounts d of device busy time and optionally sleeps scaled wall
-// time. Called with b.mu held so the board stays exclusive for the span.
-func (b *Board) occupy(d time.Duration) {
-	if d <= 0 {
-		return
+// Hold keeps the board exclusive for modelled duration d scaled by
+// TimeScale. Write, Read, Copy and Run account their modelled time but
+// return at once; a caller that runs one operation at a time holds the
+// board for it here. A no-op at zero TimeScale.
+func (b *Board) Hold(d time.Duration) {
+	if b.cfg.TimeScale > 0 && d > 0 {
+		b.mu.Lock()
+		b.sleep(d)
+		b.mu.Unlock()
 	}
-	b.busyNanos.Add(int64(d))
-	if b.cfg.TimeScale > 0 {
+}
+
+// sleep blocks for d scaled by TimeScale.
+func (b *Board) sleep(d time.Duration) {
+	if b.cfg.TimeScale > 0 && d > 0 {
 		time.Sleep(time.Duration(float64(d) * b.cfg.TimeScale))
 	}
 }
@@ -113,7 +125,10 @@ func (b *Board) Configure(binary []byte) (time.Duration, error) {
 	b.bs = bs
 	b.reconfigs.Add(1)
 	d := b.cfg.Cost.ReconfigureTime
-	b.occupy(d)
+	b.busyNanos.Add(int64(d))
+	// Reprogramming blocks the board itself: every other operation waits
+	// out the scaled reconfiguration behind the mutex.
+	b.sleep(d)
 	return d, nil
 }
 
@@ -207,7 +222,7 @@ func (b *Board) Write(id uint64, offset int64, data []byte) (time.Duration, erro
 	d := b.cfg.Cost.PCIeTransfer(int64(len(data)))
 	b.bytesIn.Add(int64(len(data)))
 	b.transferOps.Add(1)
-	b.occupy(d)
+	b.busyNanos.Add(int64(d))
 	return d, nil
 }
 
@@ -228,7 +243,7 @@ func (b *Board) Read(id uint64, offset int64, dst []byte) (time.Duration, error)
 	d := b.cfg.Cost.PCIeTransfer(int64(len(dst)))
 	b.bytesOut.Add(int64(len(dst)))
 	b.transferOps.Add(1)
-	b.occupy(d)
+	b.busyNanos.Add(int64(d))
 	return d, nil
 }
 
@@ -268,7 +283,7 @@ func (b *Board) Copy(src, dst uint64, srcOff, dstOff, n int64) (time.Duration, e
 	d := b.cfg.Cost.DDRCopy(n)
 	b.copyOps.Add(1)
 	b.copyBytes.Add(n)
-	b.occupy(d)
+	b.busyNanos.Add(int64(d))
 	return d, nil
 }
 
@@ -320,7 +335,7 @@ func (b *Board) Run(kernel string, args []ocl.Arg, global []int) (time.Duration,
 		d = spec.Model(args, global)
 	}
 	b.kernelRuns.Add(1)
-	b.occupy(d)
+	b.busyNanos.Add(int64(d))
 	return d, nil
 }
 

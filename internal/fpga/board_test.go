@@ -354,23 +354,71 @@ func TestBoardConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestBoardTimeScaleSleeps pins what TimeScale makes the board itself
+// sleep: Configure blocks for the scaled reprogram time, while data and
+// kernel operations return at once and only account their modelled time
+// (their caller holds the board for it, through Hold).
 func TestBoardTimeScaleSleeps(t *testing.T) {
-	cfg := DE5aNet(model.WorkerNode())
-	cfg.TimeScale = 0.001 // 1ms modelled -> 1us wall
+	const n = 64 << 10
+	cost := model.WorkerNode()
+	cost.PCIeGBps = 0.001 // a 64 KiB transfer is modelled at ~66 ms
+	cost.DDRGBps = 0.001  // and so is a 64 KiB on-board copy
+	cost.ReconfigureTime = 20 * time.Millisecond
+	cfg := DE5aNet(cost)
+	cfg.TimeScale = 1
 	b := NewBoard(cfg, testCatalog())
-	configure(t, b)
+
 	start := time.Now()
-	for i := 0; i < 10; i++ {
-		if _, err := b.Run("tick", nil, nil); err != nil {
-			t.Fatal(err)
+	configure(t, b)
+	if got := time.Since(start); got < cost.ReconfigureTime {
+		t.Fatalf("Configure returned after %v, want at least the scaled %v", got, cost.ReconfigureTime)
+	}
+	if got := b.BusyTime(); got != cost.ReconfigureTime {
+		t.Fatalf("busy after Configure = %v, want %v", got, cost.ReconfigureTime)
+	}
+
+	src, _ := b.Alloc(n)
+	dst, _ := b.Alloc(n)
+	data := make([]byte, n)
+	size, _ := ocl.PackArg(int32(n))
+	ops := []struct {
+		name string
+		run  func() (time.Duration, error)
+		want time.Duration
+	}{
+		{"write", func() (time.Duration, error) { return b.Write(src, 0, data) }, cost.PCIeTransfer(n)},
+		{"copy", func() (time.Duration, error) { return b.Copy(src, dst, 0, 0, n) }, cost.DDRCopy(n)},
+		{"read", func() (time.Duration, error) { return b.Read(dst, 0, data) }, cost.PCIeTransfer(n)},
+		{"run", func() (time.Duration, error) {
+			return b.Run("echo", []ocl.Arg{ocl.BufferArg(src), ocl.BufferArg(dst), size}, nil)
+		}, n * time.Microsecond},
+	}
+	for _, op := range ops {
+		busy := b.BusyTime()
+		start := time.Now()
+		d, err := op.run()
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if d != op.want {
+			t.Fatalf("%s returned %v, want the modelled %v", op.name, d, op.want)
+		}
+		if got := b.BusyTime() - busy; got != d {
+			t.Fatalf("%s added %v of busy time, want exactly %v", op.name, got, d)
+		}
+		// The real work is a 64 KiB memcpy (microseconds); sleeping the
+		// modelled time would take over 60 ms.
+		if elapsed > d/2 {
+			t.Fatalf("%s took %v of its modelled %v: data and kernel operations must not sleep", op.name, elapsed, d)
 		}
 	}
-	elapsed := time.Since(start)
-	// 10 ticks at 1ms modelled, scaled by 1e-3 -> ~10us plus scheduling
-	// noise; the assertion just checks sleeping happened but stayed far
-	// below the modelled 10ms.
-	if elapsed > 50*time.Millisecond {
-		t.Fatalf("scaled sleeps took %v", elapsed)
+
+	// Hold is where a caller spends an operation's modelled time.
+	start = time.Now()
+	b.Hold(cost.ReconfigureTime)
+	if got := time.Since(start); got < cost.ReconfigureTime {
+		t.Fatalf("Hold returned after %v, want at least %v", got, cost.ReconfigureTime)
 	}
 }
 

@@ -60,10 +60,12 @@ func (s *session) createCachedBuffer(m *Manager, req *wire.CreateBufferRequest) 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.board.Write(boardID, 0, req.InitData); err != nil {
+	d, err := m.board.Write(boardID, 0, req.InitData)
+	if err != nil {
 		m.board.Free(boardID)
 		return nil, err
 	}
+	m.board.Hold(d)
 	canonical, inserted := m.bufcache.Insert(key, boardID)
 	if !inserted {
 		// A racing session uploaded the same content first; its entry is

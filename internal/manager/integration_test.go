@@ -30,7 +30,12 @@ type testRig struct {
 
 func newRig(t *testing.T, cfg manager.Config) *testRig {
 	t.Helper()
-	board := fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), accel.Catalog())
+	return newBoardRig(t, fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), accel.Catalog()), cfg)
+}
+
+// newBoardRig serves the given board.
+func newBoardRig(t *testing.T, board *fpga.Board, cfg manager.Config) *testRig {
+	t.Helper()
 	if cfg.Node == "" {
 		cfg.Node = "testnode"
 	}

@@ -265,10 +265,12 @@ func (s *session) createBuffer(m *Manager, d *wire.Decoder) ([]byte, error) {
 		return nil, err
 	}
 	if len(req.InitData) > 0 {
-		if _, err := m.board.Write(boardID, 0, req.InitData); err != nil {
+		d, err := m.board.Write(boardID, 0, req.InitData)
+		if err != nil {
 			m.board.Free(boardID)
 			return nil, err
 		}
+		m.board.Hold(d)
 	}
 	id := s.insertBuffer(bufferInfo{boardID: boardID, size: req.Size, flags: ocl.MemFlags(req.Flags)})
 	return encodeID(id), nil

@@ -498,14 +498,11 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	m.mTasks.Inc()
 	cost := m.board.Cost()
 	scale := m.board.Config().TimeScale
-	// Control-plane overhead of the flushed task (calibrated; the real
-	// wire cost of this reproduction is far below hardware-era gRPC).
-	if scale > 0 {
-		time.Sleep(time.Duration(float64(cost.TaskControlOverhead(len(t.ops))) * scale))
-	}
 	nb.c = t.conn
 	failed := false
 	var abortErr error
+	// staged is the modelled host staging time of the task's transfers.
+	var staged time.Duration
 	// The flight recorder is always on, so stage clocks run whether or
 	// not the task was sampled (the recorder-overhead benchmark gates the
 	// cost of these reads at ≤2% of a live round trip).
@@ -525,19 +522,29 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 		nb.add(&wire.OpNotification{Tag: o.tag, State: wire.OpRunning}, false)
 		opStart := time.Now()
 		n := wire.OpNotification{Tag: o.tag, State: wire.OpComplete}
-		ownData, err := m.runOp(t, o, cost, scale, &n)
+		staging, ownData, err := m.runOp(t, o, cost, &n)
+		staged += staging
 		if o.trace != 0 {
 			// Per-op board execution, parented under the client's "call"
-			// span so the timeline nests device time inside the call.
+			// span so the timeline nests it inside the call. The op's
+			// modelled time is held once for the whole task, below, and
+			// shows in the task's "execute" span.
 			m.tracer.End(obs.TraceID(o.trace), m.tracer.NewSpan(), obs.SpanID(o.span),
 				"op", o.kind.String(), opStart)
 		}
 		if o.kind == opWrite {
 			// Device ingest time is the manager's share of the "upload"
 			// wait-breakdown stage (the client records its wire share).
+			// With modelled time slept, the write's share of the task's
+			// hold is its scaled staging and DMA time, not the wall time
+			// of the copy.
 			opEnd := time.Now()
+			up := opEnd.Sub(opStart)
+			if scale > 0 {
+				up = time.Duration(float64(staging+time.Duration(n.DeviceNanos)) * scale)
+			}
 			t.flightEvs = append(t.flightEvs, flightrec.Event{
-				Kind: flightrec.KindUpload, Dur: opEnd.Sub(opStart), Detail: "device-write", Time: opEnd})
+				Kind: flightrec.KindUpload, Dur: up, Detail: "device-write", Time: opEnd})
 		}
 		m.mOps.Inc()
 		t.deviceTime += time.Duration(n.DeviceNanos)
@@ -558,6 +565,18 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 			continue
 		}
 		nb.add(&n, ownData)
+	}
+	if scale > 0 {
+		// The worker holds the board for the task's modelled time, once:
+		// the control-plane overhead of the flushed task (calibrated; the
+		// real wire cost of this reproduction is far below hardware-era
+		// gRPC), its staging copies and its device time, scaled and
+		// counted from the task's start. The real work above runs inside
+		// that budget. One sleep overshoots by at most one timer tick,
+		// where a sleep per stage would overshoot once per stage; the
+		// client sees nothing before the batch below leaves either way.
+		modelled := cost.TaskControlOverhead(len(t.ops)) + staged + t.deviceTime
+		time.Sleep(time.Until(execStart.Add(time.Duration(float64(modelled) * scale))))
 	}
 	if t.trace != 0 {
 		m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
@@ -595,39 +614,36 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 }
 
 // runOp executes one operation and fills in its completion notification
-// n. ownData reports whether n.Data is a pooled buffer the caller must
-// release after the notification is written.
-func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64, n *wire.OpNotification) (ownData bool, err error) {
-	sleepHost := func(d time.Duration) {
-		if scale > 0 && d > 0 {
-			time.Sleep(time.Duration(float64(d) * scale))
-		}
-	}
+// n, whose DeviceNanos is the operation's modelled board time. staging is
+// the modelled host-side copy time of a transfer's data path. ownData
+// reports whether n.Data is a pooled buffer the caller must release after
+// the notification is written.
+func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, n *wire.OpNotification) (staging time.Duration, ownData bool, err error) {
 	switch o.kind {
 	case opWrite:
 		var src []byte
 		switch o.via {
 		case wire.ViaInline:
 			src = o.data
-			sleepHost(cost.GRPCDataOverhead(o.length))
+			staging = cost.GRPCDataOverhead(o.length)
 		case wire.ViaShm:
 			seg := t.sess.segment()
 			if seg == nil {
-				return false, ocl.Errf(ocl.ErrInvalidOperation, "shared-memory segment vanished")
+				return 0, false, ocl.Errf(ocl.ErrInvalidOperation, "shared-memory segment vanished")
 			}
 			rng, rerr := seg.Range(o.shmOff, o.length)
 			if rerr != nil {
-				return false, ocl.Errf(ocl.ErrInvalidValue, "shm write range: %v", rerr)
+				return 0, false, ocl.Errf(ocl.ErrInvalidValue, "shm write range: %v", rerr)
 			}
 			src = rng
-			sleepHost(cost.ShmDataOverhead(o.length))
+			staging = cost.ShmDataOverhead(o.length)
 		}
 		d, werr := m.board.Write(o.boardBuf, o.offset, src)
 		// The retained request frame is consumed: the bytes are on the
 		// board (or the write failed and they never will be).
 		o.releaseFrame()
 		if werr != nil {
-			return false, werr
+			return staging, false, werr
 		}
 		n.DeviceNanos = int64(d)
 		m.mBytesIn.Add(float64(o.length))
@@ -638,36 +654,36 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64, n 
 			d, rerr := m.board.Read(o.boardBuf, o.offset, dst)
 			if rerr != nil {
 				wire.PutBuf(dst)
-				return false, rerr
+				return 0, false, rerr
 			}
-			sleepHost(cost.GRPCDataOverhead(o.length))
+			staging = cost.GRPCDataOverhead(o.length)
 			n.Data = dst
 			n.DeviceNanos = int64(d)
 			ownData = true
 		case wire.ViaShm:
 			seg := t.sess.segment()
 			if seg == nil {
-				return false, ocl.Errf(ocl.ErrInvalidOperation, "shared-memory segment vanished")
+				return 0, false, ocl.Errf(ocl.ErrInvalidOperation, "shared-memory segment vanished")
 			}
 			dst, rerr := seg.Range(o.shmOff, o.length)
 			if rerr != nil {
-				return false, ocl.Errf(ocl.ErrInvalidValue, "shm read range: %v", rerr)
+				return 0, false, ocl.Errf(ocl.ErrInvalidValue, "shm read range: %v", rerr)
 			}
 			d, rerr := m.board.Read(o.boardBuf, o.offset, dst)
 			if rerr != nil {
-				return false, rerr
+				return 0, false, rerr
 			}
-			sleepHost(cost.ShmDataOverhead(o.length))
+			staging = cost.ShmDataOverhead(o.length)
 			n.ShmLen = o.length
 			n.DeviceNanos = int64(d)
 		default:
-			return false, ocl.Errf(ocl.ErrInvalidValue, "data path %d", o.via)
+			return 0, false, ocl.Errf(ocl.ErrInvalidValue, "data path %d", o.via)
 		}
 		m.mBytesOut.Add(float64(o.length))
 	case opKernel:
 		d, kerr := m.board.Run(o.kernelName, o.args, o.global)
 		if kerr != nil {
-			return false, kerr
+			return 0, false, kerr
 		}
 		n.DeviceNanos = int64(d)
 		m.mKernels.Inc()
@@ -677,13 +693,13 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, scale float64, n 
 		// zero-copy property the chaining benchmark pins.
 		d, cerr := m.board.Copy(o.boardBuf, o.copyDst, o.offset, o.dstOff, o.length)
 		if cerr != nil {
-			return false, cerr
+			return 0, false, cerr
 		}
 		n.DeviceNanos = int64(d)
 		m.mCopies.Inc()
 		m.mCopyBytes.Add(float64(o.length))
 	default:
-		return false, ocl.Errf(ocl.ErrInvalidOperation, "unknown op kind %d", o.kind)
+		return 0, false, ocl.Errf(ocl.ErrInvalidOperation, "unknown op kind %d", o.kind)
 	}
-	return ownData, nil
+	return staging, ownData, nil
 }

@@ -146,10 +146,12 @@ func (c *context) CreateBuffer(flags ocl.MemFlags, size int, hostData []byte) (o
 		return nil, err
 	}
 	if len(hostData) > 0 {
-		if _, err := c.board.Write(id, 0, hostData); err != nil {
+		d, err := c.board.Write(id, 0, hostData)
+		if err != nil {
 			c.board.Free(id)
 			return nil, err
 		}
+		c.board.Hold(d)
 	}
 	return &buffer{ctx: c, boardID: id, size: size, flags: flags}, nil
 }
@@ -329,6 +331,7 @@ func (q *commandQueue) EnqueueWriteBuffer(b ocl.Buffer, blocking bool, offset in
 			ev.Fail(err)
 			return
 		}
+		q.ctx.board.Hold(d)
 		ev.SetDeviceTime(d)
 		ev.Complete()
 	})
@@ -361,6 +364,7 @@ func (q *commandQueue) EnqueueReadBuffer(b ocl.Buffer, blocking bool, offset int
 			ev.Fail(err)
 			return
 		}
+		q.ctx.board.Hold(d)
 		ev.SetDeviceTime(d)
 		ev.Complete()
 	})
@@ -398,6 +402,7 @@ func (q *commandQueue) EnqueueCopyBuffer(src, dst ocl.Buffer, srcOffset, dstOffs
 			ev.Fail(err)
 			return
 		}
+		q.ctx.board.Hold(d)
 		ev.SetDeviceTime(d)
 		ev.Complete()
 	})
@@ -422,6 +427,7 @@ func (q *commandQueue) EnqueueNDRangeKernel(k ocl.Kernel, global, local []int, w
 			ev.Fail(err)
 			return
 		}
+		q.ctx.board.Hold(d)
 		ev.SetDeviceTime(d)
 		ev.Complete()
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"blastfunction/internal/accel"
 	"blastfunction/internal/fpga"
@@ -228,5 +229,40 @@ func TestContextReleaseDrainsQueues(t *testing.T) {
 	}
 	if err := ctx.Release(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockingCallsHoldModelledTime: the native baseline holds the board
+// for each operation's scaled modelled time, so a blocking write, and a
+// buffer created with host data, take at least the scaled PCIe transfer.
+// The board does not sleep data operations, so without the runtime's hold
+// the native baseline would run in no time at all.
+func TestBlockingCallsHoldModelledTime(t *testing.T) {
+	const n = 16 << 10
+	cost := model.WorkerNode()
+	cost.PCIeGBps = 0.001 // a 16 KiB transfer is modelled at ~16 ms
+	cfg := fpga.DE5aNet(cost)
+	cfg.TimeScale = 0.5
+	ctx, _, q := open(t, New(fpga.NewBoard(cfg, accel.Catalog())))
+	want := time.Duration(float64(cost.PCIeTransfer(n)) * cfg.TimeScale)
+
+	start := time.Now()
+	buf, err := ctx.CreateBuffer(ocl.MemReadWrite, n, make([]byte, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Since(start); got < want {
+		t.Fatalf("CreateBuffer with host data returned after %v, want at least %v", got, want)
+	}
+	start = time.Now()
+	ev, err := q.EnqueueWriteBuffer(buf, true, 0, make([]byte, n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Since(start); got < want {
+		t.Fatalf("blocking write returned after %v, want at least %v", got, want)
+	}
+	if got := ev.(ocl.ProfilingEvent).DeviceTime(); got != cost.PCIeTransfer(n) {
+		t.Fatalf("device time %v, want the modelled %v", got, cost.PCIeTransfer(n))
 	}
 }

@@ -179,14 +179,24 @@ func TestExplainEndToEnd(t *testing.T) {
 	if !strings.HasPrefix(pm.Verdict, "execute dominated") {
 		t.Fatalf("verdict %q, want execute dominated", pm.Verdict)
 	}
-	var execDur time.Duration
+	var execDur, upload time.Duration
 	for _, s := range pm.Stages {
-		if s.Name == "execute" {
+		switch s.Name {
+		case "execute":
 			execDur = s.Dur
+		case "upload":
+			upload = s.Dur
 		}
 	}
 	if float64(execDur) < 0.5*float64(pm.Total) {
 		t.Fatalf("execute stage %v is under half the %v total", execDur, pm.Total)
+	}
+	// The worker holds the board once per task, so the device write's
+	// wall time holds no sleep; its upload share is its scaled modelled
+	// staging and DMA time, and the stage must still cover the DMA.
+	dma := time.Duration(float64(rig.board.Cost().PCIeTransfer(inBytes)) * rig.board.Config().TimeScale)
+	if upload < dma {
+		t.Fatalf("upload stage %v is under the write's modelled DMA %v", upload, dma)
 	}
 
 	// No rings overflowed, so the rendered report must carry no partial

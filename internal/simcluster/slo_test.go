@@ -32,9 +32,10 @@ import (
 // payload size controls the measured task latency: small payloads stay
 // far under the objective's target, 1 MiB payloads reliably blow it.
 type sloRig struct {
-	mgr  *manager.Manager
-	srv  *rpc.Server
-	addr string
+	mgr   *manager.Manager
+	srv   *rpc.Server
+	addr  string
+	board *fpga.Board
 }
 
 func newSLORig(t *testing.T) *sloRig {
@@ -53,7 +54,7 @@ func newSLORig(t *testing.T) *sloRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close(); mgr.Close() })
-	return &sloRig{mgr: mgr, srv: srv, addr: addr}
+	return &sloRig{mgr: mgr, srv: srv, addr: addr, board: board}
 }
 
 // runCopyTask pushes one write -> copy -> read task of n bytes through the
