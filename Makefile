@@ -29,8 +29,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime 10s ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/metrics/
 
+# The second vet compiles for a non-Linux system, which keeps the
+# time.Sleep fallback of fpga.SleepUntil (sleep_other.go) building.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...

@@ -92,7 +92,8 @@ func (b *Board) Cost() *model.CostModel { return b.cfg.Cost }
 // Hold keeps the board exclusive for modelled duration d scaled by
 // TimeScale. Write, Read, Copy and Run account their modelled time but
 // return at once; a caller that runs one operation at a time holds the
-// board for it here. A no-op at zero TimeScale.
+// board for it here, sleeping through SleepUntil. A no-op at zero
+// TimeScale.
 func (b *Board) Hold(d time.Duration) {
 	if b.cfg.TimeScale > 0 && d > 0 {
 		b.mu.Lock()
@@ -104,7 +105,7 @@ func (b *Board) Hold(d time.Duration) {
 // sleep blocks for d scaled by TimeScale.
 func (b *Board) sleep(d time.Duration) {
 	if b.cfg.TimeScale > 0 && d > 0 {
-		time.Sleep(time.Duration(float64(d) * b.cfg.TimeScale))
+		SleepUntil(time.Now().Add(time.Duration(float64(d) * b.cfg.TimeScale)))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blastfunction/internal/flightrec"
+	"blastfunction/internal/fpga"
 	"blastfunction/internal/logx"
 	"blastfunction/internal/model"
 	"blastfunction/internal/obs"
@@ -572,11 +573,12 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 		// real wire cost of this reproduction is far below hardware-era
 		// gRPC), its staging copies and its device time, scaled and
 		// counted from the task's start. The real work above runs inside
-		// that budget. One sleep overshoots by at most one timer tick,
-		// where a sleep per stage would overshoot once per stage; the
-		// client sees nothing before the batch below leaves either way.
+		// that budget. One deadline per task, slept by fpga.SleepUntil,
+		// overshoots once by a nanosleep wake-up, not once per stage by a
+		// runtime timer tick; the client sees nothing before the batch
+		// below leaves either way.
 		modelled := cost.TaskControlOverhead(len(t.ops)) + staged + t.deviceTime
-		time.Sleep(time.Until(execStart.Add(time.Duration(float64(modelled) * scale))))
+		fpga.SleepUntil(execStart.Add(time.Duration(float64(modelled) * scale)))
 	}
 	if t.trace != 0 {
 		m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
