@@ -17,13 +17,15 @@ test: vet race fuzz-smoke test-benchmark
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Ten seconds of mutation per native fuzz target (the wire decoders, the
-# flag grammars and the metrics exposition parser), starting from the seeds in the test files and the
+# Ten seconds of mutation per native fuzz target (the wire decoders and the
+# streaming notification decoder, the flag grammars and the metrics
+# exposition parser), starting from the seeds in the test files and the
 # corpora committed under testdata/fuzz. A failing input is written
 # there too; commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoders$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzNotificationStream$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWeights$$' -fuzztime 10s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAdmission$$' -fuzztime 10s ./internal/gateway/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime 10s ./internal/slo/

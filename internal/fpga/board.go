@@ -241,11 +241,42 @@ func (b *Board) Read(id uint64, offset int64, dst []byte) (time.Duration, error)
 			"read out of range: off=%d len=%d buf=%d", offset, len(dst), len(buf))
 	}
 	copy(dst, buf[offset:])
-	d := b.cfg.Cost.PCIeTransfer(int64(len(dst)))
-	b.bytesOut.Add(int64(len(dst)))
+	return b.accountRead(int64(len(dst))), nil
+}
+
+// ReadView is Read without the copy: it returns the n bytes of buffer id
+// at offset as a view of board memory, with Read's accounting (bytes out,
+// one transfer op, busy time) and modelled transfer time. The view's
+// capacity ends at its length, so an append cannot reach the bytes behind
+// it.
+//
+// The view shows whatever the buffer holds when it is read, not when it
+// was taken: it is valid only while the caller knows that nothing writes
+// the buffer (Write, Copy or a kernel Run) before it is done with the
+// bytes. Alloc, Free and Configure never touch an existing buffer's
+// contents; a freed buffer's view keeps its memory alive.
+func (b *Board) ReadView(id uint64, offset, n int64) ([]byte, time.Duration, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	buf, ok := b.buffers[id]
+	if !ok {
+		return nil, 0, ocl.Errf(ocl.ErrInvalidMemObject, "read: buffer %d", id)
+	}
+	if offset < 0 || n < 0 || offset+n > int64(len(buf)) {
+		return nil, 0, ocl.Errf(ocl.ErrInvalidValue,
+			"read out of range: off=%d len=%d buf=%d", offset, n, len(buf))
+	}
+	return buf[offset : offset+n : offset+n], b.accountRead(n), nil
+}
+
+// accountRead records one device-to-host transfer of n bytes and returns
+// its modelled time.
+func (b *Board) accountRead(n int64) time.Duration {
+	d := b.cfg.Cost.PCIeTransfer(n)
+	b.bytesOut.Add(n)
 	b.transferOps.Add(1)
 	b.busyNanos.Add(int64(d))
-	return d, nil
+	return d
 }
 
 // Copy moves n bytes from buffer src at srcOff to buffer dst at dstOff

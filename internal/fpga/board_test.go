@@ -147,6 +147,51 @@ func TestBoardWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// ReadView accounts exactly like Read, returns the bytes Read copies, and
+// its view cannot be appended into the rest of the buffer.
+func TestBoardReadViewAccountsLikeRead(t *testing.T) {
+	b := testBoard(t)
+	id, _ := b.Alloc(64)
+	data := []byte("hello fpga world")
+	if _, err := b.Write(id, 8, data); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Stats()
+	rd, err := b.Read(id, 8, make([]byte, len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := b.Stats()
+	view, vd, err := b.ReadView(id, 8, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := b.Stats()
+	if !bytes.Equal(view, data) {
+		t.Fatalf("view = %q, want %q", view, data)
+	}
+	if vd != rd {
+		t.Fatalf("view modelled %v, read %v", vd, rd)
+	}
+	if after.BytesOut-mid.BytesOut != mid.BytesOut-before.BytesOut ||
+		after.TransferOps-mid.TransferOps != mid.TransferOps-before.TransferOps ||
+		after.BusyTime-mid.BusyTime != mid.BusyTime-before.BusyTime {
+		t.Fatalf("read accounted %+v -> %+v, view %+v", before, mid, after)
+	}
+	if cap(view) != len(view) {
+		t.Fatalf("view capacity %d past its length %d", cap(view), len(view))
+	}
+	if _, _, err := b.ReadView(id, 60, 8); !errors.Is(err, ocl.ErrInvalidValue) {
+		t.Fatalf("overflow view err = %v", err)
+	}
+	if _, _, err := b.ReadView(id, 0, -1); !errors.Is(err, ocl.ErrInvalidValue) {
+		t.Fatalf("negative view err = %v", err)
+	}
+	if _, _, err := b.ReadView(999, 0, 1); !errors.Is(err, ocl.ErrInvalidMemObject) {
+		t.Fatalf("unknown buffer view err = %v", err)
+	}
+}
+
 func TestBoardTransferBounds(t *testing.T) {
 	b := testBoard(t)
 	id, _ := b.Alloc(16)

@@ -412,8 +412,9 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 // notifyBatcher accumulates the notifications a task emits and sends them
 // as one notification frame at the end of the task. Notification heads are
 // encoded into a single pooled buffer as they arrive; Data payloads stay
-// where they are and ride out as their own vectored-write segments, so a
-// read result is never copied between the board and the socket.
+// where they are and ride out as their own vectored-write segments: a read
+// behind the task's last write, copy or kernel goes to the socket straight
+// from board memory, any other read from the pooled copy runOp made.
 //
 // The worker owns one batcher and points it at each task in turn, so parts
 // and segs are scratch that stops allocating once it has grown to the
@@ -465,8 +466,8 @@ func (nb *notifyBatcher) flush() {
 			wire.PutBuf(p.data)
 		}
 	}
-	// Keep the scratch, not what it pointed at: board read buffers went back
-	// to the pool above and must not stay reachable from here.
+	// Keep the scratch, not what it pointed at: pooled read copies went back
+	// to the pool above, and a board view would pin a freed buffer's memory.
 	clear(segs)
 	clear(nb.parts)
 	nb.segs, nb.parts = segs[:0], nb.parts[:0]
@@ -508,6 +509,14 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	// not the task was sampled (the recorder-overhead benchmark gates the
 	// cost of these reads at ≤2% of a live round trip).
 	execStart := time.Now()
+	// A read behind the task's last write, copy or kernel may send its
+	// result straight from board memory (see runOp).
+	lastWriter := -1
+	for i := range t.ops {
+		if t.ops[i].kind != opRead {
+			lastWriter = i
+		}
+	}
 	for i := range t.ops {
 		o := &t.ops[i]
 		if failed {
@@ -523,7 +532,7 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 		nb.add(&wire.OpNotification{Tag: o.tag, State: wire.OpRunning}, false)
 		opStart := time.Now()
 		n := wire.OpNotification{Tag: o.tag, State: wire.OpComplete}
-		staging, ownData, err := m.runOp(t, o, cost, &n)
+		staging, ownData, err := m.runOp(t, o, cost, &n, i > lastWriter)
 		staged += staging
 		if o.trace != 0 {
 			// Per-op board execution, parented under the client's "call"
@@ -620,7 +629,20 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 // the modelled host-side copy time of a transfer's data path. ownData
 // reports whether n.Data is a pooled buffer the caller must release after
 // the notification is written.
-func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, n *wire.OpNotification) (staging time.Duration, ownData bool, err error) {
+//
+// With view set, an inline read's n.Data is a view of board memory
+// (fpga.Board.ReadView) instead of a pooled copy, and ownData is false.
+// The caller sets it only when no later op of the task writes the board
+// (every later op is a read). That keeps the view's bytes those of the
+// read until the completion batch has left: the worker is the only writer
+// of existing board buffers (Write, Copy and Run all run here), it writes
+// the batch synchronously before it takes the next task, and Conn.Notify
+// keeps no segment past its return. Alloc makes fresh memory, and Free
+// and reconfiguration never touch a buffer's contents, so the connection
+// goroutines cannot change the bytes either. A read followed by a write,
+// copy or kernel in its own task still copies: the batch leaves after
+// those ops have run.
+func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, n *wire.OpNotification, view bool) (staging time.Duration, ownData bool, err error) {
 	switch o.kind {
 	case opWrite:
 		var src []byte
@@ -652,16 +674,23 @@ func (m *Manager) runOp(t *task, o *op, cost *model.CostModel, n *wire.OpNotific
 	case opRead:
 		switch o.via {
 		case wire.ViaInline:
-			dst := wire.GetBuf(int(o.length))
-			d, rerr := m.board.Read(o.boardBuf, o.offset, dst)
+			var d time.Duration
+			var rerr error
+			if view {
+				n.Data, d, rerr = m.board.ReadView(o.boardBuf, o.offset, o.length)
+			} else {
+				n.Data, ownData = wire.GetBuf(int(o.length)), true
+				d, rerr = m.board.Read(o.boardBuf, o.offset, n.Data)
+			}
 			if rerr != nil {
-				wire.PutBuf(dst)
+				if ownData {
+					wire.PutBuf(n.Data)
+				}
+				n.Data = nil
 				return 0, false, rerr
 			}
 			staging = cost.GRPCDataOverhead(o.length)
-			n.Data = dst
 			n.DeviceNanos = int64(d)
-			ownData = true
 		case wire.ViaShm:
 			seg := t.sess.segment()
 			if seg == nil {

@@ -74,6 +74,7 @@ func dialManager(cfg *Config, addr string) (*managerConn, error) {
 	cl.CallTimeout = cfg.CallTimeout
 	mc := &managerConn{cfg: cfg, addr: addr, rpc: cl, mode: model.TransportGRPC, tracer: cfg.Tracer, log: cfg.Log, flight: cfg.Flight,
 		pending: make(map[uint64]*remoteEvent)}
+	cl.SetLander(mc.land)
 	mc.connFlight = mc.flight.Begin(0, cfg.ClientName)
 
 	// Hello: open the session. Not retried — a timed-out Hello may still
@@ -237,7 +238,9 @@ func (mc *managerConn) close() error {
 // state machines (steps 5 and 6 of Figure 2). Each frame is a batch (one per
 // task) that unwinds into the same per-notification flow. Frame payloads are
 // pooled: decoded Data aliases them, which is safe because finishRead copies
-// read results into the user buffer synchronously inside machine.
+// read results into the user buffer synchronously inside machine. An inline
+// read in a frame larger than the read loop's buffer arrives with its Data
+// already in the user buffer (see land) and empty here.
 func (mc *managerConn) connectionThread() {
 	var d wire.Decoder
 	var n wire.OpNotification
@@ -302,6 +305,31 @@ func (mc *managerConn) dispatch(n *wire.OpNotification) {
 	if ev != nil { // nil: already failed locally (e.g. connection race)
 		ev.machine(mc, n)
 	}
+}
+
+// land is the read loop's wire.Lander: it returns the destination of the
+// inline read tagged tag, so its n result bytes go from the socket straight
+// into the caller's buffer, or nil to leave them in the frame for
+// finishRead to copy (a tag no longer in flight, an shm read, or more
+// bytes than the destination holds, which finishRead truncates).
+//
+// The bytes land only while the event is in mc.pending, and before its
+// terminal notification is dispatched: the Data rides on that very
+// notification, and the read loop hands its frame to the connection thread
+// only once the frame has been read whole. The caller does not touch dst
+// until the event completes, and only the connection thread completes or
+// fails an event in mc.pending — its connection-loss sweep included, which
+// runs after the read loop has exited. (A failed send withdraws its event
+// with forget, but the manager never ran an operation whose request did
+// not arrive.)
+func (mc *managerConn) land(tag uint64, n int) []byte {
+	mc.pendingMu.Lock()
+	ev := mc.pending[tag]
+	mc.pendingMu.Unlock()
+	if ev == nil || ev.shmLen != 0 || n > len(ev.dst) {
+		return nil
+	}
+	return ev.dst
 }
 
 // newTag allocates a fresh event tag. Tags start at 1; 0 is reserved.
@@ -460,7 +488,8 @@ func (ev *remoteEvent) endCallSpan(mc *managerConn, note string) {
 
 // finishRead lands read payloads in the user buffer: the BUFFER step of
 // the paper's state machine. For the shm path this is the data plane's
-// single copy.
+// single copy. An inline result the read loop already landed in ev.dst
+// arrives with n.Data empty and is not copied again.
 func (ev *remoteEvent) finishRead(mc *managerConn, n *wire.OpNotification) {
 	if ev.dst != nil {
 		if n.Data != nil {

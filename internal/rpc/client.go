@@ -61,6 +61,10 @@ type Client struct {
 
 	dec wire.Decoder // response decoder scratch, used only by readLoop
 
+	// land places the Data of large notification frames as they arrive
+	// (SetLander); nil keeps every payload whole.
+	land atomic.Pointer[wire.Lander]
+
 	// CallTimeout bounds unary calls; zero means DefaultCallTimeout.
 	CallTimeout time.Duration
 }
@@ -97,6 +101,16 @@ func NewClient(conn net.Conn) *Client {
 // connection drops. Each payload is a pooled buffer owned by the receiver,
 // released with wire.PutBuf once consumed.
 func (c *Client) Notifications() <-chan []byte { return c.notifications }
+
+// SetLander makes the read loop stream every notification frame larger
+// than its buffered reader through wire.ReadNotificationBatch with land:
+// the Data land takes is read from the connection straight into the slice
+// it returns, and that notification reaches Notifications with its Data
+// empty. Smaller frames, already buffered whole, are delivered as they
+// are. land runs on the read loop and must not block; nothing else may
+// touch a slice it returns until the frame's notifications have been
+// taken from Notifications.
+func (c *Client) SetLander(land wire.Lander) { c.land.Store(&land) }
 
 // Call performs a unary request and waits for the response body. The body
 // is assembled from segs without copying. The returned body is the
@@ -230,7 +244,20 @@ func (c *Client) readLoop() {
 	for {
 		// The client chose this manager, so it takes the manager's word for
 		// a frame length up to the protocol maximum.
-		typ, payload, err := readFrame(r, MaxFrameBytes)
+		typ, n, err := readHeader(r, MaxFrameBytes)
+		var payload []byte
+		if err == nil {
+			if land := c.land.Load(); land != nil && typ == frameNotify && n > smallFrameMax {
+				// A malformed batch still yields the notifications before
+				// the fault, which are delivered, as the connection thread
+				// would have dispatched them from the whole frame.
+				if payload, err = wire.ReadNotificationBatch(r, n, *land); payload != nil {
+					err = nil
+				}
+			} else {
+				payload, err = readPayload(r, n)
+			}
+		}
 		if err != nil {
 			c.fail(fmt.Errorf("%w: connection lost: %v", ErrManagerDown, err))
 			return

@@ -66,7 +66,11 @@
 // small buffered reader sized to the largest coalesced frame, so the header
 // and payload of a control frame — usually several control frames — arrive
 // in one Read. A payload larger than that buffer is read from the
-// connection straight into its pooled buffer.
+// connection straight into its pooled buffer, except a notification frame
+// on a client with a lander (Client.SetLander): that one is streamed
+// through wire.ReadNotificationBatch, and each Data the lander takes is
+// read from the connection straight into the slice it names — for the
+// Remote Library, the buffer of the inline read it completes.
 //
 // # Frame limits
 //
@@ -110,10 +114,14 @@
 //     body moved to its front (unary bodies are a few fields). The caller
 //     releases that slice with wire.PutBuf after decoding (values decoded
 //     by aliasing must be dead or copied first).
-//   - Client.Notifications: each payload is the frame, owned by the
+//   - Client.Notifications: each payload is a pooled buffer owned by the
 //     receiver (the Remote Library's connection thread), released with
 //     wire.PutBuf after the notifications in it — including any aliased
-//     Data — have been consumed.
+//     Data — have been consumed. It is the frame itself, or, for a large
+//     notification frame on a client with a lander, the batch re-encoded
+//     without the Data the lander took: those notifications arrive with
+//     empty Data, their bytes already in the lander's slices, which the
+//     read loop wrote before it queued the payload and never touches again.
 //   - Server handlers: the body passed to HandleRequest is a view of the
 //     request frame, which the server releases when the handler returns.
 //     A handler that needs the payload to outlive the request (the
@@ -127,7 +135,9 @@
 //     a buffer owned exclusively by the handler (wire.Encoder.Detach), or
 //     nil — never a slice aliasing the request body or shared storage.
 //   - Conn.Notify: segments are only read during the call and never
-//     retained; the caller keeps ownership. Board read
-//     results ride out this way as the wire.GetBuf slice the worker
-//     filled, which the notify batcher releases after the write.
+//     retained; the caller keeps ownership. Board read results ride out
+//     this way, either as a view of board memory (a read no later op of
+//     its task writes over; the worker writes no board buffer until
+//     Notify has returned) or as the wire.GetBuf copy the worker filled,
+//     which the notify batcher releases after the write.
 package rpc

@@ -112,24 +112,40 @@ func newFrameReader(r io.Reader) *bufio.Reader {
 // with wire.PutBuf (directly or via the hand-off points described in
 // doc.go) once decoded values that alias it are dead.
 func readFrame(r *bufio.Reader, limit int) (typ byte, payload []byte, err error) {
+	typ, n, err := readHeader(r, limit)
+	if err != nil {
+		return 0, nil, err
+	}
+	if payload, err = readPayload(r, n); err != nil {
+		return 0, nil, err
+	}
+	return typ, payload, nil
+}
+
+// readHeader reads one frame header and returns the frame's type and
+// payload length, refusing a length past limit; the payload is next on r.
+func readHeader(r *bufio.Reader, limit int) (typ byte, n int, err error) {
 	hdr, err := r.Peek(headerLen)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, err
+		return 0, 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:4]))
+	n = int(binary.LittleEndian.Uint32(hdr[:4]))
 	typ = hdr[4]
 	if n > limit {
-		return 0, nil, fmt.Errorf("%w: %d bytes, limit %d", ErrFrameTooLarge, n, limit)
+		return 0, 0, fmt.Errorf("%w: %d bytes, limit %d", ErrFrameTooLarge, n, limit)
 	}
 	r.Discard(headerLen) // cannot fail: Peek buffered these bytes
-	if payload, err = wire.ReadBuf(r, n); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+	return typ, n, nil
+}
+
+// readPayload reads a frame's n payload bytes into a pooled buffer.
+func readPayload(r *bufio.Reader, n int) ([]byte, error) {
+	payload, err := wire.ReadBuf(r, n)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	return typ, payload, nil
+	return payload, err
 }

@@ -727,7 +727,8 @@ func (m *OpNotification) EncodeHead(e *Encoder) {
 
 // Decode deserializes the message. Data aliases the decode buffer; the
 // remote library's connection thread copies read results into their
-// destinations before releasing the frame.
+// destinations before releasing the frame (unless ReadNotificationBatch
+// already landed them there, and Data is empty).
 func (m *OpNotification) Decode(d *Decoder) {
 	m.Tag = d.U64()
 	m.State = OpState(d.U8())
@@ -752,7 +753,9 @@ const minEncodedNotificationSize = 37
 // by count consecutive OpNotification encodings. The manager's notify
 // batcher assembles the frame incrementally (reserving the count with
 // U32(0) and patching it via SetU32 at flush), so this type exists for
-// whole-batch encodes in tests and for streaming decodes on the client.
+// whole-batch encodes and decodes in tests; the client decodes one
+// notification at a time, or streams a large batch off the connection
+// with ReadNotificationBatch.
 type OpNotificationBatch struct {
 	Notes []OpNotification
 }
