@@ -32,10 +32,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/metrics/
 
 # The second vet compiles for a non-Linux system, which keeps the
-# time.Sleep fallback of fpga.SleepUntil (sleep_other.go) building.
+# time.Sleep fallback of fpga.SleepUntil (sleep_other.go) building. Any
+# file gofmt would rewrite fails the target, and is named.
 vet:
 	$(GO) vet ./...
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

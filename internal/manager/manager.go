@@ -211,9 +211,9 @@ func (m *Manager) tenantMetric(tenant string) *tenantMetrics {
 			waitTotal: m.reg.Counter("bf_tenant_queue_wait_seconds_total", "Cumulative queue wait of the tenant's executed tasks.", lbl),
 			waitHist:  m.reg.Histogram("bf_tenant_queue_wait_seconds", "Queue-wait distribution of the tenant's executed tasks.", lbl, nil),
 			deviceSec: m.reg.Counter("bf_tenant_device_seconds_total", "Modelled device time consumed by the tenant.", lbl),
-			tasks:     m.reg.Counter("bf_tenant_tasks_total", "Tasks the tenant executed on the device.", lbl),
+			tasks:     m.reg.Counter("bf_tenant_tasks_total", "Tasks of the tenant that ended: executed, failed before execution or refused by the queue.", lbl),
 			latHist:   m.reg.Histogram("bf_task_latency_seconds", "End-to-end task residency (submit to completion) per tenant; carries trace exemplars.", lbl, nil),
-			failures:  m.reg.Counter("bf_tenant_task_failures_total", "Tasks that completed with a failed operation.", lbl),
+			failures:  m.reg.Counter("bf_tenant_task_failures_total", "Tasks of the tenant that failed: an operation failed, the session lease expired, or the queue refused them.", lbl),
 		}
 		m.tenants[tenant] = tm
 	}
@@ -423,27 +423,11 @@ func (m *Manager) expireSession(s *session) {
 	// Pull the session's queued tasks out of whichever structure the
 	// discipline holds them in: they fail here without ever occupying the
 	// board, instead of waiting for the worker's expired-session check.
-	err := ocl.Errf(ocl.ErrDeviceNotAvailable, "session lease expired")
 	m.log.Warn("session lease expired", "client", s.clientName, "session", s.id)
 	for _, it := range m.queue.Remove(s.id) {
 		t := it.Payload.(*task)
-		if t.trace != 0 {
-			// Correlate the expiry with the trace of each queued task it
-			// kills, so `blastctl logs -trace` explains the OpFailed.
-			m.log.Warn("queued task failed: session lease expired",
-				"client", s.clientName, "ops", len(t.ops), "trace", obs.TraceID(t.trace))
-		}
 		t.sess.tm.depth.Add(-1)
-		// The availability SLI counts a task killed in the queue, as the
-		// worker does one it finds expired at pop.
-		t.sess.tm.failures.Inc()
-		for i := range t.ops {
-			t.sess.sendFail(t.conn, t.ops[i].tag, err) // best effort
-		}
-		releaseOps(t.ops)
-		m.flight.CompleteWith(t.flight, s.clientName,
-			[]flightrec.Event{{Kind: flightrec.KindFailure, Detail: "session lease expired while queued"}},
-			0, true, "lease expired")
+		m.end(t, nil, "session lease expired while queued")
 	}
 	m.flight.MarkNotable(s.flight, "lease-expired")
 	m.flight.Complete(s.flight, 0, true, "lease expired")
@@ -461,52 +445,24 @@ func (m *Manager) expireSession(s *session) {
 // old channel ranging: everything submitted before Close still runs.
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	// Per-worker flight-milestone scratch: tasks run serially on a worker,
-	// so one grown array serves every task's lock-free accumulation. The
-	// recorder copies events out in CompleteWith, never retaining the slice.
-	var scratch []flightrec.Event
-	var nb notifyBatcher // likewise: one batcher, re-pointed at each task
+	var nb notifyBatcher // one batcher, re-pointed at each task
 	for {
 		it, ok := m.queue.Pop(context.Background())
 		if !ok {
 			return
 		}
 		t := it.Payload.(*task)
-		popped := time.Now()
-		t.queueWait = popped.Sub(it.Submitted)
-		if t.trace != 0 {
-			// The central-queue wait: flush arrival until the worker popped
-			// the task, parented under the client's task root span.
-			m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
-				"queue-wait", "", it.Submitted)
-		}
-		// The enqueue and schedule milestones join the batch here rather
-		// than at submit: the queue snapshot (Depth/Pos) is only final
-		// after Push, and the worker is the first code that sees it.
-		t.flightEvs = append(scratch[:0],
-			flightrec.Event{Kind: flightrec.KindEnqueued, Depth: it.Depth, Pos: it.Pos,
-				Detail: opsDetail(len(t.ops)), Time: it.Submitted},
-			flightrec.Event{Kind: flightrec.KindScheduled, Dur: t.queueWait, Detail: string(m.disc), Time: popped})
+		t.popped = time.Now()
 		m.mQueueDepth.Set(float64(m.queue.Len()))
-		tm := t.sess.tm
-		tm.depth.Add(-1)
-		tm.waitTotal.Add(t.queueWait.Seconds())
-		tm.waitHist.Observe(t.queueWait.Seconds())
-		failed := m.runTask(t, &nb)
-		if failed {
-			tm.failures.Inc()
+		t.sess.tm.depth.Add(-1)
+		if t.sess.expired.Load() {
+			// The lease sweeper reclaimed this session between submit and
+			// execution: its buffers are freed, so running would fault.
+			// The task fails without occupying the board.
+			m.end(t, nil, "session lease expired")
+		} else {
+			m.runTask(t, &nb)
 		}
-		// Task residency — submit to completion — is the latency the
-		// tenant's SLO is declared against. A sampled task's trace rides
-		// as the bucket exemplar (empty trace degrades to plain Observe).
-		residency := time.Since(it.Submitted)
-		var traceID string
-		if t.trace != 0 {
-			traceID = obs.TraceID(t.trace).String()
-		}
-		tm.latHist.ObserveExemplar(residency.Seconds(), traceID)
-		m.flight.CompleteWith(t.flight, t.sess.clientName, t.flightEvs, residency, failed, t.failCause)
-		scratch, t.flightEvs = t.flightEvs, nil
 		t.sess.recycle(t)
 		m.syncBoardCounters()
 	}
@@ -757,8 +713,8 @@ func (m *Manager) Flash() *flash.Service { return m.flash }
 // submit places a sealed task on the central queue. The item's cost is
 // the task's operation count: a multi-op task charges its tenant
 // proportionally under drr, matching the paper's observation that task
-// length drives board occupancy.
-func (m *Manager) submit(t *task) error {
+// length drives board occupancy. A task the queue refuses ends here.
+func (m *Manager) submit(t *task) {
 	t.item = sched.Item{
 		Session:  t.sess.id,
 		Tenant:   t.sess.clientName,
@@ -767,21 +723,15 @@ func (m *Manager) submit(t *task) error {
 		Deadline: t.deadline,
 		Payload:  t,
 	}
-	// Alloc, not Begin: the task's flight is admitted by the worker's
+	// Alloc, not Begin: the task's flight is admitted by end's
 	// CompleteWith in one locked pass; reserving the key costs one atomic.
 	t.flight = m.flight.Alloc(obs.TraceID(t.trace))
-	if err := m.queue.Push(&t.item); err != nil {
-		serr := ocl.Errf(ocl.ErrDeviceNotAvailable, "manager shutting down")
-		m.flight.CompleteWith(t.flight, t.sess.clientName,
-			[]flightrec.Event{{Kind: flightrec.KindFailure, Detail: "enqueue: manager shutting down"}},
-			0, true, "manager shutting down")
-		return serr
+	if m.queue.Push(&t.item) != nil {
+		m.end(t, nil, "manager shutting down") // Push fails only once the queue is closed
+		return
 	}
-	// The enqueued milestone (with the post-Push queue snapshot) is
-	// recorded by the worker as part of the task's completion batch.
 	m.mQueueDepth.Set(float64(m.queue.Len()))
 	t.sess.tm.depth.Add(1)
-	return nil
 }
 
 // Sessions reports the number of live sessions (diagnostics).

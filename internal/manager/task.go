@@ -87,10 +87,6 @@ type task struct {
 	// deadline is the client's soft completion hint (zero when unhinted);
 	// only the deadline discipline orders by it.
 	deadline time.Time
-	// queueWait is the time the task spent in the central queue, stamped
-	// by the worker at pop; deviceTime is the modelled board time of the
-	// operations it has executed so far.
-	queueWait, deviceTime time.Duration
 	// trace/span carry the client's sampled trace identity from the Flush
 	// frame (zero when untraced); span is the task's root span.
 	trace uint64
@@ -98,16 +94,19 @@ type task struct {
 	// flight keys the task's flight-recorder skeleton: the trace ID when
 	// sampled, a synthetic local key otherwise (assigned at submit).
 	flight obs.TraceID
-	// flightEvs accumulates the task's flight milestones lock-free while
-	// the worker runs it (backed by a per-worker scratch array); they are
-	// applied in one batch by CompleteWith at task completion so the
-	// always-on recorder costs one mutex acquisition per task, not one
-	// per milestone. Events carry their own timestamps, so the recorded
-	// timeline is unchanged.
-	flightEvs []flightrec.Event
-	// failCause is the first operation failure's message, carried to the
-	// flight's terminal milestone.
-	failCause string
+
+	// The task's record, from which end derives every view of the task.
+	// item.Submitted is its enqueue; the worker stamps each later stage
+	// boundary once: popped (the start of execution), held (the end of the
+	// board hold and the start of notify) and notified (the completion
+	// frame written). A zero stamp is a stage the task never reached.
+	popped, held, notified time.Time
+	// queueWait is popped - item.Submitted, kept so the debug log can take
+	// its address; deviceTime is the modelled board time of the
+	// operations executed; upload is the manager's share of the upload
+	// stage, over uploads writes.
+	queueWait, deviceTime, upload time.Duration
+	uploads                       int
 }
 
 // opsDetails are the "<n> ops" flight details of the usual task sizes,
@@ -400,12 +399,7 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 	}
 	*t = task{sess: s, conn: c, q: q, ops: ops, deadline: deadline,
 		trace: req.TraceID, span: req.SpanID}
-	if err := m.submit(t); err != nil {
-		for _, o := range ops {
-			s.sendFail(c, o.tag, err)
-		}
-		releaseOps(ops)
-	}
+	m.submit(t)
 	return nil, nil
 }
 
@@ -475,40 +469,19 @@ func (nb *notifyBatcher) flush() {
 	nb.e = nil
 }
 
-// runTask executes one task's operations back to back on the FPGA.
-// A failing operation aborts the rest of the task: the queue is in-order,
-// so later operations would observe inconsistent state. All of the task's
-// progress notifications leave as a single batch frame once the task
-// finishes. runTask reports whether any of its operations failed (the
-// availability SLI counts failed tasks).
-func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
-	if t.sess.expired.Load() {
-		// The lease sweeper reclaimed this session between submit and
-		// execution: its buffers are freed, so running would fault.
-		// Fail the whole task without occupying the board — this is how
-		// expiry reclaims in-flight task slots from the central queue.
-		err := ocl.Errf(ocl.ErrDeviceNotAvailable, "session lease expired")
-		for i := range t.ops {
-			t.sess.sendFail(t.conn, t.ops[i].tag, err) // best effort: conn is likely closed
-		}
-		releaseOps(t.ops)
-		t.failCause = "session lease expired"
-		t.flightEvs = append(t.flightEvs, flightrec.Event{
-			Kind: flightrec.KindFailure, Detail: t.failCause, Time: time.Now()})
-		return true
-	}
-	m.mTasks.Inc()
+// runTask executes one task's operations back to back on the FPGA, holds
+// the board for the task's modelled time and ends the task (end), which
+// sends all of its progress notifications as one batch frame. A failing
+// operation aborts the rest of the task: the queue is in-order, so later
+// operations would observe inconsistent state.
+func (m *Manager) runTask(t *task, nb *notifyBatcher) {
 	cost := m.board.Cost()
 	scale := m.board.Config().TimeScale
 	nb.c = t.conn
-	failed := false
+	var cause string
 	var abortErr error
 	// staged is the modelled host staging time of the task's transfers.
 	var staged time.Duration
-	// The flight recorder is always on, so stage clocks run whether or
-	// not the task was sampled (the recorder-overhead benchmark gates the
-	// cost of these reads at ≤2% of a live round trip).
-	execStart := time.Now()
 	// A read behind the task's last write, copy or kernel may send its
 	// result straight from board memory (see runOp).
 	lastWriter := -1
@@ -519,7 +492,7 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 	}
 	for i := range t.ops {
 		o := &t.ops[i]
-		if failed {
+		if abortErr != nil {
 			o.releaseFrame()
 			nb.add(&wire.OpNotification{
 				Tag:    o.tag,
@@ -530,17 +503,25 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 			continue
 		}
 		nb.add(&wire.OpNotification{Tag: o.tag, State: wire.OpRunning}, false)
-		opStart := time.Now()
+		// An op reads the clock only for its own sampled span, or as a
+		// write at TimeScale 0, where its wall time is its upload share.
+		timed := o.trace != 0 || o.kind == opWrite && scale == 0
+		var opStart, opEnd time.Time
+		if timed {
+			opStart = time.Now()
+		}
 		n := wire.OpNotification{Tag: o.tag, State: wire.OpComplete}
 		staging, ownData, err := m.runOp(t, o, cost, &n, i > lastWriter)
 		staged += staging
+		if timed {
+			opEnd = time.Now()
+		}
 		if o.trace != 0 {
 			// Per-op board execution, parented under the client's "call"
 			// span so the timeline nests it inside the call. The op's
 			// modelled time is held once for the whole task, below, and
 			// shows in the task's "execute" span.
-			m.tracer.End(obs.TraceID(o.trace), m.tracer.NewSpan(), obs.SpanID(o.span),
-				"op", o.kind.String(), opStart)
+			m.span(o.trace, o.span, "op", o.kind.String(), opStart, opEnd)
 		}
 		if o.kind == opWrite {
 			// Device ingest time is the manager's share of the "upload"
@@ -548,24 +529,18 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 			// With modelled time slept, the write's share of the task's
 			// hold is its scaled staging and DMA time, not the wall time
 			// of the copy.
-			opEnd := time.Now()
 			up := opEnd.Sub(opStart)
 			if scale > 0 {
 				up = time.Duration(float64(staging+time.Duration(n.DeviceNanos)) * scale)
 			}
-			t.flightEvs = append(t.flightEvs, flightrec.Event{
-				Kind: flightrec.KindUpload, Dur: up, Detail: "device-write", Time: opEnd})
+			t.upload += up
+			t.uploads++
 		}
 		m.mOps.Inc()
 		t.deviceTime += time.Duration(n.DeviceNanos)
 		if err != nil {
-			failed, abortErr = true, err
-			t.failCause = o.kind.String() + ": " + err.Error()
-			t.flightEvs = append(t.flightEvs, flightrec.Event{
-				Kind: flightrec.KindFailure, Detail: t.failCause, Time: time.Now()})
-			m.log.Warn("task operation failed",
-				"client", t.sess.clientName, "op", o.kind.String(), "err", err,
-				"trace", obs.TraceID(t.trace))
+			abortErr = err
+			cause = o.kind.String() + ": " + err.Error()
 			nb.add(&wire.OpNotification{
 				Tag:    o.tag,
 				State:  wire.OpFailed,
@@ -581,47 +556,118 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) (failedTask bool) {
 		// the control-plane overhead of the flushed task (calibrated; the
 		// real wire cost of this reproduction is far below hardware-era
 		// gRPC), its staging copies and its device time, scaled and
-		// counted from the task's start. The real work above runs inside
-		// that budget. One deadline per task, slept by fpga.SleepUntil,
+		// counted from the pop. The real work above runs inside that
+		// budget. One deadline per task, slept by fpga.SleepUntil,
 		// overshoots once by a nanosleep wake-up, not once per stage by a
 		// runtime timer tick; the client sees nothing before the batch
-		// below leaves either way.
+		// leaves either way.
 		modelled := cost.TaskControlOverhead(len(t.ops)) + staged + t.deviceTime
-		fpga.SleepUntil(execStart.Add(time.Duration(float64(modelled) * scale)))
+		fpga.SleepUntil(t.popped.Add(time.Duration(float64(modelled) * scale)))
 	}
-	if t.trace != 0 {
-		m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
-			"execute", "", execStart)
-	}
-	notifyStart := time.Now()
-	// Account for the task before its completion leaves: a client that has
-	// seen Finish return must find its task in the counters. Its TaskTrace
-	// is read off the flight, which completes just after the frame.
-	m.mTaskHist.Observe(t.deviceTime.Seconds())
+	t.held = time.Now()
+	m.end(t, nb, cause)
+}
+
+// end is the one place a task finishes, whichever way it ended:
+//   - it ran on the board (runTask), and nb holds its completion batch;
+//   - its session's lease had expired when the worker popped it (worker);
+//   - the lease sweeper killed it in the central queue (expireSession);
+//   - the central queue refused it at Push (submit).
+//
+// cause names the failure, empty when the task succeeded. Every view of
+// the task derives from its record here: the tenant counters and
+// histograms, the sampled queue-wait/execute/notify spans, the flight
+// milestones and CompleteWith, and the log. It splits in one place, the
+// completion frame: what a client back from Finish relies on is written
+// before it, so the client finds its task counted.
+func (m *Manager) end(t *task, nb *notifyBatcher, cause string) {
 	tm := t.sess.tm
-	tm.tasks.Inc()
-	tm.deviceSec.Add(t.deviceTime.Seconds())
-	tm.deviceNS.Add(int64(t.deviceTime))
-	t.flightEvs = append(t.flightEvs, flightrec.Event{
-		Kind: flightrec.KindExecute, Dur: notifyStart.Sub(execStart),
-		Detail: opsDetail(len(t.ops)), Ops: len(t.ops), Device: t.deviceTime, Time: notifyStart})
-	nb.flush()
-	if t.trace != 0 {
-		m.tracer.End(obs.TraceID(t.trace), m.tracer.NewSpan(), obs.SpanID(t.span),
-			"notify", "", notifyStart)
+	enqueued, popped, ran := !t.item.Submitted.IsZero(), !t.popped.IsZero(), !t.held.IsZero()
+	if popped {
+		t.queueWait = t.popped.Sub(t.item.Submitted)
+		tm.waitTotal.Add(t.queueWait.Seconds())
+		tm.waitHist.Observe(t.queueWait.Seconds())
 	}
-	notifyEnd := time.Now()
-	t.flightEvs = append(t.flightEvs, flightrec.Event{
-		Kind: flightrec.KindNotify, Dur: notifyEnd.Sub(notifyStart), Time: notifyEnd})
+	tm.tasks.Inc()
+	if cause != "" {
+		tm.failures.Inc()
+		t.sess.log.Warn("task failed", "cause", cause, "ops", len(t.ops), "trace", obs.TraceID(t.trace))
+	}
+	if ran {
+		m.mTasks.Inc()
+		m.mTaskHist.Observe(t.deviceTime.Seconds())
+		tm.deviceSec.Add(t.deviceTime.Seconds())
+		tm.deviceNS.Add(int64(t.deviceTime))
+		nb.flush()
+	} else {
+		err := ocl.Errf(ocl.ErrDeviceNotAvailable, "%s", cause)
+		for i := range t.ops {
+			t.sess.sendFail(t.conn, t.ops[i].tag, err) // best effort: the client may be gone
+		}
+		releaseOps(t.ops)
+	}
+	t.notified = time.Now()
+
+	// Task residency, submit to completion, is the latency the tenant's
+	// SLO is declared against; a refused task never entered the queue. A
+	// sampled task's trace rides as the bucket exemplar.
+	var residency time.Duration
+	if enqueued {
+		residency = t.notified.Sub(t.item.Submitted)
+	}
+	var exemplar string
+	if t.trace != 0 {
+		exemplar = obs.TraceID(t.trace).String()
+		if popped {
+			m.span(t.trace, t.span, "queue-wait", "", t.item.Submitted, t.popped)
+		}
+		if ran {
+			m.span(t.trace, t.span, "execute", "", t.popped, t.held)
+			m.span(t.trace, t.span, "notify", "", t.held, t.notified)
+		}
+	}
+	tm.latHist.ObserveExemplar(residency.Seconds(), exemplar)
+
+	// The milestones the task reached, each spanning the same stamps as
+	// its span. The writes' upload share is placed from the start of the
+	// hold: their own times are not kept.
+	evs := make([]flightrec.Event, 0, 6)
+	if enqueued {
+		evs = append(evs, flightrec.Event{Kind: flightrec.KindEnqueued, Depth: t.item.Depth, Pos: t.item.Pos,
+			Detail: opsDetail(len(t.ops)), Time: t.item.Submitted})
+	}
+	if popped {
+		evs = append(evs, flightrec.Event{Kind: flightrec.KindScheduled, Dur: t.queueWait,
+			Detail: string(m.disc), Time: t.popped})
+	}
+	if t.uploads > 0 {
+		evs = append(evs, flightrec.Event{Kind: flightrec.KindUpload, Dur: t.upload, Detail: "device-write",
+			Count: t.uploads, Time: t.popped.Add(t.upload)})
+	}
+	if ran {
+		evs = append(evs,
+			flightrec.Event{Kind: flightrec.KindExecute, Dur: t.held.Sub(t.popped),
+				Detail: opsDetail(len(t.ops)), Ops: len(t.ops), Device: t.deviceTime, Time: t.held},
+			flightrec.Event{Kind: flightrec.KindNotify, Dur: t.notified.Sub(t.held), Time: t.notified})
+	}
+	if cause != "" {
+		evs = append(evs, flightrec.Event{Kind: flightrec.KindFailure, Detail: cause, Time: t.notified})
+	}
+	m.flight.CompleteWith(t.flight, t.sess.clientName, evs, residency, cause != "", cause)
 	// Hot path: one nil/level check when logging is off or above debug.
-	if t.sess.log.Enabled(logx.LevelDebug) {
+	if ran && t.sess.log.Enabled(logx.LevelDebug) {
 		// The durations go by address: boxing one by value is a heap
 		// allocation per event, a pointer into the task is not.
 		t.sess.log.Debug("task executed", "ops", len(t.ops),
 			"device_time", &t.deviceTime, "queue_wait", &t.queueWait,
-			"failed", failed, "trace", obs.TraceID(t.trace))
+			"failed", cause != "", "trace", obs.TraceID(t.trace))
 	}
-	return failed
+}
+
+// span records one stage of a sampled task from the task's own stamps.
+func (m *Manager) span(trace, parent uint64, stage, note string, start, end time.Time) {
+	m.tracer.Record(obs.Span{Trace: obs.TraceID(trace), ID: m.tracer.NewSpan(), Parent: obs.SpanID(parent),
+		Stage: stage, Note: note, Start: start, Duration: end.Sub(start)})
 }
 
 // runOp executes one operation and fills in its completion notification

@@ -273,7 +273,7 @@ func (mc *managerConn) connectionThread() {
 		}
 	}
 	for _, ev := range ends {
-		ev.endFlight(mc, "connection to manager lost")
+		ev.endFlight(mc, "connection to manager lost", time.Now())
 	}
 	for _, ev := range lost {
 		if ev.trace != 0 {
@@ -427,17 +427,19 @@ func (ev *remoteEvent) machine(mc *managerConn, n *wire.OpNotification) {
 	case wire.OpComplete:
 		ev.SetDeviceTime(time.Duration(n.DeviceNanos))
 		ev.finishRead(mc, n)
-		ev.endCallSpan(mc, "")
-		if ev.taskEnd.Load() {
-			ev.endFlight(mc, "")
+		final, end := ev.ended()
+		ev.endCallSpan(mc, "", end)
+		if final {
+			ev.endFlight(mc, "", end)
 		}
 		ev.Complete()
 	case wire.OpFailed:
 		ev.releaseStaging(mc)
-		ev.endCallSpan(mc, "failed")
+		final, end := ev.ended()
+		ev.endCallSpan(mc, "failed", end)
 		mc.log.Warn("operation failed", "manager", mc.addr, "error", n.Error, "trace", ev.trace)
-		if ev.taskEnd.Load() {
-			ev.endFlight(mc, n.Error)
+		if final {
+			ev.endFlight(mc, n.Error, end)
 		} else {
 			mc.flight.Record(ev.flight, flightrec.Event{
 				Kind: flightrec.KindFailure, Detail: n.Error})
@@ -447,12 +449,24 @@ func (ev *remoteEvent) machine(mc *managerConn, n *wire.OpNotification) {
 	}
 }
 
+// ended reports whether the event is its task's final op, and reads the
+// clock once for what its end records: a traced op's call span and the
+// final op's flight share the reading, so the span ends at taskStart
+// plus the flight's total.
+func (ev *remoteEvent) ended() (final bool, end time.Time) {
+	final = ev.taskEnd.Load()
+	if ev.trace != 0 || final && ev.flight != 0 {
+		end = time.Now()
+	}
+	return final, end
+}
+
 // endFlight completes the task's flight: the client-observed total is
-// first enqueue through this terminal notification, and a non-empty
+// first enqueue through end, the terminal notification, and a non-empty
 // cause fails the flight with that failure milestone. The task's final
 // op also applies the milestones the application goroutine batched on
 // the queue, in the same recorder call, and hands their array back.
-func (ev *remoteEvent) endFlight(mc *managerConn, cause string) {
+func (ev *remoteEvent) endFlight(mc *managerConn, cause string, end time.Time) {
 	if ev.flight == 0 {
 		return // no recorder: nothing was batched
 	}
@@ -466,7 +480,7 @@ func (ev *remoteEvent) endFlight(mc *managerConn, cause string) {
 	if cause != "" {
 		evs = append(evs, flightrec.Event{Kind: flightrec.KindFailure, Detail: cause})
 	}
-	mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName, evs, time.Since(ev.taskStart), cause != "", cause)
+	mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName, evs, end.Sub(ev.taskStart), cause != "", cause)
 	if final {
 		ev.queue.reuseFlightEvs(evs)
 		ev.flightEvs = nil
@@ -474,16 +488,17 @@ func (ev *remoteEvent) endFlight(mc *managerConn, cause string) {
 }
 
 // endCallSpan closes the operation's end-to-end "call" span: enqueue
-// issue through terminal notification, the client's view of the whole
-// operation.
-func (ev *remoteEvent) endCallSpan(mc *managerConn, note string) {
+// issue through terminal notification at end, the client's view of the
+// whole operation.
+func (ev *remoteEvent) endCallSpan(mc *managerConn, note string, end time.Time) {
 	if ev.trace == 0 {
 		return
 	}
 	if note == "" {
 		note = ev.CommandType().String()
 	}
-	mc.tracer.End(ev.trace, ev.span, ev.parent, "call", note, ev.issued)
+	mc.tracer.Record(obs.Span{Trace: ev.trace, ID: ev.span, Parent: ev.parent,
+		Stage: "call", Note: note, Start: ev.issued, Duration: end.Sub(ev.issued)})
 }
 
 // finishRead lands read payloads in the user buffer: the BUFFER step of

@@ -13,6 +13,7 @@ import (
 	"blastfunction/internal/flightrec"
 	"blastfunction/internal/fpga"
 	"blastfunction/internal/model"
+	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/rpc"
 )
@@ -341,5 +342,72 @@ func TestConnectionLossKeepsTaskMilestones(t *testing.T) {
 	}
 	if n != tasks {
 		t.Fatalf("%d task flights, want %d", n, tasks)
+	}
+}
+
+// A traced task's final op ends its call span and its flight on one clock
+// reading: the last call span ends at the task's start plus the flight's
+// client-observed total, for a task that completes and for one that fails.
+func TestFinalCallSpanEndsWithFlight(t *testing.T) {
+	r := newRig(t)
+	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
+	flight := newFlight(t)
+	c, err := Dial(Config{ClientName: t.Name(), Managers: []string{r.addr}, Transport: TransportGRPC,
+		Flight: flight, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const size = 4 << 10
+	lt := newLoopbackTask(t, c, size)
+	src, dst := make([]byte, size), make([]byte, size)
+	lt.enqueue(t, src, dst)
+	if err := lt.q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// A kernel told to copy past its buffers fails on the board, and the
+	// task's final op, the read behind it, fails with it.
+	if err := lt.k.SetArg(2, int32(2*size)); err != nil {
+		t.Fatal(err)
+	}
+	lt.enqueue(t, src, dst)
+	if err := lt.q.Finish(); err == nil {
+		t.Fatal("an out-of-range read finished without error")
+	}
+
+	type task struct {
+		start   time.Time
+		lastEnd time.Time
+	}
+	tasks := map[obs.TraceID]*task{}
+	get := func(id obs.TraceID) *task {
+		if tasks[id] == nil {
+			tasks[id] = &task{}
+		}
+		return tasks[id]
+	}
+	for _, sp := range tracer.Spans() {
+		switch sp.Stage {
+		case "task":
+			get(sp.Trace).start = sp.Start
+		case "call":
+			if tk := get(sp.Trace); sp.End().After(tk.lastEnd) {
+				tk.lastEnd = sp.End()
+			}
+		}
+	}
+	if len(tasks) != 2 {
+		t.Fatalf("%d sampled tasks, want 2", len(tasks))
+	}
+	for id, tk := range tasks {
+		f, ok := flight.FlightFor(id)
+		if !ok {
+			t.Fatalf("task %s left no flight", id)
+		}
+		total := f.Events[len(f.Events)-1].Dur
+		if !tk.lastEnd.Equal(tk.start.Add(total)) {
+			t.Errorf("task %s: last call span ends %v after the task start, its flight's total is %v",
+				id, tk.lastEnd.Sub(tk.start), total)
+		}
 	}
 }
