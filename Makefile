@@ -51,7 +51,7 @@ allocs:
 # Run the scheduling fairness experiment: the two-tenant skew workload on
 # the real Device Manager under fifo vs drr, checked against the
 # discrete-event ablation's prediction, the Sobel high-load scenario under
-# every discipline, plus the queue microbenchmarks.
+# both disciplines (fifo, drr), plus the queue microbenchmarks.
 sched-ablation:
 	$(GO) test -race -v ./internal/simcluster/ -run Fairness
 	$(GO) test -run '^$$' -bench BenchmarkAblationScheduling -benchtime 1x .

@@ -42,7 +42,6 @@ func main() {
 		traceRing    = flag.Int("trace-ring", 0, "distributed-tracing span ring size served at /debug/spans (0 = default 4096)")
 		bufCache     = flag.Int64("buffer-cache-bytes", 0, "content-addressed buffer cache capacity (0 = default 256 MiB, negative disables)")
 		flashHist    = flag.String("flash-history", "", "append-only JSONL file persisting the bitstream flash history across restarts")
-		flashKeep    = flag.Int("flash-history-limit", 0, "flash history entries kept per board (0 = default 64)")
 		flightRing   = flag.Int("flight-ring", 0, "flight-recorder ring size served at /debug/flight (0 = default 1024)")
 		flightLedger = flag.String("flight-ledger", "", "durable JSONL spill file for notable flights (failures, tail outliers)")
 		base         opsplane.Flags
@@ -67,19 +66,18 @@ func main() {
 	cfg.TimeScale = *timescale
 	board := fpga.NewBoard(cfg, accel.Catalog())
 	mgr := manager.New(manager.Config{
-		Node:              *node,
-		DeviceID:          *device,
-		LeaseDuration:     *lease,
-		Scheduler:         *schedFlag,
-		TenantWeights:     weightTable,
-		StarvationGuard:   *guard,
-		TraceRing:         *traceRing,
-		Log:               p.Log,
-		BufferCacheBytes:  *bufCache,
-		FlashHistoryPath:  *flashHist,
-		FlashHistoryLimit: *flashKeep,
-		FlightRing:        *flightRing,
-		FlightLedgerPath:  *flightLedger,
+		Node:             *node,
+		DeviceID:         *device,
+		LeaseDuration:    *lease,
+		Scheduler:        *schedFlag,
+		TenantWeights:    weightTable,
+		StarvationGuard:  *guard,
+		TraceRing:        *traceRing,
+		Log:              p.Log,
+		BufferCacheBytes: *bufCache,
+		FlashHistoryPath: *flashHist,
+		FlightRing:       *flightRing,
+		FlightLedgerPath: *flightLedger,
 	}, board)
 	defer mgr.Close()
 

@@ -237,9 +237,14 @@ func TestInstancesQueries(t *testing.T) {
 	if got := c.Instances(""); len(got) != 3 {
 		t.Fatalf("all instances = %d", len(got))
 	}
-	onA := c.InstancesOnNode("A")
-	if len(onA) != 2 {
-		t.Fatalf("instances on A = %d", len(onA))
+	onA := 0
+	for _, in := range c.Instances("") {
+		if in.Node == "A" {
+			onA++
+		}
+	}
+	if onA != 2 {
+		t.Fatalf("instances on A = %d", onA)
 	}
 }
 

@@ -162,31 +162,6 @@ func (c *BufferCache) evictLocked() []uint64 {
 	return ids
 }
 
-// Purge drops every idle entry (a reconfiguration that keeps the memory
-// geometry does not invalidate buffer contents — DDR survives — but tests
-// and shutdown paths use this to return board memory). Pinned entries
-// stay. For bitstreams that change the memory geometry, use Invalidate.
-// Returns freed board IDs count.
-func (c *BufferCache) Purge() int {
-	c.mu.Lock()
-	var ids []uint64
-	for e := c.lru.Front(); e != nil; {
-		next := e.Next()
-		if ent := e.Value.(*bufEntry); ent.refs == 0 {
-			c.lru.Remove(e)
-			delete(c.entries, ent.key)
-			c.resident -= ent.key.Size
-			ids = append(ids, ent.boardID)
-		}
-		e = next
-	}
-	c.mu.Unlock()
-	for _, id := range ids {
-		c.free(id)
-	}
-	return len(ids)
-}
-
 // Invalidate drops every entry, pinned or not: a reconfiguration changed
 // the board's memory geometry, so no cached buffer's contents can be
 // trusted. Idle entries free their board memory immediately; pinned

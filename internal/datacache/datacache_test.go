@@ -88,22 +88,6 @@ func TestBufferCacheEvictsIdleLRUOnly(t *testing.T) {
 	}
 }
 
-func TestBufferCachePurgeSkipsPinned(t *testing.T) {
-	var freed int
-	c := NewBufferCache(1<<20, func(uint64) { freed++ })
-	kPinned := BufferKey{Hash: 1, Size: 64}
-	kIdle := BufferKey{Hash: 2, Size: 64}
-	c.Insert(kPinned, 1)
-	c.Insert(kIdle, 2)
-	c.Release(kIdle, 2)
-	if n := c.Purge(); n != 1 || freed != 1 {
-		t.Fatalf("Purge = %d (freed %d), want 1", n, freed)
-	}
-	if _, ok := c.Acquire(kPinned); !ok {
-		t.Fatal("Purge dropped a pinned entry")
-	}
-}
-
 func TestBufferCacheInvalidateOrphansPinned(t *testing.T) {
 	var freed []uint64
 	c := NewBufferCache(1<<20, func(id uint64) { freed = append(freed, id) })

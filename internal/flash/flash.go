@@ -115,9 +115,6 @@ type Config struct {
 	// HistoryPath is the append-only JSONL flash ledger, reloaded on
 	// restart; empty keeps history in memory only.
 	HistoryPath string
-	// HistoryLimit bounds the per-board history entries served from
-	// /debug/flash (the file itself is never truncated). Zero selects 64.
-	HistoryLimit int
 	// Metrics, when set, receives the bf_flash_* series under Labels.
 	Metrics *metrics.Registry
 	Labels  metrics.Labels
@@ -167,9 +164,6 @@ type Service struct {
 
 // New creates the service, reloading any history at HistoryPath.
 func New(cfg Config) (*Service, error) {
-	if cfg.HistoryLimit <= 0 {
-		cfg.HistoryLimit = 64
-	}
 	s := &Service{
 		cfg:     cfg,
 		now:     cfg.Now,
@@ -234,10 +228,14 @@ func (s *Service) loadHistory(path string) error {
 	return sc.Err()
 }
 
+// historyLimit bounds the per-board history entries served from
+// /debug/flash; the file itself is never truncated.
+const historyLimit = 64
+
 // appendHistoryLocked records a terminal job in the board's bounded ring.
 func (s *Service) appendHistoryLocked(j Job) {
 	h := append(s.history[j.Board], j)
-	if over := len(h) - s.cfg.HistoryLimit; over > 0 {
+	if over := len(h) - historyLimit; over > 0 {
 		h = h[over:]
 	}
 	s.history[j.Board] = h

@@ -128,24 +128,25 @@ type Config struct {
 	// Flights bounds the ring (whole flights; default 1024). Under churn
 	// the oldest flights are evicted — the newest skeletons survive.
 	Flights int
-	// EventsPerFlight bounds one flight's retained milestones (default 48).
-	EventsPerFlight int
 	// LedgerPath, when set, is the durable JSONL spill file for notable
 	// flights. When the file would exceed LedgerMaxBytes it rotates once
 	// to LedgerPath+".1" (previous rotation replaced).
 	LedgerPath string
 	// LedgerMaxBytes caps the ledger file before rotation (default 1 MiB).
 	LedgerMaxBytes int64
-	// TailFactor marks a completion notable when its latency exceeds
-	// TailFactor times the tenant's running mean (default 4; negative
-	// disables tail detection).
-	TailFactor float64
-	// TailMinSamples is the per-tenant completion count before tail
-	// detection engages (default 16).
-	TailMinSamples int
 	// Now is the injectable clock (default time.Now).
 	Now func() time.Time
 }
+
+const (
+	// eventsPerFlight bounds one flight's retained milestones.
+	eventsPerFlight = 48
+	// A completion is notable when its latency exceeds tailFactor times
+	// its tenant's running mean, once the tenant has tailMinSamples
+	// completions behind it.
+	tailFactor     = 4
+	tailMinSamples = 16
+)
 
 // tailStats is one tenant's decayed completion-latency estimate, the
 // baseline for tail-quantile notability.
@@ -181,17 +182,8 @@ func New(cfg Config) *Recorder {
 	if cfg.Flights <= 0 {
 		cfg.Flights = 1024
 	}
-	if cfg.EventsPerFlight <= 0 {
-		cfg.EventsPerFlight = 48
-	}
 	if cfg.LedgerMaxBytes <= 0 {
 		cfg.LedgerMaxBytes = 1 << 20
-	}
-	if cfg.TailFactor == 0 {
-		cfg.TailFactor = 4
-	}
-	if cfg.TailMinSamples <= 0 {
-		cfg.TailMinSamples = 16
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -342,7 +334,7 @@ func (r *Recorder) appendEventLocked(f *Flight, ev Event) {
 			return
 		}
 	}
-	if len(f.Events) >= r.cfg.EventsPerFlight {
+	if len(f.Events) >= eventsPerFlight {
 		f.Dropped++
 		return
 	}
@@ -425,14 +417,14 @@ func (r *Recorder) CompleteWith(trace obs.TraceID, tenant string, evs []Event, t
 		if cause != "" {
 			notable = "failed: " + cause
 		}
-	} else if f.Tenant != "" && r.cfg.TailFactor > 0 {
+	} else if f.Tenant != "" {
 		ts := r.tenants[f.Tenant]
 		if ts == nil {
 			ts = &tailStats{}
 			r.tenants[f.Tenant] = ts
 		}
 		sec := total.Seconds()
-		if ts.count >= r.cfg.TailMinSamples && ts.mean > 0 && sec > r.cfg.TailFactor*ts.mean {
+		if ts.count >= tailMinSamples && ts.mean > 0 && sec > tailFactor*ts.mean {
 			notable = "tail-latency"
 		}
 		// EWMA with a 1/16 step: stable against single outliers, adapts

@@ -118,15 +118,15 @@ func TestCoalescing(t *testing.T) {
 // TestEventCapDrops pins the per-flight cap: the earliest milestones are
 // retained and the overflow is counted in Dropped.
 func TestEventCapDrops(t *testing.T) {
-	r := New(Config{Process: "test", EventsPerFlight: 4})
+	r := New(Config{Process: "test"})
 	key := r.Begin(0, "ten")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < eventsPerFlight+6; i++ {
 		// Distinct details defeat coalescing.
 		r.Record(key, Event{Kind: KindUpload, Detail: strings.Repeat("x", i+1)})
 	}
 	f, _ := r.FlightFor(key)
-	if len(f.Events) != 4 {
-		t.Fatalf("retained %d events, want 4", len(f.Events))
+	if len(f.Events) != eventsPerFlight {
+		t.Fatalf("retained %d events, want %d", len(f.Events), eventsPerFlight)
 	}
 	if f.Dropped != 6 {
 		t.Fatalf("dropped %d, want 6", f.Dropped)
@@ -261,9 +261,9 @@ func TestLedgerRotation(t *testing.T) {
 func TestTailDetection(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ledger.jsonl")
-	r := New(Config{Process: "test", LedgerPath: path, TailMinSamples: 8})
+	r := New(Config{Process: "test", LedgerPath: path})
 	defer r.Close()
-	for i := 1; i <= 20; i++ {
+	for i := 1; i <= tailMinSamples+4; i++ {
 		key := r.Begin(obs.TraceID(i), "ten")
 		r.Complete(key, 10*time.Millisecond, false, "")
 	}

@@ -151,19 +151,6 @@ func (c *Catalog) IDs() []string {
 	return ids
 }
 
-// ParseBinaryID extracts the bitstream ID from a simulated binary without a
-// catalog; the Device Manager uses it to report the configured design.
-func ParseBinaryID(binary []byte) (string, error) {
-	if !bytes.HasPrefix(binary, []byte(binaryMagic)) {
-		return "", ocl.Errf(ocl.ErrInvalidBinary, "binary is not a simulated aocx")
-	}
-	id := string(binary[len(binaryMagic):])
-	if id == "" {
-		return "", ocl.Errf(ocl.ErrInvalidBinary, "empty bitstream id")
-	}
-	return id, nil
-}
-
 // String implements fmt.Stringer.
 func (b *Bitstream) String() string {
 	return fmt.Sprintf("%s(acc=%s, kernels=%d)", b.ID, b.Accelerator, len(b.Kernels))

@@ -477,10 +477,7 @@ func TestCatalogParse(t *testing.T) {
 	if _, err := c.Parse([]byte("garbage")); !errors.Is(err, ocl.ErrInvalidBinary) {
 		t.Fatalf("garbage err = %v", err)
 	}
-	if id, err := ParseBinaryID(bs.Binary()); err != nil || id != "test-echo" {
-		t.Fatalf("ParseBinaryID = %q, %v", id, err)
-	}
-	if _, err := ParseBinaryID([]byte("AOCX0:")); !errors.Is(err, ocl.ErrInvalidBinary) {
+	if _, err := c.Parse([]byte("AOCX0:")); !errors.Is(err, ocl.ErrInvalidBinary) {
 		t.Fatalf("empty id err = %v", err)
 	}
 	if len(c.IDs()) != 1 {

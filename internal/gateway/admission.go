@@ -17,9 +17,6 @@ const (
 	// TenantHeader names the tenant a request belongs to for admission
 	// control; absent, the function name is the tenant.
 	TenantHeader = "X-Bf-Tenant"
-	// AffinityHeader is the shm-affinity hint the locality router
-	// prefers: the node the caller (or its data) lives on.
-	AffinityHeader = "X-Bf-Node"
 )
 
 // Budget is one tenant's admission budget: a token bucket refilled at

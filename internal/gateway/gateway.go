@@ -57,11 +57,6 @@ func (h HandlerEndpoint) Close() error {
 // (Device Manager address, device ID, node).
 type Factory func(in cluster.Instance) (Endpoint, error)
 
-// envWeight mirrors registry.EnvWeight: the fair-share weight the
-// Registry injects into allocated instances. Read here so the weighted
-// router can score endpoints without importing the registry.
-const envWeight = "BF_TENANT_WEIGHT"
-
 // FuncStats aggregates per-function gateway statistics.
 type FuncStats struct {
 	Requests  int64
@@ -75,10 +70,9 @@ type FuncStats struct {
 
 // epState is one materialized endpoint with its live routing signals.
 type epState struct {
-	uid    string
-	node   string
-	weight int
-	ep     Endpoint
+	uid  string
+	node string
+	ep   Endpoint
 	// routed is the endpoint's routed-milestone detail ("<router> -> <uid>
 	// on <node>"), built once at materialization.
 	routed string
@@ -129,8 +123,6 @@ type funcState struct {
 // funcState is the routers' view of its ready endpoints; callers hold mu.
 func (fs *funcState) Len() int             { return len(fs.ready) }
 func (fs *funcState) Inflight(i int) int64 { return fs.ready[i].inflight.Load() }
-func (fs *funcState) Weight(i int) int     { return fs.ready[i].weight }
-func (fs *funcState) Node(i int) string    { return fs.ready[i].node }
 
 // index returns the position of an instance's endpoint in the rotation,
 // or -1. Called with mu held.
@@ -213,20 +205,8 @@ func (g *Gateway) router() *Router {
 	return g.Router
 }
 
-// Deploy registers a function and creates replicas instances. Instances
-// pre-bound to nodes (for the Native scenario) can be created with
-// DeployPinned instead.
+// Deploy registers a function and creates replicas instances.
 func (g *Gateway) Deploy(name string, replicas int, factory Factory) error {
-	return g.deploy(name, factory, replicas, nil)
-}
-
-// DeployPinned registers a function with one instance pinned per node —
-// the paper's Native scenario, one function per board with direct access.
-func (g *Gateway) DeployPinned(name string, nodes []string, factory Factory) error {
-	return g.deploy(name, factory, len(nodes), nodes)
-}
-
-func (g *Gateway) deploy(name string, factory Factory, replicas int, nodes []string) error {
 	if name == "" || factory == nil || replicas <= 0 {
 		return fmt.Errorf("gateway: bad deployment (name %q, %d replicas)", name, replicas)
 	}
@@ -238,11 +218,7 @@ func (g *Gateway) deploy(name string, factory Factory, replicas int, nodes []str
 	g.funcs[name] = &funcState{factory: factory}
 	g.mu.Unlock()
 	for i := 0; i < replicas; i++ {
-		spec := cluster.Instance{Function: name}
-		if nodes != nil {
-			spec.Node = nodes[i]
-		}
-		if _, err := g.cl.CreateInstance(spec); err != nil {
+		if _, err := g.cl.CreateInstance(cluster.Instance{Function: name}); err != nil {
 			return fmt.Errorf("gateway: creating replica %d of %q: %w", i, name, err)
 		}
 	}
@@ -378,8 +354,7 @@ func (g *Gateway) materialize(fs *funcState, in cluster.Instance, attempt int) {
 		time.AfterFunc(delay, func() { g.materialize(fs, in, attempt+1) })
 		return
 	}
-	weight, _ := strconv.Atoi(in.Env[envWeight])
-	es := &epState{uid: in.UID, node: in.Node, weight: weight, ep: ep,
+	es := &epState{uid: in.UID, node: in.Node, ep: ep,
 		routed: g.router().Name() + " -> " + in.UID + " on " + in.Node}
 	fs.mu.Lock()
 	if fs.index(in.UID) >= 0 {
@@ -471,10 +446,9 @@ func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request) {
 	}
 	g.Flight.Record(flight, flightrec.Event{
 		Kind: flightrec.KindAdmitted, Dur: time.Since(admStart), Detail: name})
-	hint := RouteHint{Node: r.Header.Get(AffinityHeader)}
 	var es *epState
 	fs.mu.Lock()
-	if i := g.router().Pick(fs, &fs.rot, hint); i >= 0 {
+	if i := g.router().Pick(fs, &fs.rot); i >= 0 {
 		es = fs.ready[i]
 	}
 	fs.mu.Unlock()
@@ -548,7 +522,6 @@ func (g *Gateway) serveFunction(w http.ResponseWriter, r *http.Request) {
 type DebugEndpoint struct {
 	UID      string `json:"uid"`
 	Node     string `json:"node"`
-	Weight   int    `json:"weight"`
 	InFlight int64  `json:"inflight"`
 	Requests int64  `json:"requests"`
 }
@@ -607,7 +580,7 @@ func (g *Gateway) Debug() DebugState {
 		fs.mu.Lock()
 		for _, es := range fs.ready {
 			df.Endpoints = append(df.Endpoints, DebugEndpoint{
-				UID: es.uid, Node: es.node, Weight: es.weight,
+				UID: es.uid, Node: es.node,
 				InFlight: es.inflight.Load(), Requests: es.requests.Load(),
 			})
 		}

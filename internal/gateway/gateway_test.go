@@ -172,32 +172,6 @@ func TestScaleUpAndDown(t *testing.T) {
 	}
 }
 
-func TestDeployPinned(t *testing.T) {
-	cl := cluster.New()
-	for _, n := range []string{"A", "B", "C"} {
-		cl.AddNode(cluster.Node{Name: n})
-	}
-	g := New(cl)
-	g.Log = logx.NewLogf("gateway", t.Logf)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go g.Run(ctx)
-	if err := g.DeployPinned("native-sobel", []string{"A", "B", "C"}, echoFactory(nil)); err != nil {
-		t.Fatal(err)
-	}
-	waitReplicas(t, g, "native-sobel", 3)
-	nodes := map[string]bool{}
-	for _, in := range cl.Instances("native-sobel") {
-		nodes[in.Node] = true
-		if in.Phase != cluster.Running {
-			t.Fatalf("pinned instance %s phase = %v", in.Name, in.Phase)
-		}
-	}
-	if len(nodes) != 3 {
-		t.Fatalf("pinned nodes = %v", nodes)
-	}
-}
-
 func TestDeployValidation(t *testing.T) {
 	g, _ := startGateway(t)
 	if err := g.Deploy("", 1, echoFactory(nil)); err == nil {

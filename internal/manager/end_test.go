@@ -53,7 +53,7 @@ func TestTaskEndsOneWay(t *testing.T) {
 	holder, ran, failed, popped, queued, refused :=
 		open("holder"), open("ran"), open("failed"), open("popped"), open("queued"), open("refused")
 
-	ran.flushTask(t, ran.kernel(t, "nop"), 0)
+	ran.flushTask(t, ran.kernel(t, "nop"))
 	if err := ran.q.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +61,16 @@ func TestTaskEndsOneWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed.flushTask(t, failed.kernel(t, "copy", in, in, int32(ocl.ErrInvalidValue)), 0)
+	failed.flushTask(t, failed.kernel(t, "copy", in, in, int32(ocl.ErrInvalidValue)))
 	if err := failed.q.Finish(); err == nil {
 		t.Fatal("a task whose kernel failed finished without error")
 	}
 
-	holder.flushTask(t, holder.kernel(t, "block"), 0)
+	holder.flushTask(t, holder.kernel(t, "block"))
 	<-g.started // the board is busy from here on
-	popped.flushTask(t, popped.kernel(t, "nop"), 0)
+	popped.flushTask(t, popped.kernel(t, "nop"))
 	popped.settle(t)
-	queued.flushTask(t, queued.kernel(t, "nop"), 0)
+	queued.flushTask(t, queued.kernel(t, "nop"))
 	queued.settle(t)
 	g.mgr.MarkExpired("popped")
 	g.mgr.ExpireClient("queued")
@@ -79,7 +79,7 @@ func TestTaskEndsOneWay(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.mgr.Close() // drains the queue: the popped task has ended
-	refused.flushTask(t, refused.kernel(t, "nop"), 0)
+	refused.flushTask(t, refused.kernel(t, "nop"))
 	if err := refused.q.Finish(); err == nil {
 		t.Fatal("a task flushed to a closed manager finished without error")
 	}
@@ -170,15 +170,15 @@ func TestAvailabilityCountsTasksThatNeverRan(t *testing.T) {
 
 	const n = 10
 	for i := 0; i < n; i++ {
-		mixed.flushTask(t, nop, 0)
+		mixed.flushTask(t, nop)
 	}
 	if err := mixed.q.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	holder.flushTask(t, holder.kernel(t, "block"), 0)
+	holder.flushTask(t, holder.kernel(t, "block"))
 	<-g.started
 	for i := 0; i < n; i++ {
-		mixed.flushTask(t, nop, 0)
+		mixed.flushTask(t, nop)
 	}
 	mixed.settle(t)
 	g.mgr.ExpireClient("mixed")

@@ -112,14 +112,12 @@ func (gt *gatedTenant) kernel(t *testing.T, name string, args ...any) ocl.Kernel
 	return k
 }
 
-// flushTask enqueues a launch of k as a task of its own, flushed with the
-// given deadline hint (zero: unhinted).
-func (gt *gatedTenant) flushTask(t *testing.T, k ocl.Kernel, hint time.Duration) {
+// flushTask enqueues a launch of k as a task of its own and flushes it.
+func (gt *gatedTenant) flushTask(t *testing.T, k ocl.Kernel) {
 	t.Helper()
 	if _, err := gt.q.EnqueueTask(k, nil); err != nil {
 		t.Fatal(err)
 	}
-	gt.q.(remote.DeadlineHinter).SetDeadlineHint(hint)
 	if err := gt.q.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +142,12 @@ func TestLeaseExpiryCountsQueuedTaskFailures(t *testing.T) {
 	block := holder.kernel(t, "block")
 	expiring := g.open(t, remote.TransportGRPC, "expiring")
 	nop := expiring.kernel(t, "nop")
-	holder.flushTask(t, block, 0)
+	holder.flushTask(t, block)
 	<-g.started // the board is busy from here on
 
 	const queued = 3
 	for i := 0; i < queued; i++ {
-		expiring.flushTask(t, nop, 0)
+		expiring.flushTask(t, nop)
 	}
 	expiring.settle(t)
 
@@ -163,13 +161,14 @@ func TestLeaseExpiryCountsQueuedTaskFailures(t *testing.T) {
 	g.gate <- struct{}{}
 }
 
-// Under the deadline discipline two tasks of one queue run out of order,
-// and the executed one is handed back for reuse while the other still
-// waits. Tasks A (late hint) and B (early hint) queue behind a held board;
-// B runs first; while A still waits, C and D are built from the task B
-// handed back. Finish returns once all four have ended, with the first
-// failure in enqueue order, and every read-back matches what was written.
-func TestTaskReuseUnderReordering(t *testing.T) {
+// The executed task of a queue is handed back for reuse while the
+// queue's next task still waits in the central queue. Tasks A and B of one
+// queue sit behind a held board with the holder's second block between
+// them; A runs, the block holds the board again, and while B still waits,
+// C and D are built from the task A handed back. Finish returns once all
+// four have ended, with the first failure in enqueue order, and every
+// read-back matches what was written.
+func TestTaskReuseWhileSiblingWaits(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		mode remote.TransportMode
@@ -179,19 +178,19 @@ func TestTaskReuseUnderReordering(t *testing.T) {
 			if failing {
 				name += "/failing"
 			}
-			t.Run(name, func(t *testing.T) { testReuseUnderReordering(t, mode.mode, failing) })
+			t.Run(name, func(t *testing.T) { testReuseWhileSiblingWaits(t, mode.mode, failing) })
 		}
 	}
 }
 
-func testReuseUnderReordering(t *testing.T, mode remote.TransportMode, failing bool) {
-	g := newGatedRig(t, manager.Config{Scheduler: "deadline"})
+func testReuseWhileSiblingWaits(t *testing.T, mode remote.TransportMode, failing bool) {
+	g := newGatedRig(t, manager.Config{})
 	holder := g.open(t, mode, "holder")
 	block := holder.kernel(t, "block")
-	tenant := g.open(t, mode, "reorder")
+	tenant := g.open(t, mode, "reuse")
 
 	// Four tasks of write, copy, read-back. In the failing run A and B
-	// fail their copies with distinct statuses, B's first in time.
+	// fail their copies with distinct statuses.
 	const size = 4 << 10
 	type task struct {
 		name      string
@@ -220,8 +219,7 @@ func testReuseUnderReordering(t *testing.T, mode remote.TransportMode, failing b
 		tk.k = tenant.kernel(t, "copy", tk.in, tk.out, n)
 		tasks[i] = tk
 	}
-	hinter := tenant.q.(remote.DeadlineHinter)
-	enqueue := func(tk *task, hint time.Duration) {
+	enqueue := func(tk *task) {
 		t.Helper()
 		w, err := tenant.q.EnqueueWriteBuffer(tk.in, false, 0, tk.src, nil)
 		if err != nil {
@@ -236,7 +234,6 @@ func testReuseUnderReordering(t *testing.T, mode remote.TransportMode, failing b
 			t.Fatal(err)
 		}
 		tk.evs = []ocl.Event{w, k, r}
-		hinter.SetDeadlineHint(hint)
 	}
 	flush := func() {
 		t.Helper()
@@ -246,28 +243,28 @@ func testReuseUnderReordering(t *testing.T, mode remote.TransportMode, failing b
 	}
 	A, B, C, D := tasks[0], tasks[1], tasks[2], tasks[3]
 
-	holder.flushTask(t, block, 0)
+	holder.flushTask(t, block)
 	<-g.started
-	enqueue(A, 10*time.Second)
+	enqueue(A)
 	flush()
-	enqueue(B, time.Millisecond)
-	flush()
-	holder.flushTask(t, block, 5*time.Second) // between B's deadline and A's
 	tenant.settle(t)
+	holder.flushTask(t, block) // between A and B in the central queue
 	holder.settle(t)
-
-	g.gate <- struct{}{} // B runs, then the second block holds the board
-	<-g.started
-	B.evs[2].Wait()
-	if st := A.evs[0].Status(); st.Done() {
-		t.Fatalf("A ran before B: its write is %v", st)
-	}
-	enqueue(C, time.Millisecond) // reuses the task B handed back
+	enqueue(B)
 	flush()
-	enqueue(D, time.Millisecond) // into B's op array, left for Finish to flush
+	tenant.settle(t)
+
+	g.gate <- struct{}{} // A runs, then the second block holds the board
+	<-g.started
+	A.evs[2].Wait()
+	if st := B.evs[0].Status(); st.Done() {
+		t.Fatalf("B ran before the second block released the board: its write is %v", st)
+	}
+	enqueue(C) // reuses the task A handed back
+	flush()
+	enqueue(D) // into A's op array, left for Finish to flush
 	tenant.settle(t)
 	g.gate <- struct{}{}
-
 	finished := make(chan error, 1)
 	go func() { finished <- tenant.q.Finish() }()
 	var err error

@@ -84,9 +84,6 @@ type task struct {
 	// the executed task back to it (recycle).
 	q   *queueState
 	ops []op
-	// deadline is the client's soft completion hint (zero when unhinted);
-	// only the deadline discipline orders by it.
-	deadline time.Time
 	// trace/span carry the client's sampled trace identity from the Flush
 	// frame (zero when untraced); span is the task's root span.
 	trace uint64
@@ -391,14 +388,7 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	// A trailing deadline hint becomes absolute here: the hint is relative
-	// to submission, and the central queue compares absolute deadlines.
-	var deadline time.Time
-	if req.DeadlineMillis > 0 {
-		deadline = time.Now().Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
-	}
-	*t = task{sess: s, conn: c, q: q, ops: ops, deadline: deadline,
-		trace: req.TraceID, span: req.SpanID}
+	*t = task{sess: s, conn: c, q: q, ops: ops, trace: req.TraceID, span: req.SpanID}
 	m.submit(t)
 	return nil, nil
 }

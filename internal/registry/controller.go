@@ -45,9 +45,6 @@ type Controller struct {
 	// allocations. Set before Run.
 	Grace time.Duration
 
-	mu       sync.Mutex
-	failures map[string]error // instance UID -> last allocation error
-
 	// sweepMu serializes sweeps so overlapping ticks cannot migrate the
 	// same instance twice.
 	sweepMu sync.Mutex
@@ -56,10 +53,9 @@ type Controller struct {
 // NewController creates a controller for the registry and cluster.
 func NewController(reg *Registry, cl *cluster.Cluster) *Controller {
 	return &Controller{
-		reg:      reg,
-		cl:       cl,
-		Log:      logx.Default("registry"),
-		failures: make(map[string]error),
+		reg: reg,
+		cl:  cl,
+		Log: logx.Default("registry"),
 	}
 }
 
@@ -143,16 +139,10 @@ func (c *Controller) allocate(in cluster.Instance) {
 		Node:         in.Node,
 	})
 	if err != nil {
-		c.mu.Lock()
-		c.failures[in.UID] = err
-		c.mu.Unlock()
 		c.Log.Warn("registry: allocation failed",
 			"instance", in.Name, "function", in.Function, "err", err)
 		return
 	}
-	c.mu.Lock()
-	delete(c.failures, in.UID)
-	c.mu.Unlock()
 
 	// Migrate displaced instances first (create-before-delete): their
 	// replacements re-enter this loop as fresh Pending instances and are
@@ -188,12 +178,4 @@ func (c *Controller) allocate(in cluster.Instance) {
 		c.Log.Error("registry: instance patch failed", "instance", in.Name, "err", err)
 		c.reg.Release(in.UID)
 	}
-}
-
-// AllocationFailure returns the last allocation error of an instance, if
-// any (diagnostics and tests).
-func (c *Controller) AllocationFailure(uid string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failures[uid]
 }

@@ -300,7 +300,6 @@ type commandQueue struct {
 	mu        sync.Mutex
 	events    []*remoteEvent // not yet known-complete
 	unflushed []*remoteEvent // members of the current task
-	deadline  time.Duration  // soft completion hint attached to flushed tasks
 	released  bool
 	finishing int // Finish calls walking events
 
@@ -362,27 +361,6 @@ func (q *commandQueue) reuseFlightEvs(evs []flightrec.Event) {
 	if q.flightEvs == nil {
 		q.flightEvs = evs[:0]
 	}
-	q.mu.Unlock()
-}
-
-// DeadlineHinter is the optional command-queue extension for attaching a
-// soft completion deadline to flushed tasks. Managers running the
-// deadline discipline order tasks by the hint (earliest first); other
-// disciplines — and managers predating the field — ignore it, so hinting
-// is always safe.
-type DeadlineHinter interface {
-	// SetDeadlineHint attaches d (relative to submission) to every task
-	// this queue flushes from now on; zero clears the hint.
-	SetDeadlineHint(d time.Duration)
-}
-
-// SetDeadlineHint implements DeadlineHinter.
-func (q *commandQueue) SetDeadlineHint(d time.Duration) {
-	q.mu.Lock()
-	if d < 0 {
-		d = 0
-	}
-	q.deadline = d
 	q.mu.Unlock()
 }
 
@@ -690,7 +668,6 @@ func (q *commandQueue) Flush() error {
 	// array, not them (nor, through dst, the caller's read buffers).
 	clear(q.unflushed)
 	q.unflushed = q.unflushed[:0]
-	deadline := q.deadline
 	trace, taskSpan, taskStart := q.trace, q.taskSpan, q.taskStart
 	q.traceLive, q.trace, q.taskSpan = false, 0, 0
 	q.flightKey = 0
@@ -699,7 +676,7 @@ func (q *commandQueue) Flush() error {
 		return nil
 	}
 	mc := q.ctx.mc
-	req := wire.FlushRequest{Queue: q.id, DeadlineMillis: uint32(deadline / time.Millisecond)}
+	req := wire.FlushRequest{Queue: q.id}
 	if trace != 0 {
 		req.TraceID, req.SpanID = uint64(trace), uint64(taskSpan)
 	}

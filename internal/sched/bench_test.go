@@ -10,10 +10,10 @@ import (
 // BenchmarkPushPop measures the queue hot path — one Push followed by
 // one Pop, the manager's submit/worker handoff — for each discipline at
 // growing tenant counts. The fifo numbers bound the overhead the
-// scheduler abstraction adds over the channel it replaced; drr and
-// deadline show the price of fairness.
+// scheduler abstraction adds over the channel it replaced; drr shows
+// the price of fairness.
 func BenchmarkPushPop(b *testing.B) {
-	for _, d := range []Discipline{FIFO, DRR, Deadline} {
+	for _, d := range Disciplines {
 		for _, tenants := range []int{1, 4, 16, 64} {
 			b.Run(fmt.Sprintf("%s/tenants=%d", d, tenants), func(b *testing.B) {
 				q, err := New(d, Config{Capacity: 1 << 16, StarvationGuard: -1})
@@ -25,7 +25,6 @@ func BenchmarkPushPop(b *testing.B) {
 				for i := range names {
 					names[i] = fmt.Sprintf("fn-%d", i)
 				}
-				deadline := time.Now().Add(time.Hour)
 				items := make([]Item, b.N)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -34,9 +33,6 @@ func BenchmarkPushPop(b *testing.B) {
 					it.Session = uint64(i%tenants) + 1
 					it.Tenant = names[i%tenants]
 					it.Cost = int64(1 + i%4)
-					if d == Deadline && i%2 == 0 {
-						it.Deadline = deadline
-					}
 					if err := q.Push(it); err != nil {
 						b.Fatal(err)
 					}
@@ -50,10 +46,10 @@ func BenchmarkPushPop(b *testing.B) {
 }
 
 // BenchmarkBacklogPop isolates Pop on a standing backlog: the worst case
-// for drr's ring walk and the deadline heap at depth.
+// for drr's ring walk at depth.
 func BenchmarkBacklogPop(b *testing.B) {
 	const depth = 1024
-	for _, d := range []Discipline{FIFO, DRR, Deadline} {
+	for _, d := range Disciplines {
 		for _, tenants := range []int{1, 16, 64} {
 			b.Run(fmt.Sprintf("%s/tenants=%d", d, tenants), func(b *testing.B) {
 				q, err := New(d, Config{Capacity: depth + 1, StarvationGuard: -1})
@@ -81,7 +77,6 @@ func BenchmarkBacklogPop(b *testing.B) {
 					// (a fresh copy — the original may still be referenced
 					// by the policy's structures until Push restamps it).
 					ni := *it
-					ni.Deadline = time.Time{}
 					ni.Submitted = time.Time{}
 					if err := q.Push(&ni); err != nil {
 						b.Fatal(err)

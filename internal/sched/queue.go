@@ -97,7 +97,7 @@ func (q *queue) tenant(name string) *tenantCounters {
 
 // effectiveWeight resolves an item's weight: the queue's static table
 // first (operator configuration wins), then the item's own weight (the
-// Registry-propagated binding), then the default.
+// Registry-propagated binding), then 1.
 func (q *queue) effectiveWeight(it *Item) int {
 	if w, ok := q.cfg.Weights[it.Tenant]; ok && w > 0 {
 		return w
@@ -105,7 +105,7 @@ func (q *queue) effectiveWeight(it *Item) int {
 	if it.Weight > 0 {
 		return it.Weight
 	}
-	return q.cfg.DefaultWeight
+	return 1
 }
 
 // Push implements Queue.

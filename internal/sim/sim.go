@@ -9,8 +9,8 @@
 //
 // The kernel is callback-based: events are (time, func) pairs in a binary
 // heap. A Server is a capacity-1 resource admitting jobs through the
-// manager's own sched queue, so the simulator runs the fifo, drr and
-// deadline disciplines rather than modelling them. Events scheduled at
+// manager's own sched queue, so the simulator runs the fifo and drr
+// disciplines rather than modelling them. Events scheduled at
 // equal times fire in schedule order, which makes runs fully
 // deterministic.
 package sim

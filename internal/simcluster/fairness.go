@@ -24,8 +24,8 @@ import (
 
 // FairnessConfig parameterizes one fairness run.
 type FairnessConfig struct {
-	// Discipline is the manager's central-queue discipline ("fifo",
-	// "drr", "deadline").
+	// Discipline is the manager's central-queue discipline ("fifo" or
+	// "drr").
 	Discipline string
 	// Weights is the manager's static per-tenant weight table (drr).
 	Weights map[string]int

@@ -181,7 +181,6 @@ func percentilesMs(latencies []time.Duration) (p50, p99 float64) {
 // replica is one placed function instance as the gateway tracks it.
 type replica struct {
 	server   *sim.Server
-	node     string
 	inflight int64
 }
 
@@ -190,8 +189,6 @@ type replicas []replica
 
 func (r replicas) Len() int             { return len(r) }
 func (r replicas) Inflight(i int) int64 { return r[i].inflight }
-func (r replicas) Weight(int) int       { return 0 }
-func (r replicas) Node(i int) string    { return r[i].node }
 
 // RunScale places Tenants×2 function instances on Boards simulated boards
 // through the real Registry (Algorithm 1 over a Gatherer-backed TSDB),
@@ -244,7 +241,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("placing %s: %w", uid, err)
 			}
-			ts.reps = append(ts.reps, replica{server: c.server[alloc.Device.ID], node: alloc.Node})
+			ts.reps = append(ts.reps, replica{server: c.server[alloc.Device.ID]})
 		}
 	}
 	allocWall := time.Since(allocStart)
@@ -283,7 +280,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			}
 		}
 		if admitted {
-			rep := &ts.reps[router.Pick(ts.reps, &ts.rot, gateway.RouteHint{})]
+			rep := &ts.reps[router.Pick(ts.reps, &ts.rot)]
 			rep.inflight++
 			rep.server.Enqueue(ts.name, 1, serviceTime, func(wait, service time.Duration) {
 				rep.inflight--

@@ -41,7 +41,7 @@ func fuzzSeeds() []codec {
 		&EnqueueReadRequest{Tag: 2, Queue: 3, Buffer: 4, Length: 64, Via: ViaShm, ShmOff: 128},
 		&EnqueueKernelRequest{Tag: 7, Queue: 8, Kernel: 9, Global: []int{100, 200}, Local: []int{10}},
 		&EnqueueCopyRequest{Tag: 1, Queue: 2, SrcBuffer: 3, DstBuffer: 4, Length: 5},
-		&FlushRequest{Queue: 3, DeadlineMillis: 20, TraceID: 1, SpanID: 2},
+		&FlushRequest{Queue: 3, TraceID: 1, SpanID: 2},
 		&note,
 		&OpNotificationBatch{Notes: []OpNotification{note, {Tag: 2, State: OpFailed, Status: -5, Error: "boom"}}},
 	}

@@ -143,7 +143,7 @@ type HelloRequest struct {
 // Manager are built from one module, so Hello is a skew guard, not a
 // negotiation: each side refuses a peer whose revision differs from its
 // own.
-const ProtoVersion = 5
+const ProtoVersion = 6
 
 // encodeTraceTail appends the trailing trace IDs of a command-queue
 // request. An untraced request (TraceID zero) appends nothing: zero is not
@@ -619,16 +619,8 @@ func (m *EnqueueCopyRequest) Decode(d *Decoder) {
 // to the manager's central queue.
 type FlushRequest struct {
 	Queue uint64
-	// DeadlineMillis is the client's soft completion hint, relative to
-	// submission; the deadline discipline orders tasks by it. Trailing
-	// field: zero (no hint) is not encoded.
-	DeadlineMillis uint32
 	// TraceID/SpanID carry the flush-formed task's trace identity (the
-	// task's root span). Trailing after DeadlineMillis; a traced flush
-	// always encodes DeadlineMillis — even a zero one — so the decoder
-	// can tell a bare deadline (4 trailing bytes) from a trace tail
-	// (4+16) without ambiguity. An untraced unhinted flush is the queue
-	// alone.
+	// task's root span). An untraced flush is the queue alone.
 	TraceID uint64
 	SpanID  uint64
 }
@@ -636,19 +628,12 @@ type FlushRequest struct {
 // Encode serializes the message.
 func (m *FlushRequest) Encode(e *Encoder) {
 	e.U64(m.Queue)
-	if m.DeadlineMillis > 0 || m.TraceID != 0 {
-		e.U32(m.DeadlineMillis)
-	}
 	encodeTraceTail(e, m.TraceID, m.SpanID)
 }
 
 // Decode deserializes the message.
 func (m *FlushRequest) Decode(d *Decoder) {
 	m.Queue = d.U64()
-	m.DeadlineMillis = 0
-	if d.Remaining() > 0 {
-		m.DeadlineMillis = d.U32()
-	}
 	m.TraceID, m.SpanID = decodeTraceTail(d)
 }
 

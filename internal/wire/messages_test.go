@@ -74,9 +74,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		{&EnqueueKernelRequest{Tag: 19, Queue: 1, Kernel: 3,
 			Global: []int{1024, 8}, Local: []int{16}, TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueKernelRequest{}},
 		{&FlushRequest{Queue: 1}, &FlushRequest{}},
-		{&FlushRequest{Queue: 2, DeadlineMillis: 250}, &FlushRequest{}},
 		{&FlushRequest{Queue: 3, TraceID: 0xdead, SpanID: 0xbeef}, &FlushRequest{}},
-		{&FlushRequest{Queue: 4, DeadlineMillis: 250, TraceID: 0xdead, SpanID: 0xbeef}, &FlushRequest{}},
 		{&OpNotification{Tag: 14, State: OpComplete, DeviceNanos: 12345,
 			Data: []byte("result")}, &OpNotification{}},
 		{&OpNotification{Tag: 15, State: OpFailed, Status: int32(ocl.ErrInvalidMemObject),
@@ -91,9 +89,8 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 // TestSchedulerFieldsTrailing pins the zero-omitting encoding of the
-// scheduler's trailing fields: an unweighted Hello and an unhinted Flush
-// carry no bytes for them, and frames without them decode with the fields
-// zeroed.
+// scheduler's trailing field: an unweighted Hello carries no bytes for it,
+// and a frame without it decodes with the weight zeroed.
 func TestSchedulerFieldsTrailing(t *testing.T) {
 	// HelloRequest without the weight: string name, u32 proto.
 	old := NewEncoder(32)
@@ -110,27 +107,12 @@ func TestSchedulerFieldsTrailing(t *testing.T) {
 	if d.Err() != nil || h.Weight != 0 {
 		t.Fatalf("unweighted Hello decode: weight=%d err=%v", h.Weight, d.Err())
 	}
-
-	// FlushRequest without the deadline: u64 queue.
-	old = NewEncoder(16)
-	old.U64(7)
-	now = NewEncoder(16)
-	(&FlushRequest{Queue: 7}).Encode(now)
-	if !bytes.Equal(old.Bytes(), now.Bytes()) {
-		t.Fatalf("unhinted Flush changed on the wire:\nold %x\nnew %x", old.Bytes(), now.Bytes())
-	}
-	var f FlushRequest
-	d = NewDecoder(old.Bytes())
-	f.Decode(d)
-	if d.Err() != nil || f.DeadlineMillis != 0 {
-		t.Fatalf("unhinted Flush decode: deadline=%d err=%v", f.DeadlineMillis, d.Err())
-	}
 }
 
 // TestTraceFieldsTrailing pins the zero-omitting encoding of the tracing
 // tail: untraced command-queue requests carry no trace bytes, frames
-// without the tail decode with the trace IDs zeroed, and the Flush tail
-// stays unambiguous against the deadline hint that precedes it.
+// without the tail decode with the trace IDs zeroed, and a Flush is its
+// queue alone (8 bytes) or its queue and the tail (24 bytes).
 func TestTraceFieldsTrailing(t *testing.T) {
 	// Untraced EnqueueWrite (inline): tag, queue, buffer, offset, via,
 	// length-prefixed data.
@@ -187,28 +169,35 @@ func TestTraceFieldsTrailing(t *testing.T) {
 		t.Fatalf("untraced EnqueueKernel changed on the wire:\nold %x\nnew %x", old.Bytes(), now.Bytes())
 	}
 
-	// Untraced hinted Flush: u64 queue, u32 deadline.
+	// Untraced Flush: u64 queue, nothing else.
 	old = NewEncoder(16)
 	old.U64(7)
-	old.U32(250)
 	now = NewEncoder(16)
-	(&FlushRequest{Queue: 7, DeadlineMillis: 250}).Encode(now)
+	(&FlushRequest{Queue: 7}).Encode(now)
 	if !bytes.Equal(old.Bytes(), now.Bytes()) {
-		t.Fatalf("untraced hinted Flush changed on the wire:\nold %x\nnew %x", old.Bytes(), now.Bytes())
-	}
-
-	// A traced unhinted Flush must encode the zero deadline so the tail
-	// cannot be misread as a bare hint: u64 + u32 + u64 + u64 = 28 bytes.
-	now = NewEncoder(32)
-	(&FlushRequest{Queue: 7, TraceID: 0xdead, SpanID: 0xbeef}).Encode(now)
-	if got := len(now.Bytes()); got != 28 {
-		t.Fatalf("traced unhinted Flush is %d bytes, want 28", got)
+		t.Fatalf("untraced Flush changed on the wire:\nold %x\nnew %x", old.Bytes(), now.Bytes())
 	}
 	var f FlushRequest
+	d = NewDecoder(old.Bytes())
+	f.Decode(d)
+	if d.Err() != nil || f != (FlushRequest{Queue: 7}) {
+		t.Fatalf("untraced Flush decode: %+v err=%v", f, d.Err())
+	}
+
+	// Traced Flush: u64 queue, u64 trace, u64 span = 24 bytes.
+	old = NewEncoder(32)
+	old.U64(7)
+	old.U64(0xdead)
+	old.U64(0xbeef)
+	now = NewEncoder(32)
+	(&FlushRequest{Queue: 7, TraceID: 0xdead, SpanID: 0xbeef}).Encode(now)
+	if got := len(now.Bytes()); got != 24 || !bytes.Equal(old.Bytes(), now.Bytes()) {
+		t.Fatalf("traced Flush is %d bytes %x, want 24 bytes %x", got, now.Bytes(), old.Bytes())
+	}
 	d = NewDecoder(now.Bytes())
 	f.Decode(d)
-	if d.Err() != nil || f.DeadlineMillis != 0 || f.TraceID != 0xdead || f.SpanID != 0xbeef {
-		t.Fatalf("traced unhinted Flush decode: %+v err=%v", f, d.Err())
+	if d.Err() != nil || f != (FlushRequest{Queue: 7, TraceID: 0xdead, SpanID: 0xbeef}) {
+		t.Fatalf("traced Flush decode: %+v err=%v", f, d.Err())
 	}
 }
 
