@@ -32,9 +32,6 @@ type NodeConfig struct {
 	// Master selects the master-node cost model (PCIe Gen2, slower host)
 	// instead of the worker model.
 	Master bool
-	// TimeScale converts modelled hardware time into real sleeps; 0
-	// disables sleeping (fast functional runs), 1.0 is faithful.
-	TimeScale float64
 	// Log, when non-nil, receives the node's Device Manager structured
 	// events (nil keeps the manager silent at zero cost).
 	Log *logx.Logger
@@ -74,9 +71,7 @@ func NewTestbed(nodes ...NodeConfig) (*Testbed, error) {
 		if nc.Master {
 			cost = model.MasterNode()
 		}
-		cfg := fpga.DE5aNet(cost)
-		cfg.TimeScale = nc.TimeScale
-		board := fpga.NewBoard(cfg, accel.Catalog())
+		board := fpga.NewBoard(fpga.DE5aNet(cost), accel.Catalog())
 		mgr := manager.New(manager.Config{
 			Node:             nc.Name,
 			DeviceID:         "fpga-" + nc.Name,

@@ -100,6 +100,10 @@ func main() {
 	}
 
 	p := opsplane.New("gateway", "gateway", base)
+	router, err := gateway.NewRouter(*routerName)
+	if err != nil {
+		p.Fatal(err)
+	}
 	p.Listen(*listen)
 	m, err := opsplane.NewMonitor(p, mon)
 	if err != nil {
@@ -153,10 +157,6 @@ func main() {
 	// build landed on its board: close the flash window the allocation
 	// opened so /debug/flash shows only genuinely pending reprograms.
 	gw.OnReady = func(in cluster.Instance) { reg.BuildLanded(in.Name) }
-	router, err := gateway.NewRouter(*routerName)
-	if err != nil {
-		p.Fatal(err)
-	}
 	gw.Router = router
 	if len(admissions) > 0 {
 		adm, err := gateway.ParseAdmission(admissions)

@@ -120,9 +120,6 @@ type Config struct {
 	SampleRate float64
 	// RingSize bounds the span ring; 0 selects 4096.
 	RingSize int
-	// Seed makes the sampling and ID sequence deterministic for tests;
-	// 0 selects a fixed default (IDs only need to be unique, not secret).
-	Seed uint64
 	// Registry, when set, receives per-stage bf_stage_seconds histogram
 	// series labelled with Labels plus {component, stage}.
 	Registry *metrics.Registry
@@ -182,20 +179,9 @@ func New(cfg Config) *Tracer {
 	default:
 		t.threshold = uint64(cfg.SampleRate * float64(math.MaxUint64))
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x9bf_157a6e_5bf15 // arbitrary fixed default
-	}
-	t.rng.Store(seed)
+	// A fixed seed: IDs only need to be unique, not secret.
+	t.rng.Store(0x9bf_157a6e_5bf15)
 	return t
-}
-
-// Component reports the component name stamped on recorded spans.
-func (t *Tracer) Component() string {
-	if t == nil {
-		return ""
-	}
-	return t.component
 }
 
 // rand draws the next pseudo-random word (splitmix64: a lock-free atomic

@@ -160,16 +160,17 @@ func histQuantile(h *runtimemetrics.Float64Histogram, q float64) float64 {
 	return last
 }
 
+// captureInterval rate-limits captures per tag: a rule that stays firing
+// across evaluations produces one snapshot per interval, not one per
+// tick.
+const captureInterval = 30 * time.Second
+
 // ProfileCapture writes pprof snapshots to a directory when triggered —
 // the alert engine's OnFire hook calls Capture so goroutine and heap
 // evidence exists from the moment a burn-rate or leak rule fires.
 type ProfileCapture struct {
 	// Dir receives the snapshot files. Created on first capture.
 	Dir string
-	// MinInterval rate-limits captures per tag (default 30s): a rule
-	// that stays firing across evaluations produces one snapshot per
-	// interval, not one per tick.
-	MinInterval time.Duration
 	// Now is injectable for tests.
 	Now func() time.Time
 
@@ -188,14 +189,10 @@ func (p *ProfileCapture) Capture(tag string) ([]string, error) {
 	if p.Now != nil {
 		now = p.Now
 	}
-	min := p.MinInterval
-	if min <= 0 {
-		min = 30 * time.Second
-	}
 	tag = sanitizeTag(tag)
 	t := now()
 	p.mu.Lock()
-	if last, ok := p.last[tag]; ok && t.Sub(last) < min {
+	if last, ok := p.last[tag]; ok && t.Sub(last) < captureInterval {
 		p.mu.Unlock()
 		return nil, nil
 	}

@@ -64,8 +64,7 @@ func valueOf(t *testing.T, reg *metrics.Registry, name string) (float64, bool) {
 func TestProfileCaptureWritesAndRateLimits(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1700000000, 0)
-	p := &ProfileCapture{Dir: dir, MinInterval: 30 * time.Second,
-		Now: func() time.Time { return now }}
+	p := &ProfileCapture{Dir: dir, Now: func() time.Time { return now }}
 
 	paths, err := p.Capture("SLOFastBurn")
 	if err != nil {
@@ -80,7 +79,7 @@ func TestProfileCaptureWritesAndRateLimits(t *testing.T) {
 		}
 	}
 
-	// Same tag within MinInterval: rate-limited, no files.
+	// Same tag within captureInterval: rate-limited, no files.
 	paths, err = p.Capture("SLOFastBurn")
 	if err != nil || paths != nil {
 		t.Fatalf("rate limit: paths=%v err=%v", paths, err)

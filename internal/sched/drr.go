@@ -14,8 +14,7 @@ import "time"
 // the guard is served next regardless of deficits (its cost is still
 // charged, so a guarded tenant repays the advance in later rounds).
 type drrPolicy struct {
-	quantum int64
-	guard   time.Duration
+	guard time.Duration
 
 	byKey map[string]*drrTenant
 	// ring holds tenants with pending items; idx is the tenant currently
@@ -37,8 +36,13 @@ type drrTenant struct {
 	credited bool
 }
 
-func newDRRPolicy(quantum int64, guard time.Duration) *drrPolicy {
-	return &drrPolicy{quantum: quantum, guard: guard, byKey: make(map[string]*drrTenant)}
+// quantum is the per-visit credit granted per weight unit: a typical
+// small task's operation count, so weight-1 tenants still drain multi-op
+// tasks in a bounded number of rounds.
+const quantum = 4
+
+func newDRRPolicy(guard time.Duration) *drrPolicy {
+	return &drrPolicy{guard: guard, byKey: make(map[string]*drrTenant)}
 }
 
 func (p *drrPolicy) push(it *Item) {
@@ -94,7 +98,7 @@ func (p *drrPolicy) pop(now time.Time) *Item {
 		}
 		head := t.items[0]
 		if !t.credited {
-			t.deficit += p.quantum * int64(t.weight)
+			t.deficit += quantum * int64(t.weight)
 			t.credited = true
 		}
 		if t.deficit >= head.Cost {

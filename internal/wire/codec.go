@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrTruncated reports a decode past the end of the message.
@@ -46,20 +45,6 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
-// Bool appends a boolean as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// U16 appends a little-endian uint16.
-func (e *Encoder) U16(v uint16) {
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-}
-
 // U32 appends a little-endian uint32.
 func (e *Encoder) U32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
@@ -75,9 +60,6 @@ func (e *Encoder) I32(v int32) { e.U32(uint32(v)) }
 
 // I64 appends a little-endian int64.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// F64 appends a little-endian float64.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // Bytes32 appends a length-prefixed byte field.
 func (e *Encoder) Bytes32(v []byte) {
@@ -168,18 +150,6 @@ func (d *Decoder) U8() uint8 {
 	return b[0]
 }
 
-// Bool reads a boolean.
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
-
-// U16 reads a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
 // U32 reads a little-endian uint32.
 func (d *Decoder) U32() uint32 {
 	b := d.take(4)
@@ -203,9 +173,6 @@ func (d *Decoder) I32() int32 { return int32(d.U32()) }
 
 // I64 reads a little-endian int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// F64 reads a little-endian float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Bytes32 reads a length-prefixed byte field. The returned slice aliases
 // the decoder's buffer; callers that retain it past the buffer's lifetime

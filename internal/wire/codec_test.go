@@ -10,31 +10,21 @@ import (
 func TestEncodeDecodePrimitives(t *testing.T) {
 	e := NewEncoder(64)
 	e.U8(7)
-	e.Bool(true)
-	e.Bool(false)
-	e.U16(65535)
 	e.U32(1 << 31)
 	e.U64(1 << 62)
 	e.I32(-42)
 	e.I64(-1 << 50)
-	e.F64(3.14159)
 	e.Bytes32([]byte("payload"))
 	e.String("hello")
 	e.Ints([]int{1, -2, 3})
 	e.StringSlice([]string{"a", "bb"})
 
 	d := NewDecoder(e.Bytes())
-	if d.U8() != 7 || !d.Bool() || d.Bool() {
-		t.Fatal("u8/bool mismatch")
-	}
-	if d.U16() != 65535 || d.U32() != 1<<31 || d.U64() != 1<<62 {
+	if d.U8() != 7 || d.U32() != 1<<31 || d.U64() != 1<<62 {
 		t.Fatal("unsigned mismatch")
 	}
 	if d.I32() != -42 || d.I64() != -1<<50 {
 		t.Fatal("signed mismatch")
-	}
-	if d.F64() != 3.14159 {
-		t.Fatal("float mismatch")
 	}
 	if !bytes.Equal(d.Bytes32(), []byte("payload")) {
 		t.Fatal("bytes mismatch")
@@ -100,21 +90,16 @@ func TestDecoderRejectsLyingSliceCounts(t *testing.T) {
 }
 
 func TestPrimitiveRoundTripProperties(t *testing.T) {
-	roundTrip := func(u8 uint8, u16 uint16, u32 uint32, u64 uint64, i64 int64, f float64, b []byte, s string) bool {
+	roundTrip := func(u8 uint8, u32 uint32, u64 uint64, i64 int64, b []byte, s string) bool {
 		e := NewEncoder(64)
 		e.U8(u8)
-		e.U16(u16)
 		e.U32(u32)
 		e.U64(u64)
 		e.I64(i64)
-		e.F64(f)
 		e.Bytes32(b)
 		e.String(s)
 		d := NewDecoder(e.Bytes())
-		ok := d.U8() == u8 && d.U16() == u16 && d.U32() == u32 &&
-			d.U64() == u64 && d.I64() == i64
-		gotF := d.F64()
-		ok = ok && (gotF == f || (f != f && gotF != gotF)) // NaN-safe
+		ok := d.U8() == u8 && d.U32() == u32 && d.U64() == u64 && d.I64() == i64
 		ok = ok && bytes.Equal(d.Bytes32(), b) && d.String() == s
 		return ok && d.Err() == nil && d.Remaining() == 0
 	}
