@@ -253,6 +253,9 @@ func factory(name, usecase string, lib remote.Config) gateway.Factory {
 		weight, _ := strconv.Atoi(in.Env[registry.EnvWeight])
 		cfg := lib
 		cfg.ClientName, cfg.Managers, cfg.Weight = in.Name, []string{addr}, weight
+		// The instance's node turns the co-location check on: shared
+		// memory only with a manager that reports the same node.
+		cfg.Node = in.Env[registry.EnvNode]
 		client, err := remote.Dial(cfg)
 		if err != nil {
 			return nil, err

@@ -8,7 +8,6 @@ import (
 	"blastfunction/internal/accel"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/ocl"
-	"blastfunction/internal/rpc"
 	"blastfunction/internal/wire"
 )
 
@@ -17,7 +16,7 @@ import (
 // about what crosses the wire, which the library deliberately hides.
 
 // openSession says Hello at the current protocol revision.
-func openSession(t *testing.T, c *rpc.Client, name string) {
+func openSession(t *testing.T, c *rawConn, name string) {
 	t.Helper()
 	resp, err := hello(t, c, name, wire.ProtoVersion)
 	if err != nil {
@@ -27,7 +26,7 @@ func openSession(t *testing.T, c *rpc.Client, name string) {
 }
 
 // unaryCall encodes a request, performs the call and fails the test on error.
-func unaryCall(t *testing.T, c *rpc.Client, m wire.Method, enc func(*wire.Encoder)) []byte {
+func unaryCall(t *testing.T, c *rawConn, m wire.Method, enc func(*wire.Encoder)) []byte {
 	t.Helper()
 	e := wire.NewEncoder(64)
 	if enc != nil {
@@ -41,7 +40,7 @@ func unaryCall(t *testing.T, c *rpc.Client, m wire.Method, enc func(*wire.Encode
 }
 
 // unaryID is unaryCall for methods answering with an IDResponse.
-func unaryID(t *testing.T, c *rpc.Client, m wire.Method, enc func(*wire.Encoder)) uint64 {
+func unaryID(t *testing.T, c *rawConn, m wire.Method, enc func(*wire.Encoder)) uint64 {
 	t.Helper()
 	resp := unaryCall(t, c, m, enc)
 	var id wire.IDResponse
@@ -57,7 +56,7 @@ type loopbackIDs struct {
 
 // setupLoopback builds context, queue, two buffers and the configured copy
 // kernel over raw unary calls.
-func setupLoopback(t *testing.T, c *rpc.Client, size int) loopbackIDs {
+func setupLoopback(t *testing.T, c *rawConn, size int) loopbackIDs {
 	t.Helper()
 	ctx := unaryID(t, c, wire.MethodCreateContext, nil)
 	var ids loopbackIDs
@@ -95,7 +94,7 @@ func setupLoopback(t *testing.T, c *rpc.Client, size int) loopbackIDs {
 }
 
 // sendOp fires one command-queue request (fire-and-forget, like the library).
-func sendOp(t *testing.T, c *rpc.Client, m wire.Method, enc func(*wire.Encoder)) {
+func sendOp(t *testing.T, c *rawConn, m wire.Method, enc func(*wire.Encoder)) {
 	t.Helper()
 	e := wire.NewEncoder(64)
 	enc(e)
@@ -106,7 +105,7 @@ func sendOp(t *testing.T, c *rpc.Client, m wire.Method, enc func(*wire.Encoder))
 
 // enqueueCopyTask submits the canonical 3-op task — inline write (tag 1),
 // kernel launch (tag 2), inline read (tag 3) — and flushes the queue.
-func enqueueCopyTask(t *testing.T, c *rpc.Client, ids loopbackIDs, payload []byte) {
+func enqueueCopyTask(t *testing.T, c *rawConn, ids loopbackIDs, payload []byte) {
 	t.Helper()
 	sendOp(t, c, wire.MethodEnqueueWrite, func(e *wire.Encoder) {
 		(&wire.EnqueueWriteRequest{Tag: 1, Queue: ids.queue, Buffer: ids.in,
@@ -124,12 +123,13 @@ func enqueueCopyTask(t *testing.T, c *rpc.Client, ids loopbackIDs, payload []byt
 	})
 }
 
-// nextFrame reads one notification frame and decodes its batch, with
-// payloads copied out of the pooled buffer.
-func nextFrame(t *testing.T, c *rpc.Client) []wire.OpNotification {
+// nextFrame reads one notification frame and decodes its batch. The
+// handler copied the frame out of the read loop's buffer, so the decoded
+// Data stays valid.
+func nextFrame(t *testing.T, c *rawConn) []wire.OpNotification {
 	t.Helper()
 	select {
-	case payload, ok := <-c.Notifications():
+	case payload, ok := <-c.notes:
 		if !ok {
 			t.Fatal("notification channel closed")
 		}
@@ -139,10 +139,6 @@ func nextFrame(t *testing.T, c *rpc.Client) []wire.OpNotification {
 		if d.Err() != nil || d.Remaining() != 0 {
 			t.Fatalf("frame of %d notes: err %v, %d undecoded bytes", len(b.Notes), d.Err(), d.Remaining())
 		}
-		for i := range b.Notes {
-			b.Notes[i].Data = append([]byte(nil), b.Notes[i].Data...)
-		}
-		wire.PutBuf(payload)
 		return b.Notes
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out waiting for a notification frame")
@@ -152,7 +148,7 @@ func nextFrame(t *testing.T, c *rpc.Client) []wire.OpNotification {
 
 // drainTaskFrames reads notification frames until tags 1..3 all reach a
 // terminal state and returns every frame.
-func drainTaskFrames(t *testing.T, c *rpc.Client) [][]wire.OpNotification {
+func drainTaskFrames(t *testing.T, c *rawConn) [][]wire.OpNotification {
 	t.Helper()
 	terminal := map[uint64]bool{1: false, 2: false, 3: false}
 	remaining := len(terminal)

@@ -181,29 +181,6 @@ func TestRemoteRoundTripShm(t *testing.T) {
 	}
 }
 
-func TestTransparencyNativeVsRemote(t *testing.T) {
-	// The same host code (runCopy) must produce identical results on the
-	// native baseline and through BlastFunction — the paper's central
-	// transparency claim.
-	payload := bytes.Repeat([]byte{0xA5, 0x5A, 0x01}, 333)
-
-	board := fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), accel.Catalog())
-	nat := native.New(board)
-	nctx, ndev, nq := openDevice(t, nat)
-	nk := buildLoopback(t, nctx, ndev)
-	nativeOut := runCopy(t, nctx, nq, nk, payload)
-
-	rig := newRig(t, manager.Config{})
-	client := dialRig(t, rig, remote.TransportAuto, "it-transparency")
-	rctx, rdev, rq := openDevice(t, client)
-	rk := buildLoopback(t, rctx, rdev)
-	remoteOut := runCopy(t, rctx, rq, rk, payload)
-
-	if !bytes.Equal(nativeOut, remoteOut) {
-		t.Fatal("native and remote executions disagree")
-	}
-}
-
 func TestSobelThroughRemote(t *testing.T) {
 	rig := newRig(t, manager.Config{})
 	client := dialRig(t, rig, remote.TransportAuto, "it-sobel")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -19,18 +20,34 @@ import (
 	"blastfunction/internal/wire"
 )
 
-// rawClient dials the rig with a bare RPC client for protocol-level tests.
-func rawClient(t *testing.T, rig *testRig) *rpc.Client {
+// rawConn is a bare RPC client for protocol-level tests. Its handler
+// copies every notification payload onto notes, which closes when the
+// connection is lost, and lands nothing, so each payload arrives whole.
+// notes holds more frames than any test reads; a full one would stall the
+// read loop, responses included.
+type rawConn struct {
+	*rpc.Client
+	notes chan []byte
+}
+
+func (c *rawConn) Land(uint64, int) []byte { return nil }
+func (c *rawConn) Notify(p []byte)         { c.notes <- append([]byte(nil), p...) }
+func (c *rawConn) Lost()                   { close(c.notes) }
+
+// rawClient dials the rig with a bare RPC client.
+func rawClient(t *testing.T, rig *testRig) *rawConn {
 	t.Helper()
-	c, err := rpc.Dial(rig.addr)
+	conn, err := net.Dial("tcp", rig.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := &rawConn{notes: make(chan []byte, 1024)}
+	c.Client = rpc.NewClient(conn, c)
 	t.Cleanup(func() { c.Close() })
 	return c
 }
 
-func hello(t *testing.T, c *rpc.Client, name string, version uint32) ([]byte, error) {
+func hello(t *testing.T, c *rawConn, name string, version uint32) ([]byte, error) {
 	t.Helper()
 	e := wire.NewEncoder(32)
 	(&wire.HelloRequest{ClientName: name, ProtoVersion: version}).Encode(e)

@@ -25,16 +25,8 @@ type BaseEvent struct {
 	status  ExecStatus
 	err     error
 
-	// callbacks registered via OnStatus, keyed by the status they fire at.
-	callbacks []statusCallback
-
 	// deviceNanos is the modelled device occupancy, for ProfilingEvent.
 	deviceNanos atomic.Int64
-}
-
-type statusCallback struct {
-	at ExecStatus
-	fn func(ExecStatus, error)
 }
 
 // NewEvent creates an event in the Queued state.
@@ -87,7 +79,7 @@ func (e *BaseEvent) Wait() error {
 
 // SetStatus advances the event to the given status. Regressions (including
 // repeating the current status) are ignored, preserving monotonicity.
-// Reaching Complete wakes the waiters and fires callbacks.
+// Reaching Complete wakes the waiters.
 func (e *BaseEvent) SetStatus(s ExecStatus) {
 	e.transition(s, nil)
 }
@@ -106,21 +98,6 @@ func (e *BaseEvent) Fail(err error) {
 // Complete terminates the event successfully.
 func (e *BaseEvent) Complete() { e.transition(Complete, nil) }
 
-// OnStatus registers fn to run once the event reaches status at (or any
-// terminal state). If the event already passed that status the callback
-// fires immediately. Callbacks run without the event lock held.
-func (e *BaseEvent) OnStatus(at ExecStatus, fn func(status ExecStatus, err error)) {
-	e.mu.Lock()
-	if e.status <= at {
-		s, err := e.status, e.err
-		e.mu.Unlock()
-		fn(s, err)
-		return
-	}
-	e.callbacks = append(e.callbacks, statusCallback{at: at, fn: fn})
-	e.mu.Unlock()
-}
-
 func (e *BaseEvent) transition(s ExecStatus, err error) {
 	e.mu.Lock()
 	// Terminal states are sticky; otherwise only forward (decreasing)
@@ -136,25 +113,10 @@ func (e *BaseEvent) transition(s ExecStatus, err error) {
 			e.err = Status(s)
 		}
 	}
-	var fire []statusCallback
-	rest := e.callbacks[:0]
-	for _, cb := range e.callbacks {
-		if e.status <= cb.at || e.status.Failed() {
-			fire = append(fire, cb)
-		} else {
-			rest = append(rest, cb)
-		}
-	}
-	e.callbacks = rest
-	terminal := e.status.Done()
-	status, cbErr := e.status, e.err
-	if terminal && e.done != nil {
+	if e.status.Done() && e.done != nil {
 		close(e.done)
 	}
 	e.mu.Unlock()
-	for _, cb := range fire {
-		cb.fn(status, cbErr)
-	}
 }
 
 // CompletedEvent returns an already-complete event of the given type. It is

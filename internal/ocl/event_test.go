@@ -111,52 +111,6 @@ func TestEventConcurrentWaiters(t *testing.T) {
 	}
 }
 
-func TestEventOnStatusCallback(t *testing.T) {
-	e := NewEvent(CommandWriteBuffer)
-	var mu sync.Mutex
-	var fired []ExecStatus
-	e.OnStatus(Running, func(s ExecStatus, err error) {
-		mu.Lock()
-		fired = append(fired, s)
-		mu.Unlock()
-	})
-	e.SetStatus(Submitted)
-	mu.Lock()
-	n := len(fired)
-	mu.Unlock()
-	if n != 0 {
-		t.Fatalf("callback fired at Submitted")
-	}
-	e.SetStatus(Running)
-	mu.Lock()
-	if len(fired) != 1 || fired[0] != Running {
-		t.Fatalf("fired = %v, want [Running]", fired)
-	}
-	mu.Unlock()
-
-	// Registering for an already-passed status fires immediately.
-	var immediate bool
-	e.OnStatus(Submitted, func(s ExecStatus, err error) { immediate = true })
-	if !immediate {
-		t.Fatal("OnStatus for a passed state must fire immediately")
-	}
-}
-
-func TestEventOnStatusFiresOnFailure(t *testing.T) {
-	e := NewEvent(CommandReadBuffer)
-	got := make(chan error, 1)
-	e.OnStatus(Complete, func(s ExecStatus, err error) { got <- err })
-	e.Fail(ErrInvalidMemObject)
-	select {
-	case err := <-got:
-		if StatusOf(err) != ErrInvalidMemObject {
-			t.Fatalf("callback err = %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("callback did not fire on failure")
-	}
-}
-
 func TestWaitForEvents(t *testing.T) {
 	a := CompletedEvent(CommandMarker)
 	b := NewEvent(CommandTask)
@@ -174,8 +128,8 @@ func TestWaitForEvents(t *testing.T) {
 }
 
 // The completion channel is made by the first waiter of a live event:
-// waiters and callback registrations racing the terminal transition must
-// all see it, whichever side gets the event lock first.
+// waiters racing the terminal transition must all see it, whichever side
+// gets the event lock first.
 func TestEventWaitersRaceTermination(t *testing.T) {
 	for _, fail := range []bool{false, true} {
 		for round := 0; round < 50; round++ {
@@ -183,15 +137,10 @@ func TestEventWaitersRaceTermination(t *testing.T) {
 			const n = 8
 			start := make(chan struct{})
 			errs := make(chan error, n)
-			fired := make(chan ExecStatus, n)
 			for i := 0; i < n; i++ {
 				go func() {
 					<-start
 					errs <- e.Wait()
-				}()
-				go func() {
-					<-start
-					e.OnStatus(Complete, func(s ExecStatus, _ error) { fired <- s })
 				}()
 			}
 			go func() {
@@ -204,18 +153,14 @@ func TestEventWaitersRaceTermination(t *testing.T) {
 			}()
 			close(start)
 			timeout := time.After(5 * time.Second)
-			for i := 0; i < 2*n; i++ {
+			for i := 0; i < n; i++ {
 				select {
 				case err := <-errs:
 					if fail && StatusOf(err) != ErrOutOfResources || !fail && err != nil {
 						t.Fatalf("fail=%v: Wait returned %v", fail, err)
 					}
-				case s := <-fired:
-					if !s.Done() {
-						t.Fatalf("callback fired at %v", s)
-					}
 				case <-timeout:
-					t.Fatalf("fail=%v round %d: %d of %d waiters and callbacks returned", fail, round, i, 2*n)
+					t.Fatalf("fail=%v round %d: %d of %d waiters returned", fail, round, i, n)
 				}
 			}
 		}

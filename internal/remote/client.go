@@ -9,12 +9,13 @@
 //
 // The asynchronous flow matches the paper's Figure 2: an enqueue creates
 // an event, registers it under a fresh tag (the "pointer to the newly
-// created event"), and fires an asynchronous request. The manager's
-// notifications land in the connection's completion queue; the connection
-// thread pulls each tag, finds the event, and drives its state machine
-// (INIT -> FIRST -> BUFFER -> COMPLETE maps onto Queued -> Submitted ->
-// Running -> Complete), finally waking any application thread polling or
-// waiting on the event.
+// created event"), and fires an asynchronous request. The connection's
+// rpc read loop is the paper's connection thread: it hands each of the
+// manager's notification frames to the connection, which looks up every
+// tag, finds the event, and drives its state machine (INIT -> FIRST ->
+// BUFFER -> COMPLETE maps onto Queued -> Submitted -> Running ->
+// Complete), finally waking any application thread polling or waiting on
+// the event.
 package remote
 
 import (

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,8 +18,9 @@ import (
 )
 
 // managerConn is the library's connection to one Device Manager: the RPC
-// client, the negotiated data path, the tag table of in-flight events and
-// the connection thread that drains the completion queue.
+// client, the negotiated data path and the tag table of in-flight events.
+// It is its client's rpc.NotifyHandler: the client's read loop is the
+// paper's connection thread, and drives the events' state machines.
 type managerConn struct {
 	cfg  *Config
 	addr string
@@ -47,6 +49,10 @@ type managerConn struct {
 	flight     *flightrec.Recorder
 	connFlight obs.TraceID
 
+	// Notification decoding scratch, used only on the read loop.
+	dec  wire.Decoder
+	note wire.OpNotification
+
 	// lease is the session lease the manager advertised at Hello (zero:
 	// leases disabled); stopBeat stops the heartbeat goroutine renewing it.
 	lease    time.Duration
@@ -56,26 +62,24 @@ type managerConn struct {
 	closed   bool
 }
 
+// newRPCClient starts a connection's rpc client; tests wrap its handler.
+var newRPCClient = rpc.NewClient
+
 func dialManager(cfg *Config, addr string) (*managerConn, error) {
-	var cl *rpc.Client
-	if cfg.DialConn != nil {
-		conn, err := cfg.DialConn(addr)
-		if err != nil {
-			return nil, err
-		}
-		cl = rpc.NewClient(conn)
-	} else {
-		var err error
-		cl, err = rpc.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
+	dial := cfg.DialConn
+	if dial == nil {
+		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	cl.CallTimeout = cfg.CallTimeout
-	mc := &managerConn{cfg: cfg, addr: addr, rpc: cl, mode: model.TransportGRPC, tracer: cfg.Tracer, log: cfg.Log, flight: cfg.Flight,
+	conn, err := dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	mc := &managerConn{cfg: cfg, addr: addr, mode: model.TransportGRPC, tracer: cfg.Tracer, log: cfg.Log, flight: cfg.Flight,
 		pending: make(map[uint64]*remoteEvent)}
-	cl.SetLander(mc.land)
 	mc.connFlight = mc.flight.Begin(0, cfg.ClientName)
+	cl := newRPCClient(conn, mc)
+	cl.CallTimeout = cfg.CallTimeout
+	mc.rpc = cl
 
 	// Hello: open the session. Not retried — a timed-out Hello may still
 	// have created a session on the manager, and retrying would leak it.
@@ -136,7 +140,6 @@ func dialManager(cfg *Config, addr string) (*managerConn, error) {
 	mc.log.Debug("connected to manager",
 		"manager", addr, "node", mc.node, "session", mc.sessionID,
 		"transport", mc.mode.String())
-	go mc.connectionThread()
 	if mc.lease > 0 {
 		mc.stopBeat = make(chan struct{})
 		go mc.heartbeatLoop()
@@ -233,32 +236,31 @@ func (mc *managerConn) close() error {
 	return err
 }
 
-// connectionThread is the paper's connection thread: it pulls tags from
-// the completion queue, retrieves the corresponding events and calls their
-// state machines (steps 5 and 6 of Figure 2). Each frame is a batch (one per
-// task) that unwinds into the same per-notification flow. Frame payloads are
-// pooled: decoded Data aliases them, which is safe because finishRead copies
-// read results into the user buffer synchronously inside machine. An inline
-// read in a frame larger than the read loop's buffer arrives with its Data
-// already in the user buffer (see land) and empty here.
-func (mc *managerConn) connectionThread() {
-	var d wire.Decoder
-	var n wire.OpNotification
-	for payload := range mc.rpc.Notifications() {
-		d.Reset(payload)
-		for count := d.U32(); count > 0; count-- {
-			n.Decode(&d)
-			if d.Err() != nil {
-				break // malformed notification; drop rather than crash
-			}
-			mc.dispatch(&n)
+// Notify is the paper's connection thread at work (steps 5 and 6 of
+// Figure 2): the read loop hands it each notification frame, a batch (one
+// per task) whose tags it looks up to advance their events' state
+// machines. Decoded Data aliases the read loop's payload, which is safe
+// because finishRead copies read results into the user buffer inside
+// machine. An inline read in a frame larger than the read loop's buffer
+// arrives with its Data already in the user buffer (see Land) and empty
+// here.
+func (mc *managerConn) Notify(payload []byte) {
+	d, n := &mc.dec, &mc.note
+	d.Reset(payload)
+	for count := d.U32(); count > 0; count-- {
+		n.Decode(d)
+		if d.Err() != nil {
+			break // malformed notification; drop rather than crash
 		}
-		wire.PutBuf(payload)
+		mc.dispatch(n)
 	}
-	// Connection gone: fail everything still in flight, promptly and with
-	// the transport sentinel attached so callers can errors.Is the failure
-	// against rpc.ErrManagerDown and trigger fail-over instead of treating
-	// it like an application error.
+}
+
+// Lost fails everything still in flight once the connection is gone,
+// promptly and with the transport sentinel attached so callers can
+// errors.Is the failure against rpc.ErrManagerDown and trigger fail-over
+// instead of treating it like an application error.
+func (mc *managerConn) Lost() {
 	mc.pendingMu.Lock()
 	lost := mc.pending
 	mc.pending = make(map[uint64]*remoteEvent)
@@ -307,22 +309,20 @@ func (mc *managerConn) dispatch(n *wire.OpNotification) {
 	}
 }
 
-// land is the read loop's wire.Lander: it returns the destination of the
-// inline read tagged tag, so its n result bytes go from the socket straight
-// into the caller's buffer, or nil to leave them in the frame for
-// finishRead to copy (a tag no longer in flight, an shm read, or more
-// bytes than the destination holds, which finishRead truncates).
+// Land returns the destination of the inline read tagged tag, so its n
+// result bytes go from the socket straight into the caller's buffer, or
+// nil to leave them in the frame for finishRead to copy (a tag no longer
+// in flight, an shm read, or more bytes than the destination holds,
+// which finishRead truncates).
 //
-// The bytes land only while the event is in mc.pending, and before its
-// terminal notification is dispatched: the Data rides on that very
-// notification, and the read loop hands its frame to the connection thread
-// only once the frame has been read whole. The caller does not touch dst
-// until the event completes, and only the connection thread completes or
-// fails an event in mc.pending — its connection-loss sweep included, which
-// runs after the read loop has exited. (A failed send withdraws its event
-// with forget, but the manager never ran an operation whose request did
-// not arrive.)
-func (mc *managerConn) land(tag uint64, n int) []byte {
+// The bytes land only while the event is in mc.pending, and on the
+// goroutine that completes it: the read loop lands a frame's Data before
+// it dispatches the frame's notifications, the terminal one carrying that
+// Data among them. Only the read loop completes or fails an event in
+// mc.pending (Lost included), and the caller does not touch dst until the
+// event completes. (A failed send withdraws its event with forget, but the
+// manager never ran an operation whose request did not arrive.)
+func (mc *managerConn) Land(tag uint64, n int) []byte {
 	mc.pendingMu.Lock()
 	ev := mc.pending[tag]
 	mc.pendingMu.Unlock()
@@ -337,7 +337,7 @@ func (mc *managerConn) newTag() uint64 { return mc.tags.Add(1) }
 
 // register creates an event for an enqueue. The caller publishes it with
 // enroll once every field is set — publishing here would let concurrent
-// readers of mc.pending (the connection thread's teardown sweep) observe
+// readers of mc.pending (the read loop's Lost sweep) observe
 // a half-initialized event.
 func (mc *managerConn) register(cmd ocl.CommandType, tag uint64) *remoteEvent {
 	ev := &remoteEvent{tag: tag}
@@ -384,7 +384,7 @@ type remoteEvent struct {
 	// Flight-recorder identity: flight keys the task's milestone skeleton
 	// (zero without a recorder), taskStart anchors the client-observed
 	// total. taskEnd marks the task's final op (set by Flush on the
-	// application thread, read by the connection thread once the terminal
+	// application thread, read by the read loop once the terminal
 	// notification arrives — which cannot precede the flush that sent the
 	// task). flightEvs rides on the terminal op: the task's client-side
 	// milestones, batched on the queue and applied by the completion in

@@ -26,11 +26,34 @@ func pattern(n int) []byte {
 	return b
 }
 
+// landCounter wraps a connection's handler and counts what its Land
+// lands.
+type landCounter struct {
+	rpc.NotifyHandler
+	landed  atomic.Int64
+	lastDst atomic.Pointer[byte]
+}
+
+func (l *landCounter) Land(tag uint64, n int) []byte {
+	b := l.NotifyHandler.Land(tag, n)
+	if b != nil {
+		l.landed.Add(int64(n))
+		l.lastDst.Store(&b[0])
+	}
+	return b
+}
+
 // A warm 1 MiB inline read lands from the socket in the caller's buffer:
 // the read loop's lander is asked once per read, for the whole result,
 // and returns the caller's own slice.
 func TestInlineReadLandsInCallerBuffer(t *testing.T) {
 	r := newRig(t)
+	lc := &landCounter{}
+	newRPCClient = func(conn net.Conn, h rpc.NotifyHandler) *rpc.Client {
+		lc.NotifyHandler = h
+		return rpc.NewClient(conn, lc)
+	}
+	t.Cleanup(func() { newRPCClient = rpc.NewClient })
 	c, err := Dial(Config{ClientName: t.Name(), Managers: []string{r.addr}, Transport: TransportGRPC})
 	if err != nil {
 		t.Fatal(err)
@@ -38,17 +61,7 @@ func TestInlineReadLandsInCallerBuffer(t *testing.T) {
 	defer c.Close()
 	const size = 1 << 20
 	lt := newLoopbackTask(t, c, size)
-	mc := c.conns[0]
-	var landed atomic.Int64
-	var lastDst atomic.Pointer[byte]
-	mc.rpc.SetLander(func(tag uint64, n int) []byte {
-		b := mc.land(tag, n)
-		if b != nil {
-			landed.Add(int64(n))
-			lastDst.Store(&b[0])
-		}
-		return b
-	})
+	landed, lastDst := &lc.landed, &lc.lastDst
 	src := pattern(size)
 	for i := range 5 {
 		dst := make([]byte, size)

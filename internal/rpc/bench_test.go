@@ -36,7 +36,22 @@ func (benchHandler) HandleRequest(c *Conn, method wire.Method, body []byte) ([]b
 	return nil, nil
 }
 
-func benchClient(b *testing.B) *Client {
+// countNotes counts notifications on the read loop: done receives true
+// once want have arrived, false if the connection is lost first.
+type countNotes struct {
+	want, got int
+	done      chan bool
+}
+
+func (n *countNotes) Land(uint64, int) []byte { return nil }
+func (n *countNotes) Notify([]byte) {
+	if n.got++; n.got == n.want {
+		n.done <- true
+	}
+}
+func (n *countNotes) Lost() { n.done <- false }
+
+func benchClient(b *testing.B, h NotifyHandler) *Client {
 	b.Helper()
 	s := NewServer(benchHandler{})
 	s.Log = nil
@@ -45,10 +60,7 @@ func benchClient(b *testing.B) *Client {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { s.Close() })
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := NewClient(dialTCP(b, addr), h)
 	b.Cleanup(func() { c.Close() })
 	return c
 }
@@ -57,7 +69,7 @@ func benchClient(b *testing.B) *Client {
 // with a 4 KiB body — the framing and pooling hot path without any manager
 // logic on top.
 func BenchmarkFrameRoundTrip(b *testing.B) {
-	c := benchClient(b)
+	c := benchClient(b, newNotes())
 	payload := make([]byte, 4096)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
@@ -72,10 +84,11 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 }
 
 // BenchmarkNotifyBurst measures server-push throughput: the server streams
-// completion-shaped notifications with 256-byte payloads while the client
-// drains them from the completion queue.
+// completion-shaped notifications with 256-byte payloads, which the
+// client's read loop hands to its handler.
 func BenchmarkNotifyBurst(b *testing.B) {
-	c := benchClient(b)
+	h := &countNotes{want: b.N, done: make(chan bool, 2)}
+	c := benchClient(b, h)
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint32(req[:4], uint32(b.N))
 	binary.LittleEndian.PutUint32(req[4:8], 256)
@@ -85,11 +98,7 @@ func BenchmarkNotifyBurst(b *testing.B) {
 	if _, err := c.Call(2, req); err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < b.N; i++ {
-		note, ok := <-c.Notifications()
-		if !ok {
-			b.Fatal("completion queue closed mid-burst")
-		}
-		wire.PutBuf(note)
+	if !<-h.done {
+		b.Fatal("connection lost mid-burst")
 	}
 }

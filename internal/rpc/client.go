@@ -35,6 +35,22 @@ var ErrDeadlineExceeded = errors.New("rpc: call deadline exceeded")
 // wedged manager.
 const DefaultCallTimeout = time.Minute
 
+// NotifyHandler takes a client's notifications. The client's read loop
+// calls it, one frame at a time and in arrival order, so nothing it runs
+// may wait on a frame of the same connection (see "Read path" in the
+// package doc).
+type NotifyHandler interface {
+	// Land is the wire.Lander of notification frames larger than the read
+	// loop's buffer: the slice a notification's Data is read into straight
+	// from the connection, or nil to keep the Data in the payload.
+	Land(tag uint64, n int) []byte
+	// Notify takes one notification payload, a wire.OpNotificationBatch.
+	// The payload is the read loop's, released once Notify returns.
+	Notify(payload []byte)
+	// Lost runs once, after the last Notify, when the connection is gone.
+	Lost()
+}
+
 // Client is the Remote OpenCL Library's connection to one Device Manager.
 type Client struct {
 	conn net.Conn
@@ -49,21 +65,9 @@ type Client struct {
 	pending   map[uint64]chan callResult
 	closedErr error
 
-	// closed is closed by fail. It lets a blocked notification push and an
-	// in-flight send observe teardown without racing the channel close:
-	// readLoop is the only goroutine that closes notifications.
-	closed chan struct{}
-
-	// notifications is the completion queue of the paper's Figure 2: the
-	// reader goroutine pushes notification payloads, the Remote Library's
-	// connection thread pulls them and advances event state machines.
-	notifications chan []byte
+	h NotifyHandler // takes the notifications, on the read loop
 
 	dec wire.Decoder // response decoder scratch, used only by readLoop
-
-	// land places the Data of large notification frames as they arrive
-	// (SetLander); nil keeps every payload whole.
-	land atomic.Pointer[wire.Lander]
 
 	// CallTimeout bounds unary calls; zero means DefaultCallTimeout.
 	CallTimeout time.Duration
@@ -74,43 +78,18 @@ type callResult struct {
 	err  error
 }
 
-// Dial connects to a Device Manager at addr.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
-	}
-	return NewClient(conn), nil
-}
-
-// NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client {
+// NewClient wraps an established connection and starts its read loop,
+// which hands every notification to h.
+func NewClient(conn net.Conn, h NotifyHandler) *Client {
 	c := &Client{
-		conn:          conn,
-		pending:       make(map[uint64]chan callResult),
-		closed:        make(chan struct{}),
-		notifications: make(chan []byte, 1024),
+		conn:    conn,
+		pending: make(map[uint64]chan callResult),
+		h:       h,
 	}
 	c.fw.w = conn
 	go c.readLoop()
 	return c
 }
-
-// Notifications returns the completion queue: the payload of each
-// notification frame, in arrival order. The channel closes when the
-// connection drops. Each payload is a pooled buffer owned by the receiver,
-// released with wire.PutBuf once consumed.
-func (c *Client) Notifications() <-chan []byte { return c.notifications }
-
-// SetLander makes the read loop stream every notification frame larger
-// than its buffered reader through wire.ReadNotificationBatch with land:
-// the Data land takes is read from the connection straight into the slice
-// it returns, and that notification reaches Notifications with its Data
-// empty. Smaller frames, already buffered whole, are delivered as they
-// are. land runs on the read loop and must not block; nothing else may
-// touch a slice it returns until the frame's notifications have been
-// taken from Notifications.
-func (c *Client) SetLander(land wire.Lander) { c.land.Store(&land) }
 
 // Call performs a unary request and waits for the response body. The body
 // is assembled from segs without copying. The returned body is the
@@ -192,13 +171,11 @@ func (c *Client) SendDelayed(method wire.Method, segs ...[]byte) error {
 func (c *Client) send(reqID uint64, method wire.Method, delay bool, segs ...[]byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	// Check-then-write under the same lock teardown synchronizes with:
-	// fail closes c.closed before it returns, so a send racing teardown
-	// either sees the signal here or gets the write error mapped below.
-	select {
-	case <-c.closed:
-		return c.closeCause()
-	default:
+	// Check-then-write: fail records its cause before it closes the
+	// connection, so a send racing teardown either sees the cause here or
+	// gets the write error mapped below.
+	if cause := c.closeCause(); cause != nil {
+		return cause
 	}
 	binary.LittleEndian.PutUint64(c.reqHdr[:8], reqID)
 	binary.LittleEndian.PutUint16(c.reqHdr[8:10], uint16(method))
@@ -223,8 +200,8 @@ func (c *Client) closeCause() error {
 	return c.closedErr
 }
 
-// Close tears the connection down; pending calls fail and the completion
-// queue closes.
+// Close tears the connection down: pending calls fail, and the read loop
+// tells the handler the connection is lost.
 func (c *Client) Close() error {
 	// Record the cause first: closing the socket first let readLoop observe
 	// the dead connection and win the race to fail with ErrManagerDown.
@@ -236,10 +213,7 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) readLoop() {
-	// readLoop is the sole closer of the completion queue, so a
-	// notification push can never race the close (the seed closed it from
-	// fail, panicking if a frame arrived during teardown).
-	defer close(c.notifications)
+	defer c.h.Lost()
 	r := newFrameReader(c.conn)
 	for {
 		// The client chose this manager, so it takes the manager's word for
@@ -247,11 +221,11 @@ func (c *Client) readLoop() {
 		typ, n, err := readHeader(r, MaxFrameBytes)
 		var payload []byte
 		if err == nil {
-			if land := c.land.Load(); land != nil && typ == frameNotify && n > smallFrameMax {
+			if typ == frameNotify && n > smallFrameMax {
 				// A malformed batch still yields the notifications before
-				// the fault, which are delivered, as the connection thread
-				// would have dispatched them from the whole frame.
-				if payload, err = wire.ReadNotificationBatch(r, n, *land); payload != nil {
+				// the fault, which are handed on, as if decoded from the
+				// whole frame.
+				if payload, err = wire.ReadNotificationBatch(r, n, c.h.Land); payload != nil {
 					err = nil
 				}
 			} else {
@@ -266,12 +240,8 @@ func (c *Client) readLoop() {
 		case frameResponse:
 			c.dispatchResponse(payload)
 		case frameNotify:
-			select {
-			case c.notifications <- payload:
-			case <-c.closed:
-				wire.PutBuf(payload)
-				return
-			}
+			c.h.Notify(payload)
+			wire.PutBuf(payload)
 		default:
 			wire.PutBuf(payload)
 			c.fail(fmt.Errorf("%w: unexpected frame type %d", ErrManagerDown, typ))
@@ -314,8 +284,7 @@ func (c *Client) dispatchResponse(payload []byte) {
 }
 
 // fail poisons the client: pending calls receive err, future sends fail
-// promptly, and readLoop (the queue's sole closer) shuts the completion
-// queue.
+// promptly, and closing the connection ends the read loop.
 func (c *Client) fail(err error) {
 	c.pendingMu.Lock()
 	if c.closedErr != nil {
@@ -326,7 +295,6 @@ func (c *Client) fail(err error) {
 	pending := c.pending
 	c.pending = make(map[uint64]chan callResult)
 	c.pendingMu.Unlock()
-	close(c.closed) // single close: guarded by the closedErr check above
 	for _, ch := range pending {
 		ch <- callResult{err: err}
 	}

@@ -8,9 +8,10 @@
 //   - fire-and-forget requests (command-queue methods), whose progress
 //     comes back as server-pushed notifications keyed by a client-chosen
 //     tag — the paper's "pointer to the newly created event";
-//   - a client-side completion queue: the reader goroutine pushes
-//     notification payloads into a channel the Remote Library's connection
-//     thread drains, exactly the structure of the paper's Figure 2.
+//   - a client read loop that hands each notification to the client's
+//     NotifyHandler as it arrives: for the Remote Library that goroutine is
+//     the paper's connection thread (Figure 2), which advances the event
+//     state machines, and there is no queue between the two.
 //
 // Requests on one connection are processed strictly in order by the
 // server, which the Device Manager relies on for command-queue
@@ -33,10 +34,11 @@
 //	                  response frame will be produced).
 //	2  response       u64 request ID + i32 status + string error +
 //	                  method-encoded body.
-//	4  notify         server push, payload opaque to this package. The
-//	                  Device Manager sends one wire.OpNotificationBatch:
-//	                  u32 count followed by that many consecutive
-//	                  wire.OpNotification encodings.
+//	4  notify         server push: one wire.OpNotificationBatch, u32
+//	                  count followed by that many consecutive
+//	                  wire.OpNotification encodings. The client reads a
+//	                  frame past its buffer as a batch (see "Read
+//	                  path"); a smaller one is opaque to this package.
 //
 // Any other type (3 included) closes the connection. Hello is a skew
 // guard, not a negotiation: both ends speak wire.ProtoVersion and refuse a
@@ -62,15 +64,34 @@
 // waiting frames and fails fails the client, so the Remote Library's
 // connection-loss sweep fails their events with ErrManagerDown.
 //
+// # Read path
+//
 // Each connection's read loop, server and client, pulls frames through one
 // small buffered reader sized to the largest coalesced frame, so the header
 // and payload of a control frame — usually several control frames — arrive
 // in one Read. A payload larger than that buffer is read from the
 // connection straight into its pooled buffer, except a notification frame
-// on a client with a lander (Client.SetLander): that one is streamed
-// through wire.ReadNotificationBatch, and each Data the lander takes is
-// read from the connection straight into the slice it names — for the
-// Remote Library, the buffer of the inline read it completes.
+// on the client: that one is streamed through wire.ReadNotificationBatch,
+// and each Data NotifyHandler.Land takes is read from the connection
+// straight into the slice it names — for the Remote Library, the buffer of
+// the inline read it completes.
+//
+// The client has one goroutine per connection, its read loop. It matches
+// a response to its pending call and hands a notification to
+// NotifyHandler.Notify, in arrival order, before it reads the next frame;
+// when the connection goes, it calls NotifyHandler.Lost once, after the
+// last Notify. A response therefore never overtakes an earlier
+// notification, and the read loop never waits on a consumer.
+//
+// The handler's rule: nothing Land, Notify or Lost runs may wait on a frame
+// of its own connection — no Call, and no lock that is held across a
+// Call, a send or a socket write — because the read loop that would read
+// that frame is the one running the handler. The Remote Library keeps it:
+// its handler takes only short critical sections (its tag table's lock,
+// an event's lock, a command queue's lock in reuseFlightEvs, the shm
+// arena's lock, the flight recorder's, the tracer's and the logger's), and
+// none of those is held across a send, a Call or a socket write. A slow
+// handler delays every later frame of its connection, responses included.
 //
 // # Frame limits
 //
@@ -93,7 +114,7 @@
 //
 // Some method bodies end in optional fields that are not encoded when
 // zero: a Hello's weight, a CreateBuffer's content hash, a DeviceInfo's
-// reconfiguration time, a Flush's deadline, and the trace IDs (TraceID
+// reconfiguration time, and the trace IDs (TraceID
 // then SpanID) of a sampled command-queue request. Decoders probe the
 // remaining length. The transport moves them like any other payload
 // bytes.
@@ -114,14 +135,14 @@
 //     body moved to its front (unary bodies are a few fields). The caller
 //     releases that slice with wire.PutBuf after decoding (values decoded
 //     by aliasing must be dead or copied first).
-//   - Client.Notifications: each payload is a pooled buffer owned by the
-//     receiver (the Remote Library's connection thread), released with
-//     wire.PutBuf after the notifications in it — including any aliased
-//     Data — have been consumed. It is the frame itself, or, for a large
-//     notification frame on a client with a lander, the batch re-encoded
-//     without the Data the lander took: those notifications arrive with
-//     empty Data, their bytes already in the lander's slices, which the
-//     read loop wrote before it queued the payload and never touches again.
+//   - NotifyHandler.Notify: the payload stays the read loop's, which
+//     releases it once Notify returns; the handler copies whatever must
+//     outlive the call (the Remote Library copies read results into the
+//     caller's buffer inside Notify). It is the frame itself, or, for a
+//     notification frame larger than the read loop's buffer, the batch
+//     re-encoded without the Data Land took: those notifications arrive
+//     with empty Data, their bytes already in Land's slices, which the read
+//     loop wrote before the Notify call and never touches again.
 //   - Server handlers: the body passed to HandleRequest is a view of the
 //     request frame, which the server releases when the handler returns.
 //     A handler that needs the payload to outlive the request (the

@@ -14,16 +14,17 @@ import (
 
 // dialFaulty connects to addr with a FaultConn wrapped around the client
 // side of the connection.
-func dialFaulty(t *testing.T, addr string, f Faults) (*Client, *FaultConn) {
+func dialFaulty(t *testing.T, addr string, f Faults) (*Client, *FaultConn, *notes) {
 	t.Helper()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fc := InjectFaults(raw, f)
-	c := NewClient(fc)
+	q := newNotes()
+	c := NewClient(fc, q)
 	t.Cleanup(func() { c.Close() })
-	return c, fc
+	return c, fc, q
 }
 
 // TestCloseMidFrameFailsPendingWithManagerDown kills the connection in the
@@ -32,7 +33,7 @@ func dialFaulty(t *testing.T, addr string, f Faults) (*Client, *FaultConn) {
 // one-minute default call deadline), and later calls must fail fast too.
 func TestCloseMidFrameFailsPendingWithManagerDown(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, fc := dialFaulty(t, addr, Faults{})
+	c, fc, q := dialFaulty(t, addr, Faults{})
 
 	errCh := make(chan error, 1)
 	go func() {
@@ -55,8 +56,8 @@ func TestCloseMidFrameFailsPendingWithManagerDown(t *testing.T) {
 	if _, err := c.Call(1, []byte("after")); !errors.Is(err, ErrManagerDown) {
 		t.Fatalf("post-failure call error = %v, want ErrManagerDown", err)
 	}
-	if _, ok := <-c.Notifications(); ok {
-		t.Fatal("completion queue still open after connection loss")
+	if _, ok := <-q.ch; ok {
+		t.Fatal("the handler was not told the connection is lost")
 	}
 }
 
@@ -65,7 +66,7 @@ func TestCloseMidFrameFailsPendingWithManagerDown(t *testing.T) {
 // error — surfaces the loss.
 func TestDroppedWriteHitsCallDeadline(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, fc := dialFaulty(t, addr, Faults{})
+	c, fc, _ := dialFaulty(t, addr, Faults{})
 
 	fc.DropWrites(true)
 	start := time.Now()
@@ -123,10 +124,7 @@ func TestCallRetryRecoversFromDeadline(t *testing.T) {
 	}
 	defer s.Close()
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := dial(t, addr)
 	defer c.Close()
 
 	b := Backoff{Attempts: 3, Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Seed: 42}
@@ -147,7 +145,7 @@ func TestCallRetryRecoversFromDeadline(t *testing.T) {
 // dead manager: connection loss fails the call on the first attempt.
 func TestCallRetryFailsFastOnManagerDown(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, fc := dialFaulty(t, addr, Faults{})
+	c, fc, _ := dialFaulty(t, addr, Faults{})
 
 	fc.CloseMidFrame()
 	c.Send(96, []byte("x")) // kill the connection
@@ -179,7 +177,7 @@ func TestBackoffDeterministic(t *testing.T) {
 
 // TestServerWrapConnInjectsFaults exercises the server-side hook: a
 // manager-side mid-frame close during a notification push must drop the
-// client with ErrManagerDown and close its completion queue.
+// client with ErrManagerDown and tell its handler the connection is lost.
 func TestServerWrapConnInjectsFaults(t *testing.T) {
 	h := &echoHandler{}
 	s := NewServer(h)
@@ -199,10 +197,7 @@ func TestServerWrapConnInjectsFaults(t *testing.T) {
 	}
 	defer s.Close()
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, q := dial(t, addr)
 	defer c.Close()
 	resp, err := c.Call(1, []byte("warm"))
 	if err != nil {
@@ -225,11 +220,11 @@ func TestServerWrapConnInjectsFaults(t *testing.T) {
 		t.Fatal("call survived manager-side mid-frame close")
 	}
 	select {
-	case _, ok := <-c.Notifications():
+	case _, ok := <-q.ch:
 		if ok {
 			t.Fatal("got a notification from a truncated frame")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("completion queue did not close after manager-side failure")
+		t.Fatal("the handler was not told the connection is lost after manager-side failure")
 	}
 }

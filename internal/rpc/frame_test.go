@@ -114,10 +114,7 @@ func TestPreSessionGiantHeaderClosesConnection(t *testing.T) {
 func TestSessionLiftsFrameLimit(t *testing.T) {
 	_, _, addr := startHelloServer(t)
 
-	stranger, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stranger, _ := dial(t, addr)
 	defer stranger.Close()
 	atLimit := make([]byte, preSessionFrameMax-10) // 10 bytes of request header
 	resp, err := stranger.Call(2, atLimit)
@@ -130,10 +127,7 @@ func TestSessionLiftsFrameLimit(t *testing.T) {
 	}
 
 	// 8 MiB is past every pool class: the reader grows into it.
-	peer, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	peer, _ := dial(t, addr)
 	defer peer.Close()
 	if _, err := peer.Call(1); err != nil {
 		t.Fatal(err)
@@ -154,10 +148,7 @@ func TestSessionLiftsFrameLimit(t *testing.T) {
 // about what ten bytes cost.
 func TestPostSessionTruncatedGiantFrame(t *testing.T) {
 	h, _, addr := startHelloServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := dial(t, addr)
 	defer c.Close()
 	if _, err := c.Call(1); err != nil {
 		t.Fatal(err)
@@ -212,15 +203,16 @@ func TestReadFrameTruncation(t *testing.T) {
 }
 
 // A manager pushes notifications only as type-4 frames; type 3, like any
-// unknown type, poisons the client instead of reaching the completion queue.
+// unknown type, poisons the client instead of reaching its handler.
 func TestClientRejectsFrameType3(t *testing.T) {
 	srv, cli := net.Pipe()
 	defer srv.Close()
-	c := NewClient(cli)
+	q := newNotes()
+	c := NewClient(cli, q)
 	defer c.Close()
 	go srv.Write(append(frameHeader(3, 3), "abc"...))
-	if _, ok := <-c.Notifications(); ok {
-		t.Fatal("a type-3 frame reached the completion queue")
+	if _, ok := <-q.ch; ok {
+		t.Fatal("a type-3 frame reached the handler")
 	}
 	if _, err := c.Call(1); !errors.Is(err, ErrManagerDown) {
 		t.Fatalf("call after a type-3 frame: %v, want ErrManagerDown", err)

@@ -18,27 +18,39 @@ func notifyBatch(tag uint64, n int) []byte {
 	return e.Bytes()
 }
 
-// With a lander set, a warm 1 MiB notification lands its Data in the
-// lander's slice and reaches the completion queue as a heads-only payload:
-// the client takes no pooled buffer of the frame's size. A frame its
-// buffered reader holds whole keeps its Data and never asks the lander.
+// landNotes is notes with a lander; it also passes on the capacity of
+// each payload the read loop hands it.
+type landNotes struct {
+	*notes
+	land func(tag uint64, n int) []byte
+	caps chan int
+}
+
+func (h landNotes) Land(tag uint64, n int) []byte { return h.land(tag, n) }
+func (h landNotes) Notify(p []byte)               { h.caps <- cap(p); h.notes.Notify(p) }
+
+// A warm 1 MiB notification lands its Data in the lander's slice and
+// reaches the handler as a heads-only payload: the client takes no pooled
+// buffer of the frame's size. A frame its buffered reader holds whole
+// keeps its Data and never asks the lander.
 func TestLandedNotifyTakesNoLargeBuffer(t *testing.T) {
 	srv, cli := net.Pipe()
 	defer srv.Close()
-	c := NewClient(cli)
-	defer c.Close()
 	data := bytes.Repeat([]byte{0x3C, 0xA7}, 1<<19)
 	dst := make([]byte, len(data))
 	asked := 0
-	c.SetLander(func(tag uint64, n int) []byte {
+	const frames = 20
+	// caps holds one capacity per frame sent: frames large, one small.
+	h := landNotes{notes: newNotes(), caps: make(chan int, frames+1), land: func(tag uint64, n int) []byte {
 		asked++
 		if tag != 9 || n != len(data) {
 			t.Errorf("lander asked for tag %d, %d bytes", tag, n)
 			return nil
 		}
 		return dst
-	})
-	const frames = 20
+	}}
+	c := NewClient(cli, h)
+	defer c.Close()
 	small := []byte("small payload")
 	next := make(chan struct{})
 	go func() {
@@ -55,9 +67,9 @@ func TestLandedNotifyTakesNoLargeBuffer(t *testing.T) {
 	for i := range frames {
 		clear(dst)
 		next <- struct{}{}
-		payload := <-c.Notifications()
-		if cap(payload) >= 64<<10 {
-			t.Fatalf("frame %d: the client took a %d-byte buffer for a landed 1 MiB frame", i, cap(payload))
+		payload := <-h.ch
+		if size := <-h.caps; size >= 64<<10 {
+			t.Fatalf("frame %d: the client took a %d-byte buffer for a landed 1 MiB frame", i, size)
 		}
 		var b wire.OpNotificationBatch
 		d := wire.NewDecoder(payload)
@@ -68,15 +80,13 @@ func TestLandedNotifyTakesNoLargeBuffer(t *testing.T) {
 		if !bytes.Equal(dst, data) {
 			t.Fatalf("frame %d: landed bytes differ", i)
 		}
-		wire.PutBuf(payload)
 	}
-	payload := <-c.Notifications()
+	payload := <-h.ch
 	var b wire.OpNotificationBatch
 	b.Decode(wire.NewDecoder(payload))
 	if len(b.Notes) != 2 || !bytes.Equal(b.Notes[1].Data, small) {
 		t.Fatalf("small frame: notes %+v", b.Notes)
 	}
-	wire.PutBuf(payload)
 	if asked != frames {
 		t.Fatalf("lander asked %d times, want %d", asked, frames)
 	}

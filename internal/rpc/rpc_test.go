@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,34 @@ func (h *echoHandler) HandleRequest(c *Conn, method wire.Method, body []byte) ([
 	return append([]byte("echo:"), body...), nil
 }
 
+// notes is a test NotifyHandler: it copies each notification onto ch,
+// which Lost closes, and lands nothing. ch is deep enough for the bursts
+// these tests drain; a full one stalls the read loop, as any slow handler
+// does.
+type notes struct{ ch chan []byte }
+
+func newNotes() *notes { return &notes{ch: make(chan []byte, 1024)} }
+
+func (n *notes) Land(uint64, int) []byte { return nil }
+func (n *notes) Notify(p []byte)         { n.ch <- append([]byte(nil), p...) }
+func (n *notes) Lost()                   { close(n.ch) }
+
+// dial connects a client with a notes handler to addr.
+func dial(t testing.TB, addr string) (*Client, *notes) {
+	t.Helper()
+	n := newNotes()
+	return NewClient(dialTCP(t, addr), n), n
+}
+
+func dialTCP(t testing.TB, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
 func startServer(t *testing.T) (*Server, *echoHandler, string) {
 	t.Helper()
 	h := &echoHandler{}
@@ -74,10 +103,7 @@ func startServer(t *testing.T) (*Server, *echoHandler, string) {
 
 func TestUnaryCall(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := dial(t, addr)
 	defer c.Close()
 	resp, err := c.Call(1, []byte("hello"))
 	if err != nil {
@@ -90,7 +116,7 @@ func TestUnaryCall(t *testing.T) {
 
 func TestErrorResponseCarriesStatus(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, _ := Dial(addr)
+	c, _ := dial(t, addr)
 	defer c.Close()
 	_, err := c.Call(99, []byte("x"))
 	if !errors.Is(err, ocl.ErrInvalidOperation) {
@@ -104,13 +130,13 @@ func TestErrorResponseCarriesStatus(t *testing.T) {
 
 func TestNotificationsReachCompletionQueue(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, _ := Dial(addr)
+	c, q := dial(t, addr)
 	defer c.Close()
 	if _, err := c.Call(98, []byte("evt")); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case n := <-c.Notifications():
+	case n := <-q.ch:
 		if string(n) != "notify:evt" {
 			t.Fatalf("notification = %q", n)
 		}
@@ -121,7 +147,7 @@ func TestNotificationsReachCompletionQueue(t *testing.T) {
 
 func TestConcurrentCalls(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, _ := Dial(addr)
+	c, _ := dial(t, addr)
 	defer c.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -146,7 +172,7 @@ func TestFireAndForgetOrdering(t *testing.T) {
 	// Command-queue consistency depends on fire-and-forget requests being
 	// processed in send order.
 	_, h, addr := startServer(t)
-	c, _ := Dial(addr)
+	c, _ := dial(t, addr)
 	defer c.Close()
 	for i := byte(0); i < 50; i++ {
 		if err := c.Send(96, []byte{i}); err != nil {
@@ -172,7 +198,7 @@ func TestFireAndForgetOrdering(t *testing.T) {
 
 func TestLargePayloadRoundTrip(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, _ := Dial(addr)
+	c, _ := dial(t, addr)
 	defer c.Close()
 	big := make([]byte, 8<<20)
 	for i := range big {
@@ -189,7 +215,7 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 
 func TestClientCloseFailsPending(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, _ := Dial(addr)
+	c, q := dial(t, addr)
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Call(97, nil) // slow call
@@ -208,20 +234,20 @@ func TestClientCloseFailsPending(t *testing.T) {
 	if _, err := c.Call(1, nil); err == nil {
 		t.Fatal("call on closed client must fail")
 	}
-	// Completion queue closes.
+	// The handler is told the connection is lost.
 	select {
-	case _, ok := <-c.Notifications():
+	case _, ok := <-q.ch:
 		if ok {
 			t.Fatal("unexpected notification")
 		}
 	case <-time.After(time.Second):
-		t.Fatal("completion queue did not close")
+		t.Fatal("the handler was not told the connection is lost")
 	}
 }
 
 func TestServerCloseDropsClients(t *testing.T) {
 	s, h, addr := startServer(t)
-	c, _ := Dial(addr)
+	c, _ := dial(t, addr)
 	if _, err := c.Call(1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +266,7 @@ func TestServerCloseDropsClients(t *testing.T) {
 
 func TestCallTimeout(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, _ := Dial(addr)
+	c, _ := dial(t, addr)
 	defer c.Close()
 	c.CallTimeout = 5 * time.Millisecond
 	if _, err := c.Call(97, nil); err == nil {
@@ -272,15 +298,9 @@ func TestHandlerPanicClosesOnlyItsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	victim, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	victim, _ := dial(t, addr)
 	defer victim.Close()
-	bystander, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bystander, _ := dial(t, addr)
 	defer bystander.Close()
 
 	if _, err := victim.Call(95, []byte("boom")); err == nil {
@@ -289,10 +309,7 @@ func TestHandlerPanicClosesOnlyItsConnection(t *testing.T) {
 	if resp, err := bystander.Call(1, []byte("still")); err != nil || string(resp) != "echo:still" {
 		t.Fatalf("bystander after panic: %q, %v", resp, err)
 	}
-	late, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("dial after panic: %v", err)
-	}
+	late, _ := dial(t, addr)
 	defer late.Close()
 	if resp, err := late.Call(1, []byte("new")); err != nil || string(resp) != "echo:new" {
 		t.Fatalf("new connection after panic: %q, %v", resp, err)
@@ -324,7 +341,7 @@ func TestSessionState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, _ := Dial(addr)
+	c, _ := dial(t, addr)
 	defer c.Close()
 	if _, err := c.Call(1, nil); err != nil {
 		t.Fatal(err)
@@ -350,8 +367,8 @@ func (h *sessionHandler) HandleRequest(c *Conn, method wire.Method, body []byte)
 
 func TestNotificationBurstDelivery(t *testing.T) {
 	// The server pushes a large burst of notifications; all arrive in
-	// order through the completion queue even while the client is slow to
-	// drain (TCP backpressure, not drops).
+	// order through the handler even while it is slow to drain (TCP
+	// backpressure, not drops).
 	const burst = 5000
 	h := &burstHandler{n: burst}
 	s := NewServer(h)
@@ -361,7 +378,7 @@ func TestNotificationBurstDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, _ := Dial(addr)
+	c, q := dial(t, addr)
 	defer c.Close()
 	if err := c.Send(1); err != nil { // no response to queue behind the burst
 		t.Fatal(err)
@@ -370,7 +387,7 @@ func TestNotificationBurstDelivery(t *testing.T) {
 	deadline := time.After(10 * time.Second)
 	for got < burst {
 		select {
-		case note := <-c.Notifications():
+		case note := <-q.ch:
 			seq := binary.LittleEndian.Uint32(note)
 			if seq != got {
 				t.Fatalf("notification %d arrived out of order (want %d)", seq, got)
@@ -403,10 +420,9 @@ func (h *burstHandler) HandleRequest(c *Conn, method wire.Method, body []byte) (
 }
 
 func TestNotifyDuringCloseDoesNotPanic(t *testing.T) {
-	// Regression: fail() used to close the completion queue while readLoop
-	// could still be pushing a freshly read notification into it, panicking
-	// with "send on closed channel". Hammer the race: a server that streams
-	// notifications nonstop while the client tears down mid-stream.
+	// A server streams notifications nonstop while the client closes
+	// mid-stream, fifty times: the client must not panic, and its handler
+	// must be told the connection is lost.
 	const rounds = 50
 	h := &burstHandler{n: 100000}
 	s := NewServer(h)
@@ -417,25 +433,22 @@ func TestNotifyDuringCloseDoesNotPanic(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < rounds; i++ {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c, q := dial(t, addr)
 		if err := c.Send(1); err != nil { // no response to queue behind the burst
 			t.Fatal(err)
 		}
 		// Drain a few, then close while the server is mid-burst.
 		for j := 0; j < 3; j++ {
-			<-c.Notifications()
+			<-q.ch
 		}
 		c.Close()
-		// The queue must close out even with frames still arriving.
+		// The handler must be told even with frames still arriving.
 		deadline := time.After(5 * time.Second)
 		for open := true; open; {
 			select {
-			case _, open = <-c.Notifications():
+			case _, open = <-q.ch:
 			case <-deadline:
-				t.Fatal("completion queue did not close after Close")
+				t.Fatal("the handler was not told the connection is lost after Close")
 			}
 		}
 	}
@@ -446,10 +459,7 @@ func TestSendFailsPromptlyAfterClose(t *testing.T) {
 	// closed check could block in the write or surface a bare network
 	// error. After Close it must return the close cause, promptly.
 	_, _, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := dial(t, addr)
 	c.Close()
 	start := time.Now()
 	if err := c.Send(96, []byte("x")); !errors.Is(err, ErrClosed) {
@@ -468,10 +478,7 @@ func TestConcurrentSendsRacingClose(t *testing.T) {
 	// a transport error — never hang on a leaked pending entry.
 	for round := 0; round < 20; round++ {
 		_, _, addr := startServer(t)
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c, _ := dial(t, addr)
 		var wg sync.WaitGroup
 		done := make(chan struct{})
 		for i := 0; i < 8; i++ {

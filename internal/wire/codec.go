@@ -114,7 +114,7 @@ type Decoder struct {
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
 // Reset rewinds the decoder onto a new buffer, clearing any sticky error.
-// Hot loops (the connection thread draining notification batches) reuse
+// Hot loops (the client read loop decoding notification batches) reuse
 // one decoder this way instead of allocating per payload.
 func (d *Decoder) Reset(buf []byte) {
 	d.buf = buf

@@ -711,8 +711,8 @@ func (m *OpNotification) EncodeHead(e *Encoder) {
 }
 
 // Decode deserializes the message. Data aliases the decode buffer; the
-// remote library's connection thread copies read results into their
-// destinations before releasing the frame (unless ReadNotificationBatch
+// remote library copies read results into their destinations before the
+// read loop releases the frame (unless ReadNotificationBatch
 // already landed them there, and Data is empty).
 func (m *OpNotification) Decode(d *Decoder) {
 	m.Tag = d.U64()
