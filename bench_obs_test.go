@@ -317,8 +317,8 @@ func TestBenchObsArtifact(t *testing.T) {
 			ck := cli.Alloc(0)
 			mk := mgr.Alloc(0)
 			mgr.Record(mk, flightrec.Event{Kind: flightrec.KindBufferHit})
-			mgr.CompleteWith(mk, "bench", mgrBatch, 3*time.Millisecond, false, "")
-			cli.CompleteWith(ck, "bench", cliBatch, 4*time.Millisecond, false, "")
+			mgr.CompleteWith(mk, "bench", mgrBatch, time.Time{}, 3*time.Millisecond, false, "")
+			cli.CompleteWith(ck, "bench", cliBatch, time.Time{}, 4*time.Millisecond, false, "")
 		}
 	})
 

@@ -209,15 +209,15 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	})
 	b.Run("sampled-0pct", func(b *testing.B) {
 		benchWriteReadTraced(b, remote.TransportGRPC, 4<<10,
-			obs.New(obs.Config{Component: "library", SampleRate: 0}))
+			obs.New(0))
 	})
 	b.Run("sampled-1pct", func(b *testing.B) {
 		benchWriteReadTraced(b, remote.TransportGRPC, 4<<10,
-			obs.New(obs.Config{Component: "library", SampleRate: 0.01}))
+			obs.New(0.01))
 	})
 	b.Run("sampled-100pct", func(b *testing.B) {
 		benchWriteReadTraced(b, remote.TransportGRPC, 4<<10,
-			obs.New(obs.Config{Component: "library", SampleRate: 1}))
+			obs.New(1))
 	})
 }
 

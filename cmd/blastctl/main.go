@@ -65,9 +65,9 @@ func main() {
 	case "trace":
 		id := flag.Arg(1)
 		if id == "" {
-			log.Fatal("blastctl: trace needs a trace id (the hex form printed in span dumps)")
+			log.Fatal("blastctl: trace needs a trace id (hex; `blastctl slo` and `explain` print them)")
 		}
-		showTrace(*gatewayURL, *managerURL, id)
+		showTrace(os.Stdout, dedup(*gatewayURL, *managerURL), id)
 	case "explain":
 		showExplain(bases, flag.Args()[1:])
 	case "logs":
@@ -648,104 +648,94 @@ func utilBar(frac float64, width int) string {
 	return "[" + strings.Repeat("|", full) + strings.Repeat(" ", width-full) + "]"
 }
 
-// span mirrors obs.Span's JSON form.
-type span struct {
-	Trace      string    `json:"trace"`
-	ID         string    `json:"id"`
-	Parent     string    `json:"parent"`
-	Component  string    `json:"component"`
-	Stage      string    `json:"stage"`
-	Note       string    `json:"note"`
-	Start      time.Time `json:"start"`
-	DurationNS int64     `json:"duration_ns"`
-}
-
-// showTrace fetches one trace's spans from the gateway's and the
-// manager's span rings and renders the merged timeline: the latency
-// decomposition of a single accelerated call across the Remote Library
-// and the Device Manager.
-func showTrace(gatewayBase, managerBase, id string) {
-	if _, err := strconv.ParseUint(id, 16, 64); err != nil {
-		log.Fatalf("blastctl: trace id %q: want the hex form printed in span dumps", id)
+// showTrace fetches one trace's flights from each base's
+// /debug/flight?trace= (the gateway serves the Remote Library's, a manager
+// its own) and renders their milestones on one timeline: the latency
+// decomposition of a single accelerated call across the library and the
+// Device Manager. A milestone starts Dur before its Time.
+func showTrace(out io.Writer, bases []string, id string) {
+	trace, err := obs.ParseTraceID(id)
+	if err != nil {
+		log.Fatalf("blastctl: %v (want the hex form blastctl prints)", err)
 	}
-	spanBases := dedup(gatewayBase, managerBase)
-	parts := make([][]span, len(spanBases))
-	headers := make([]http.Header, len(spanBases))
-	errs := make([]error, len(spanBases))
-	forEachBase(spanBases, func(i int, base string) {
-		headers[i], errs[i] = fetchHeaders(base+"/debug/spans?trace="+id, &parts[i])
+	snaps := make([]flightrec.Snapshot, len(bases))
+	errs := make([]error, len(bases))
+	forEachBase(bases, func(i int, base string) {
+		errs[i] = fetch(base+"/debug/flight?trace="+trace.String(), &snaps[i])
 	})
-	var spans []span
-	sources, evicted := 0, 0
-	evictedExact := true
-	for i := range spanBases {
+	type row struct {
+		proc string
+		ev   flightrec.Event
+	}
+	var rows []row
+	sources := 0
+	for i, snap := range snaps {
 		if errs[i] != nil {
 			fmt.Fprintf(os.Stderr, "blastctl: warning: %v (timeline may be partial)\n", errs[i])
 			continue
 		}
 		sources++
-		spans = append(spans, parts[i]...)
-		// Rings annotate evictions in headers so the JSON body keeps its
-		// plain []span shape for older consumers.
-		if n, err := strconv.Atoi(headers[i].Get("X-Spans-Evicted")); err == nil && n > 0 {
-			evicted += n
-			if headers[i].Get("X-Spans-Evicted-Exact") == "false" {
-				evictedExact = false
+		if len(snap.Flights) == 0 && snap.Evicted > 0 {
+			fmt.Fprintf(os.Stderr, "blastctl: warning: %s holds no flight for the trace and has evicted %d, timeline partial\n", snap.Process, snap.Evicted)
+		}
+		for _, f := range snap.Flights {
+			if f.Dropped > 0 {
+				fmt.Fprintf(os.Stderr, "blastctl: warning: %s dropped %d milestones, timeline partial\n", snap.Process, f.Dropped)
+			}
+			for _, ev := range f.Events {
+				rows = append(rows, row{snap.Process, ev})
 			}
 		}
 	}
-	if evicted > 0 {
-		qualifier := ""
-		if !evictedExact {
-			qualifier = "at least "
-		}
-		fmt.Fprintf(os.Stderr, "blastctl: warning: %s%d spans evicted, timeline partial\n", qualifier, evicted)
-	}
 	if sources == 0 {
-		log.Fatal("blastctl: no span source reachable (tried the gateway's and the manager's /debug/spans)")
+		log.Fatal("blastctl: no flight source reachable (tried the gateway's and the manager's /debug/flight)")
 	}
-	if len(spans) == 0 {
-		log.Fatalf("blastctl: no spans recorded for trace %s (sampling on, and recent enough for the span rings?)", id)
+	if len(rows) == 0 {
+		log.Fatalf("blastctl: no flight recorded for trace %s (sampling on, and recent enough for the flight rings?)", id)
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
-	t0 := spans[0].Start
+	start := func(ev flightrec.Event) time.Time { return ev.Time.Add(-ev.Dur) }
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if sa, sb := start(a.ev), start(b.ev); !sa.Equal(sb) {
+			return sa.Before(sb)
+		}
+		if a.proc != b.proc {
+			return a.proc < b.proc
+		}
+		return a.ev.Seq < b.ev.Seq
+	})
+	t0 := start(rows[0].ev)
 	t1 := t0
-	for _, s := range spans {
-		if end := s.Start.Add(time.Duration(s.DurationNS)); end.After(t1) {
-			t1 = end
+	for _, r := range rows {
+		if r.ev.Time.After(t1) {
+			t1 = r.ev.Time
 		}
 	}
 	total := t1.Sub(t0)
 	if total <= 0 {
 		total = time.Nanosecond
 	}
-	fmt.Printf("trace %s: %d spans, %.3f ms end to end\n", id, len(spans), float64(total)/1e6)
+	fmt.Fprintf(out, "trace %s: %d milestones from %d processes, %.3f ms end to end\n", trace, len(rows), sources, float64(total)/1e6)
 	const width = 40
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "COMPONENT\tSTAGE\tNOTE\tSTART_MS\tDUR_MS\tTIMELINE")
-	for _, s := range spans {
-		off := s.Start.Sub(t0)
-		dur := time.Duration(s.DurationNS)
-		lead := int(float64(off) / float64(total) * width)
-		if lead > width-1 {
-			lead = width - 1
-		}
-		bar := int(float64(dur) / float64(total) * width)
-		if bar < 1 {
-			bar = 1
-		}
-		if lead+bar > width {
-			bar = width - lead
-		}
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "PROCESS\tMILESTONE\tDETAIL\tSTART_MS\tDUR_MS\tTIMELINE")
+	for _, r := range rows {
+		off := start(r.ev).Sub(t0)
+		lead := min(int(float64(off)/float64(total)*width), width-1)
+		bar := min(max(int(float64(r.ev.Dur)/float64(total)*width), 1), width-lead)
 		line := strings.Repeat(".", lead) + strings.Repeat("#", bar) + strings.Repeat(".", width-lead-bar)
+		detail := r.ev.Detail
+		if r.ev.Count > 1 {
+			detail += fmt.Sprintf(" x%d", r.ev.Count)
+		}
 		fmt.Fprintf(w, "%s\t%s\t%s\t%.3f\t%.3f\t%s\n",
-			s.Component, s.Stage, s.Note, float64(off)/1e6, float64(dur)/1e6, line)
+			r.proc, r.ev.Kind, detail, float64(off)/1e6, float64(r.ev.Dur)/1e6, line)
 	}
 	w.Flush()
 }
 
 // showExplain runs the cross-signal postmortem engine: it fetches flight
-// events, spans, log rings, alerts, SLO reports and flash state from
+// events, log rings, alerts, SLO reports and flash state from
 // every reachable process, merges one causal timeline, and renders the
 // wait breakdown with a dominant-contributor verdict.
 func showExplain(bases []string, args []string) {
@@ -754,7 +744,7 @@ func showExplain(bases []string, args []string) {
 	fs.Parse(args)
 	id := fs.Arg(0)
 	if id == "" {
-		log.Fatal("blastctl: explain needs a trace id (hex; `blastctl slo` and span dumps print them)")
+		log.Fatal("blastctl: explain needs a trace id (hex; `blastctl slo` prints them)")
 	}
 	trace, err := obs.ParseTraceID(id)
 	if err != nil {
@@ -865,25 +855,6 @@ func fetch(url string, v any) error {
 		return fmt.Errorf("decoding %s: %v", url, err)
 	}
 	return nil
-}
-
-// fetchHeaders is fetch plus the response headers, for endpoints that
-// annotate their JSON body through headers (/debug/spans?trace= reports
-// ring evictions in X-Spans-Evicted).
-func fetchHeaders(url string, v any) (http.Header, error) {
-	resp, err := httpClient.Get(url)
-	if err != nil {
-		return nil, fmt.Errorf("fetching %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return resp.Header, fmt.Errorf("%s answered %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return resp.Header, fmt.Errorf("decoding %s: %v", url, err)
-	}
-	return resp.Header, nil
 }
 
 // mustFetch is fetch for the single-source commands: any failure is

@@ -28,6 +28,18 @@ var managerJSON = map[string]string{
 		"history":{"fpga-B":[
 			{"id":1,"board":"fpga-B","bitstream":"mm","requester":"mm-1-1","state":"done","queued":"2026-01-02T11:59:00Z","wait_seconds":0.5,"flash_seconds":1.25,"drained_sessions":2},
 			{"id":2,"board":"fpga-B","bitstream":"cnn","requester":"cnn-1-1","state":"failed","queued":"2026-01-02T11:59:30Z","error":"bitstream rejected"}]}}`,
+	// A sampled 3-op task's manager flight, as /debug/flight?trace= serves it.
+	"/debug/flight": `{"process":"manager/fpga-B","evicted":0,"spilled":0,"flights":[
+		{"trace":"00000000000000aa","tenant":"sobel-1-1","events":[
+			{"kind":"enqueued","time":"2026-01-02T12:00:00.0003Z","detail":"3 ops","depth":1,"pos":1,"seq":11},
+			{"kind":"scheduled","time":"2026-01-02T12:00:00.0008Z","dur_ns":500000,"detail":"fifo","seq":12},
+			{"kind":"upload","time":"2026-01-02T12:00:00.001Z","dur_ns":200000,"detail":"device-write","seq":13},
+			{"kind":"op","time":"2026-01-02T12:00:00.00085Z","dur_ns":50000,"detail":"write","seq":14},
+			{"kind":"op","time":"2026-01-02T12:00:00.00095Z","dur_ns":100000,"detail":"kernel","seq":15},
+			{"kind":"op","time":"2026-01-02T12:00:00.00105Z","dur_ns":100000,"detail":"read","seq":16},
+			{"kind":"execute","time":"2026-01-02T12:00:00.0028Z","dur_ns":2000000,"detail":"3 ops","ops":3,"device_ns":1500000,"seq":17},
+			{"kind":"notify","time":"2026-01-02T12:00:00.0029Z","dur_ns":100000,"seq":18},
+			{"kind":"complete","time":"2026-01-02T12:00:00.00295Z","dur_ns":2650000,"seq":19}]}]}`,
 	"/debug/cache": `{"device":"fpga-B","node":"B",
 		"buffer_cache":{"entries":3,"resident_bytes":3145728,"hits":12,"misses":3,"bytes_saved":12582912,"evictions":1},
 		"copy_ops":4,"copy_bytes":8192}`,
@@ -69,6 +81,12 @@ var gatewayJSON = map[string]string{
 		"tenants":[
 			{"tenant":"acme","rate":50,"priority":1,"admitted":110,"rejected":10},
 			{"tenant":"quiet","rate":5,"priority":0,"admitted":40,"rejected":0}]}`,
+	// The same task's Remote Library flight, served by the gateway that
+	// dialled the library.
+	"/debug/flight": `{"process":"gateway","evicted":3,"spilled":0,"flights":[
+		{"trace":"00000000000000aa","tenant":"sobel-1-1","events":[
+			{"kind":"upload","time":"2026-01-02T12:00:00.0001Z","dur_ns":40000,"detail":"wire-send","seq":4},
+			{"kind":"complete","time":"2026-01-02T12:00:00.0032Z","dur_ns":3200000,"seq":5}]}]}`,
 }
 
 func serveJSON(t *testing.T, routes map[string]string) string {
@@ -97,6 +115,7 @@ func TestRenderersGolden(t *testing.T) {
 		{"devices", func(out *bytes.Buffer) { showDevices(out, reg) }},
 		{"functions", func(out *bytes.Buffer) { showFunctions(out, reg) }},
 		{"traces", func(out *bytes.Buffer) { showTraces(out, mgr) }},
+		{"trace", func(out *bytes.Buffer) { showTrace(out, []string{gw, mgr}, "00000000000000aa") }},
 		{"tenants", func(out *bytes.Buffer) { showTenants(out, mgr) }},
 		{"flash_list", func(out *bytes.Buffer) { showFlash(out, []string{reg, mgr}, []string{"list"}) }},
 		{"flash_status", func(out *bytes.Buffer) { showFlash(out, []string{reg, mgr}, []string{"status"}) }},

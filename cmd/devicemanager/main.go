@@ -39,7 +39,6 @@ func main() {
 		schedFlag    = flag.String("sched", "fifo", fmt.Sprintf("central-queue discipline, one of %v", sched.Disciplines))
 		weights      = flag.String("weights", "", "per-tenant drr weights as name=w,name=w (overrides Hello-declared weights)")
 		guard        = flag.Duration("starvation-guard", 0, "drr starvation guard: max queue wait before a tenant is served out of turn (0 = default 2s, negative disables)")
-		traceRing    = flag.Int("trace-ring", 0, "distributed-tracing span ring size served at /debug/spans (0 = default 4096)")
 		bufCache     = flag.Int64("buffer-cache-bytes", 0, "content-addressed buffer cache capacity (0 = default 256 MiB, negative disables)")
 		flashHist    = flag.String("flash-history", "", "append-only JSONL file persisting the bitstream flash history across restarts")
 		flightRing   = flag.Int("flight-ring", 0, "flight-recorder ring size served at /debug/flight (0 = default 1024)")
@@ -72,7 +71,6 @@ func main() {
 		Scheduler:        *schedFlag,
 		TenantWeights:    weightTable,
 		StarvationGuard:  *guard,
-		TraceRing:        *traceRing,
 		Log:              p.Log,
 		BufferCacheBytes: *bufCache,
 		FlashHistoryPath: *flashHist,
@@ -96,7 +94,6 @@ func main() {
 
 	p.Mux.Handle("/metrics", mgr.MetricsHandler())
 	p.Mux.Handle("/debug/tasks", mgr.TraceHandler())
-	p.Mux.Handle("/debug/spans", mgr.SpanHandler())
 	p.Mux.Handle("/debug/sched", mgr.SchedStatsHandler())
 	p.Mux.Handle("/debug/cache", mgr.CacheStatsHandler())
 	p.Mux.Handle("/debug/flash", mgr.Flash().Handler())

@@ -85,7 +85,7 @@ func main() {
 	)
 	listen := flag.String("listen", "127.0.0.1:8081", "gateway HTTP listen address")
 	flag.DurationVar(&mon.Grace, "grace", 30*time.Second, "unhealthy-device grace window before instances are migrated (0 disables)")
-	traceSample := flag.Float64("trace-sample", 0, "distributed-tracing sample rate 0..1 (0 disables; spans served at /debug/spans)")
+	traceSample := flag.Float64("trace-sample", 0, "distributed-tracing sample rate 0..1 (0 disables; sampled flights served at /debug/flight?trace=)")
 	routerName := flag.String("router", gateway.RouterRoundRobin, "routing policy: "+strings.Join(gateway.RouterNames, "|"))
 	flightRing := flag.Int("flight-ring", 0, "flight-recorder ring size, front-door and library flights together, served at /debug/flight (0 = default 1024)")
 	flightLedger := flag.String("flight-ledger", "", "durable JSONL spill file for notable front-door and library flights")
@@ -167,12 +167,11 @@ func main() {
 		p.Log.Info("admission control enabled", "specs", strings.Join(admissions, " "))
 	}
 	// One shared tracer for every function instance in this process: the
-	// Remote Library samples traces at the configured rate and the spans
-	// are served from the gateway's /debug/spans.
+	// Remote Library samples tasks at the configured rate, and a sampled
+	// task's flight here and on its manager share the trace ID.
 	var tracer *obs.Tracer
 	if *traceSample > 0 {
-		tracer = obs.New(obs.Config{Component: "library", SampleRate: *traceSample})
-		gw.Tracer = tracer
+		tracer = obs.New(*traceSample)
 	}
 	go gw.Run(p.Context())
 

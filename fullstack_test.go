@@ -33,6 +33,7 @@ type stack struct {
 	cl      *cluster.Cluster
 	reg     *registry.Registry
 	gw      *gateway.Gateway
+	tracer  *obs.Tracer
 	gwSrv   *httptest.Server
 	scraper *metrics.Scraper
 	db      *metrics.TSDB
@@ -88,20 +89,30 @@ func newStack(t *testing.T) *stack {
 	go ctrl.Run(ctx)
 	gw := gateway.New(cl)
 	gw.Log = logx.NewLogf("gateway", t.Logf)
-	// As in cmd/gateway: one flight recorder and one tracer for the
-	// process, shared by the front door and every Remote Library it dials.
+	// As in cmd/gateway: one flight recorder for the process, shared by
+	// the front door and every Remote Library it dials, and one tracer
+	// the libraries sample with.
 	gw.Flight = flightrec.New(flightrec.Config{Process: "gateway"})
 	t.Cleanup(gw.Flight.Close)
-	gw.Tracer = obs.New(obs.Config{Component: "library", SampleRate: 1})
-	go gw.Run(ctx)
+	// Run closes the instances' endpoints, and with them their libraries
+	// and shared-memory segments, once ctx ends: the test waits for it.
+	ran := make(chan struct{})
+	go func() {
+		gw.Run(ctx)
+		close(ran)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-ran
+	})
 	gwSrv := httptest.NewServer(gw.Handler())
 	t.Cleanup(gwSrv.Close)
 
-	return &stack{tb: tb, cl: cl, reg: reg, gw: gw, gwSrv: gwSrv, scraper: scraper, db: db, cancel: cancel}
+	return &stack{tb: tb, cl: cl, reg: reg, gw: gw, tracer: obs.New(1), gwSrv: gwSrv, scraper: scraper, db: db, cancel: cancel}
 }
 
 // dial connects an instance's Remote Library to its allocated manager,
-// recording into the gateway's recorder and tracer.
+// recording into the gateway's recorder and sampling every task.
 func (s *stack) dial(in cluster.Instance) (*remote.Client, error) {
 	addr := in.Env[registry.EnvManagerAddr]
 	if addr == "" {
@@ -109,7 +120,7 @@ func (s *stack) dial(in cluster.Instance) (*remote.Client, error) {
 	}
 	return remote.Dial(remote.Config{
 		ClientName: in.Name, Managers: []string{addr}, Transport: remote.TransportAuto,
-		Tracer: s.gw.Tracer, Flight: s.gw.Flight,
+		Tracer: s.tracer, Flight: s.gw.Flight,
 	})
 }
 
@@ -240,13 +251,13 @@ func TestFullStackGatewayServesLibraryFlights(t *testing.T) {
 		t.Fatalf("sobel-1: %s", rep.Error)
 	}
 	var trace obs.TraceID
-	for _, sp := range s.gw.Tracer.Spans() {
-		if sp.Stage == "task" {
-			trace = sp.Trace
+	for _, f := range s.gw.Flight.Snapshot().Flights {
+		if !f.Synthetic {
+			trace = f.Trace
 		}
 	}
 	if trace == 0 {
-		t.Fatal("the request's task left no sampled task span")
+		t.Fatal("the request's task left no sampled flight")
 	}
 	resp, err := s.gwSrv.Client().Get(s.gwSrv.URL + "/debug/flight?trace=" + trace.String())
 	if err != nil {

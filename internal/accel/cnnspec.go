@@ -136,21 +136,6 @@ func (s *CNNSpec) KernelLaunches() int {
 	return 3 * len(s.Layers)
 }
 
-// TaskFlushes returns the number of command-queue flushes the PipeCNN host
-// code performs per inference: conv layers split work across two queues
-// (movers+conv, then writer), pool and FC layers flush once.
-func (s *CNNSpec) TaskFlushes() int {
-	n := 0
-	for _, l := range s.Layers {
-		if l.Kind == LayerConv {
-			n += 2
-		} else {
-			n++
-		}
-	}
-	return n
-}
-
 // AlexNet returns the paper's AlexNet configuration as synthesized for
 // PipeCNN: five convolution stages (conv2, conv4, conv5 grouped as in the
 // original network), three max-pool stages and three fully-connected

@@ -42,6 +42,6 @@ func BenchmarkLifecycleBatched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key := rec.Begin(0, "bench")
 		rec.Record(key, Event{Kind: KindBufferMiss})
-		rec.CompleteWith(key, "bench", batch, 3*time.Millisecond, false, "")
+		rec.CompleteWith(key, "bench", batch, time.Time{}, 3*time.Millisecond, false, "")
 	}
 }

@@ -1,7 +1,7 @@
 package flightrec
 
 // The postmortem engine: given a trace ID, pull every signal the stack
-// produces — flight skeletons, sampled spans, trace-correlated logs,
+// produces — flight skeletons, trace-correlated logs,
 // alert states, SLO burn reports, flash history — from every reachable
 // process concurrently, merge them into one causal timeline, attribute
 // the end-to-end latency to wait-breakdown stages (admission, queue,
@@ -12,6 +12,7 @@ package flightrec
 // to the pprof snapshots while the incident is still live.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -49,11 +49,13 @@ type Source struct {
 	Base    string `json:"base"`
 	Process string `json:"process,omitempty"`
 	Flights int    `json:"flights"`
-	Spans   int    `json:"spans"`
 	Logs    int    `json:"logs"`
-	// SpansEvicted is the process's report of spans for this trace that
-	// its ring already overwrote (X-Spans-Evicted).
-	SpansEvicted int `json:"spans_evicted,omitempty"`
+	// Partial says why the process's part of the timeline is incomplete:
+	// its /debug/flight answered without a flight for the trace although
+	// its ring has evicted flights (so the flight may be one of them, not
+	// spilled to the ledger; a process that evicted none never held it),
+	// or its flight dropped milestones past the per-flight cap.
+	Partial string `json:"partial,omitempty"`
 	// Err marks an unreachable process; the timeline is partial.
 	Err string `json:"err,omitempty"`
 }
@@ -62,7 +64,7 @@ type Source struct {
 type TimelineEntry struct {
 	Time    time.Time `json:"time"`
 	Process string    `json:"process"`
-	// Origin is the signal the entry came from: "flight", "span", "log".
+	// Origin is the signal the entry came from: "flight" or "log".
 	Origin string        `json:"origin"`
 	Text   string        `json:"text"`
 	Dur    time.Duration `json:"dur_ns,omitempty"`
@@ -71,12 +73,9 @@ type TimelineEntry struct {
 
 // Postmortem is the full cross-signal explanation of one trace.
 type Postmortem struct {
-	Trace   obs.TraceID `json:"trace"`
-	Sources []Source    `json:"sources"`
-	// SpansEvicted totals ring evictions for this trace across processes;
-	// when non-zero the span timeline is explicitly partial.
-	SpansEvicted int             `json:"spans_evicted,omitempty"`
-	Timeline     []TimelineEntry `json:"timeline"`
+	Trace    obs.TraceID     `json:"trace"`
+	Sources  []Source        `json:"sources"`
+	Timeline []TimelineEntry `json:"timeline"`
 	// Total is the client-observed end-to-end latency (the longest
 	// terminal flight milestone across processes).
 	Total        time.Duration `json:"total_ns"`
@@ -112,7 +111,6 @@ type procFlight struct {
 type baseResult struct {
 	src     Source
 	flights []procFlight
-	spans   []obs.Span
 	logs    []logx.Event
 	alerts  []alert.Status
 	reports []slo.Report
@@ -161,18 +159,17 @@ func (e *Explainer) fetchBase(base string, trace obs.TraceID) baseResult {
 	if _, err := e.getJSON(base+"/debug/flight?trace="+trace.String(), &snap); err == nil {
 		hits++
 		res.src.Process = snap.Process
+		dropped := 0
 		for _, f := range snap.Flights {
 			res.flights = append(res.flights, procFlight{proc: snap.Process, flight: f})
+			dropped += f.Dropped
 		}
 		res.src.Flights = len(snap.Flights)
-	}
-	if resp, err := e.getJSON(base+"/debug/spans?trace="+trace.String(), &res.spans); err == nil {
-		hits++
-		res.src.Spans = len(res.spans)
-		if s := resp.Header.Get("X-Spans-Evicted"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil {
-				res.src.SpansEvicted = n
-			}
+		switch {
+		case len(snap.Flights) == 0 && snap.Evicted > 0:
+			res.src.Partial = fmt.Sprintf("holds no flight for the trace and has evicted %d", snap.Evicted)
+		case dropped > 0:
+			res.src.Partial = fmt.Sprintf("dropped %d milestones past the per-flight cap", dropped)
 		}
 	}
 	if _, err := e.getJSON(base+"/debug/logs?trace="+trace.String(), &res.logs); err == nil {
@@ -219,16 +216,13 @@ func (e *Explainer) Explain(trace obs.TraceID) (*Postmortem, error) {
 
 	pm := &Postmortem{Trace: trace}
 	var flights []procFlight
-	var spans []obs.Span
 	var logs []logx.Event
 	var flashDocs []*flashDoc
 	seenAlert := map[string]bool{}
 	seenSLO := map[string]bool{}
 	for _, res := range results {
 		pm.Sources = append(pm.Sources, res.src)
-		pm.SpansEvicted += res.src.SpansEvicted
 		flights = append(flights, res.flights...)
-		spans = append(spans, res.spans...)
 		logs = append(logs, res.logs...)
 		if res.flash != nil {
 			flashDocs = append(flashDocs, res.flash)
@@ -257,11 +251,11 @@ func (e *Explainer) Explain(trace obs.TraceID) (*Postmortem, error) {
 			}
 		}
 	}
-	if len(flights) == 0 && len(spans) == 0 && len(logs) == 0 {
+	if len(flights) == 0 && len(logs) == 0 {
 		return pm, fmt.Errorf("explain: no process holds signals for trace %s", trace)
 	}
 
-	pm.Timeline = buildTimeline(flights, spans, logs)
+	pm.Timeline = buildTimeline(flights, logs)
 	attribute(pm, flights)
 	correlateFlash(pm, flights, flashDocs)
 	return pm, nil
@@ -280,10 +274,10 @@ func dedupeBases(in []string) []string {
 	return out
 }
 
-// buildTimeline merges flight events, spans, and log lines into one
-// time-ordered causal timeline. Ties break on process name then sequence
-// — the same determinism contract logx.Merge gives interleaved rings.
-func buildTimeline(flights []procFlight, spans []obs.Span, logs []logx.Event) []TimelineEntry {
+// buildTimeline merges flight events and log lines into one time-ordered
+// causal timeline. Ties break on process name then sequence — the same
+// determinism contract logx.Merge gives interleaved rings.
+func buildTimeline(flights []procFlight, logs []logx.Event) []TimelineEntry {
 	var tl []TimelineEntry
 	for _, pf := range flights {
 		for _, ev := range pf.flight.Events {
@@ -299,13 +293,6 @@ func buildTimeline(flights []procFlight, spans []obs.Span, logs []logx.Event) []
 			}
 			tl = append(tl, TimelineEntry{Time: ev.Time, Process: pf.proc, Origin: "flight", Text: text, Dur: ev.Dur, Seq: ev.Seq})
 		}
-	}
-	for _, sp := range spans {
-		text := sp.Stage
-		if sp.Note != "" {
-			text += " (" + sp.Note + ")"
-		}
-		tl = append(tl, TimelineEntry{Time: sp.Start, Process: sp.Component, Origin: "span", Text: text, Dur: sp.Duration, Seq: uint64(sp.ID)})
 	}
 	for _, ev := range logs {
 		proc := ev.Proc
@@ -377,9 +364,6 @@ func attribute(pm *Postmortem, flights []procFlight) {
 		}
 		if pf.flight.Notable != "" {
 			evidence = append(evidence, fmt.Sprintf("%s flagged the flight notable: %s", pf.proc, pf.flight.Notable))
-		}
-		if pf.flight.Dropped > 0 {
-			evidence = append(evidence, fmt.Sprintf("%s dropped %d milestones past the per-flight cap", pf.proc, pf.flight.Dropped))
 		}
 	}
 	// The execute loop wall-clocks its own device writes; keep the stages
@@ -481,10 +465,12 @@ func (pm *Postmortem) Render(w io.Writer) {
 		if name == "" {
 			name = s.Base
 		}
-		fmt.Fprintf(w, "  %-28s %d flight(s), %d span(s), %d log line(s)\n", name, s.Flights, s.Spans, s.Logs)
+		fmt.Fprintf(w, "  %-28s %d flight(s), %d log line(s)\n", name, s.Flights, s.Logs)
 	}
-	if pm.SpansEvicted > 0 {
-		fmt.Fprintf(w, "WARNING: %d spans evicted, timeline partial\n", pm.SpansEvicted)
+	for _, s := range pm.Sources {
+		if s.Partial != "" {
+			fmt.Fprintf(w, "WARNING: %s %s, timeline partial\n", cmp.Or(s.Process, s.Base), s.Partial)
+		}
 	}
 
 	if len(pm.Timeline) > 0 {

@@ -1,12 +1,15 @@
 // Package flightrec is BlastFunction's task flight recorder: a
-// per-process, always-on, bounded journal of task-lifecycle milestones.
-// Where internal/obs records sampled spans (rich but probabilistic) and
-// internal/logx records discrete events, the flight recorder guarantees
-// that EVERY task leaves a compact skeleton — admitted, routed, enqueued
-// with queue depth, scheduled by policy decision, cache hits, flash-window
-// waits, lease renewals, execute, notify, failure cause — keyed by the
-// task's trace ID when the client sampled one and by a synthetic local ID
-// otherwise.
+// per-process, always-on, bounded journal of task-lifecycle milestones,
+// and each process's only trace store. Where internal/logx records
+// discrete events, the flight recorder guarantees that EVERY task leaves a
+// compact skeleton — admitted, routed, enqueued with queue depth,
+// scheduled by policy decision, cache hits, flash-window waits, lease
+// renewals, execute, notify, failure cause — keyed by the task's trace ID
+// when the client sampled one (internal/obs) and by a synthetic local ID
+// otherwise. A sampled task's flights in different processes share that
+// key, so /debug/flight?trace= on each process returns its part of one
+// request, and sampled flights carry the finer milestones (each board
+// operation of a task) that unsampled ones skip.
 //
 // Flights live in a bounded in-memory ring (oldest whole flights evicted
 // under churn) served at /debug/flight. Notable flights — failed tasks and
@@ -14,7 +17,7 @@
 // size-capped JSONL ledger so the evidence survives the ring.
 //
 // A nil *Recorder is valid everywhere and records nothing, the same
-// contract obs.Tracer and logx.Logger give the hot path.
+// contract logx.Logger gives the hot path.
 package flightrec
 
 import (
@@ -61,6 +64,9 @@ const (
 	KindUpload Kind = "upload"
 	// KindExecute is the worker running the task's operations on the board.
 	KindExecute Kind = "execute"
+	// KindOp is one operation of a sampled task running on the board
+	// (detail: the operation kind), inside the task's execute milestone.
+	KindOp Kind = "op"
 	// KindNotify is the completion-notification batch leaving the manager.
 	KindNotify Kind = "notify"
 	// KindFailure carries a failure cause (op error, lease expiry,
@@ -373,7 +379,7 @@ func (r *Recorder) MarkNotable(trace obs.TraceID, reason string) {
 // the end-to-end latency, runs per-tenant tail detection, and spills the
 // flight when it is notable (failed, marked, or a tail outlier).
 func (r *Recorder) Complete(trace obs.TraceID, total time.Duration, failed bool, cause string) {
-	r.CompleteWith(trace, "", nil, total, failed, cause)
+	r.CompleteWith(trace, "", nil, time.Time{}, total, failed, cause)
 }
 
 // CompleteWith is Complete with a batch of accumulated milestones applied
@@ -385,8 +391,10 @@ func (r *Recorder) Complete(trace obs.TraceID, total time.Duration, failed bool,
 // caller-stamped times, so the merged timeline is identical to
 // milestone-at-a-time recording. tenant backfills the flight's tenant
 // when it is not already known — Alloc-keyed flights are admitted right
-// here. The evs slice is not retained.
-func (r *Recorder) CompleteWith(trace obs.TraceID, tenant string, evs []Event, total time.Duration, failed bool, cause string) {
+// here. end stamps the complete milestone, so a caller that measured
+// total up to end gets a milestone that starts where its total does;
+// zero stamps it now. The evs slice is not retained.
+func (r *Recorder) CompleteWith(trace obs.TraceID, tenant string, evs []Event, end time.Time, total time.Duration, failed bool, cause string) {
 	if r == nil || trace == 0 {
 		return
 	}
@@ -410,7 +418,10 @@ func (r *Recorder) CompleteWith(trace obs.TraceID, tenant string, evs []Event, t
 		}
 		r.appendEventLocked(f, ev)
 	}
-	r.appendEventLocked(f, Event{Kind: KindComplete, Dur: total, Detail: detail, Time: now})
+	if end.IsZero() {
+		end = now
+	}
+	r.appendEventLocked(f, Event{Kind: KindComplete, Dur: total, Detail: detail, Time: end})
 	notable := ""
 	if failed {
 		notable = "failed"

@@ -348,6 +348,46 @@ func TestHandlerQueries(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsMalformedN: ?n= takes a non-negative decimal integer
+// and nothing else, as on every debug endpoint (obs.Tail); a number with
+// trailing text or in another base is refused, not read as its prefix.
+func TestHandlerRejectsMalformedN(t *testing.T) {
+	r := New(Config{Process: "test"})
+	for i := 1; i <= 6; i++ {
+		r.Complete(r.Begin(obs.TraceID(i), "ten"), time.Millisecond, false, "")
+	}
+	for _, c := range []struct {
+		n       string
+		code    int
+		flights int
+	}{
+		{"5", 200, 5},
+		{"0", 200, 0},
+		{"5abc", 400, 0},
+		{"0x10", 400, 0},
+		{"-1", 400, 0},
+		{"1e3", 400, 0},
+		{"", 200, 6},
+	} {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flight?n="+c.n, nil))
+		if rec.Code != c.code {
+			t.Errorf("?n=%s: code %d, want %d", c.n, rec.Code, c.code)
+			continue
+		}
+		if c.code != 200 {
+			continue
+		}
+		var snap Snapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("?n=%s: %v", c.n, err)
+		}
+		if len(snap.Flights) != c.flights || snap.Process != "test" {
+			t.Errorf("?n=%s: %d flights from %q, want %d from \"test\"", c.n, len(snap.Flights), snap.Process, c.flights)
+		}
+	}
+}
+
 // TestConcurrentUse hammers one recorder from many goroutines; run under
 // -race this is the data-race gate for the always-on hot path.
 func TestConcurrentUse(t *testing.T) {
@@ -399,7 +439,7 @@ func TestCompleteWithBatch(t *testing.T) {
 		{Kind: KindScheduled, Dur: 5 * time.Millisecond, Time: base.Add(time.Millisecond)},
 		{Kind: KindExecute, Dur: 10 * time.Millisecond}, // zero Time: stamped at completion
 	}
-	r.CompleteWith(key, "tenant-a", batch, 20*time.Millisecond, false, "")
+	r.CompleteWith(key, "tenant-a", batch, time.Time{}, 20*time.Millisecond, false, "")
 
 	f, ok := r.FlightFor(key)
 	if !ok {
@@ -436,7 +476,7 @@ func TestCompleteWithBatch(t *testing.T) {
 
 	// A failed batched completion on an unknown key admits a flight and
 	// spills it as notable.
-	r.CompleteWith(777, "tenant-b", []Event{{Kind: KindFailure, Detail: "boom"}}, time.Second, true, "boom")
+	r.CompleteWith(777, "tenant-b", []Event{{Kind: KindFailure, Detail: "boom"}}, time.Time{}, time.Second, true, "boom")
 	ff, ok := r.FlightFor(777)
 	if !ok {
 		t.Fatal("unknown-key CompleteWith left no flight")

@@ -1,7 +1,6 @@
 package flightrec
 
 import (
-	"fmt"
 	"net/http"
 
 	"blastfunction/internal/obs"
@@ -33,19 +32,12 @@ func (r *Recorder) Handler() http.Handler {
 			obs.WriteJSON(w, snap)
 			return
 		}
+		// obs.Tail's ?n= on the flight list, inside the snapshot envelope
+		// (process stamp + counters).
 		snap := r.Snapshot()
-		if s := req.URL.Query().Get("n"); s != "" {
-			// Reuse obs.ServeTail's ?n= semantics on the flight list while
-			// keeping the snapshot envelope (process stamp + counters).
-			var n int
-			if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 {
-				http.Error(w, "bad n parameter: want a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			if n < len(snap.Flights) {
-				snap.Flights = snap.Flights[len(snap.Flights)-n:]
-			}
+		var ok bool
+		if snap.Flights, ok = obs.Tail(w, req, snap.Flights); ok {
+			obs.WriteJSON(w, snap)
 		}
-		obs.WriteJSON(w, snap)
 	})
 }

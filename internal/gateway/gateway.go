@@ -150,11 +150,6 @@ type Gateway struct {
 	Log *logx.Logger
 	// RetryDelay is the initial factory retry backoff; tests shorten it.
 	RetryDelay time.Duration
-	// Tracer, when set, is the distributed-tracing span recorder the
-	// gateway's function instances share (factories thread it into their
-	// remote.Config); Handler serves its ring at /debug/spans. Nil serves
-	// an empty span list.
-	Tracer *obs.Tracer
 	// Router picks the endpoint serving each request; nil falls back to
 	// round-robin (the paper's behavior). Set before Run: an endpoint's
 	// routed flight detail names the policy it was materialized under.
@@ -266,16 +261,14 @@ func (g *Gateway) ClusterReplicas(name string) int {
 // Run materializes instances from cluster events until ctx is cancelled.
 // Call it after deploying at least the factories you expect events for;
 // instances of unknown functions are ignored (they belong to other
-// controllers).
+// controllers). On return every ready endpoint is closed, so each
+// instance's teardown (its Remote Library's connection and shared-memory
+// segment) runs when the gateway stops.
 func (g *Gateway) Run(ctx context.Context) {
 	g.mu.Lock()
 	g.runCtx = ctx
 	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		g.stopped = true
-		g.mu.Unlock()
-	}()
+	defer g.stop()
 	events, cancel := g.cl.Watch(64)
 	defer cancel()
 	for {
@@ -287,6 +280,29 @@ func (g *Gateway) Run(ctx context.Context) {
 				return
 			}
 			g.handle(ev)
+		}
+	}
+}
+
+// stop marks the gateway stopped and closes every ready endpoint. A
+// materialize that read stopped as false holds its function's mu from
+// before stop sets it (see materialize), so its endpoint is either in
+// ready by the time stop drains that function or closed by materialize.
+func (g *Gateway) stop() {
+	g.mu.Lock()
+	g.stopped = true
+	funcs := make([]*funcState, 0, len(g.funcs))
+	for _, fs := range g.funcs {
+		funcs = append(funcs, fs)
+	}
+	g.mu.Unlock()
+	for _, fs := range funcs {
+		fs.mu.Lock()
+		ready := fs.ready
+		fs.ready, fs.rot = nil, Rotation{}
+		fs.mu.Unlock()
+		for _, es := range ready {
+			es.ep.Close()
 		}
 	}
 }
@@ -356,8 +372,13 @@ func (g *Gateway) materialize(fs *funcState, in cluster.Instance, attempt int) {
 	}
 	es := &epState{uid: in.UID, node: in.Node, ep: ep,
 		routed: g.router().Name() + " -> " + in.UID + " on " + in.Node}
+	// fs.mu is taken before g.mu is let go, so stop cannot drain fs
+	// between this check and the append below.
+	g.mu.Lock()
+	stopped = g.stopped
 	fs.mu.Lock()
-	if fs.index(in.UID) >= 0 {
+	g.mu.Unlock()
+	if stopped || fs.index(in.UID) >= 0 {
 		fs.mu.Unlock()
 		ep.Close()
 		return
@@ -374,12 +395,10 @@ func (g *Gateway) materialize(fs *funcState, in cluster.Instance, attempt int) {
 //	ANY /function/<name>   invoke the function
 //	GET /system/functions  list deployments and statistics
 //	GET /debug/gateway     admission + routing state (JSON)
-//	GET /debug/spans       client-side distributed-tracing spans
 //	GET /debug/flight      front-door flight-recorder skeletons
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/function/", g.serveFunction)
-	mux.Handle("/debug/spans", g.Tracer.Handler())
 	mux.Handle("/debug/flight", g.Flight.Handler())
 	mux.HandleFunc("/debug/gateway", g.serveDebug)
 	mux.HandleFunc("/system/functions", func(w http.ResponseWriter, _ *http.Request) {

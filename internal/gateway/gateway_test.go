@@ -38,15 +38,27 @@ func echoFactory(closed *atomic.Int32) Factory {
 // Registry's controller).
 func startGateway(t *testing.T) (*Gateway, *cluster.Cluster) {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	g, cl, _ := runGateway(t, ctx)
+	return g, cl
+}
+
+// runGateway is startGateway until ctx ends; the channel closes once Run
+// has returned.
+func runGateway(t *testing.T, ctx context.Context) (*Gateway, *cluster.Cluster, <-chan struct{}) {
+	t.Helper()
 	cl := cluster.New()
 	if err := cl.AddNode(cluster.Node{Name: "X"}); err != nil {
 		t.Fatal(err)
 	}
 	g := New(cl)
 	g.Log = logx.NewLogf("gateway", t.Logf)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go g.Run(ctx)
+	ran := make(chan struct{})
+	go func() {
+		g.Run(ctx)
+		close(ran)
+	}()
 	// Minimal scheduler: bind anything pending.
 	go func() {
 		events, cancelW := cl.Watch(64)
@@ -66,7 +78,29 @@ func startGateway(t *testing.T) (*Gateway, *cluster.Cluster) {
 			}
 		}
 	}()
-	return g, cl
+	return g, cl, ran
+}
+
+// Stopping the gateway closes every ready endpoint, so no instance's
+// teardown (its Remote Library's connection and shared-memory segment)
+// outlives Run.
+func TestRunClosesEndpointsWhenStopped(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g, _, ran := runGateway(t, ctx)
+	var closed atomic.Int32
+	if err := g.Deploy("echo", 3, echoFactory(&closed)); err != nil {
+		t.Fatal(err)
+	}
+	waitReplicas(t, g, "echo", 3)
+	cancel()
+	<-ran
+	if n := closed.Load(); n != 3 {
+		t.Fatalf("stopping the gateway closed %d of 3 endpoints", n)
+	}
+	if n := g.ReadyReplicas("echo"); n != 0 {
+		t.Fatalf("%d endpoints still ready after Run returned", n)
+	}
 }
 
 func waitReplicas(t *testing.T, g *Gateway, fn string, n int) {

@@ -1,11 +1,11 @@
 // Package logx is BlastFunction's structured, leveled logger — the third
-// observability pillar next to internal/metrics (series) and internal/obs
-// (spans). It is dependency-free by design: events are plain structs with
-// a component, a message, key/value string fields and optional
-// trace/span IDs borrowed from internal/obs, recorded into a bounded
-// in-memory ring that each process serves at /debug/logs. A nil *Logger
-// is valid everywhere and reduces every call to one nil check, the same
-// contract obs.Tracer gives the RPC hot path.
+// observability pillar next to internal/metrics (series) and
+// internal/flightrec (task milestones). It is dependency-free by design:
+// events are plain structs with a component, a message, key/value string
+// fields and an optional trace ID borrowed from internal/obs, recorded
+// into a bounded in-memory ring that each process serves at /debug/logs.
+// A nil *Logger is valid everywhere and reduces every call to one nil
+// check, the same contract obs.Tracer gives the RPC hot path.
 package logx
 
 import (
@@ -87,8 +87,8 @@ type Field struct {
 	Value string `json:"v"`
 }
 
-// Event is one structured log record. Trace and Span, when set, tie the
-// event to the distributed trace of the task that caused it, so
+// Event is one structured log record. Trace, when set, ties the event to
+// the distributed trace of the task that caused it, so
 // `blastctl logs -trace <id>` and `blastctl trace <id>` describe the
 // same incident from two angles.
 type Event struct {
@@ -97,7 +97,6 @@ type Event struct {
 	Component string      `json:"component"`
 	Msg       string      `json:"msg"`
 	Trace     obs.TraceID `json:"trace,omitempty"`
-	Span      obs.SpanID  `json:"span,omitempty"`
 	Fields    []Field     `json:"fields,omitempty"`
 	// Proc names the recording process ("manager/fpga-A") and Seq is its
 	// ring-assigned sequence number — together the deterministic tie-break
@@ -133,10 +132,6 @@ func (e Event) Format() string {
 	if e.Trace != 0 {
 		b.WriteString(" trace=")
 		b.WriteString(e.Trace.String())
-	}
-	if e.Span != 0 {
-		b.WriteString(" span=")
-		b.WriteString(e.Span.String())
 	}
 	return b.String()
 }
@@ -197,7 +192,6 @@ type Logger struct {
 	core      *core
 	component string
 	trace     obs.TraceID
-	span      obs.SpanID
 	fields    []Field
 }
 
@@ -282,19 +276,17 @@ func (l *Logger) With(kv ...any) *Logger {
 		return l
 	}
 	d := *l
-	d.trace, d.span, d.fields = appendKV(l.trace, l.span, l.fields, kv)
+	d.trace, d.fields = appendKV(l.trace, l.fields, kv)
 	return &d
 }
 
-// WithTrace derives a logger whose events carry the given trace/span
-// correlation IDs.
-func (l *Logger) WithTrace(trace obs.TraceID, span obs.SpanID) *Logger {
+// WithTrace derives a logger whose events carry the given trace ID.
+func (l *Logger) WithTrace(trace obs.TraceID) *Logger {
 	if l == nil {
 		return nil
 	}
 	d := *l
 	d.trace = trace
-	d.span = span
 	return &d
 }
 
@@ -305,8 +297,8 @@ func (l *Logger) Enabled(lv Level) bool {
 }
 
 // Debug records a debug event. kv alternates keys (string) and values
-// (any); values of type obs.TraceID / obs.SpanID set the event's
-// correlation IDs instead of becoming fields. A *time.Duration is logged
+// (any); a value of type obs.TraceID sets the event's trace ID instead of
+// becoming a field. A *time.Duration is logged
 // as the duration it points at: a hot path passes the address of one it
 // holds in a struct, because boxing the value allocates and the pointer
 // does not.
@@ -333,12 +325,11 @@ func (l *Logger) Log(lv Level, msg string, kv ...any) {
 		Component: l.component,
 		Msg:       msg,
 		Trace:     l.trace,
-		Span:      l.span,
 		Fields:    l.fields,
 		Proc:      c.proc,
 	}
 	if len(kv) > 0 {
-		ev.Trace, ev.Span, ev.Fields = appendKV(l.trace, l.span, l.fields, kv)
+		ev.Trace, ev.Fields = appendKV(l.trace, l.fields, kv)
 	}
 
 	c.mu.Lock()
@@ -358,12 +349,12 @@ func (l *Logger) Log(lv Level, msg string, kv ...any) {
 }
 
 // appendKV returns base extended by the alternating key/value arguments,
-// with obs IDs diverted to the correlation slots. A trailing key without a
+// with a trace ID diverted to the correlation slot. A trailing key without a
 // value (or a non-string key) is recorded as a malformed field rather than
 // dropped. It allocates twice however many fields there are (up to eight,
 // up to 128 bytes of formatted scalars): the field slice, sized once, and
 // one string that every formatted value is a substring of.
-func appendKV(trace obs.TraceID, span obs.SpanID, base []Field, kv []any) (obs.TraceID, obs.SpanID, []Field) {
+func appendKV(trace obs.TraceID, base []Field, kv []any) (obs.TraceID, []Field) {
 	fields := make([]Field, len(base), len(base)+(len(kv)+1)/2)
 	copy(fields, base)
 	var (
@@ -379,15 +370,9 @@ func appendKV(trace obs.TraceID, span obs.SpanID, base []Field, kv []any) (obs.T
 				key = "!BAD-KEY"
 			} else {
 				key, v = k, kv[i+1]
-				switch id := v.(type) {
-				case obs.TraceID:
+				if id, ok := v.(obs.TraceID); ok {
 					if id != 0 {
 						trace = id
-					}
-					continue
-				case obs.SpanID:
-					if id != 0 {
-						span = id
 					}
 					continue
 				}
@@ -407,7 +392,7 @@ func appendKV(trace obs.TraceID, span obs.SpanID, base []Field, kv []any) (obs.T
 			}
 		}
 	}
-	return trace, span, fields
+	return trace, fields
 }
 
 // appendValue stringifies v: a scalar is appended to b, a value that is or

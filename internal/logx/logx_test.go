@@ -44,7 +44,7 @@ func TestNilLoggerIsSafe(t *testing.T) {
 	if got := l.Tail(); got != nil {
 		t.Errorf("nil logger Tail = %v", got)
 	}
-	if l.Named("sub") != nil || l.WithTrace(1, 2) != nil || l.With("a", "b") != nil {
+	if l.Named("sub") != nil || l.WithTrace(1) != nil || l.With("a", "b") != nil {
 		t.Error("derivations of a nil logger must stay nil")
 	}
 }
@@ -112,15 +112,15 @@ func TestRingWraps(t *testing.T) {
 
 func TestTraceCorrelation(t *testing.T) {
 	l := testLogger(16)
-	l.Warn("task failed", "client", "mm-1", "trace", obs.TraceID(0xdead), "span", obs.SpanID(0xbeef))
-	l.WithTrace(0xf00d, 0).Info("derived")
+	l.Warn("task failed", "client", "mm-1", "trace", obs.TraceID(0xdead))
+	l.WithTrace(0xf00d).Info("derived")
 	evs := l.Tail()
-	if evs[0].Trace != 0xdead || evs[0].Span != 0xbeef {
-		t.Errorf("kv trace/span not diverted: %+v", evs[0])
+	if evs[0].Trace != 0xdead {
+		t.Errorf("kv trace not diverted: %+v", evs[0])
 	}
 	for _, f := range evs[0].Fields {
-		if f.Key == "trace" || f.Key == "span" {
-			t.Errorf("trace/span leaked into fields: %+v", evs[0].Fields)
+		if f.Key == "trace" {
+			t.Errorf("trace leaked into fields: %+v", evs[0].Fields)
 		}
 	}
 	if evs[1].Trace != 0xf00d {
@@ -389,7 +389,7 @@ func TestFieldValues(t *testing.T) {
 	l.Debug("all kinds",
 		"s", "plain", "n", 123456, "i64", int64(-7), "u64", uint64(1<<40), "u32", uint32(9),
 		"ok", true, "f", 0.25, "d", 1500*time.Microsecond, "empty", "", "nil", nil,
-		"err", errors.New("boom"), "id", obs.SpanID(0xab), "stringer", LevelWarn, "other", []int{1, 2},
+		"err", errors.New("boom"), "stringer", LevelWarn, "other", []int{1, 2},
 		"trace", obs.TraceID(0xfeed), 42, "skipped", "dangling")
 	ev := l.Tail()[0]
 	want := []Field{
@@ -406,8 +406,8 @@ func TestFieldValues(t *testing.T) {
 			t.Errorf("field %d = %+v, want %+v", i, f, want[i])
 		}
 	}
-	if ev.Trace != 0xfeed || ev.Span != 0xab {
-		t.Errorf("correlation IDs = %v/%v", ev.Trace, ev.Span)
+	if ev.Trace != 0xfeed {
+		t.Errorf("trace ID = %v", ev.Trace)
 	}
 }
 

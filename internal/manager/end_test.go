@@ -204,54 +204,90 @@ func TestAvailabilityCountsTasksThatNeverRan(t *testing.T) {
 	}
 }
 
-// A sampled task's manager spans are views of its flight: queue-wait,
-// execute and notify start and last exactly as the scheduled, execute and
-// notify milestones, which end at their Time and last their Dur.
-func TestTaskSpansAreFlightMilestones(t *testing.T) {
+// A sampled task's manager flight carries one op milestone per board
+// operation, each inside its execute milestone, and the task's stages feed
+// bf_stage_seconds with its trace as the exemplar. An unsampled task's
+// flight carries no op milestone, and a manager that saw only unsampled
+// tasks exports no stage series.
+func TestSampledTaskMilestonesAndStages(t *testing.T) {
 	rig := newRig(t, manager.Config{})
-	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
-	client, err := remote.Dial(remote.Config{ClientName: "traced", Managers: []string{rig.addr},
-		Transport: remote.TransportGRPC, Tracer: tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	ctx, dev, q := openDevice(t, client)
-	runCopy(t, ctx, q, buildLoopback(t, ctx, dev), make([]byte, 4<<10))
-
-	var trace obs.TraceID
-	for _, sp := range tracer.Spans() {
-		if sp.Stage == "task" {
-			trace = sp.Trace
+	for _, tracer := range []*obs.Tracer{nil, obs.New(1)} {
+		client, err := remote.Dial(remote.Config{ClientName: "traced", Managers: []string{rig.addr},
+			Transport: remote.TransportGRPC, Tracer: tracer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, dev, q := openDevice(t, client)
+		runCopy(t, ctx, q, buildLoopback(t, ctx, dev), make([]byte, 4<<10))
+		client.Close()
+		if tracer == nil && strings.Contains(rig.mgr.Metrics().Render(), "bf_stage_seconds") {
+			t.Error("a manager that saw only unsampled tasks exports bf_stage_seconds")
 		}
 	}
-	if trace == 0 {
-		t.Fatal("the task left no sampled task span")
-	}
-	var f flightrec.Flight
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		var ok bool
-		if f, ok = rig.mgr.Flight().FlightFor(trace); ok && f.Events[len(f.Events)-1].Kind == flightrec.KindComplete {
-			break
+	flights := waitFlights(t, rig.mgr, "traced", 2)
+	var sampled *flightrec.Flight
+	for i := range flights {
+		ops := 0
+		for _, ev := range flights[i].Events {
+			if ev.Kind == flightrec.KindOp {
+				ops++
+			}
 		}
-	}
-	spans := map[string]obs.Span{}
-	for _, sp := range rig.mgr.Tracer().SpansFor(trace) {
-		spans[sp.Stage] = sp
-	}
-	for stage, kind := range map[string]flightrec.Kind{
-		"queue-wait": flightrec.KindScheduled, "execute": flightrec.KindExecute, "notify": flightrec.KindNotify,
-	} {
-		i := slices.IndexFunc(f.Events, func(ev flightrec.Event) bool { return ev.Kind == kind })
-		sp, ok := spans[stage]
-		if i < 0 || !ok {
-			t.Errorf("%s: span recorded %v, %s milestone at %d", stage, ok, kind, i)
+		if flights[i].Synthetic {
+			if ops != 0 {
+				t.Errorf("unsampled task flight carries %d op milestones", ops)
+			}
 			continue
 		}
-		ev := f.Events[i]
-		if start := ev.Time.Add(-ev.Dur); !sp.Start.Equal(start) || sp.Duration != ev.Dur {
-			t.Errorf("%s span starts %v and lasts %v; %s milestone starts %v and lasts %v",
-				stage, sp.Start, sp.Duration, kind, start, ev.Dur)
+		sampled = &flights[i]
+		if ops != 3 {
+			t.Errorf("sampled task flight carries %d op milestones, want 3: %+v", ops, flights[i].Events)
+		}
+	}
+	if sampled == nil {
+		t.Fatal("no sampled task flight")
+	}
+	i := slices.IndexFunc(sampled.Events, func(ev flightrec.Event) bool { return ev.Kind == flightrec.KindExecute })
+	if i < 0 {
+		t.Fatalf("sampled flight has no execute milestone: %+v", sampled.Events)
+	}
+	exec := sampled.Events[i]
+	var kinds []string
+	for _, ev := range sampled.Events {
+		if ev.Kind != flightrec.KindOp {
+			continue
+		}
+		kinds = append(kinds, ev.Detail)
+		if ev.Time.Add(-ev.Dur).Before(exec.Time.Add(-exec.Dur)) || ev.Time.After(exec.Time) {
+			t.Errorf("op %s [%v, %v] outside execute [%v, %v]", ev.Detail,
+				ev.Time.Add(-ev.Dur), ev.Time, exec.Time.Add(-exec.Dur), exec.Time)
+		}
+	}
+	if !slices.Equal(kinds, []string{"write", "kernel", "read"}) {
+		t.Errorf("op milestones %v, want write, kernel, read", kinds)
+	}
+
+	text := rig.mgr.Metrics().Render()
+	for _, stage := range []string{"queue-wait", "execute", "op", "notify"} {
+		if !strings.Contains(text, `stage="`+stage+`"`) {
+			t.Errorf("exposition lacks bf_stage_seconds{stage=%q}", stage)
+		}
+	}
+	if !strings.Contains(text, `component="manager"`) || !strings.Contains(text, `trace_id="`+sampled.Trace.String()+`"`) {
+		t.Errorf("bf_stage_seconds lacks its component label or the sampled trace's exemplar:\n%s", text)
+	}
+}
+
+// waitFlights polls until a tenant has n completed task flights: a flight
+// completes just after its completion frame is written.
+func waitFlights(t *testing.T, mgr *manager.Manager, tenant string, n int) []flightrec.Flight {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if fs := taskFlights(mgr, tenant); len(fs) >= n || time.Now().After(deadline) {
+			if len(fs) != n {
+				t.Fatalf("%d task flights for %s, want %d", len(fs), tenant, n)
+			}
+			return fs
 		}
 	}
 }

@@ -83,11 +83,6 @@ type Config struct {
 	// them. A nil logger logs nothing — the zero-cost production default
 	// for the hot path.
 	Log *logx.Logger
-	// TraceRing bounds the manager's distributed-tracing span ring (served
-	// at /debug/spans). Zero selects the obs default (4096). The manager
-	// never initiates traces — it records spans only for tasks whose client
-	// sampled them and put the IDs on the wire.
-	TraceRing int
 	// BufferCacheBytes bounds the content-addressed device buffer cache
 	// (repeated CreateBuffer payloads upload once per board). Zero selects
 	// 256 MiB; negative disables the cache, making every content-hash
@@ -167,10 +162,9 @@ type Manager struct {
 	tmu     sync.Mutex
 	tenants map[string]*tenantMetrics
 
-	// tracer records the manager's stages (queue-wait, execute, op, notify)
-	// of client-sampled traces; SampleRate stays zero — sampling decisions
-	// belong to the library.
-	tracer *obs.Tracer
+	// stages are the bf_stage_seconds series of client-sampled tasks; the
+	// manager never samples, it follows the trace ID on the wire.
+	stages stageHists
 
 	// log receives structured events; nil-safe (see Config.Log).
 	log *logx.Logger
@@ -273,12 +267,6 @@ func New(cfg Config, board *fpga.Board) *Manager {
 		mCopies:      reg.Counter("bf_copy_ops_total", "Device-to-device buffer copies executed (task chaining).", lbl),
 		mCopyBytes:   reg.Counter("bf_copy_bytes_total", "Bytes moved by device-to-device buffer copies.", lbl),
 		log:          cfg.Log,
-		tracer: obs.New(obs.Config{
-			Component: "manager",
-			RingSize:  cfg.TraceRing,
-			Registry:  reg,
-			Labels:    lbl,
-		}),
 	}
 	m.mScale.Set(board.Config().TimeScale)
 	if !cfg.NoFlightRecorder {

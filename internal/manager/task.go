@@ -3,11 +3,13 @@ package manager
 import (
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"blastfunction/internal/flightrec"
 	"blastfunction/internal/fpga"
 	"blastfunction/internal/logx"
+	"blastfunction/internal/metrics"
 	"blastfunction/internal/model"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
@@ -26,7 +28,7 @@ const (
 	opCopy
 )
 
-// String names the kind for span notes and logs.
+// String names the kind for op milestones and logs.
 func (k opKind) String() string {
 	switch k {
 	case opWrite:
@@ -64,11 +66,12 @@ type op struct {
 	args       []ocl.Arg
 	global     []int
 
-	// Tracing identity carried from the client's enqueue (zero when
-	// untraced): span is the client-side "call" span of this operation, so
-	// the manager's per-op execution span parents under it.
+	// trace is the sampled trace the client's enqueue carried (zero when
+	// untraced). ran and took stamp a traced op's board run for its op
+	// milestone (zero otherwise, and for an op aborted before it ran).
 	trace uint64
-	span  uint64
+	ran   time.Time
+	took  time.Duration
 }
 
 // task is the atomic unit of execution: the operations a client enqueued
@@ -84,10 +87,9 @@ type task struct {
 	// the executed task back to it (recycle).
 	q   *queueState
 	ops []op
-	// trace/span carry the client's sampled trace identity from the Flush
-	// frame (zero when untraced); span is the task's root span.
+	// trace is the client's sampled trace from the Flush frame (zero when
+	// untraced).
 	trace uint64
-	span  uint64
 	// flight keys the task's flight-recorder skeleton: the trace ID when
 	// sampled, a synthetic local key otherwise (assigned at submit).
 	flight obs.TraceID
@@ -167,7 +169,6 @@ func (s *session) enqueueWrite(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte
 		offset:   req.Offset,
 		via:      req.Via,
 		trace:    req.TraceID,
-		span:     req.SpanID,
 	}
 	switch req.Via {
 	case wire.ViaInline:
@@ -221,7 +222,6 @@ func (s *session) enqueueRead(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 		via:      req.Via,
 		shmOff:   req.ShmOff,
 		trace:    req.TraceID,
-		span:     req.SpanID,
 	})
 	return nil, nil
 }
@@ -260,7 +260,6 @@ func (s *session) enqueueKernel(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byt
 		tag:        req.Tag,
 		kernelName: k.name,
 		trace:      req.TraceID,
-		span:       req.SpanID,
 	})
 	o.args = append(o.args, k.args...)
 	o.global = append(o.global, req.Global...)
@@ -314,7 +313,6 @@ func (s *session) enqueueCopy(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte,
 		dstOff:   req.DstOffset,
 		length:   req.Length,
 		trace:    req.TraceID,
-		span:     req.SpanID,
 	})
 	return nil, nil
 }
@@ -388,7 +386,7 @@ func (s *session) flush(m *Manager, c *rpc.Conn, d *wire.Decoder) ([]byte, error
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	*t = task{sess: s, conn: c, q: q, ops: ops, trace: req.TraceID, span: req.SpanID}
+	*t = task{sess: s, conn: c, q: q, ops: ops, trace: req.TraceID}
 	m.submit(t)
 	return nil, nil
 }
@@ -493,8 +491,9 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) {
 			continue
 		}
 		nb.add(&wire.OpNotification{Tag: o.tag, State: wire.OpRunning}, false)
-		// An op reads the clock only for its own sampled span, or as a
-		// write at TimeScale 0, where its wall time is its upload share.
+		// An op reads the clock only for its own op milestone when
+		// traced, or as a write at TimeScale 0, where its wall time is its
+		// upload share.
 		timed := o.trace != 0 || o.kind == opWrite && scale == 0
 		var opStart, opEnd time.Time
 		if timed {
@@ -507,11 +506,9 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) {
 			opEnd = time.Now()
 		}
 		if o.trace != 0 {
-			// Per-op board execution, parented under the client's "call"
-			// span so the timeline nests it inside the call. The op's
-			// modelled time is held once for the whole task, below, and
-			// shows in the task's "execute" span.
-			m.span(o.trace, o.span, "op", o.kind.String(), opStart, opEnd)
+			// The op's board run; its modelled time is held once for the
+			// whole task, below, and shows in the execute milestone.
+			o.ran, o.took = opStart, opEnd.Sub(opStart)
 		}
 		if o.kind == opWrite {
 			// Device ingest time is the manager's share of the "upload"
@@ -566,10 +563,11 @@ func (m *Manager) runTask(t *task, nb *notifyBatcher) {
 //
 // cause names the failure, empty when the task succeeded. Every view of
 // the task derives from its record here: the tenant counters and
-// histograms, the sampled queue-wait/execute/notify spans, the flight
-// milestones and CompleteWith, and the log. It splits in one place, the
-// completion frame: what a client back from Finish relies on is written
-// before it, so the client finds its task counted.
+// histograms, the flight milestones and CompleteWith (with a sampled
+// task's op milestones and bf_stage_seconds observations), and the log.
+// It splits in one place, the completion frame: what a client back from
+// Finish relies on is written before it, so the client finds its task
+// counted.
 func (m *Manager) end(t *task, nb *notifyBatcher, cause string) {
 	tm := t.sess.tm
 	enqueued, popped, ran := !t.item.Submitted.IsZero(), !t.popped.IsZero(), !t.held.IsZero()
@@ -608,19 +606,12 @@ func (m *Manager) end(t *task, nb *notifyBatcher, cause string) {
 	var exemplar string
 	if t.trace != 0 {
 		exemplar = obs.TraceID(t.trace).String()
-		if popped {
-			m.span(t.trace, t.span, "queue-wait", "", t.item.Submitted, t.popped)
-		}
-		if ran {
-			m.span(t.trace, t.span, "execute", "", t.popped, t.held)
-			m.span(t.trace, t.span, "notify", "", t.held, t.notified)
-		}
 	}
 	tm.latHist.ObserveExemplar(residency.Seconds(), exemplar)
 
-	// The milestones the task reached, each spanning the same stamps as
-	// its span. The writes' upload share is placed from the start of the
-	// hold: their own times are not kept.
+	// The milestones the task reached, each ending at its stamp and
+	// lasting its Dur. The writes' upload share is placed from the start
+	// of the hold: their own times are not kept.
 	evs := make([]flightrec.Event, 0, 6)
 	if enqueued {
 		evs = append(evs, flightrec.Event{Kind: flightrec.KindEnqueued, Depth: t.item.Depth, Pos: t.item.Pos,
@@ -643,7 +634,10 @@ func (m *Manager) end(t *task, nb *notifyBatcher, cause string) {
 	if cause != "" {
 		evs = append(evs, flightrec.Event{Kind: flightrec.KindFailure, Detail: cause, Time: t.notified})
 	}
-	m.flight.CompleteWith(t.flight, t.sess.clientName, evs, residency, cause != "", cause)
+	if t.trace != 0 {
+		evs = m.sampled(t, evs, exemplar)
+	}
+	m.flight.CompleteWith(t.flight, t.sess.clientName, evs, t.notified, residency, cause != "", cause)
 	// Hot path: one nil/level check when logging is off or above debug.
 	if ran && t.sess.log.Enabled(logx.LevelDebug) {
 		// The durations go by address: boxing one by value is a heap
@@ -654,10 +648,42 @@ func (m *Manager) end(t *task, nb *notifyBatcher, cause string) {
 	}
 }
 
-// span records one stage of a sampled task from the task's own stamps.
-func (m *Manager) span(trace, parent uint64, stage, note string, start, end time.Time) {
-	m.tracer.Record(obs.Span{Trace: obs.TraceID(trace), ID: m.tracer.NewSpan(), Parent: obs.SpanID(parent),
-		Stage: stage, Note: note, Start: start, Duration: end.Sub(start)})
+// stageHists are the manager's bf_stage_seconds series, made by the first
+// sampled task so that an untraced manager exports none.
+type stageHists struct {
+	once                           sync.Once
+	queueWait, execute, op, notify metrics.Histogram
+}
+
+// sampled appends a sampled task's op milestones to evs and observes its
+// stages into bf_stage_seconds, each with the task's trace as exemplar:
+// queue-wait, execute and notify from the stamps of the scheduled,
+// execute and notify milestones, and each op's board run.
+func (m *Manager) sampled(t *task, evs []flightrec.Event, exemplar string) []flightrec.Event {
+	h := &m.stages
+	h.once.Do(func() {
+		stage := func(name string) metrics.Histogram {
+			return m.reg.Histogram("bf_stage_seconds", "Latency decomposition of traced requests by pipeline stage.",
+				metrics.Labels{"component": "manager", "stage": name, "device": m.cfg.DeviceID, "node": m.cfg.Node}, nil)
+		}
+		h.queueWait, h.execute, h.op, h.notify = stage("queue-wait"), stage("execute"), stage("op"), stage("notify")
+	})
+	for i := range t.ops {
+		o := &t.ops[i]
+		if o.ran.IsZero() {
+			continue
+		}
+		h.op.ObserveExemplar(o.took.Seconds(), exemplar)
+		evs = append(evs, flightrec.Event{Kind: flightrec.KindOp, Detail: o.kind.String(), Dur: o.took, Time: o.ran.Add(o.took)})
+	}
+	if !t.popped.IsZero() {
+		h.queueWait.ObserveExemplar(t.queueWait.Seconds(), exemplar)
+	}
+	if !t.held.IsZero() {
+		h.execute.ObserveExemplar(t.held.Sub(t.popped).Seconds(), exemplar)
+		h.notify.ObserveExemplar(t.notified.Sub(t.held).Seconds(), exemplar)
+	}
+	return evs
 }
 
 // runOp executes one operation and fills in its completion notification

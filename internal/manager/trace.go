@@ -78,12 +78,3 @@ func (m *Manager) TraceHandler() http.Handler {
 		obs.ServeTail(w, r, m.Traces())
 	})
 }
-
-// Tracer exposes the manager's span recorder: the RPC layer and embedded
-// deployments record manager-side stages of client-sampled traces into it.
-func (m *Manager) Tracer() *obs.Tracer { return m.tracer }
-
-// SpanHandler serves the manager's distributed-tracing span ring
-// (/debug/spans). ?trace=<hex id> filters to one trace, ?n=K keeps the
-// most recent K spans.
-func (m *Manager) SpanHandler() http.Handler { return m.tracer.Handler() }

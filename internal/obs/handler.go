@@ -19,53 +19,32 @@ func RegisterPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// Handler serves the tracer's span ring as JSON at /debug/spans.
-// Query parameters: ?trace=<hex id> filters to one trace, ?n=<count>
-// keeps only the most recent n spans. Trace queries additionally carry
-// an X-Spans-Evicted header when the ring has already overwritten part
-// of that trace, so clients can warn that the timeline is partial.
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		spans := t.Spans()
-		if s := r.URL.Query().Get("trace"); s != "" {
-			id, err := ParseTraceID(s)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			kept := spans[:0]
-			for _, sp := range spans {
-				if sp.Trace == id {
-					kept = append(kept, sp)
-				}
-			}
-			spans = kept
-			if n, exact := t.EvictedFor(id); n > 0 {
-				w.Header().Set("X-Spans-Evicted", strconv.Itoa(n))
-				if !exact {
-					w.Header().Set("X-Spans-Evicted-Exact", "false")
-				}
-			}
-		}
-		ServeTail(w, r, spans)
-	})
-}
-
 // ServeTail writes a ring snapshot (oldest first) with WriteJSON,
 // honouring an optional ?n= limit — keep the n most recent entries.
-// Shared by /debug/spans and the manager's /debug/tasks.
+// Serves the manager's /debug/tasks.
 func ServeTail[T any](w http.ResponseWriter, r *http.Request, snapshot []T) {
+	snapshot, ok := Tail(w, r, snapshot)
+	if ok {
+		WriteJSON(w, snapshot)
+	}
+}
+
+// Tail applies a request's optional ?n= limit to a snapshot (oldest
+// first), keeping the n most recent entries. n must be a non-negative
+// decimal integer and nothing else; for any other value Tail answers 400
+// and reports false. Every debug endpoint with ?n= parses it here.
+func Tail[T any](w http.ResponseWriter, r *http.Request, snapshot []T) ([]T, bool) {
 	if s := r.URL.Query().Get("n"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			http.Error(w, "bad n parameter: want a non-negative integer", http.StatusBadRequest)
-			return
+			return nil, false
 		}
 		if n < len(snapshot) {
 			snapshot = snapshot[len(snapshot)-n:]
 		}
 	}
-	WriteJSON(w, snapshot)
+	return snapshot, true
 }
 
 // WriteJSON writes v as indented JSON, the form of every debug endpoint.

@@ -305,10 +305,9 @@ type commandQueue struct {
 
 	// Tracing state of the current (unflushed) task. Sampling is decided
 	// once per task, at its first operation; every operation then shares
-	// the trace with the task's root span as parent. Flush resets it.
+	// the trace. Flush resets it.
 	traceLive bool        // sampling decided for the current task
 	trace     obs.TraceID // zero: task unsampled
-	taskSpan  obs.SpanID  // the task's root span
 	taskStart time.Time
 	// flightKey keys the current task's flight-recorder skeleton: the
 	// sampled trace when one exists, a synthetic local key otherwise, zero
@@ -324,33 +323,23 @@ type commandQueue struct {
 
 // beginOp joins an operation to the current task's trace and flight,
 // deciding trace sampling at the task's first operation. It stamps the
-// event's flight identity and its trace/span identity and issue time,
-// the latter all zero when tracing is off or the task is unsampled.
+// event's trace (zero when tracing is off or the task is unsampled) and
+// flight identity.
 func (q *commandQueue) beginOp(ev *remoteEvent) {
 	mc := q.ctx.mc
-	tr := mc.tracer
 	q.mu.Lock()
 	if !q.traceLive {
 		q.traceLive = true
 		q.taskStart = time.Now()
-		if tr != nil {
-			q.trace = tr.Sample()
-			if q.trace != 0 {
-				q.taskSpan = tr.NewSpan()
-			}
-		}
+		q.trace = mc.cfg.Tracer.Sample()
 		// First op of the task: reserve the flight key (sampled trace when
 		// one exists, synthetic otherwise). Alloc is one atomic — the
 		// flight itself is admitted by the terminal notification's
 		// CompleteWith, together with the batched milestones.
 		q.flightKey = mc.flight.Alloc(q.trace)
 	}
-	ev.trace, ev.parent = q.trace, q.taskSpan
-	ev.flight, ev.taskStart = q.flightKey, q.taskStart
+	ev.trace, ev.flight, ev.taskStart = q.trace, q.flightKey, q.taskStart
 	q.mu.Unlock()
-	if ev.trace != 0 {
-		ev.span, ev.issued = tr.NewSpan(), time.Now()
-	}
 }
 
 // reuseFlightEvs takes back a finished task's milestone array, which the
@@ -366,10 +355,9 @@ func (q *commandQueue) reuseFlightEvs(evs []flightrec.Event) {
 
 // send is the tail every enqueue shares. It publishes ev and hands the
 // encoded request to the connection as delayed segments: e's bytes up to
-// head, the caller's payload, then e's bytes after head. A write's
-// wire-send milestone and a traced op's send span share one pair of
-// clock reads. On success the op joins the current task, and a blocking
-// one flushes the task and waits for it.
+// head, the caller's payload, then e's bytes after head. A write times
+// its send for its wire-send milestone. On success the op joins the
+// current task, and a blocking one flushes the task and waits for it.
 func (q *commandQueue) send(ev *remoteEvent, method wire.Method, e *wire.Encoder, head int, data []byte, blocking bool) (ocl.Event, error) {
 	mc := q.ctx.mc
 	mc.enroll(ev)
@@ -377,9 +365,8 @@ func (q *commandQueue) send(ev *remoteEvent, method wire.Method, e *wire.Encoder
 	// the other half): wire-send, or the staging copy of a frame that
 	// waits for the flush. Joins the task's milestone batch.
 	upload := method == wire.MethodEnqueueWrite && ev.flight != 0
-	timed := upload || ev.trace != 0
 	var start, end time.Time
-	if timed {
+	if upload {
 		start = time.Now()
 	}
 	buf := e.Bytes()
@@ -390,12 +377,8 @@ func (q *commandQueue) send(ev *remoteEvent, method wire.Method, e *wire.Encoder
 		ev.releaseStaging(mc)
 		return nil, err
 	}
-	if timed {
+	if upload {
 		end = time.Now()
-	}
-	if ev.trace != 0 {
-		mc.tracer.Record(obs.Span{Trace: ev.trace, ID: mc.tracer.NewSpan(), Parent: ev.span,
-			Stage: "send", Start: start, Duration: end.Sub(start)})
 	}
 	ev.queue = q
 	q.mu.Lock()
@@ -472,7 +455,7 @@ func (q *commandQueue) EnqueueWriteBuffer(b ocl.Buffer, blocking bool, offset in
 		}
 	}
 	q.beginOp(ev)
-	req.TraceID, req.SpanID = uint64(ev.trace), uint64(ev.span)
+	req.TraceID = uint64(ev.trace)
 	// EncodeHead + a separate data segment: for the inline path the user's
 	// bytes go from their slice straight into the socket (writev), never
 	// through an intermediate concatenation. The trace tail lands in the
@@ -519,7 +502,7 @@ func (q *commandQueue) EnqueueReadBuffer(b ocl.Buffer, blocking bool, offset int
 		}
 	}
 	q.beginOp(ev)
-	req.TraceID, req.SpanID = uint64(ev.trace), uint64(ev.span)
+	req.TraceID = uint64(ev.trace)
 	e := wire.GetEncoder(64)
 	req.Encode(e)
 	return q.send(ev, wire.MethodEnqueueRead, e, e.Len(), nil, blocking)
@@ -565,7 +548,7 @@ func (q *commandQueue) EnqueueCopyBuffer(src, dst ocl.Buffer, srcOffset, dstOffs
 		Length:    int64(n),
 	}
 	q.beginOp(ev)
-	req.TraceID, req.SpanID = uint64(ev.trace), uint64(ev.span)
+	req.TraceID = uint64(ev.trace)
 	e := wire.GetEncoder(64)
 	req.Encode(e)
 	return q.send(ev, wire.MethodEnqueueCopy, e, e.Len(), nil, false)
@@ -591,7 +574,7 @@ func (q *commandQueue) EnqueueNDRangeKernel(k ocl.Kernel, global, local []int, w
 		Local:  local,
 	}
 	q.beginOp(ev)
-	req.TraceID, req.SpanID = uint64(ev.trace), uint64(ev.span)
+	req.TraceID = uint64(ev.trace)
 	e := wire.GetEncoder(64)
 	req.Encode(e)
 	return q.send(ev, wire.MethodEnqueueKernel, e, e.Len(), nil, false)
@@ -648,8 +631,7 @@ func (q *commandQueue) ensureFlushed(ev *remoteEvent) {
 // Flush implements ocl.CommandQueue: it seals the current
 // multi-operation task and submits it to the manager's central queue.
 // Sealing also ends the task's trace: the Flush frame carries the trace
-// identity (so the manager parents its spans under the task root) and the
-// root "task" span — first enqueue through flush — is recorded here.
+// ID, which keys the task's flight on the manager as it does here.
 func (q *commandQueue) Flush() error {
 	q.mu.Lock()
 	hadOps := len(q.unflushed) > 0
@@ -668,25 +650,19 @@ func (q *commandQueue) Flush() error {
 	// array, not them (nor, through dst, the caller's read buffers).
 	clear(q.unflushed)
 	q.unflushed = q.unflushed[:0]
-	trace, taskSpan, taskStart := q.trace, q.taskSpan, q.taskStart
-	q.traceLive, q.trace, q.taskSpan = false, 0, 0
+	trace := q.trace
+	q.traceLive, q.trace = false, 0
 	q.flightKey = 0
 	q.mu.Unlock()
 	if !hadOps {
 		return nil
 	}
 	mc := q.ctx.mc
-	req := wire.FlushRequest{Queue: q.id}
-	if trace != 0 {
-		req.TraceID, req.SpanID = uint64(trace), uint64(taskSpan)
-	}
+	req := wire.FlushRequest{Queue: q.id, TraceID: uint64(trace)}
 	e := wire.GetEncoder(32)
 	req.Encode(e)
 	err := mc.rpc.Send(wire.MethodFlush, e.Bytes())
 	e.Release()
-	if trace != 0 {
-		mc.tracer.End(trace, taskSpan, 0, "task", "", taskStart)
-	}
 	// Hot path: one nil/level check per flushed task when logging is off.
 	if q.log.Enabled(logx.LevelDebug) {
 		q.log.Debug("task flushed", "err", err, "trace", trace)

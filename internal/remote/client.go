@@ -91,10 +91,10 @@ type Config struct {
 	// handles must never alias shared device memory.
 	DisableContentCache bool
 	// Tracer enables distributed tracing: the library samples a trace at
-	// the first operation of each flush-formed task, records client-side
-	// spans (call, send, ack-wait, task) into it, and propagates the IDs
-	// to the managers. Nil disables tracing entirely — the hot path then
-	// pays one nil check.
+	// the first operation of each flush-formed task and propagates its ID
+	// to the managers, so the task's flight here and on the manager share
+	// one key. Nil disables tracing entirely — the hot path then pays one
+	// nil check.
 	Tracer *obs.Tracer
 	// Flight is the process's flight recorder, shared with whatever else
 	// the process records: every flush-formed task leaves its client-side

@@ -38,8 +38,6 @@ type managerConn struct {
 	pendingMu sync.Mutex
 	pending   map[uint64]*remoteEvent // in-flight events by tag
 
-	// tracer records client-side spans; nil when tracing is disabled.
-	tracer *obs.Tracer
 	// log records structured events; nil-safe.
 	log *logx.Logger
 	// flight is the process's flight recorder (Config.Flight; nil-safe).
@@ -74,7 +72,7 @@ func dialManager(cfg *Config, addr string) (*managerConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	mc := &managerConn{cfg: cfg, addr: addr, mode: model.TransportGRPC, tracer: cfg.Tracer, log: cfg.Log, flight: cfg.Flight,
+	mc := &managerConn{cfg: cfg, addr: addr, mode: model.TransportGRPC, log: cfg.Log, flight: cfg.Flight,
 		pending: make(map[uint64]*remoteEvent)}
 	mc.connFlight = mc.flight.Begin(0, cfg.ClientName)
 	cl := newRPCClient(conn, mc)
@@ -275,7 +273,7 @@ func (mc *managerConn) Lost() {
 		}
 	}
 	for _, ev := range ends {
-		ev.endFlight(mc, "connection to manager lost", time.Now())
+		ev.endFlight(mc, "connection to manager lost")
 	}
 	for _, ev := range lost {
 		if ev.trace != 0 {
@@ -373,13 +371,9 @@ type remoteEvent struct {
 	// queue backlink for implicit flush on Wait (clWaitForEvents flushes).
 	queue *commandQueue
 
-	// Tracing identity of the operation (zero when untraced): span is the
-	// op's "call" span, parent the task's root span, issued the enqueue
-	// time the call span starts at.
-	trace  obs.TraceID
-	span   obs.SpanID
-	parent obs.SpanID
-	issued time.Time
+	// trace is the task's sampled trace (zero when untraced), carried on
+	// the wire and on the op's log events.
+	trace obs.TraceID
 
 	// Flight-recorder identity: flight keys the task's milestone skeleton
 	// (zero without a recorder), taskStart anchors the client-observed
@@ -416,30 +410,21 @@ func (ev *remoteEvent) Wait() error {
 func (ev *remoteEvent) machine(mc *managerConn, n *wire.OpNotification) {
 	switch n.State {
 	case wire.OpAccepted:
-		// The deferred-ack wait: enqueue issue until the manager's
-		// (possibly flush-batched) Accepted confirmation arrived.
-		if ev.trace != 0 {
-			mc.tracer.End(ev.trace, mc.tracer.NewSpan(), ev.span, "ack-wait", "", ev.issued)
-		}
 		ev.SetStatus(ocl.Submitted)
 	case wire.OpRunning:
 		ev.SetStatus(ocl.Running)
 	case wire.OpComplete:
 		ev.SetDeviceTime(time.Duration(n.DeviceNanos))
 		ev.finishRead(mc, n)
-		final, end := ev.ended()
-		ev.endCallSpan(mc, "", end)
-		if final {
-			ev.endFlight(mc, "", end)
+		if ev.taskEnd.Load() {
+			ev.endFlight(mc, "")
 		}
 		ev.Complete()
 	case wire.OpFailed:
 		ev.releaseStaging(mc)
-		final, end := ev.ended()
-		ev.endCallSpan(mc, "failed", end)
 		mc.log.Warn("operation failed", "manager", mc.addr, "error", n.Error, "trace", ev.trace)
-		if final {
-			ev.endFlight(mc, n.Error, end)
+		if ev.taskEnd.Load() {
+			ev.endFlight(mc, n.Error)
 		} else {
 			mc.flight.Record(ev.flight, flightrec.Event{
 				Kind: flightrec.KindFailure, Detail: n.Error})
@@ -449,27 +434,16 @@ func (ev *remoteEvent) machine(mc *managerConn, n *wire.OpNotification) {
 	}
 }
 
-// ended reports whether the event is its task's final op, and reads the
-// clock once for what its end records: a traced op's call span and the
-// final op's flight share the reading, so the span ends at taskStart
-// plus the flight's total.
-func (ev *remoteEvent) ended() (final bool, end time.Time) {
-	final = ev.taskEnd.Load()
-	if ev.trace != 0 || final && ev.flight != 0 {
-		end = time.Now()
-	}
-	return final, end
-}
-
 // endFlight completes the task's flight: the client-observed total is
-// first enqueue through end, the terminal notification, and a non-empty
+// first enqueue through now, the terminal notification, and a non-empty
 // cause fails the flight with that failure milestone. The task's final
 // op also applies the milestones the application goroutine batched on
 // the queue, in the same recorder call, and hands their array back.
-func (ev *remoteEvent) endFlight(mc *managerConn, cause string, end time.Time) {
+func (ev *remoteEvent) endFlight(mc *managerConn, cause string) {
 	if ev.flight == 0 {
 		return // no recorder: nothing was batched
 	}
+	end := time.Now()
 	// taskEnd publishes flightEvs (see remoteEvent): an op not yet final
 	// may be inside Flush, having them written, and must not read them.
 	final := ev.taskEnd.Load()
@@ -480,25 +454,11 @@ func (ev *remoteEvent) endFlight(mc *managerConn, cause string, end time.Time) {
 	if cause != "" {
 		evs = append(evs, flightrec.Event{Kind: flightrec.KindFailure, Detail: cause})
 	}
-	mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName, evs, end.Sub(ev.taskStart), cause != "", cause)
+	mc.flight.CompleteWith(ev.flight, mc.cfg.ClientName, evs, end, end.Sub(ev.taskStart), cause != "", cause)
 	if final {
 		ev.queue.reuseFlightEvs(evs)
 		ev.flightEvs = nil
 	}
-}
-
-// endCallSpan closes the operation's end-to-end "call" span: enqueue
-// issue through terminal notification at end, the client's view of the
-// whole operation.
-func (ev *remoteEvent) endCallSpan(mc *managerConn, note string, end time.Time) {
-	if ev.trace == 0 {
-		return
-	}
-	if note == "" {
-		note = ev.CommandType().String()
-	}
-	mc.tracer.Record(obs.Span{Trace: ev.trace, ID: ev.span, Parent: ev.parent,
-		Stage: "call", Note: note, Start: ev.issued, Duration: end.Sub(ev.issued)})
 }
 
 // finishRead lands read payloads in the user buffer: the BUFFER step of

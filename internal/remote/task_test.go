@@ -345,15 +345,15 @@ func TestConnectionLossKeepsTaskMilestones(t *testing.T) {
 	}
 }
 
-// A traced task's final op ends its call span and its flight on one clock
-// reading: the last call span ends at the task's start plus the flight's
-// client-observed total, for a task that completes and for one that fails.
-func TestFinalCallSpanEndsWithFlight(t *testing.T) {
+// A sampled task's trace ID keys its flight in the library and on the
+// manager, for a task that completes and for one that fails: the library
+// flight ends once with the client-observed total, the manager's carries
+// the task's op milestones, and the two agree on the failure.
+func TestSampledTaskFlightsShareTrace(t *testing.T) {
 	r := newRig(t)
-	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
 	flight := newFlight(t)
 	c, err := Dial(Config{ClientName: t.Name(), Managers: []string{r.addr}, Transport: TransportGRPC,
-		Flight: flight, Tracer: tracer})
+		Flight: flight, Tracer: obs.New(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,39 +375,43 @@ func TestFinalCallSpanEndsWithFlight(t *testing.T) {
 		t.Fatal("an out-of-range read finished without error")
 	}
 
-	type task struct {
-		start   time.Time
-		lastEnd time.Time
-	}
-	tasks := map[obs.TraceID]*task{}
-	get := func(id obs.TraceID) *task {
-		if tasks[id] == nil {
-			tasks[id] = &task{}
+	sampled := 0
+	for _, f := range flight.Snapshot().Flights {
+		if f.Synthetic {
+			continue // the connection's session flight
 		}
-		return tasks[id]
-	}
-	for _, sp := range tracer.Spans() {
-		switch sp.Stage {
-		case "task":
-			get(sp.Trace).start = sp.Start
-		case "call":
-			if tk := get(sp.Trace); sp.End().After(tk.lastEnd) {
-				tk.lastEnd = sp.End()
+		sampled++
+		last := f.Events[len(f.Events)-1]
+		if last.Kind != flightrec.KindComplete || last.Dur <= 0 {
+			t.Fatalf("library flight %s ends with %+v", f.Trace, last)
+		}
+		var mf flightrec.Flight
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			var ok bool
+			if mf, ok = r.mgr.Flight().FlightFor(f.Trace); ok && mf.Events[len(mf.Events)-1].Kind == flightrec.KindComplete {
+				break
 			}
 		}
-	}
-	if len(tasks) != 2 {
-		t.Fatalf("%d sampled tasks, want 2", len(tasks))
-	}
-	for id, tk := range tasks {
-		f, ok := flight.FlightFor(id)
-		if !ok {
-			t.Fatalf("task %s left no flight", id)
+		if len(mf.Events) == 0 {
+			t.Fatalf("the manager holds no flight for trace %s", f.Trace)
 		}
-		total := f.Events[len(f.Events)-1].Dur
-		if !tk.lastEnd.Equal(tk.start.Add(total)) {
-			t.Errorf("task %s: last call span ends %v after the task start, its flight's total is %v",
-				id, tk.lastEnd.Sub(tk.start), total)
+		ops := 0
+		for _, ev := range mf.Events {
+			if ev.Kind == flightrec.KindOp {
+				ops++
+			}
 		}
+		// The failing kernel ran, the read behind it was aborted.
+		wantOps, failed := 3, last.Detail == "failed"
+		if failed {
+			wantOps = 2
+		}
+		mlast := mf.Events[len(mf.Events)-1]
+		if ops != wantOps || mlast.Kind != flightrec.KindComplete || (mlast.Detail == "failed") != failed {
+			t.Errorf("manager flight %s: %d op milestones, ends %+v; library failed=%v", f.Trace, ops, mlast, failed)
+		}
+	}
+	if sampled != 2 {
+		t.Fatalf("%d sampled task flights in the library, want 2", sampled)
 	}
 }

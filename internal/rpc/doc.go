@@ -89,7 +89,7 @@
 // that frame is the one running the handler. The Remote Library keeps it:
 // its handler takes only short critical sections (its tag table's lock,
 // an event's lock, a command queue's lock in reuseFlightEvs, the shm
-// arena's lock, the flight recorder's, the tracer's and the logger's), and
+// arena's lock, the flight recorder's and the logger's), and
 // none of those is held across a send, a Call or a socket write. A slow
 // handler delays every later frame of its connection, responses included.
 //
@@ -114,10 +114,12 @@
 //
 // Some method bodies end in optional fields that are not encoded when
 // zero: a Hello's weight, a CreateBuffer's content hash, a DeviceInfo's
-// reconfiguration time, and the trace IDs (TraceID
-// then SpanID) of a sampled command-queue request. Decoders probe the
-// remaining length. The transport moves them like any other payload
-// bytes.
+// reconfiguration time, and the 8-byte trace ID of a sampled
+// command-queue request (fewer trailing bytes decode as untraced).
+// Decoders probe the remaining length. The transport moves them like any
+// other payload bytes. The trace ID is all that crosses: each process
+// records its part of a sampled task as milestones of one flight keyed by
+// that ID (internal/flightrec), served at /debug/flight?trace=.
 //
 // # Buffer ownership
 //

@@ -6,7 +6,7 @@ package simcluster
 // `blastctl explain` would be — must reconstruct the flight. The wait
 // breakdown has to account for the wall-clock latency the client
 // measured (within 5%), and the verdict must name the stage that was
-// engineered to dominate. A second test overflows a tiny span ring and
+// engineered to dominate. A second test overflows a tiny flight ring and
 // checks the explicit partial-timeline warning.
 
 import (
@@ -29,20 +29,18 @@ import (
 	"blastfunction/internal/rpc"
 )
 
-// explainServers mounts the two debug endpoints the Explainer reads from
-// each process. The remaining signals (logs, alerts, slo, flash) are
-// soft misses, as with a process that does not serve them.
-func explainServers(t *testing.T, mgr *manager.Manager, libFlight *flightrec.Recorder, tracer *obs.Tracer) []string {
+// explainServers mounts the debug endpoint the Explainer reads flights
+// from on each process. The remaining signals (logs, alerts, slo, flash)
+// are soft misses, as with a process that does not serve them.
+func explainServers(t *testing.T, mgr *manager.Manager, libFlight *flightrec.Recorder) []string {
 	t.Helper()
 	mgrMux := http.NewServeMux()
 	mgrMux.Handle("/debug/flight", mgr.FlightHandler())
-	mgrMux.Handle("/debug/spans", mgr.SpanHandler())
 	mgrSrv := httptest.NewServer(mgrMux)
 	t.Cleanup(mgrSrv.Close)
 
 	libMux := http.NewServeMux()
 	libMux.Handle("/debug/flight", libFlight.Handler())
-	libMux.Handle("/debug/spans", tracer.Handler())
 	libSrv := httptest.NewServer(libMux)
 	t.Cleanup(libSrv.Close)
 	return []string{mgrSrv.URL, libSrv.URL}
@@ -70,14 +68,13 @@ func waitComplete(t *testing.T, rec *flightrec.Recorder, trace obs.TraceID) {
 func TestExplainEndToEnd(t *testing.T) {
 	rig := newSLORig(t) // 0.05 GB/s PCIe: a 4 MiB transfer sleeps ~80ms
 
-	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
 	libFlight := flightrec.New(flightrec.Config{Process: "library"})
 	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "payments",
 		Managers:   []string{rig.addr},
 		Transport:  remote.TransportGRPC,
-		Tracer:     tracer,
+		Tracer:     obs.New(1),
 		Flight:     libFlight,
 	})
 	if err != nil {
@@ -123,15 +120,11 @@ func TestExplainEndToEnd(t *testing.T) {
 	}
 	measured := time.Since(start)
 
-	spans := tracer.Spans()
-	if len(spans) == 0 {
-		t.Fatal("sampled task left no client spans")
-	}
-	trace := spans[0].Trace
+	trace := sampledFlight(t, libFlight)
 	waitComplete(t, libFlight, trace)
 	waitComplete(t, rig.mgr.Flight(), trace)
 
-	ex := &flightrec.Explainer{Bases: explainServers(t, rig.mgr, libFlight, tracer)}
+	ex := &flightrec.Explainer{Bases: explainServers(t, rig.mgr, libFlight)}
 	pm, err := ex.Explain(trace)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
@@ -199,8 +192,8 @@ func TestExplainEndToEnd(t *testing.T) {
 		t.Fatalf("upload stage %v is under the write's modelled DMA %v", upload, dma)
 	}
 
-	// No rings overflowed, so the rendered report must carry no partial
-	// warning — and must state the verdict.
+	// Both processes hold their whole flight, so the rendered report must
+	// carry no partial warning — and must state the verdict.
 	var buf bytes.Buffer
 	pm.Render(&buf)
 	if strings.Contains(buf.String(), "WARNING") {
@@ -211,12 +204,13 @@ func TestExplainEndToEnd(t *testing.T) {
 	}
 }
 
-func TestExplainPartialSpanWarning(t *testing.T) {
-	// A manager with a tiny span ring: later tasks evict the first
-	// task's spans, and the postmortem must say so instead of silently
-	// rendering a gap-ridden timeline.
+func TestExplainPartialFlightWarning(t *testing.T) {
+	// A manager with a 4-flight ring: later tasks evict the first task's
+	// flight there, while the library still holds its own. The postmortem
+	// must say the manager answered without a flight for the trace
+	// instead of silently rendering a timeline with the board side missing.
 	board := fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), accel.Catalog())
-	mgr := manager.New(manager.Config{Node: "evict", DeviceID: "evict-A", TraceRing: 8}, board)
+	mgr := manager.New(manager.Config{Node: "evict", DeviceID: "evict-A", FlightRing: 4}, board)
 	srv := rpc.NewServer(mgr)
 	srv.Log = logx.NewLogf("rpc", t.Logf)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -225,14 +219,13 @@ func TestExplainPartialSpanWarning(t *testing.T) {
 	}
 	defer func() { srv.Close(); mgr.Close() }()
 
-	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
 	libFlight := flightrec.New(flightrec.Config{Process: "library"})
 	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "payments",
 		Managers:   []string{addr},
 		Transport:  remote.TransportGRPC,
-		Tracer:     tracer,
+		Tracer:     obs.New(1),
 		Flight:     libFlight,
 	})
 	if err != nil {
@@ -242,36 +235,45 @@ func TestExplainPartialSpanWarning(t *testing.T) {
 	cctx, q, k := openLoopback(t, client)
 
 	runCopyTask(t, cctx, q, k, 4096)
-	first := tracer.Spans()[0].Trace
+	first := sampledFlight(t, libFlight)
 	waitComplete(t, libFlight, first)
+	waitComplete(t, mgr.Flight(), first)
 
-	// Each later task records several manager spans into the 8-slot
-	// ring; a dozen tasks guarantee the first trace has been evicted.
+	// A dozen later tasks overflow the manager's 4-flight ring.
 	for i := 0; i < 12; i++ {
 		runCopyTask(t, cctx, q, k, 4096)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if n, _ := mgr.Tracer().EvictedFor(first); n > 0 {
+		if _, ok := mgr.Flight().FlightFor(first); !ok {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("manager ring never evicted the first trace's spans")
+			t.Fatal("the manager's ring never evicted the first task's flight")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	ex := &flightrec.Explainer{Bases: explainServers(t, mgr, libFlight, tracer)}
+	ex := &flightrec.Explainer{Bases: explainServers(t, mgr, libFlight)}
 	pm, err := ex.Explain(first)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
 	}
-	if pm.SpansEvicted == 0 {
-		t.Fatal("postmortem reports no evicted spans after a forced overflow")
+	partial := 0
+	for _, src := range pm.Sources {
+		if src.Partial != "" {
+			partial++
+			if src.Process != "manager/evict-A" || src.Flights != 0 {
+				t.Errorf("source %s (%d flights) marked partial: %s", src.Process, src.Flights, src.Partial)
+			}
+		}
+	}
+	if partial != 1 {
+		t.Fatalf("%d sources marked partial, want the manager's: %+v", partial, pm.Sources)
 	}
 	var buf bytes.Buffer
 	pm.Render(&buf)
-	if !strings.Contains(buf.String(), "spans evicted, timeline partial") {
+	if !strings.Contains(buf.String(), "WARNING: manager/evict-A holds no flight for the trace and has evicted") {
 		t.Fatalf("rendered report lacks the partial warning:\n%s", buf.String())
 	}
 }

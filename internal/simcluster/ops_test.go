@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"blastfunction/internal/alert"
+	"blastfunction/internal/flightrec"
 	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/metrics"
@@ -184,12 +185,14 @@ func TestLogsCorrelatedAcrossProcesses(t *testing.T) {
 	rig := newChaosRig(t, manager.Config{DeviceID: "ops-B", Log: mgrLog})
 	defer rig.close()
 
-	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
+	libFlight := flightrec.New(flightrec.Config{Process: "library"})
+	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "ops-client",
 		Managers:   []string{rig.addr},
 		Transport:  remote.TransportGRPC,
-		Tracer:     tracer,
+		Tracer:     obs.New(1),
+		Flight:     libFlight,
 		Log:        libLog,
 	})
 	if err != nil {
@@ -226,11 +229,7 @@ func TestLogsCorrelatedAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans := tracer.Spans()
-	if len(spans) == 0 {
-		t.Fatal("no spans at sample rate 1")
-	}
-	trace := spans[0].Trace
+	trace := sampledFlight(t, libFlight)
 
 	// Each process serves its own ring, as cmd/devicemanager and
 	// cmd/gateway do.

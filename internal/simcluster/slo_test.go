@@ -5,7 +5,7 @@ package simcluster
 // scraper feeds the manager's /metrics (exemplars and all) into a TSDB on
 // a simulated clock, the SLO engine's fast-burn rule must fire within its
 // window, /debug/slo must show the depleted budget with a non-empty
-// exemplar trace that resolves to spans on BOTH sides of the RPC, and the
+// exemplar trace that resolves to flights on BOTH sides of the RPC, and the
 // page must leave a pprof snapshot on disk via the alert-capture hook.
 
 import (
@@ -16,6 +16,7 @@ import (
 
 	"blastfunction/internal/accel"
 	"blastfunction/internal/alert"
+	"blastfunction/internal/flightrec"
 	"blastfunction/internal/fpga"
 	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
@@ -104,12 +105,14 @@ func burnState(eng *alert.Engine, sloName string) alert.State {
 func TestSLOSurgeEndToEnd(t *testing.T) {
 	rig := newSLORig(t)
 
-	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
+	libFlight := flightrec.New(flightrec.Config{Process: "library"})
+	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "payments", // the SLO subject: manager labels series tenant=payments
 		Managers:   []string{rig.addr},
 		Transport:  remote.TransportGRPC,
-		Tracer:     tracer,
+		Tracer:     obs.New(1),
+		Flight:     libFlight,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,33 +211,18 @@ func TestSLOSurgeEndToEnd(t *testing.T) {
 		t.Fatal("burning latency SLI carries no exemplar trace")
 	}
 
-	// The exemplar is a real distributed trace: it must resolve to spans
-	// in the manager's ring AND the client library's ring — the operator
-	// can go straight from the burning budget to the latency breakdown.
+	// The exemplar is a real distributed trace: it must resolve to a
+	// flight in the manager's recorder AND the client library's — the
+	// operator can go straight from the burning budget to the latency
+	// breakdown.
 	traceID, err := obs.ParseTraceID(lat.ExemplarTrace)
 	if err != nil {
 		t.Fatalf("exemplar trace %q: %v", lat.ExemplarTrace, err)
 	}
-	var mgrSpans []obs.Span
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mgrSpans = rig.mgr.Tracer().SpansFor(traceID)
-		if len(mgrSpans) > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	if _, ok := rig.mgr.Flight().FlightFor(traceID); !ok {
+		t.Fatalf("exemplar trace %s has no manager flight", lat.ExemplarTrace)
 	}
-	if len(mgrSpans) == 0 {
-		t.Fatalf("exemplar trace %s has no manager spans", lat.ExemplarTrace)
-	}
-	clientHasTrace := false
-	for _, sp := range tracer.Spans() {
-		if sp.Trace == traceID {
-			clientHasTrace = true
-			break
-		}
-	}
-	if !clientHasTrace {
-		t.Fatalf("exemplar trace %s has no client-library spans", lat.ExemplarTrace)
+	if _, ok := libFlight.FlightFor(traceID); !ok {
+		t.Fatalf("exemplar trace %s has no client-library flight", lat.ExemplarTrace)
 	}
 }

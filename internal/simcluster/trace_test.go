@@ -2,30 +2,53 @@ package simcluster
 
 // End-to-end distributed-tracing test: a write -> copy-kernel -> read task
 // runs through a real Remote Library <-> Device Manager pair, and the
-// spans recorded on both sides must share one trace ID and decompose the
-// call end to end — client call issue, RPC send, deferred-ack wait,
-// central-queue wait, device execution, notification delivery.
+// flights the two processes record for it must share one trace ID and
+// decompose the call end to end — the library's wire-send upload and
+// client-observed total, the manager's central-queue wait, each board
+// operation, device execution and notification delivery.
 
 import (
 	"testing"
-	"time"
 
+	"blastfunction/internal/flightrec"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
 )
 
+// sampledFlight returns the one sampled task flight in a library's
+// recorder (its session flight is synthetic).
+func sampledFlight(t *testing.T, rec *flightrec.Recorder) obs.TraceID {
+	t.Helper()
+	var trace obs.TraceID
+	for _, f := range rec.Snapshot().Flights {
+		if f.Synthetic {
+			continue
+		}
+		if trace != 0 {
+			t.Fatalf("library holds sampled flights %s and %s, want one", trace, f.Trace)
+		}
+		trace = f.Trace
+	}
+	if trace == 0 {
+		t.Fatal("the library recorded no sampled flight at sample rate 1")
+	}
+	return trace
+}
+
 func TestTraceEndToEnd(t *testing.T) {
 	rig := newChaosRig(t, manager.Config{DeviceID: "trace-A"})
 	defer rig.close()
 
-	tracer := obs.New(obs.Config{Component: "library", SampleRate: 1})
+	libFlight := flightrec.New(flightrec.Config{Process: "library"})
+	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "trace-client",
 		Managers:   []string{rig.addr},
 		Transport:  remote.TransportGRPC,
-		Tracer:     tracer,
+		Tracer:     obs.New(1),
+		Flight:     libFlight,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,83 +89,53 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("loopback corrupted payload: %q", dst)
 	}
 
-	clientSpans := tracer.Spans()
-	if len(clientSpans) == 0 {
-		t.Fatal("no client spans recorded at sample rate 1")
+	// One sampled trace ID keys the task's flight in both processes.
+	trace := sampledFlight(t, libFlight)
+	waitComplete(t, libFlight, trace)
+	waitComplete(t, rig.mgr.Flight(), trace)
+	lib, _ := libFlight.FlightFor(trace)
+	mgr, _ := rig.mgr.Flight().FlightFor(trace)
+
+	count := func(f flightrec.Flight) map[flightrec.Kind]int {
+		n := map[flightrec.Kind]int{}
+		for _, ev := range f.Events {
+			n[ev.Kind]++
+		}
+		return n
 	}
-	trace := clientSpans[0].Trace
-	if trace == 0 {
-		t.Fatal("client span with zero trace id")
+	// Library side: the write's wire-send and the client-observed total.
+	libKinds := count(lib)
+	if libKinds[flightrec.KindUpload] != 1 || libKinds[flightrec.KindComplete] != 1 {
+		t.Errorf("library flight %v, want one upload and one complete\n%+v", libKinds, lib.Events)
 	}
-	for _, sp := range clientSpans {
-		if sp.Trace != trace {
-			t.Fatalf("client spans span multiple traces: %s and %s", trace, sp.Trace)
+	// Manager side: the queue wait, each of the 3 ops, the execution and
+	// the notification, continuing the same trace.
+	mgrKinds := count(mgr)
+	for kind, want := range map[flightrec.Kind]int{flightrec.KindOp: 3,
+		flightrec.KindScheduled: 1, flightrec.KindExecute: 1, flightrec.KindNotify: 1} {
+		if got := mgrKinds[kind]; got != want {
+			t.Errorf("manager %q milestones = %d, want %d\n%+v", kind, got, want, mgr.Events)
 		}
 	}
 
-	// The manager's spans arrive asynchronously (its notify span is
-	// recorded after the batch frame is on the wire); poll briefly.
-	var mgrSpans []obs.Span
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mgrSpans = rig.mgr.Tracer().SpansFor(trace)
-		if countStage(mgrSpans, "notify") > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The client flight covers the call end to end: it opens at the first
+	// enqueue and closes after the completion arrived, so every manager
+	// milestone starts inside it, and every one that ends before the
+	// completion frame is written ends inside it too. The notify and
+	// complete milestones end at the manager's stamp just after that
+	// write returns, which races the client's receipt of the frame: under
+	// -race the client has been seen done first about 1 run in 50.
+	done := lib.Events[len(lib.Events)-1]
+	start, end := done.Time.Add(-done.Dur), done.Time
+	if done.Kind != flightrec.KindComplete || !end.After(start) {
+		t.Fatalf("library flight ends with %+v", done)
 	}
-
-	// Client-side decomposition: per-op call/send/ack-wait plus the task
-	// root span.
-	for stage, want := range map[string]int{"call": 3, "send": 3, "ack-wait": 3, "task": 1} {
-		if got := countStage(clientSpans, stage); got != want {
-			t.Errorf("client %q spans = %d, want %d\n%v", stage, got, want, clientSpans)
-		}
-	}
-	// Manager-side decomposition, continuing the same trace.
-	for stage, want := range map[string]int{"queue-wait": 1, "execute": 1, "op": 3, "notify": 1} {
-		if got := countStage(mgrSpans, stage); got != want {
-			t.Errorf("manager %q spans = %d, want %d\n%v", stage, got, want, mgrSpans)
+	for _, ev := range mgr.Events {
+		from, to := ev.Time.Add(-ev.Dur), ev.Time
+		written := ev.Kind == flightrec.KindNotify || ev.Kind == flightrec.KindComplete
+		if from.Before(start) || !from.Before(end) || !written && to.After(end) {
+			t.Errorf("manager %s milestone [%v, %v] outside the client flight [%v, %v]",
+				ev.Kind, from, to, start, end)
 		}
 	}
-	for _, sp := range mgrSpans {
-		if sp.Component != "manager" {
-			t.Errorf("manager span has component %q", sp.Component)
-		}
-	}
-
-	// The merged timeline covers the call end to end: the client's call
-	// spans open before anything else and close after the board is done,
-	// so queue wait and device execution nest inside the client window.
-	var start, callEnd time.Time
-	for _, sp := range clientSpans {
-		if start.IsZero() || sp.Start.Before(start) {
-			start = sp.Start
-		}
-		if sp.Stage == "call" && sp.End().After(callEnd) {
-			callEnd = sp.End()
-		}
-	}
-	if !callEnd.After(start) {
-		t.Fatalf("degenerate client window [%v, %v]", start, callEnd)
-	}
-	for _, sp := range mgrSpans {
-		if sp.Stage == "notify" {
-			continue // delivery races the client's terminal processing
-		}
-		if sp.Start.Before(start) || sp.End().After(callEnd) {
-			t.Errorf("manager %q span [%v, %v] outside client window [%v, %v]",
-				sp.Stage, sp.Start, sp.End(), start, callEnd)
-		}
-	}
-}
-
-func countStage(spans []obs.Span, stage string) int {
-	n := 0
-	for _, sp := range spans {
-		if sp.Stage == stage {
-			n++
-		}
-	}
-	return n
 }

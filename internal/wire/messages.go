@@ -77,16 +77,6 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", uint16(m))
 }
 
-// CommandQueueMethod reports whether the method belongs to the
-// command-queue group (asynchronous, task-forming).
-func (m Method) CommandQueueMethod() bool {
-	switch m {
-	case MethodEnqueueWrite, MethodEnqueueRead, MethodEnqueueKernel, MethodEnqueueCopy, MethodFlush:
-		return true
-	}
-	return false
-}
-
 // DataVia selects the data path of a buffer transfer.
 type DataVia uint8
 
@@ -143,25 +133,24 @@ type HelloRequest struct {
 // Manager are built from one module, so Hello is a skew guard, not a
 // negotiation: each side refuses a peer whose revision differs from its
 // own.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
-// encodeTraceTail appends the trailing trace IDs of a command-queue
+// encodeTraceTail appends the trailing trace ID of a command-queue
 // request. An untraced request (TraceID zero) appends nothing: zero is not
 // encoded.
-func encodeTraceTail(e *Encoder, traceID, spanID uint64) {
+func encodeTraceTail(e *Encoder, traceID uint64) {
 	if traceID != 0 {
 		e.U64(traceID)
-		e.U64(spanID)
 	}
 }
 
-// decodeTraceTail reads the trailing trace IDs if present. Both IDs
-// travel together, so anything shorter than the pair is not a trace tail.
-func decodeTraceTail(d *Decoder) (traceID, spanID uint64) {
-	if d.Remaining() >= 16 {
-		return d.U64(), d.U64()
+// decodeTraceTail reads the trailing trace ID if present. Fewer than 8
+// trailing bytes are not a trace ID: the request decodes as untraced.
+func decodeTraceTail(d *Decoder) uint64 {
+	if d.Remaining() >= 8 {
+		return d.U64()
 	}
-	return 0, 0
+	return 0
 }
 
 // Encode serializes the message.
@@ -443,10 +432,9 @@ type EnqueueWriteRequest struct {
 	// ShmOff/ShmLen reference the payload for ViaShm.
 	ShmOff int64
 	ShmLen int64
-	// TraceID/SpanID are the operation's distributed-tracing identity.
-	// Trailing fields after the payload: zero (untraced) is not encoded.
+	// TraceID is the operation's sampled trace. Trailing field after the
+	// payload: zero (untraced) is not encoded.
 	TraceID uint64
-	SpanID  uint64
 }
 
 // Encode serializes the message.
@@ -476,11 +464,11 @@ func (m *EnqueueWriteRequest) EncodeHead(e *Encoder) {
 	}
 }
 
-// EncodeTail serializes the trailing trace IDs (nothing when untraced).
+// EncodeTail serializes the trailing trace ID (nothing when untraced).
 // It follows the inline payload on the wire, so a vectored sender encodes
 // head and tail into one buffer and slots the Data segment between them.
 func (m *EnqueueWriteRequest) EncodeTail(e *Encoder) {
-	encodeTraceTail(e, m.TraceID, m.SpanID)
+	encodeTraceTail(e, m.TraceID)
 }
 
 // Decode deserializes the message. Data aliases the decode buffer: the
@@ -498,7 +486,7 @@ func (m *EnqueueWriteRequest) Decode(d *Decoder) {
 		m.ShmOff = d.I64()
 		m.ShmLen = d.I64()
 	}
-	m.TraceID, m.SpanID = decodeTraceTail(d)
+	m.TraceID = decodeTraceTail(d)
 }
 
 // EnqueueReadRequest transfers device data back to the host.
@@ -511,9 +499,8 @@ type EnqueueReadRequest struct {
 	Via    DataVia
 	// ShmOff is the destination offset inside the segment for ViaShm.
 	ShmOff int64
-	// TraceID/SpanID: trailing trace identity, as on EnqueueWriteRequest.
+	// TraceID: trailing trace identity, as on EnqueueWriteRequest.
 	TraceID uint64
-	SpanID  uint64
 }
 
 // Encode serializes the message.
@@ -525,7 +512,7 @@ func (m *EnqueueReadRequest) Encode(e *Encoder) {
 	e.I64(m.Length)
 	e.U8(uint8(m.Via))
 	e.I64(m.ShmOff)
-	encodeTraceTail(e, m.TraceID, m.SpanID)
+	encodeTraceTail(e, m.TraceID)
 }
 
 // Decode deserializes the message.
@@ -537,7 +524,7 @@ func (m *EnqueueReadRequest) Decode(d *Decoder) {
 	m.Length = d.I64()
 	m.Via = DataVia(d.U8())
 	m.ShmOff = d.I64()
-	m.TraceID, m.SpanID = decodeTraceTail(d)
+	m.TraceID = decodeTraceTail(d)
 }
 
 // EnqueueKernelRequest launches a kernel. The NDRange travels as
@@ -548,9 +535,8 @@ type EnqueueKernelRequest struct {
 	Kernel uint64
 	Global []int
 	Local  []int
-	// TraceID/SpanID: trailing trace identity, as on EnqueueWriteRequest.
+	// TraceID: trailing trace identity, as on EnqueueWriteRequest.
 	TraceID uint64
-	SpanID  uint64
 }
 
 // Encode serializes the message.
@@ -560,7 +546,7 @@ func (m *EnqueueKernelRequest) Encode(e *Encoder) {
 	e.U64(m.Kernel)
 	e.Ints(m.Global)
 	e.Ints(m.Local)
-	encodeTraceTail(e, m.TraceID, m.SpanID)
+	encodeTraceTail(e, m.TraceID)
 }
 
 // Decode deserializes the message. The NDRange is appended to the
@@ -571,7 +557,7 @@ func (m *EnqueueKernelRequest) Decode(d *Decoder) {
 	m.Kernel = d.U64()
 	m.Global = d.AppendInts(m.Global[:0])
 	m.Local = d.AppendInts(m.Local[:0])
-	m.TraceID, m.SpanID = decodeTraceTail(d)
+	m.TraceID = decodeTraceTail(d)
 }
 
 // EnqueueCopyRequest moves Length bytes from one device buffer to another
@@ -586,9 +572,8 @@ type EnqueueCopyRequest struct {
 	SrcOffset int64
 	DstOffset int64
 	Length    int64
-	// TraceID/SpanID: trailing trace identity, as on EnqueueWriteRequest.
+	// TraceID: trailing trace identity, as on EnqueueWriteRequest.
 	TraceID uint64
-	SpanID  uint64
 }
 
 // Encode serializes the message.
@@ -600,7 +585,7 @@ func (m *EnqueueCopyRequest) Encode(e *Encoder) {
 	e.I64(m.SrcOffset)
 	e.I64(m.DstOffset)
 	e.I64(m.Length)
-	encodeTraceTail(e, m.TraceID, m.SpanID)
+	encodeTraceTail(e, m.TraceID)
 }
 
 // Decode deserializes the message.
@@ -612,29 +597,28 @@ func (m *EnqueueCopyRequest) Decode(d *Decoder) {
 	m.SrcOffset = d.I64()
 	m.DstOffset = d.I64()
 	m.Length = d.I64()
-	m.TraceID, m.SpanID = decodeTraceTail(d)
+	m.TraceID = decodeTraceTail(d)
 }
 
 // FlushRequest seals the client's current task on a queue and submits it
 // to the manager's central queue.
 type FlushRequest struct {
 	Queue uint64
-	// TraceID/SpanID carry the flush-formed task's trace identity (the
-	// task's root span). An untraced flush is the queue alone.
+	// TraceID is the flush-formed task's sampled trace. An untraced flush
+	// is the queue alone.
 	TraceID uint64
-	SpanID  uint64
 }
 
 // Encode serializes the message.
 func (m *FlushRequest) Encode(e *Encoder) {
 	e.U64(m.Queue)
-	encodeTraceTail(e, m.TraceID, m.SpanID)
+	encodeTraceTail(e, m.TraceID)
 }
 
 // Decode deserializes the message.
 func (m *FlushRequest) Decode(d *Decoder) {
 	m.Queue = d.U64()
-	m.TraceID, m.SpanID = decodeTraceTail(d)
+	m.TraceID = decodeTraceTail(d)
 }
 
 // OpState is the state carried by an operation notification.

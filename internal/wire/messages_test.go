@@ -50,7 +50,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		{&EnqueueCopyRequest{Tag: 21, Queue: 1, SrcBuffer: 2, DstBuffer: 3,
 			SrcOffset: 64, DstOffset: 128, Length: 4096}, &EnqueueCopyRequest{}},
 		{&EnqueueCopyRequest{Tag: 22, Queue: 1, SrcBuffer: 2, DstBuffer: 3,
-			Length: 4096, TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueCopyRequest{}},
+			Length: 4096, TraceID: 0xdead}, &EnqueueCopyRequest{}},
 		{&CreateProgramRequest{Context: 2, Binary: []byte("AOCX0:spector-mm")}, &CreateProgramRequest{}},
 		{&CreateProgramResponse{ID: 8, Kernels: []string{"mm"}}, &CreateProgramResponse{}},
 		{&CreateKernelRequest{Program: 8, Name: "mm"}, &CreateKernelRequest{}},
@@ -66,15 +66,15 @@ func TestMessageRoundTrips(t *testing.T) {
 		{&EnqueueKernelRequest{Tag: 14, Queue: 1, Kernel: 3,
 			Global: []int{1024, 8}, Local: []int{16}}, &EnqueueKernelRequest{}},
 		{&EnqueueWriteRequest{Tag: 16, Queue: 1, Buffer: 2, Offset: 64,
-			Via: ViaInline, Data: []byte("abcdef"), TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueWriteRequest{}},
+			Via: ViaInline, Data: []byte("abcdef"), TraceID: 0xdead}, &EnqueueWriteRequest{}},
 		{&EnqueueWriteRequest{Tag: 17, Queue: 1, Buffer: 2,
-			Via: ViaShm, ShmOff: 4096, ShmLen: 512, TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueWriteRequest{}},
+			Via: ViaShm, ShmOff: 4096, ShmLen: 512, TraceID: 0xdead}, &EnqueueWriteRequest{}},
 		{&EnqueueReadRequest{Tag: 18, Queue: 1, Buffer: 2, Offset: 8, Length: 100,
-			Via: ViaShm, ShmOff: 8192, TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueReadRequest{}},
+			Via: ViaShm, ShmOff: 8192, TraceID: 0xdead}, &EnqueueReadRequest{}},
 		{&EnqueueKernelRequest{Tag: 19, Queue: 1, Kernel: 3,
-			Global: []int{1024, 8}, Local: []int{16}, TraceID: 0xdead, SpanID: 0xbeef}, &EnqueueKernelRequest{}},
+			Global: []int{1024, 8}, Local: []int{16}, TraceID: 0xdead}, &EnqueueKernelRequest{}},
 		{&FlushRequest{Queue: 1}, &FlushRequest{}},
-		{&FlushRequest{Queue: 3, TraceID: 0xdead, SpanID: 0xbeef}, &FlushRequest{}},
+		{&FlushRequest{Queue: 3, TraceID: 0xdead}, &FlushRequest{}},
 		{&OpNotification{Tag: 14, State: OpComplete, DeviceNanos: 12345,
 			Data: []byte("result")}, &OpNotification{}},
 		{&OpNotification{Tag: 15, State: OpFailed, Status: int32(ocl.ErrInvalidMemObject),
@@ -111,8 +111,8 @@ func TestSchedulerFieldsTrailing(t *testing.T) {
 
 // TestTraceFieldsTrailing pins the zero-omitting encoding of the tracing
 // tail: untraced command-queue requests carry no trace bytes, frames
-// without the tail decode with the trace IDs zeroed, and a Flush is its
-// queue alone (8 bytes) or its queue and the tail (24 bytes).
+// without the tail decode with the trace ID zeroed, and a Flush is its
+// queue alone (8 bytes) or its queue and the 8-byte trace ID (16 bytes).
 func TestTraceFieldsTrailing(t *testing.T) {
 	// Untraced EnqueueWrite (inline): tag, queue, buffer, offset, via,
 	// length-prefixed data.
@@ -132,8 +132,8 @@ func TestTraceFieldsTrailing(t *testing.T) {
 	var w EnqueueWriteRequest
 	d := NewDecoder(old.Bytes())
 	w.Decode(d)
-	if d.Err() != nil || w.TraceID != 0 || w.SpanID != 0 {
-		t.Fatalf("untraced EnqueueWrite decode: trace=%d span=%d err=%v", w.TraceID, w.SpanID, d.Err())
+	if d.Err() != nil || w.TraceID != 0 {
+		t.Fatalf("untraced EnqueueWrite decode: trace=%d err=%v", w.TraceID, d.Err())
 	}
 
 	// Untraced EnqueueRead.
@@ -184,20 +184,47 @@ func TestTraceFieldsTrailing(t *testing.T) {
 		t.Fatalf("untraced Flush decode: %+v err=%v", f, d.Err())
 	}
 
-	// Traced Flush: u64 queue, u64 trace, u64 span = 24 bytes.
+	// Traced Flush: u64 queue, u64 trace = 16 bytes.
 	old = NewEncoder(32)
 	old.U64(7)
 	old.U64(0xdead)
-	old.U64(0xbeef)
 	now = NewEncoder(32)
-	(&FlushRequest{Queue: 7, TraceID: 0xdead, SpanID: 0xbeef}).Encode(now)
-	if got := len(now.Bytes()); got != 24 || !bytes.Equal(old.Bytes(), now.Bytes()) {
-		t.Fatalf("traced Flush is %d bytes %x, want 24 bytes %x", got, now.Bytes(), old.Bytes())
+	(&FlushRequest{Queue: 7, TraceID: 0xdead}).Encode(now)
+	if got := len(now.Bytes()); got != 16 || !bytes.Equal(old.Bytes(), now.Bytes()) {
+		t.Fatalf("traced Flush is %d bytes %x, want 16 bytes %x", got, now.Bytes(), old.Bytes())
 	}
 	d = NewDecoder(now.Bytes())
 	f.Decode(d)
-	if d.Err() != nil || f != (FlushRequest{Queue: 7, TraceID: 0xdead, SpanID: 0xbeef}) {
+	if d.Err() != nil || f != (FlushRequest{Queue: 7, TraceID: 0xdead}) {
 		t.Fatalf("traced Flush decode: %+v err=%v", f, d.Err())
+	}
+
+	// Traced inline EnqueueWrite: the trace ID follows the payload.
+	old = NewEncoder(64)
+	old.U64(16)
+	old.U64(1)
+	old.U64(2)
+	old.I64(64)
+	old.U8(uint8(ViaInline))
+	old.Bytes32([]byte("abcdef"))
+	old.U64(0xdead)
+	now = NewEncoder(64)
+	(&EnqueueWriteRequest{Tag: 16, Queue: 1, Buffer: 2, Offset: 64,
+		Via: ViaInline, Data: []byte("abcdef"), TraceID: 0xdead}).Encode(now)
+	if !bytes.Equal(old.Bytes(), now.Bytes()) {
+		t.Fatalf("traced EnqueueWrite:\nwant %x\ngot  %x", old.Bytes(), now.Bytes())
+	}
+
+	// One to seven trailing bytes are no trace ID: the request decodes as
+	// untraced, without error, and the short tail is left unread.
+	for n := 1; n < 8; n++ {
+		e := NewEncoder(16)
+		e.U64(7)
+		d = NewDecoder(append(e.Bytes(), make([]byte, n)...))
+		f.Decode(d)
+		if d.Err() != nil || f != (FlushRequest{Queue: 7}) || d.Remaining() != n {
+			t.Fatalf("Flush with a %d-byte tail: %+v err=%v, %d bytes left", n, f, d.Err(), d.Remaining())
+		}
 	}
 }
 
@@ -278,24 +305,6 @@ func TestMethodNames(t *testing.T) {
 	}
 	if Method(999).String() != "Method(999)" {
 		t.Fatalf("unknown method = %q", Method(999).String())
-	}
-}
-
-func TestCommandQueueMethodClassification(t *testing.T) {
-	// The split drives the Device Manager's sync-vs-task dispatch, the
-	// paper's Section III-B distinction.
-	cq := []Method{MethodEnqueueWrite, MethodEnqueueRead, MethodEnqueueKernel, MethodFlush}
-	for _, m := range cq {
-		if !m.CommandQueueMethod() {
-			t.Errorf("%v must be a command-queue method", m)
-		}
-	}
-	sync := []Method{MethodHello, MethodDeviceInfo, MethodCreateContext, MethodCreateBuffer,
-		MethodCreateProgram, MethodBuildProgram, MethodCreateKernel, MethodSetKernelArg, MethodSetupShm}
-	for _, m := range sync {
-		if m.CommandQueueMethod() {
-			t.Errorf("%v must be a context/information method", m)
-		}
 	}
 }
 
