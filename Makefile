@@ -1,7 +1,7 @@
 # BlastFunction reproduction build targets.
 GO ?= go
 
-.PHONY: all build test test-benchmark fuzz-smoke vet race allocs bench bench-dataplane bench-scale bench-reconfig bench-obs trace-overhead log-overhead check experiments examples sched-ablation clean
+.PHONY: all build test test-benchmark fuzz-smoke vet race allocs bench bench-dataplane bench-scale bench-reconfig bench-obs trace-overhead check experiments examples sched-ablation clean
 
 all: build test
 
@@ -57,7 +57,7 @@ sched-ablation:
 	$(GO) test -run '^$$' -bench BenchmarkAblationScheduling -benchtime 1x .
 	$(GO) test -bench BenchmarkPushPop -benchmem ./internal/sched/
 
-bench: trace-overhead log-overhead bench-reconfig
+bench: trace-overhead bench-reconfig
 	$(GO) test -bench=. -benchmem ./...
 
 # Record the data-plane reuse trajectory into BENCH_dataplane.json:
@@ -100,12 +100,6 @@ bench-obs:
 # untouched baseline benchmark. The sampling-off budget is <2%.
 trace-overhead:
 	$(GO) test -run '^$$' -bench 'BenchmarkTraceOverhead|BenchmarkLiveRoundTripGRPC4K$$' -benchmem .
-
-# Measure the structured-logging tax on the same round trip: nil loggers
-# (budget <1% against the untouched baseline), loggers at Info (per-task
-# debug events gated out), and ring-recording every task at Debug.
-log-overhead:
-	$(GO) test -run '^$$' -bench 'BenchmarkLogOverhead|BenchmarkLiveRoundTripGRPC4K$$' -benchmem .
 
 # Verify the paper's qualitative claims hold.
 check:

@@ -17,9 +17,11 @@ import (
 	"time"
 
 	"blastfunction/internal/flightrec"
+	"blastfunction/internal/manager"
 	"blastfunction/internal/metrics"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/remote"
+	"blastfunction/internal/stack"
 )
 
 // obsReport is the BENCH_obs.json schema.
@@ -65,7 +67,10 @@ type obsReport struct {
 // Mirrors bench_test.go's benchWriteRead otherwise.
 func benchWriteReadFlight(b *testing.B, size int, off bool) {
 	b.Helper()
-	tb, err := NewTestbed(NodeConfig{Name: "bench", NoFlightRecorder: off})
+	node, err := stack.NewNode(stack.NodeConfig{
+		Manager: manager.Config{Node: "bench", DeviceID: "fpga-bench", NoFlightRecorder: off},
+		Listen:  "127.0.0.1:0",
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -75,18 +80,18 @@ func benchWriteReadFlight(b *testing.B, size int, off bool) {
 	}
 	client, err := remote.Dial(remote.Config{
 		ClientName: "bench",
-		Managers:   []string{tb.Nodes[0].Addr},
+		Managers:   []string{node.Addr},
 		Transport:  remote.TransportGRPC,
 		Flight:     flight,
 	})
 	if err != nil {
-		tb.Close()
+		node.Close()
 		b.Fatal(err)
 	}
 	b.Cleanup(func() {
 		client.Close()
 		flight.Close()
-		tb.Close()
+		node.Close()
 	})
 	_, q, k, in, out := setupCopy(b, client, size)
 	for i, arg := range []any{in, out, int32(size)} {

@@ -19,7 +19,6 @@ import (
 	"blastfunction/internal/apps"
 	"blastfunction/internal/bench"
 	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/model"
 	"blastfunction/internal/native"
 	"blastfunction/internal/obs"
@@ -218,82 +217,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("sampled-100pct", func(b *testing.B) {
 		benchWriteReadTraced(b, remote.TransportGRPC, 4<<10,
 			obs.New(1))
-	})
-}
-
-// benchWriteReadLogged is the 4K gRPC round trip with structured
-// loggers attached to both ends of the path: mgrLog feeds the Device
-// Manager's per-task events, clientLog the Remote Library's.
-func benchWriteReadLogged(b *testing.B, size int, mgrLog, clientLog *logx.Logger) {
-	b.Helper()
-	tb, err := NewTestbed(NodeConfig{Name: "bench", Log: mgrLog})
-	if err != nil {
-		b.Fatal(err)
-	}
-	client, err := remote.Dial(remote.Config{
-		ClientName: "bench",
-		Managers:   []string{tb.Nodes[0].Addr},
-		Transport:  remote.TransportGRPC,
-		Log:        clientLog,
-	})
-	if err != nil {
-		tb.Close()
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		client.Close()
-		tb.Close()
-	})
-	_, q, k, in, out := setupCopy(b, client, size)
-	if err := k.SetArg(0, in); err != nil {
-		b.Fatal(err)
-	}
-	if err := k.SetArg(1, out); err != nil {
-		b.Fatal(err)
-	}
-	if err := k.SetArg(2, int32(size)); err != nil {
-		b.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0xAB}, size)
-	dst := make([]byte, size)
-	b.SetBytes(int64(2 * size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.EnqueueWriteBuffer(in, false, 0, payload, nil); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := q.EnqueueTask(k, nil); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := q.EnqueueReadBuffer(out, false, 0, dst, nil); err != nil {
-			b.Fatal(err)
-		}
-		if err := q.Finish(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLogOverhead measures the structured-logging tax on the hot
-// RPC path: the 4K gRPC round trip with logging disabled entirely (the
-// nil-logger baseline, comparable to BenchmarkLiveRoundTripGRPC4K),
-// with loggers attached at Info (the per-task debug events are gated
-// out — the production setting), and at Debug with every task recorded
-// into both rings (worst case). The acceptance budget is <1% for the
-// off case: a nil logger costs one nil check per task on each side.
-func BenchmarkLogOverhead(b *testing.B) {
-	b.Run("off", func(b *testing.B) {
-		benchWriteReadLogged(b, 4<<10, nil, nil)
-	})
-	b.Run("ring-info", func(b *testing.B) {
-		benchWriteReadLogged(b, 4<<10,
-			logx.New(logx.Config{Component: "manager", Level: logx.LevelInfo}),
-			logx.New(logx.Config{Component: "library", Level: logx.LevelInfo}))
-	})
-	b.Run("ring-debug", func(b *testing.B) {
-		benchWriteReadLogged(b, 4<<10,
-			logx.New(logx.Config{Component: "manager"}),
-			logx.New(logx.Config{Component: "library"}))
 	})
 }
 

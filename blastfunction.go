@@ -4,25 +4,24 @@
 // "BlastFunction: an FPGA-as-a-Service system for Accelerated Serverless
 // Computing" (Bacis, Brondolin, Santambrogio — DATE 2020).
 //
-// The package offers an in-process testbed that wires simulated boards,
-// Device Managers and RPC servers together, which is what the runnable
-// examples and most integration tests build on. Production-style
-// deployments run the pieces as separate processes via cmd/devicemanager,
-// cmd/registry and cmd/gateway instead; their shared operations plane
-// (logger, debug mux, monitoring, graceful shutdown) is internal/opsplane.
+// The package offers an in-process testbed of nodes — simulated boards,
+// Device Managers and RPC servers, each built by internal/stack as
+// cmd/devicemanager builds its one — which is what the runnable examples
+// and most integration tests build on. Production-style deployments run
+// the pieces as separate processes via cmd/devicemanager, cmd/registry
+// and cmd/gateway instead; their shared operations plane (logger, debug
+// mux, monitoring, graceful shutdown) is internal/opsplane.
 package blastfunction
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
-	"blastfunction/internal/accel"
-	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/model"
 	"blastfunction/internal/remote"
-	"blastfunction/internal/rpc"
+	"blastfunction/internal/stack"
 )
 
 // NodeConfig describes one simulated node of a Testbed.
@@ -32,23 +31,13 @@ type NodeConfig struct {
 	// Master selects the master-node cost model (PCIe Gen2, slower host)
 	// instead of the worker model.
 	Master bool
-	// Log, when non-nil, receives the node's Device Manager structured
-	// events (nil keeps the manager silent at zero cost).
-	Log *logx.Logger
-	// NoFlightRecorder disables the manager's always-on task flight
-	// recorder — benchmark baselines only.
-	NoFlightRecorder bool
 }
 
 // Node is one running node of a Testbed: a simulated DE5a-Net board, its
 // Device Manager, and the manager's RPC endpoint.
 type Node struct {
-	Name    string
-	Addr    string
-	Manager *manager.Manager
-	Board   *fpga.Board
-
-	server *rpc.Server
+	Name string
+	*stack.Node
 }
 
 // Testbed is an in-process BlastFunction deployment.
@@ -71,26 +60,16 @@ func NewTestbed(nodes ...NodeConfig) (*Testbed, error) {
 		if nc.Master {
 			cost = model.MasterNode()
 		}
-		board := fpga.NewBoard(fpga.DE5aNet(cost), accel.Catalog())
-		mgr := manager.New(manager.Config{
-			Node:             nc.Name,
-			DeviceID:         "fpga-" + nc.Name,
-			Log:              nc.Log,
-			NoFlightRecorder: nc.NoFlightRecorder,
-		}, board)
-		srv := rpc.NewServer(mgr)
-		addr, err := srv.Listen("127.0.0.1:0")
+		n, err := stack.NewNode(stack.NodeConfig{
+			Manager: manager.Config{Node: nc.Name, DeviceID: "fpga-" + nc.Name},
+			Cost:    cost,
+			Listen:  "127.0.0.1:0",
+		})
 		if err != nil {
 			tb.Close()
 			return nil, fmt.Errorf("blastfunction: node %s: %w", nc.Name, err)
 		}
-		tb.Nodes = append(tb.Nodes, &Node{
-			Name:    nc.Name,
-			Addr:    addr,
-			Manager: mgr,
-			Board:   board,
-			server:  srv,
-		})
+		tb.Nodes = append(tb.Nodes, &Node{Name: nc.Name, Node: n})
 	}
 	return tb, nil
 }
@@ -108,22 +87,15 @@ func (tb *Testbed) Addrs() []string {
 // given nodes (all of them when none specified). Transport follows the
 // paper's policy: shared memory when possible, RPC otherwise.
 func (tb *Testbed) Client(name string, nodeNames ...string) (*remote.Client, error) {
-	var addrs []string
-	if len(nodeNames) == 0 {
-		addrs = tb.Addrs()
-	} else {
+	addrs := tb.Addrs()
+	if len(nodeNames) > 0 {
+		addrs = nil
 		for _, want := range nodeNames {
-			found := false
-			for _, n := range tb.Nodes {
-				if n.Name == want {
-					addrs = append(addrs, n.Addr)
-					found = true
-					break
-				}
-			}
-			if !found {
+			i := slices.IndexFunc(tb.Nodes, func(n *Node) bool { return n.Name == want })
+			if i < 0 {
 				return nil, fmt.Errorf("blastfunction: unknown node %q", want)
 			}
+			addrs = append(addrs, tb.Nodes[i].Addr)
 		}
 	}
 	return remote.Dial(remote.Config{
@@ -137,12 +109,7 @@ func (tb *Testbed) Client(name string, nodeNames ...string) (*remote.Client, err
 func (tb *Testbed) Close() error {
 	var errs []error
 	for _, n := range tb.Nodes {
-		if n.server != nil {
-			errs = append(errs, n.server.Close())
-		}
-		if n.Manager != nil {
-			n.Manager.Close()
-		}
+		errs = append(errs, n.Close())
 	}
 	return errors.Join(errs...)
 }

@@ -16,21 +16,21 @@ import (
 	"net/http"
 	"time"
 
-	"blastfunction/internal/accel"
 	"blastfunction/internal/fpga"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/metrics"
 	"blastfunction/internal/model"
 	"blastfunction/internal/opsplane"
-	"blastfunction/internal/rpc"
+	"blastfunction/internal/registry"
 	"blastfunction/internal/sched"
+	"blastfunction/internal/stack"
 )
 
 func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:5100", "RPC listen address")
 		metricsAt    = flag.String("metrics", "127.0.0.1:5101", "metrics HTTP listen address")
-		node         = flag.String("node", "local", "node name (shared-memory co-location check)")
+		nodeName     = flag.String("node", "local", "node name (shared-memory co-location check)")
 		device       = flag.String("device", "fpga0", "device identifier")
 		master       = flag.Bool("master", false, "use the master-node cost model (PCIe Gen2, slower host)")
 		timescale    = flag.Float64("timescale", 0.01, "wall seconds per modelled second (0 disables sleeping)")
@@ -61,47 +61,38 @@ func main() {
 	if *master {
 		cost = model.MasterNode()
 	}
-	cfg := fpga.DE5aNet(cost)
-	cfg.TimeScale = *timescale
-	board := fpga.NewBoard(cfg, accel.Catalog())
-	mgr := manager.New(manager.Config{
-		Node:             *node,
-		DeviceID:         *device,
-		LeaseDuration:    *lease,
-		Scheduler:        *schedFlag,
-		TenantWeights:    weightTable,
-		StarvationGuard:  *guard,
-		Log:              p.Log,
-		BufferCacheBytes: *bufCache,
-		FlashHistoryPath: *flashHist,
-		FlightRing:       *flightRing,
-		FlightLedgerPath: *flightLedger,
-	}, board)
-	defer mgr.Close()
-
-	// Runtime health rides the manager's own /metrics: the registry
-	// scrapes it into the TSDB where GoroutineLeak/HeapGrowth watch it.
-	p.CollectRuntime(mgr.Metrics(), metrics.Labels{"component": "manager", "device": *device, "node": *node}, 5*time.Second)
-
-	srv := rpc.NewServer(mgr)
-	srv.Log = p.Log.Named("rpc")
-	addr, err := srv.Listen(*listen)
+	node, err := stack.NewNode(stack.NodeConfig{
+		Manager: manager.Config{
+			Node:             *nodeName,
+			DeviceID:         *device,
+			LeaseDuration:    *lease,
+			Scheduler:        *schedFlag,
+			TenantWeights:    weightTable,
+			StarvationGuard:  *guard,
+			Log:              p.Log,
+			BufferCacheBytes: *bufCache,
+			FlashHistoryPath: *flashHist,
+			FlightRing:       *flightRing,
+			FlightLedgerPath: *flightLedger,
+		},
+		Cost:      cost,
+		TimeScale: *timescale,
+		Listen:    *listen,
+	})
 	if err != nil {
 		p.Fatal(fmt.Errorf("listen: %w", err))
 	}
-	defer srv.Close()
-	p.Log.Info("serving RPC", "device", *device, "node", *node, "addr", addr)
+	defer node.Close()
+	p.Log.Info("serving RPC", "device", *device, "node", *nodeName, "addr", node.Addr)
 
-	p.Mux.Handle("/metrics", mgr.MetricsHandler())
-	p.Mux.Handle("/debug/tasks", mgr.TraceHandler())
-	p.Mux.Handle("/debug/sched", mgr.SchedStatsHandler())
-	p.Mux.Handle("/debug/cache", mgr.CacheStatsHandler())
-	p.Mux.Handle("/debug/flash", mgr.Flash().Handler())
-	p.Mux.Handle("/debug/flight", mgr.FlightHandler())
+	// Runtime health rides the manager's own /metrics: the registry
+	// scrapes it into the TSDB where GoroutineLeak/HeapGrowth watch it.
+	p.CollectRuntime(node.Manager.Metrics(), metrics.Labels{"component": "manager", "device": *device, "node": *nodeName}, 5*time.Second)
+	p.Mux.Handle("/", node.Handler())
 	p.Listen(*metricsAt)
 
 	if *register != "" {
-		if err := selfRegister(*register, *device, *node, addr, "http://"+*metricsAt+"/metrics", board); err != nil {
+		if err := selfRegister(*register, 10*time.Second, *device, *nodeName, node.Addr, "http://"+*metricsAt+"/metrics", node.Board); err != nil {
 			p.Fatal(fmt.Errorf("registration: %w", err))
 		}
 		p.Log.Info("registered with registry", "registry", *register)
@@ -109,19 +100,19 @@ func main() {
 	p.Run()
 }
 
-func selfRegister(base, device, node, rpcAddr, metricsURL string, board *fpga.Board) error {
-	body, err := json.Marshal(map[string]string{
-		"ID":          device,
-		"Node":        node,
-		"Vendor":      board.Config().Vendor,
-		"Platform":    "Intel(R) FPGA SDK for OpenCL(TM)",
-		"ManagerAddr": rpcAddr,
-		"MetricsURL":  metricsURL,
+// selfRegister announces the device to the registry at base. It gives up
+// after timeout, so a registry that accepts the connection and never
+// answers fails start-up instead of hanging it.
+func selfRegister(base string, timeout time.Duration, device, node, rpcAddr, metricsURL string, board *fpga.Board) error {
+	body, err := json.Marshal(registry.Device{
+		ID: device, Node: node, Vendor: board.Config().Vendor, Platform: "Intel(R) FPGA SDK for OpenCL(TM)",
+		ManagerAddr: rpcAddr, MetricsURL: metricsURL,
 	})
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(base+"/devices", "application/json", bytes.NewReader(body))
+	client := &http.Client{Timeout: timeout}
+	resp, err := client.Post(base+"/devices", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -15,24 +15,16 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"blastfunction/internal/accel"
-	"blastfunction/internal/apps"
-	"blastfunction/internal/cluster"
-	"blastfunction/internal/flightrec"
 	"blastfunction/internal/gateway"
-	"blastfunction/internal/obs"
 	"blastfunction/internal/opsplane"
-	"blastfunction/internal/registry"
-	"blastfunction/internal/remote"
+	"blastfunction/internal/stack"
 )
 
 // listFlag collects repeated string flags.
@@ -110,78 +102,43 @@ func main() {
 		p.Fatal(err)
 	}
 	defer m.Close()
-	reg := m.Registry
 
-	cl := cluster.New()
+	cp := stack.NewControlPlane(stack.ControlPlaneConfig{
+		Registry: m.Registry, Log: p.Log,
+		TraceSample: *traceSample, FlightRing: *flightRing, FlightLedger: *flightLedger,
+	})
+	cp.Controller.Grace = mon.Grace
+	// The gateway's per-function SLI counters ride the monitor's local
+	// registry, so they land in the TSDB next to the managers' series.
+	cp.Gateway.Metrics = m.Metrics
+	cp.Gateway.Router = router
+	if len(admissions) > 0 {
+		if cp.Gateway.Admission, err = gateway.ParseAdmission(admissions); err != nil {
+			p.Fatal(err)
+		}
+		p.Log.Info("admission control enabled", "specs", strings.Join(admissions, " "))
+	}
 	for _, raw := range managers {
 		spec, err := parseManager(raw)
 		if err != nil {
 			p.Fatal(err)
 		}
-		if err := cl.AddNode(cluster.Node{Name: spec.node}); err != nil && !errors.Is(err, cluster.ErrNodeExists) {
-			p.Fatal(err)
-		}
-		if err := reg.RegisterDevice(registry.Device{
-			ID: spec.id, Node: spec.node,
-			Vendor:      "Intel(R) Corporation",
-			Platform:    "Intel(R) FPGA SDK for OpenCL(TM)",
-			ManagerAddr: spec.addr, MetricsURL: spec.metrics,
-		}); err != nil {
+		if err := cp.AddManager(spec.node, spec.id, spec.addr, spec.metrics); err != nil {
 			p.Fatal(err)
 		}
 	}
 	// The first device sync scrapes every -manager from the start.
 	m.Start()
+	cp.Start()
+	// Stopping waits for the instances' endpoints to close, so a SIGTERM
+	// leaves no shared-memory segment behind.
+	defer cp.Close()
 
-	ctrl := registry.NewController(reg, cl)
-	ctrl.Grace = mon.Grace
-	ctrl.Log = p.Log.Named("registry")
-	go ctrl.Run(p.Context())
-	gw := gateway.New(cl)
-	gw.Log = p.Log
-	// The gateway's per-function SLI counters ride the monitor's local
-	// registry, so they land in the TSDB next to the managers' series.
-	gw.Metrics = m.Metrics
-	// The process's flight recorder: every request leaves a front-door
-	// milestone skeleton and every task of a function instance its Remote
-	// Library's, all served at /debug/flight; notable ones spill to the
-	// ledger.
-	gwFlight := flightrec.New(flightrec.Config{
-		Process:    "gateway",
-		Flights:    *flightRing,
-		LedgerPath: *flightLedger,
-	})
-	defer gwFlight.Close()
-	gw.Flight = gwFlight
-	// A factory returning a live endpoint means the instance's program
-	// build landed on its board: close the flash window the allocation
-	// opened so /debug/flash shows only genuinely pending reprograms.
-	gw.OnReady = func(in cluster.Instance) { reg.BuildLanded(in.Name) }
-	gw.Router = router
-	if len(admissions) > 0 {
-		adm, err := gateway.ParseAdmission(admissions)
-		if err != nil {
-			p.Fatal(err)
-		}
-		gw.Admission = adm
-		p.Log.Info("admission control enabled", "specs", strings.Join(admissions, " "))
-	}
-	// One shared tracer for every function instance in this process: the
-	// Remote Library samples tasks at the configured rate, and a sampled
-	// task's flight here and on its manager share the trace ID.
-	var tracer *obs.Tracer
-	if *traceSample > 0 {
-		tracer = obs.New(*traceSample)
-	}
-	go gw.Run(p.Context())
-
-	lib := remote.Config{Transport: remote.TransportAuto, Tracer: tracer, Log: p.Log.Named("library"), Flight: gwFlight}
 	for _, d := range deploys {
-		kv := strings.SplitN(d, "=", 2)
-		if len(kv) != 2 {
+		name, usecase, ok := strings.Cut(d, "=")
+		if !ok {
 			p.Fatal(fmt.Errorf("malformed -deploy %q", d))
 		}
-		name, usecase := kv[0], kv[1]
 		// An optional "@N" suffix sets the function's fair-share weight,
 		// e.g. -deploy sobel-1=sobel@3.
 		weight := 0
@@ -192,100 +149,12 @@ func main() {
 			}
 			usecase, weight = usecase[:at], w
 		}
-		if err := reg.RegisterFunction(registry.Function{
-			Name:      name,
-			Query:     registry.DeviceQuery{Vendor: "Intel(R) Corporation", Accelerator: accelerator(usecase)},
-			Bitstream: bitstream(usecase),
-			Weight:    weight,
-		}); err != nil {
+		if err := cp.Deploy(name, usecase, weight); err != nil {
 			p.Fatal(err)
-		}
-		if err := gw.Deploy(name, 1, factory(name, usecase, lib)); err != nil {
-			p.Fatal(fmt.Errorf("deploy %s: %w", name, err))
 		}
 		p.Log.Info("deployed function", "function", name, "usecase", usecase)
 	}
 
-	p.Mux.Handle("/", gw.Handler())
-	// The in-process registry's API rides the same port, so blastctl
-	// devices/top work against the all-in-one deployment too.
-	regAPI := reg.Handler()
-	p.Mux.Handle("/devices", regAPI)
-	p.Mux.Handle("/functions", regAPI)
-	p.Mux.Handle("/healthz", regAPI)
+	p.Mux.Handle("/", cp.Handler())
 	p.Run()
-}
-
-func accelerator(usecase string) string {
-	switch usecase {
-	case "cnn":
-		return "pipecnn"
-	default:
-		return usecase
-	}
-}
-
-func bitstream(usecase string) string {
-	switch usecase {
-	case "sobel":
-		return accel.SobelBitstreamID
-	case "mm":
-		return accel.MMBitstreamID
-	case "cnn":
-		return accel.PipeCNNBitstreamID
-	}
-	return usecase
-}
-
-// factory materializes a function instance: it dials the Device Manager
-// the Registry injected into the environment and builds the matching app.
-// lib holds what the instance's Remote Library shares with the process:
-// its transport policy, tracer, log ring and flight recorder.
-func factory(name, usecase string, lib remote.Config) gateway.Factory {
-	return func(in cluster.Instance) (gateway.Endpoint, error) {
-		addr := in.Env[registry.EnvManagerAddr]
-		if addr == "" {
-			return nil, fmt.Errorf("instance %s has no %s", in.Name, registry.EnvManagerAddr)
-		}
-		// The Registry-propagated fair-share weight rides the binding; a
-		// missing or malformed value means unweighted.
-		weight, _ := strconv.Atoi(in.Env[registry.EnvWeight])
-		cfg := lib
-		cfg.ClientName, cfg.Managers, cfg.Weight = in.Name, []string{addr}, weight
-		// The instance's node turns the co-location check on: shared
-		// memory only with a manager that reports the same node.
-		cfg.Node = in.Env[registry.EnvNode]
-		client, err := remote.Dial(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var handler http.Handler
-		switch usecase {
-		case "sobel":
-			app, err := apps.NewSobel(client, 0, 1920, 1080)
-			if err != nil {
-				client.Close()
-				return nil, err
-			}
-			handler = apps.SobelHandler(app, 1920, 1080)
-		case "mm":
-			app, err := apps.NewMM(client, 0, 1024)
-			if err != nil {
-				client.Close()
-				return nil, err
-			}
-			handler = apps.MMHandler(app, 512)
-		case "cnn":
-			app, err := apps.NewCNN(client, 0, accel.TinyCNN())
-			if err != nil {
-				client.Close()
-				return nil, err
-			}
-			handler = apps.CNNHandler(app)
-		default:
-			client.Close()
-			return nil, fmt.Errorf("unknown use case %q for %s", usecase, name)
-		}
-		return gateway.HandlerEndpoint{Handler: handler, CloseFunc: client.Close}, nil
-	}
 }

@@ -1,57 +1,18 @@
 package main
 
-import (
-	"os"
-	"testing"
+import "testing"
 
-	"blastfunction/internal/accel"
-	"blastfunction/internal/cluster"
-	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
-	"blastfunction/internal/manager"
-	"blastfunction/internal/model"
-	"blastfunction/internal/registry"
-	"blastfunction/internal/remote"
-	"blastfunction/internal/rpc"
-)
-
-// An instance's node binding (BF_NODE) turns the Remote Library's
-// co-location check on: against a manager that reports another node the
-// instance negotiates inline RPC and creates no shared-memory segment;
-// against its own node it maps one.
-func TestFactoryNegotiatesByInstanceNode(t *testing.T) {
-	board := fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), accel.Catalog())
-	mgr := manager.New(manager.Config{Node: "B", DeviceID: "fpga-B"}, board)
-	srv := rpc.NewServer(mgr)
-	srv.Log = logx.NewLogf("rpc", t.Logf)
-	addr, err := srv.Listen("127.0.0.1:0")
+func TestParseManager(t *testing.T) {
+	m, err := parseManager("node=B,id=fpga-B,addr=127.0.0.1:5100,metrics=http://127.0.0.1:5101/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close(); mgr.Close() })
-
-	for _, tc := range []struct {
-		node string
-		shm  bool
-	}{{"C", false}, {"B", true}} {
-		dir := t.TempDir()
-		lib := remote.Config{Transport: remote.TransportAuto, ShmDir: dir, ShmBytes: 1 << 20}
-		ep, err := factory("mm-1", "mm", lib)(cluster.Instance{
-			Name: "mm-1-on-" + tc.node,
-			Env:  map[string]string{registry.EnvManagerAddr: addr, registry.EnvNode: tc.node},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(segs) > 0; got != tc.shm {
-			t.Errorf("instance on node %s, manager on node B: %d shm segments, want shm %v", tc.node, len(segs), tc.shm)
-		}
-		if err := ep.Close(); err != nil {
-			t.Fatal(err)
+	if m != (managerSpec{"B", "fpga-B", "127.0.0.1:5100", "http://127.0.0.1:5101/metrics"}) {
+		t.Fatalf("parsed %+v", m)
+	}
+	for _, bad := range []string{"node=B,id=fpga-B", "node=B,id=fpga-B,addr=x,port=1", "node"} {
+		if _, err := parseManager(bad); err == nil {
+			t.Errorf("-manager %q accepted", bad)
 		}
 	}
 }

@@ -14,14 +14,12 @@ import (
 	"time"
 
 	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
-	"blastfunction/internal/model"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
-	"blastfunction/internal/rpc"
 	"blastfunction/internal/sched"
 	"blastfunction/internal/sim"
+	"blastfunction/internal/stack"
 )
 
 // tickKernelTime is the synthetic kernel duration: long enough that RPC
@@ -49,17 +47,16 @@ func tickCatalog() *fpga.Catalog {
 // runLive drives the real stack and returns the measured utilization.
 func runLive(t *testing.T) float64 {
 	t.Helper()
-	cfg := fpga.DE5aNet(model.WorkerNode())
-	cfg.TimeScale = 1.0 // faithful: modelled time = wall time
-	board := fpga.NewBoard(cfg, tickCatalog())
-	mgr := manager.New(manager.Config{Node: "live", DeviceID: "tick0"}, board)
-	srv := rpc.NewServer(mgr)
-	srv.Log = logx.NewLogf("rpc", t.Logf)
-	addr, err := srv.Listen("127.0.0.1:0")
+	node, err := stack.NewNode(stack.NodeConfig{
+		Manager:   manager.Config{Node: "live", DeviceID: "tick0"},
+		TimeScale: 1.0, // faithful: modelled time = wall time
+		Catalog:   tickCatalog(),
+		Listen:    "127.0.0.1:0",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { srv.Close(); mgr.Close() }()
+	defer node.Close()
 
 	binary := (&fpga.Bitstream{ID: "tick"}).Binary()
 
@@ -75,7 +72,7 @@ func runLive(t *testing.T) float64 {
 	for i := range tenants {
 		client, err := remote.Dial(remote.Config{
 			ClientName: "live-tenant",
-			Managers:   []string{addr},
+			Managers:   []string{node.Addr},
 			Transport:  remote.TransportGRPC,
 		})
 		if err != nil {
@@ -109,7 +106,7 @@ func runLive(t *testing.T) float64 {
 	// Measured window.
 	var wg sync.WaitGroup
 	start := time.Now()
-	busy0 := board.BusyTime()
+	busy0 := node.Board.BusyTime()
 	for i := range tenants {
 		wg.Add(1)
 		go func(ts tenantState) {
@@ -134,7 +131,7 @@ func runLive(t *testing.T) float64 {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	busy := board.BusyTime() - busy0
+	busy := node.Board.BusyTime() - busy0
 	return busy.Seconds() / elapsed.Seconds()
 }
 

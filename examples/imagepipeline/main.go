@@ -21,12 +21,12 @@ import (
 	"time"
 
 	"blastfunction"
-	"blastfunction/internal/apps"
 	"blastfunction/internal/cluster"
 	"blastfunction/internal/gateway"
 	"blastfunction/internal/loadgen"
+	"blastfunction/internal/logx"
 	"blastfunction/internal/registry"
-	"blastfunction/internal/remote"
+	"blastfunction/internal/stack"
 )
 
 // Live-demo image size: small enough that the real software Sobel keeps
@@ -47,58 +47,39 @@ func main() {
 	}
 	defer tb.Close()
 
-	// 2. Control plane: cluster orchestrator + Accelerators Registry.
-	cl := cluster.New()
-	// The default policy orders by utilization then connected instances;
-	// with no scraper attached the Registry still spreads functions using
-	// its own connected-instance counts.
+	// 2. Control plane, assembled as cmd/gateway assembles it: cluster
+	// orchestrator, Accelerators Registry controller and the serverless
+	// gateway. The default policy orders by utilization then connected
+	// instances; with no scraper attached the Registry still spreads
+	// functions using its own connected-instance counts.
 	reg, err := registry.New(registry.DefaultPolicy(nil))
 	if err != nil {
 		log.Fatal(err)
 	}
+	cp := stack.NewControlPlane(stack.ControlPlaneConfig{Registry: reg, Log: logx.Default("gateway")})
 	for _, n := range tb.Nodes {
-		if err := cl.AddNode(cluster.Node{Name: n.Name}); err != nil {
-			log.Fatal(err)
-		}
-		if err := reg.RegisterDevice(registry.Device{
-			ID:          "fpga-" + n.Name,
-			Node:        n.Name,
-			Vendor:      "Intel(R) Corporation",
-			Platform:    "Intel(R) FPGA SDK for OpenCL(TM)",
-			ManagerAddr: n.Addr,
-		}); err != nil {
+		if err := cp.AddManager(n.Name, "fpga-"+n.Name, n.Addr, ""); err != nil {
 			log.Fatal(err)
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ctrl := registry.NewController(reg, cl)
-	go ctrl.Run(ctx)
+	cp.Start()
+	defer cp.Close()
 
-	// 3. Serverless gateway with five identical Sobel functions.
-	gw := gateway.New(cl)
-	go gw.Run(ctx)
+	// 3. Five identical Sobel functions.
 	functions := []string{"sobel-1", "sobel-2", "sobel-3", "sobel-4", "sobel-5"}
 	for _, name := range functions {
-		if err := reg.RegisterFunction(registry.Function{
-			Name:      name,
-			Query:     registry.DeviceQuery{Vendor: "Intel(R) Corporation", Accelerator: "sobel"},
-			Bitstream: "spector-sobel",
-		}); err != nil {
-			log.Fatal(err)
-		}
-		if err := gw.Deploy(name, 1, sobelFactory); err != nil {
+		if err := cp.Deploy(name, "sobel", 0); err != nil {
 			log.Fatal(err)
 		}
 	}
 	for _, name := range functions {
-		waitReady(gw, name)
+		waitReady(cp.Gateway, name)
 	}
-	srv := httptest.NewServer(gw.Handler())
+	srv := httptest.NewServer(cp.Handler())
 	defer srv.Close()
 
 	fmt.Println("placements chosen by the allocation algorithm:")
-	printPlacements(cl, functions)
+	printPlacements(cp.Cluster, functions)
 
 	// 4. hey-style load: one closed-loop connection per function.
 	rates := map[string]float64{
@@ -106,13 +87,12 @@ func main() {
 	}
 	fmt.Println("\ndriving each function for 3s (one connection each)...")
 	var wg sync.WaitGroup
-	results := make(map[string]*loadgen.Result, len(functions))
-	var mu sync.Mutex
-	for _, name := range functions {
+	results := make([]*loadgen.Result, len(functions))
+	for i, name := range functions {
 		wg.Add(1)
-		go func(name string) {
+		go func(i int, name string) {
 			defer wg.Done()
-			res, err := loadgen.Run(ctx, loadgen.Config{
+			res, err := loadgen.Run(context.Background(), loadgen.Config{
 				URL:         fmt.Sprintf("%s/function/%s?w=%d&h=%d", srv.URL, name, imgW, imgH),
 				Connections: 1,
 				RatePerSec:  rates[name],
@@ -121,18 +101,16 @@ func main() {
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}
-			mu.Lock()
-			results[name] = res
-			mu.Unlock()
-		}(name)
+			results[i] = res
+		}(i, name)
 	}
 	wg.Wait()
 
 	// 5. Report: the live equivalent of a Table II block.
 	fmt.Printf("\n%-10s %-5s %12s %12s %10s\n", "function", "node", "latency", "processed", "target")
-	for _, name := range functions {
-		res := results[name]
-		node := placementNode(cl, name)
+	for i, name := range functions {
+		res := results[i]
+		node := placementNode(cp.Cluster, name)
 		fmt.Printf("%-10s %-5s %12v %9.2f rq/s %6.0f rq/s\n",
 			name, node, res.AvgLatency.Round(time.Microsecond), res.Throughput, rates[name])
 	}
@@ -142,32 +120,6 @@ func main() {
 		fmt.Printf("  node %s: %4d launches, modelled busy %v\n",
 			n.Name, st.KernelRuns, st.BusyTime.Round(time.Millisecond))
 	}
-}
-
-// sobelFactory materializes one function instance over the Device Manager
-// the Registry injected.
-func sobelFactory(in cluster.Instance) (gateway.Endpoint, error) {
-	addr := in.Env[registry.EnvManagerAddr]
-	if addr == "" {
-		return nil, fmt.Errorf("instance %s not allocated", in.Name)
-	}
-	client, err := remote.Dial(remote.Config{
-		ClientName: in.Name,
-		Managers:   []string{addr},
-		Transport:  remote.TransportAuto,
-	})
-	if err != nil {
-		return nil, err
-	}
-	app, err := apps.NewSobel(client, 0, imgW, imgH)
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return gateway.HandlerEndpoint{
-		Handler:   apps.SobelHandler(app, imgW, imgH),
-		CloseFunc: client.Close,
-	}, nil
 }
 
 func waitReady(gw *gateway.Gateway, name string) {

@@ -16,31 +16,27 @@ import (
 
 	"blastfunction/internal/accel"
 	"blastfunction/internal/apps"
-	"blastfunction/internal/cluster"
 	"blastfunction/internal/flightrec"
-	"blastfunction/internal/gateway"
 	"blastfunction/internal/loadgen"
 	"blastfunction/internal/logx"
 	"blastfunction/internal/metrics"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/registry"
-	"blastfunction/internal/remote"
+	"blastfunction/internal/stack"
 )
 
-// stack wires every component of the system over a testbed.
-type stack struct {
+// fullStack is cmd/gateway's control plane over a testbed, sampling every
+// library task, with a Registry whose Gatherer reads every manager's
+// scraped /metrics.
+type fullStack struct {
 	tb      *Testbed
-	cl      *cluster.Cluster
-	reg     *registry.Registry
-	gw      *gateway.Gateway
-	tracer  *obs.Tracer
+	cp      *stack.ControlPlane
 	gwSrv   *httptest.Server
 	scraper *metrics.Scraper
 	db      *metrics.TSDB
-	cancel  context.CancelFunc
 }
 
-func newStack(t *testing.T) *stack {
+func newStack(t *testing.T) *fullStack {
 	t.Helper()
 	tb, err := NewTestbed(
 		NodeConfig{Name: "A", Master: true},
@@ -60,118 +56,42 @@ func newStack(t *testing.T) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := cluster.New()
-
+	cp := stack.NewControlPlane(stack.ControlPlaneConfig{Registry: reg, Log: logx.NewLogf("gateway", t.Logf), TraceSample: 1})
 	for _, n := range tb.Nodes {
-		metricsSrv := httptest.NewServer(n.Manager.MetricsHandler())
+		metricsSrv := httptest.NewServer(n.Handler())
 		t.Cleanup(metricsSrv.Close)
-		if err := cl.AddNode(cluster.Node{Name: n.Name}); err != nil {
+		url := metricsSrv.URL + "/metrics"
+		if err := cp.AddManager(n.Name, "fpga-"+n.Name, n.Addr, url); err != nil {
 			t.Fatal(err)
 		}
-		if err := reg.RegisterDevice(registry.Device{
-			ID:          "fpga-" + n.Name,
-			Node:        n.Name,
-			Vendor:      "Intel(R) Corporation",
-			Platform:    "Intel(R) FPGA SDK for OpenCL(TM)",
-			ManagerAddr: n.Addr,
-			MetricsURL:  metricsSrv.URL,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		scraper.AddTarget("fpga-"+n.Name, metricsSrv.URL)
+		scraper.AddTarget("fpga-"+n.Name, url)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go scraper.Run(ctx)
-	ctrl := registry.NewController(reg, cl)
-	ctrl.Log = logx.NewLogf("registry", t.Logf)
-	go ctrl.Run(ctx)
-	gw := gateway.New(cl)
-	gw.Log = logx.NewLogf("gateway", t.Logf)
-	// As in cmd/gateway: one flight recorder for the process, shared by
-	// the front door and every Remote Library it dials, and one tracer
-	// the libraries sample with.
-	gw.Flight = flightrec.New(flightrec.Config{Process: "gateway"})
-	t.Cleanup(gw.Flight.Close)
-	// Run closes the instances' endpoints, and with them their libraries
-	// and shared-memory segments, once ctx ends: the test waits for it.
-	ran := make(chan struct{})
-	go func() {
-		gw.Run(ctx)
-		close(ran)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-ran
-	})
-	gwSrv := httptest.NewServer(gw.Handler())
+	// Close closes the instances' endpoints, and with them their
+	// libraries and shared-memory segments.
+	cp.Start()
+	t.Cleanup(cp.Close)
+	gwSrv := httptest.NewServer(cp.Handler())
 	t.Cleanup(gwSrv.Close)
-
-	return &stack{tb: tb, cl: cl, reg: reg, gw: gw, tracer: obs.New(1), gwSrv: gwSrv, scraper: scraper, db: db, cancel: cancel}
+	return &fullStack{tb: tb, cp: cp, gwSrv: gwSrv, scraper: scraper, db: db}
 }
 
-// dial connects an instance's Remote Library to its allocated manager,
-// recording into the gateway's recorder and sampling every task.
-func (s *stack) dial(in cluster.Instance) (*remote.Client, error) {
-	addr := in.Env[registry.EnvManagerAddr]
-	if addr == "" {
-		return nil, fmt.Errorf("instance %s not allocated", in.Name)
-	}
-	return remote.Dial(remote.Config{
-		ClientName: in.Name, Managers: []string{addr}, Transport: remote.TransportAuto,
-		Tracer: s.tracer, Flight: s.gw.Flight,
-	})
-}
-
-// sobelFactory builds a small-image Sobel endpoint over the allocated
-// manager.
-func (s *stack) sobelFactory(in cluster.Instance) (gateway.Endpoint, error) {
-	client, err := s.dial(in)
-	if err != nil {
-		return nil, err
-	}
-	app, err := apps.NewSobel(client, 0, 64, 64)
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return gateway.HandlerEndpoint{Handler: apps.SobelHandler(app, 64, 64), CloseFunc: client.Close}, nil
-}
-
-func (s *stack) mmFactory(in cluster.Instance) (gateway.Endpoint, error) {
-	client, err := s.dial(in)
-	if err != nil {
-		return nil, err
-	}
-	app, err := apps.NewMM(client, 0, 64)
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return gateway.HandlerEndpoint{Handler: apps.MMHandler(app, 32), CloseFunc: client.Close}, nil
-}
-
-func (s *stack) deploySobel(t *testing.T, name string) {
+func (s *fullStack) deploy(t *testing.T, name, usecase string) {
 	t.Helper()
-	if err := s.reg.RegisterFunction(registry.Function{
-		Name:      name,
-		Query:     registry.DeviceQuery{Vendor: "Intel(R) Corporation", Accelerator: "sobel"},
-		Bitstream: accel.SobelBitstreamID,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.gw.Deploy(name, 1, s.sobelFactory); err != nil {
+	if err := s.cp.Deploy(name, usecase, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.waitReady(t, name)
 }
 
-func (s *stack) waitReady(t *testing.T, name string) {
+func (s *fullStack) waitReady(t *testing.T, name string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.gw.ReadyReplicas(name) > 0 {
+		if s.cp.Gateway.ReadyReplicas(name) > 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -179,7 +99,7 @@ func (s *stack) waitReady(t *testing.T, name string) {
 	t.Fatalf("function %s never became ready", name)
 }
 
-func (s *stack) invoke(t *testing.T, path string) apps.Reply {
+func (s *fullStack) invoke(t *testing.T, path string) apps.Reply {
 	t.Helper()
 	resp, err := s.gwSrv.Client().Get(s.gwSrv.URL + path)
 	if err != nil {
@@ -196,13 +116,13 @@ func (s *stack) invoke(t *testing.T, path string) apps.Reply {
 func TestFullStackServesAcceleratedFunctions(t *testing.T) {
 	s := newStack(t)
 	for i := 1; i <= 3; i++ {
-		s.deploySobel(t, fmt.Sprintf("sobel-%d", i))
+		s.deploy(t, fmt.Sprintf("sobel-%d", i), "sobel")
 	}
 	// Functions spread across distinct nodes (Algorithm 1 with the
 	// registry's own connected counts).
 	nodes := map[string]bool{}
 	for i := 1; i <= 3; i++ {
-		ins := s.cl.Instances(fmt.Sprintf("sobel-%d", i))
+		ins := s.cp.Cluster.Instances(fmt.Sprintf("sobel-%d", i))
 		if len(ins) != 1 {
 			t.Fatalf("sobel-%d instances = %d", i, len(ins))
 		}
@@ -246,12 +166,12 @@ func TestFullStackServesAcceleratedFunctions(t *testing.T) {
 // library's wire-send upload and its client-observed completion.
 func TestFullStackGatewayServesLibraryFlights(t *testing.T) {
 	s := newStack(t)
-	s.deploySobel(t, "sobel-1")
+	s.deploy(t, "sobel-1", "sobel")
 	if rep := s.invoke(t, "/function/sobel-1?w=16&h=16"); rep.Error != "" {
 		t.Fatalf("sobel-1: %s", rep.Error)
 	}
 	var trace obs.TraceID
-	for _, f := range s.gw.Flight.Snapshot().Flights {
+	for _, f := range s.cp.Gateway.Flight.Snapshot().Flights {
 		if !f.Synthetic {
 			trace = f.Trace
 		}
@@ -288,7 +208,7 @@ func TestFullStackGatewayServesLibraryFlights(t *testing.T) {
 func TestFullStackReconfigurationMigratesInstances(t *testing.T) {
 	s := newStack(t)
 	for i := 1; i <= 3; i++ {
-		s.deploySobel(t, fmt.Sprintf("sobel-%d", i))
+		s.deploy(t, fmt.Sprintf("sobel-%d", i), "sobel")
 	}
 	// Exercise each function once so the boards are really configured.
 	for i := 1; i <= 3; i++ {
@@ -300,17 +220,7 @@ func TestFullStackReconfigurationMigratesInstances(t *testing.T) {
 	// An MM function arrives: every board serves sobel, so Algorithm 1
 	// must displace one board's sobel instance (migrating it to another
 	// sobel board via create-before-delete) and hand the board to MM.
-	if err := s.reg.RegisterFunction(registry.Function{
-		Name:      "mm-1",
-		Query:     registry.DeviceQuery{Vendor: "Intel(R) Corporation", Accelerator: "mm"},
-		Bitstream: accel.MMBitstreamID,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.gw.Deploy("mm-1", 1, s.mmFactory); err != nil {
-		t.Fatal(err)
-	}
-	s.waitReady(t, "mm-1")
+	s.deploy(t, "mm-1", "mm")
 
 	// MM serves requests (its Build reconfigured the board through the
 	// Registry-gated path).
@@ -324,21 +234,21 @@ func TestFullStackReconfigurationMigratesInstances(t *testing.T) {
 	for time.Now().Before(deadline) {
 		ready := 0
 		for i := 1; i <= 3; i++ {
-			ready += s.gw.ReadyReplicas(fmt.Sprintf("sobel-%d", i))
+			ready += s.cp.Gateway.ReadyReplicas(fmt.Sprintf("sobel-%d", i))
 		}
 		if ready == 3 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	mmIns := s.cl.Instances("mm-1")
+	mmIns := s.cp.Cluster.Instances("mm-1")
 	if len(mmIns) != 1 {
 		t.Fatalf("mm instances = %d", len(mmIns))
 	}
 	mmNode := mmIns[0].Node
 	for i := 1; i <= 3; i++ {
 		name := fmt.Sprintf("sobel-%d", i)
-		ins := s.cl.Instances(name)
+		ins := s.cp.Cluster.Instances(name)
 		if len(ins) != 1 {
 			t.Fatalf("%s has %d instances after migration", name, len(ins))
 		}

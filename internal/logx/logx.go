@@ -20,9 +20,8 @@ import (
 	"blastfunction/internal/obs"
 )
 
-// Level orders event severities. The zero value is LevelDebug, so a
-// zero Config records everything into the ring; sinks usually gate at
-// LevelInfo.
+// Level orders event severities. The ring records every level; sinks
+// usually gate at LevelInfo.
 type Level int8
 
 const (
@@ -148,18 +147,14 @@ func quoteIfNeeded(v string) string {
 type Config struct {
 	// Component names the subsystem; Named derives children.
 	Component string
-	// Level is the minimum severity recorded at all (ring and sink).
-	// Defaults to LevelDebug so /debug/logs retains debug events for
-	// trace correlation even when the sink stays quiet.
-	Level Level
 	// RingSize bounds the in-memory ring (default 4096 events).
 	RingSize int
 	// Sink, when non-nil, receives a copy of every recorded event at or
 	// above SinkLevel — typically TextSink(os.Stderr) in binaries or a
 	// t.Logf adapter in tests.
 	Sink func(Event)
-	// SinkLevel gates the sink only; the ring still keeps everything
-	// down to Level.
+	// SinkLevel gates the sink only: the ring keeps every event, so
+	// /debug/logs retains debug events even when the sink stays quiet.
 	SinkLevel Level
 	// Now is the injectable clock (default time.Now).
 	Now func() time.Time
@@ -173,7 +168,6 @@ type Config struct {
 // one sink, one clock per process, so /debug/logs serves the merged view
 // of every component in the binary.
 type core struct {
-	min     Level
 	sinkMin Level
 	sink    func(Event)
 	now     func() time.Time
@@ -186,8 +180,7 @@ type core struct {
 }
 
 // Logger records structured events. Methods on a nil *Logger are no-ops,
-// so call sites never guard except to skip expensive argument
-// construction (use Enabled for that).
+// so call sites never guard.
 type Logger struct {
 	core      *core
 	component string
@@ -208,7 +201,6 @@ func New(cfg Config) *Logger {
 	}
 	return &Logger{
 		core: &core{
-			min:     cfg.Level,
 			sinkMin: cfg.SinkLevel,
 			sink:    cfg.Sink,
 			now:     cfg.Now,
@@ -280,28 +272,9 @@ func (l *Logger) With(kv ...any) *Logger {
 	return &d
 }
 
-// WithTrace derives a logger whose events carry the given trace ID.
-func (l *Logger) WithTrace(trace obs.TraceID) *Logger {
-	if l == nil {
-		return nil
-	}
-	d := *l
-	d.trace = trace
-	return &d
-}
-
-// Enabled reports whether an event at lv would be recorded — the guard
-// hot paths use before building expensive arguments.
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && l.core != nil && lv >= l.core.min
-}
-
 // Debug records a debug event. kv alternates keys (string) and values
 // (any); a value of type obs.TraceID sets the event's trace ID instead of
-// becoming a field. A *time.Duration is logged
-// as the duration it points at: a hot path passes the address of one it
-// holds in a struct, because boxing the value allocates and the pointer
-// does not.
+// becoming a field.
 func (l *Logger) Debug(msg string, kv ...any) { l.Log(LevelDebug, msg, kv...) }
 
 // Info records an informational event.
@@ -315,7 +288,7 @@ func (l *Logger) Error(msg string, kv ...any) { l.Log(LevelError, msg, kv...) }
 
 // Log records an event at an explicit level.
 func (l *Logger) Log(lv Level, msg string, kv ...any) {
-	if !l.Enabled(lv) {
+	if l == nil || l.core == nil {
 		return
 	}
 	c := l.core
@@ -419,8 +392,6 @@ func appendValue(b []byte, v any) ([]byte, string) {
 		return strconv.AppendFloat(b, x, 'g', -1, 64), ""
 	case time.Duration:
 		// String is inlined here, so its result never leaves the stack.
-		return append(b, x.String()...), ""
-	case *time.Duration:
 		return append(b, x.String()...), ""
 	case fmt.Stringer:
 		return b, x.String()

@@ -38,13 +38,10 @@ func TestNilLoggerIsSafe(t *testing.T) {
 	l.Info("nothing")
 	l.Warn("nothing")
 	l.Error("nothing", "err", errors.New("x"))
-	if l.Enabled(LevelError) {
-		t.Error("nil logger reports Enabled")
-	}
 	if got := l.Tail(); got != nil {
 		t.Errorf("nil logger Tail = %v", got)
 	}
-	if l.Named("sub") != nil || l.WithTrace(1) != nil || l.With("a", "b") != nil {
+	if l.Named("sub") != nil || l.With("a", "b") != nil {
 		t.Error("derivations of a nil logger must stay nil")
 	}
 }
@@ -78,21 +75,17 @@ func TestMinLevelGate(t *testing.T) {
 	var sunk []Event
 	l := New(Config{
 		Component: "gate",
-		Level:     LevelInfo,
 		Sink:      func(ev Event) { sunk = append(sunk, ev) },
 		SinkLevel: LevelWarn,
 	})
-	l.Debug("dropped entirely")
+	l.Debug("ring only")
 	l.Info("ring only")
 	l.Warn("ring and sink")
-	if evs := l.Tail(); len(evs) != 2 {
-		t.Fatalf("ring kept %d events, want 2 (debug gated)", len(evs))
+	if evs := l.Tail(); len(evs) != 3 {
+		t.Fatalf("ring kept %d events, want all 3", len(evs))
 	}
 	if len(sunk) != 1 || sunk[0].Msg != "ring and sink" {
 		t.Fatalf("sink got %v, want only the warn", sunk)
-	}
-	if l.Enabled(LevelDebug) || !l.Enabled(LevelInfo) {
-		t.Error("Enabled disagrees with Level gate")
 	}
 }
 
@@ -113,7 +106,7 @@ func TestRingWraps(t *testing.T) {
 func TestTraceCorrelation(t *testing.T) {
 	l := testLogger(16)
 	l.Warn("task failed", "client", "mm-1", "trace", obs.TraceID(0xdead))
-	l.WithTrace(0xf00d).Info("derived")
+	l.With("trace", obs.TraceID(0xf00d)).Info("derived")
 	evs := l.Tail()
 	if evs[0].Trace != 0xdead {
 		t.Errorf("kv trace not diverted: %+v", evs[0])
@@ -124,7 +117,7 @@ func TestTraceCorrelation(t *testing.T) {
 		}
 	}
 	if evs[1].Trace != 0xf00d {
-		t.Errorf("WithTrace not carried: %+v", evs[1])
+		t.Errorf("derived trace not carried: %+v", evs[1])
 	}
 	if !strings.Contains(evs[0].Format(), "trace=000000000000dead") {
 		t.Errorf("Format lacks trace: %q", evs[0].Format())

@@ -8,7 +8,6 @@ import (
 
 	"blastfunction/internal/flightrec"
 	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/metrics"
 	"blastfunction/internal/model"
 	"blastfunction/internal/obs"
@@ -100,10 +99,9 @@ type task struct {
 	// board hold and the start of notify) and notified (the completion
 	// frame written). A zero stamp is a stage the task never reached.
 	popped, held, notified time.Time
-	// queueWait is popped - item.Submitted, kept so the debug log can take
-	// its address; deviceTime is the modelled board time of the
-	// operations executed; upload is the manager's share of the upload
-	// stage, over uploads writes.
+	// queueWait is popped - item.Submitted; deviceTime is the modelled
+	// board time of the operations executed; upload is the manager's
+	// share of the upload stage, over uploads writes.
 	queueWait, deviceTime, upload time.Duration
 	uploads                       int
 }
@@ -638,14 +636,6 @@ func (m *Manager) end(t *task, nb *notifyBatcher, cause string) {
 		evs = m.sampled(t, evs, exemplar)
 	}
 	m.flight.CompleteWith(t.flight, t.sess.clientName, evs, t.notified, residency, cause != "", cause)
-	// Hot path: one nil/level check when logging is off or above debug.
-	if ran && t.sess.log.Enabled(logx.LevelDebug) {
-		// The durations go by address: boxing one by value is a heap
-		// allocation per event, a pointer into the task is not.
-		t.sess.log.Debug("task executed", "ops", len(t.ops),
-			"device_time", &t.deviceTime, "queue_wait", &t.queueWait,
-			"failed", cause != "", "trace", obs.TraceID(t.trace))
-	}
 }
 
 // stageHists are the manager's bf_stage_seconds series, made by the first

@@ -213,11 +213,6 @@ func TestScraperLocalTarget(t *testing.T) {
 	if !ok || e.TraceID != "00000000deadbeef" {
 		t.Fatalf("exemplar %+v ok=%v", e, ok)
 	}
-
-	s.RemoveTarget("self")
-	if targets := len(s.locals); targets != 0 {
-		t.Fatalf("local target not removed: %d", targets)
-	}
 }
 
 func TestScraperStartJitter(t *testing.T) {

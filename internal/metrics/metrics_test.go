@@ -299,10 +299,6 @@ func TestScraperEndToEnd(t *testing.T) {
 	if len(sc.Targets()) != 1 {
 		t.Fatalf("targets = %v", sc.Targets())
 	}
-	sc.RemoveTarget("fpga0")
-	if len(sc.Targets()) != 0 {
-		t.Fatal("target not removed")
-	}
 }
 
 func TestScraperRecordsErrors(t *testing.T) {

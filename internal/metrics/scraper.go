@@ -72,15 +72,6 @@ func (s *Scraper) AddLocalTarget(name string, reg *Registry) {
 	s.locals[name] = reg
 }
 
-// RemoveTarget deregisters a target.
-func (s *Scraper) RemoveTarget(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.targets, name)
-	delete(s.locals, name)
-	delete(s.errs, name)
-}
-
 // Targets lists the names of the HTTP targets, not the local ones.
 func (s *Scraper) Targets() []string {
 	s.mu.Lock()

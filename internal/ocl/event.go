@@ -128,13 +128,6 @@ func CompletedEvent(cmd CommandType) *BaseEvent {
 	return e
 }
 
-// FailedEvent returns an already-failed event carrying err.
-func FailedEvent(cmd CommandType, err error) *BaseEvent {
-	e := NewEvent(cmd)
-	e.Fail(err)
-	return e
-}
-
 // ProfilingEvent is implemented by events that expose the modelled device
 // time of their command — the reproduction's analog of
 // clGetEventProfilingInfo(CL_PROFILING_COMMAND_START/END).

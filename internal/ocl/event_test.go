@@ -169,7 +169,8 @@ func TestEventWaitersRaceTermination(t *testing.T) {
 
 func TestWaitForEventsPropagatesFailure(t *testing.T) {
 	a := CompletedEvent(CommandMarker)
-	b := FailedEvent(CommandTask, ErrOutOfResources)
+	b := NewEvent(CommandTask)
+	b.Fail(ErrOutOfResources)
 	err := WaitForEvents(a, b)
 	if StatusOf(err) != ErrExecStatusErrorInWait {
 		t.Fatalf("err = %v, want CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST", err)
@@ -182,14 +183,10 @@ func TestWaitForEventsNilEvent(t *testing.T) {
 	}
 }
 
-func TestCompletedAndFailedConstructors(t *testing.T) {
+func TestCompletedEventConstructor(t *testing.T) {
 	c := CompletedEvent(CommandBarrier)
 	if c.Status() != Complete || c.CommandType() != CommandBarrier {
 		t.Fatalf("CompletedEvent: status=%v type=%v", c.Status(), c.CommandType())
-	}
-	f := FailedEvent(CommandUser, ErrInvalidOperation)
-	if !f.Status().Failed() {
-		t.Fatalf("FailedEvent not failed: %v", f.Status())
 	}
 }
 

@@ -31,37 +31,6 @@ func TestNewRejectsUnknownMetricNames(t *testing.T) {
 	}
 }
 
-// TestReleaseAfterRemoveDeviceCleansNameIndex is the regression test for
-// the byName leak: removing a device before its instance is released used
-// to leave the instance's name index entry behind, which then shadowed any
-// later instance reusing the name.
-func TestReleaseAfterRemoveDeviceCleansNameIndex(t *testing.T) {
-	r := mustNew(t, AllocPolicy{})
-	threeDevices(r)
-	r.RegisterFunction(sobelFn())
-	alloc, err := r.Allocate(AllocRequest{InstanceUID: "u1", InstanceName: "i1", Function: "sobel-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RemoveDevice(alloc.Device.ID); err != nil {
-		t.Fatal(err)
-	}
-	r.Release("u1")
-	if uid, ok := r.byName["i1"]; ok {
-		t.Fatalf("byName[%q] = %q still present after Release", "i1", uid)
-	}
-
-	// The name is reusable: a fresh instance under the same name allocates
-	// and passes reconfiguration validation.
-	alloc2, err := r.Allocate(AllocRequest{InstanceUID: "u2", InstanceName: "i1", Function: "sobel-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ValidateReconfiguration(alloc2.Device.ID, "i1", "spector-sobel"); err != nil {
-		t.Fatalf("reused name fails validation: %v", err)
-	}
-}
-
 // TestReleaseKeepsNameTakenOverByReplacement covers create-before-delete:
 // when a replacement instance claims the name before the old UID is
 // released, releasing the old UID must not evict the replacement's entry.

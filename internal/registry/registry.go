@@ -107,8 +107,8 @@ type Registry struct {
 	// byAccel and byNode index device records by their configured logical
 	// accelerator ("" = blank board) and hosting node, so Allocate builds
 	// its candidate pool from the relevant buckets instead of scanning
-	// every device in the cluster. Maintained by RegisterDevice /
-	// RemoveDevice and by Allocate when it claims a board's accelerator.
+	// every device in the cluster. Maintained by RegisterDevice and by
+	// Allocate when it claims a board's accelerator.
 	byAccel map[string]map[string]*deviceState
 	byNode  map[string]map[string]*deviceState
 	// byInstance maps an allocated instance UID to its placement.
@@ -396,21 +396,6 @@ func (r *Registry) DeviceHealthy(id string) bool {
 	return ok && !ds.unhealthy
 }
 
-// RemoveDevice deletes a device record. Instances connected to it keep
-// running until their manager disappears; reallocating them is the
-// operator's migration call.
-func (r *Registry) RemoveDevice(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ds, ok := r.devices[id]
-	if !ok {
-		return fmt.Errorf("registry: device %q not found", id)
-	}
-	r.unindexDevice(id, ds.Accelerator, ds.Node)
-	delete(r.devices, id)
-	return nil
-}
-
 // Devices lists device records sorted by ID.
 func (r *Registry) Devices() []Device {
 	r.mu.Lock()
@@ -490,11 +475,8 @@ func (r *Registry) Release(uid string) {
 		return
 	}
 	delete(r.byInstance, uid)
-	// The name index is cleaned even when the device record is already
-	// gone (RemoveDevice before Release): a leftover entry would shadow a
-	// later instance reusing the name and break its reconfiguration
-	// validation. Guarded so a newer allocation that took over the name is
-	// left alone.
+	// Guarded so a newer allocation that took over the name is left
+	// alone.
 	if r.byName[p.name] == uid {
 		delete(r.byName, p.name)
 	}

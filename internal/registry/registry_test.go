@@ -470,20 +470,6 @@ func TestRegistryHTTPAPI(t *testing.T) {
 	}
 }
 
-func TestRemoveDevice(t *testing.T) {
-	r := mustNew(t, AllocPolicy{})
-	threeDevices(r)
-	if err := r.RemoveDevice("fpga-A"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RemoveDevice("fpga-A"); err == nil {
-		t.Fatal("double remove must fail")
-	}
-	if len(r.Devices()) != 2 {
-		t.Fatalf("devices = %d", len(r.Devices()))
-	}
-}
-
 func TestUnhealthyDeviceSkippedByAllocation(t *testing.T) {
 	r := mustNew(t, AllocPolicy{})
 	threeDevices(r)

@@ -115,32 +115,6 @@ func TestAllocateIndexFollowsReconfiguration(t *testing.T) {
 	}
 }
 
-// TestRemoveDeviceDropsFromIndex: removed boards must vanish from the
-// index buckets, not just the device map.
-func TestRemoveDeviceDropsFromIndex(t *testing.T) {
-	r := mustNew(t, DefaultPolicy(StaticMetrics{}))
-	r.RegisterDevice(Device{ID: "d1", Node: "A", Accelerator: "sobel", Bitstream: "bit"})
-	r.RegisterFunction(Function{Name: "f", Query: DeviceQuery{Accelerator: "sobel"}, Bitstream: "bit"})
-	if err := r.RemoveDevice("d1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Allocate(AllocRequest{InstanceUID: "u1", InstanceName: "i1", Function: "f"}); err == nil {
-		t.Fatal("removed device must not be allocatable")
-	}
-	// Re-register on a different node: the stale node bucket must be gone.
-	r.RegisterDevice(Device{ID: "d1", Node: "B", Accelerator: "sobel", Bitstream: "bit"})
-	alloc, err := r.Allocate(AllocRequest{InstanceUID: "u2", InstanceName: "i2", Function: "f", Node: "B"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc.Device.Node != "B" {
-		t.Fatalf("allocated on node %s, want B", alloc.Device.Node)
-	}
-	if _, err := r.Allocate(AllocRequest{InstanceUID: "u3", InstanceName: "i3", Function: "f", Node: "A"}); err == nil {
-		t.Fatal("node A bucket must be empty after the move")
-	}
-}
-
 // TestGathererCachesPerGeneration: within one scrape generation the
 // Gatherer must answer repeat lookups from its cache; a new Append
 // invalidates it.

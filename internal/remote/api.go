@@ -6,7 +6,6 @@ import (
 
 	"blastfunction/internal/datacache"
 	"blastfunction/internal/flightrec"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/wire"
@@ -64,8 +63,7 @@ func (c *context) CreateCommandQueue(d ocl.Device, props ocl.QueueProps) (ocl.Co
 	if err != nil {
 		return nil, err
 	}
-	q := &commandQueue{ctx: c, id: id.ID,
-		log: c.mc.log.With("queue", id.ID, "manager", c.mc.addr)}
+	q := &commandQueue{ctx: c, id: id.ID}
 	c.mu.Lock()
 	c.queues = append(c.queues, q)
 	c.mu.Unlock()
@@ -293,9 +291,6 @@ func (k *kernel) Release() error {
 type commandQueue struct {
 	ctx *context
 	id  uint64
-	// log is the connection's logger with the queue and manager attached
-	// once, so the per-task event boxes neither.
-	log *logx.Logger
 
 	mu        sync.Mutex
 	events    []*remoteEvent // not yet known-complete
@@ -663,10 +658,6 @@ func (q *commandQueue) Flush() error {
 	req.Encode(e)
 	err := mc.rpc.Send(wire.MethodFlush, e.Bytes())
 	e.Release()
-	// Hot path: one nil/level check per flushed task when logging is off.
-	if q.log.Enabled(logx.LevelDebug) {
-		q.log.Debug("task flushed", "err", err, "trace", trace)
-	}
 	return err
 }
 

@@ -16,54 +16,36 @@ import (
 	"time"
 
 	"blastfunction/internal/accel"
-	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/metrics"
-	"blastfunction/internal/model"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
 	"blastfunction/internal/rpc"
+	"blastfunction/internal/stack"
 )
 
-// chaosRig is one manager over real TCP, closed explicitly (not via
+// newChaosRig starts one node over real TCP, closed explicitly (not via
 // t.Cleanup) so tests can assert goroutine counts after teardown.
-type chaosRig struct {
-	mgr   *manager.Manager
-	srv   *rpc.Server
-	addr  string
-	board *fpga.Board
-}
-
-func newChaosRig(t *testing.T, cfg manager.Config) *chaosRig {
+func newChaosRig(t *testing.T, cfg manager.Config) *stack.Node {
 	t.Helper()
-	board := fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), accel.Catalog())
 	if cfg.Node == "" {
 		cfg.Node = "chaosnode"
 	}
-	mgr := manager.New(cfg, board)
-	srv := rpc.NewServer(mgr)
-	srv.Log = logx.NewLogf("rpc", t.Logf)
-	addr, err := srv.Listen("127.0.0.1:0")
+	rig, err := stack.NewNode(stack.NodeConfig{Manager: cfg, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &chaosRig{mgr: mgr, srv: srv, addr: addr, board: board}
-}
-
-func (r *chaosRig) close() {
-	r.srv.Close()
-	r.mgr.Close()
+	return rig
 }
 
 // dialChaos connects a Remote Library client through a FaultConn.
-func dialChaos(t *testing.T, rig *chaosRig) (*remote.Client, *rpc.FaultConn) {
+func dialChaos(t *testing.T, rig *stack.Node) (*remote.Client, *rpc.FaultConn) {
 	t.Helper()
 	var fc *rpc.FaultConn
 	client, err := remote.Dial(remote.Config{
 		ClientName:  "chaos-client",
-		Managers:    []string{rig.addr},
+		Managers:    []string{rig.Addr},
 		Transport:   remote.TransportGRPC,
 		CallTimeout: 2 * time.Second,
 		DialConn: func(addr string) (net.Conn, error) {
@@ -194,7 +176,7 @@ func TestChaosManagerKilledMidTaskFailsPendingEvents(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let Finish block on the events
 
 	killed := time.Now()
-	rig.close() // the manager dies with the task in flight
+	rig.Close() // the manager dies with the task in flight
 
 	select {
 	case err := <-finishErr:
@@ -237,7 +219,7 @@ func TestChaosLeaseExpiryReclaimsWedgedClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rig.board.Allocated() == 0 {
+	if rig.Board.Allocated() == 0 {
 		t.Fatal("board reports no allocation after CreateBuffer")
 	}
 	// Enqueue without flushing: the manager records the op with its
@@ -248,23 +230,23 @@ func TestChaosLeaseExpiryReclaimsWedgedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the enqueue reach the manager
-	if rig.mgr.Sessions() != 1 {
-		t.Fatalf("sessions = %d before wedge", rig.mgr.Sessions())
+	if rig.Manager.Sessions() != 1 {
+		t.Fatalf("sessions = %d before wedge", rig.Manager.Sessions())
 	}
 
 	fc.DropWrites(true) // wedged: heartbeats stop, connection stays open
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if rig.mgr.Sessions() == 0 && rig.board.Allocated() == 0 {
+		if rig.Manager.Sessions() == 0 && rig.Board.Allocated() == 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := rig.mgr.Sessions(); n != 0 {
+	if n := rig.Manager.Sessions(); n != 0 {
 		t.Fatalf("sessions = %d, lease never expired", n)
 	}
-	if alloc := rig.board.Allocated(); alloc != 0 {
+	if alloc := rig.Board.Allocated(); alloc != 0 {
 		t.Fatalf("board still holds %d bytes after lease expiry", alloc)
 	}
 
@@ -285,6 +267,6 @@ func TestChaosLeaseExpiryReclaimsWedgedClient(t *testing.T) {
 	}
 
 	client.Close()
-	rig.close()
+	rig.Close()
 	gw.waitDrained(t, 3)
 }

@@ -17,26 +17,20 @@ import (
 	"testing"
 	"time"
 
-	"blastfunction/internal/accel"
 	"blastfunction/internal/flightrec"
-	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
-	"blastfunction/internal/model"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
-	"blastfunction/internal/rpc"
+	"blastfunction/internal/stack"
 )
 
-// explainServers mounts the debug endpoint the Explainer reads flights
-// from on each process. The remaining signals (logs, alerts, slo, flash)
-// are soft misses, as with a process that does not serve them.
-func explainServers(t *testing.T, mgr *manager.Manager, libFlight *flightrec.Recorder) []string {
+// explainServers serves the node's routes, as cmd/devicemanager does, and
+// the library's flight recorder. The remaining signals (logs, alerts,
+// slo) are soft misses, as with a process that does not serve them.
+func explainServers(t *testing.T, node *stack.Node, libFlight *flightrec.Recorder) []string {
 	t.Helper()
-	mgrMux := http.NewServeMux()
-	mgrMux.Handle("/debug/flight", mgr.FlightHandler())
-	mgrSrv := httptest.NewServer(mgrMux)
+	mgrSrv := httptest.NewServer(node.Handler())
 	t.Cleanup(mgrSrv.Close)
 
 	libMux := http.NewServeMux()
@@ -72,7 +66,7 @@ func TestExplainEndToEnd(t *testing.T) {
 	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "payments",
-		Managers:   []string{rig.addr},
+		Managers:   []string{rig.Addr},
 		Transport:  remote.TransportGRPC,
 		Tracer:     obs.New(1),
 		Flight:     libFlight,
@@ -122,9 +116,9 @@ func TestExplainEndToEnd(t *testing.T) {
 
 	trace := sampledFlight(t, libFlight)
 	waitComplete(t, libFlight, trace)
-	waitComplete(t, rig.mgr.Flight(), trace)
+	waitComplete(t, rig.Manager.Flight(), trace)
 
-	ex := &flightrec.Explainer{Bases: explainServers(t, rig.mgr, libFlight)}
+	ex := &flightrec.Explainer{Bases: explainServers(t, rig, libFlight)}
 	pm, err := ex.Explain(trace)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
@@ -187,7 +181,7 @@ func TestExplainEndToEnd(t *testing.T) {
 	// The worker holds the board once per task, so the device write's
 	// wall time holds no sleep; its upload share is its scaled modelled
 	// staging and DMA time, and the stage must still cover the DMA.
-	dma := time.Duration(float64(rig.board.Cost().PCIeTransfer(inBytes)) * rig.board.Config().TimeScale)
+	dma := time.Duration(float64(rig.Board.Cost().PCIeTransfer(inBytes)) * rig.Board.Config().TimeScale)
 	if upload < dma {
 		t.Fatalf("upload stage %v is under the write's modelled DMA %v", upload, dma)
 	}
@@ -209,21 +203,14 @@ func TestExplainPartialFlightWarning(t *testing.T) {
 	// flight there, while the library still holds its own. The postmortem
 	// must say the manager answered without a flight for the trace
 	// instead of silently rendering a timeline with the board side missing.
-	board := fpga.NewBoard(fpga.DE5aNet(model.WorkerNode()), accel.Catalog())
-	mgr := manager.New(manager.Config{Node: "evict", DeviceID: "evict-A", FlightRing: 4}, board)
-	srv := rpc.NewServer(mgr)
-	srv.Log = logx.NewLogf("rpc", t.Logf)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { srv.Close(); mgr.Close() }()
+	rig := newChaosRig(t, manager.Config{Node: "evict", DeviceID: "evict-A", FlightRing: 4})
+	defer rig.Close()
 
 	libFlight := flightrec.New(flightrec.Config{Process: "library"})
 	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "payments",
-		Managers:   []string{addr},
+		Managers:   []string{rig.Addr},
 		Transport:  remote.TransportGRPC,
 		Tracer:     obs.New(1),
 		Flight:     libFlight,
@@ -237,7 +224,7 @@ func TestExplainPartialFlightWarning(t *testing.T) {
 	runCopyTask(t, cctx, q, k, 4096)
 	first := sampledFlight(t, libFlight)
 	waitComplete(t, libFlight, first)
-	waitComplete(t, mgr.Flight(), first)
+	waitComplete(t, rig.Manager.Flight(), first)
 
 	// A dozen later tasks overflow the manager's 4-flight ring.
 	for i := 0; i < 12; i++ {
@@ -245,7 +232,7 @@ func TestExplainPartialFlightWarning(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, ok := mgr.Flight().FlightFor(first); !ok {
+		if _, ok := rig.Manager.Flight().FlightFor(first); !ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -254,7 +241,7 @@ func TestExplainPartialFlightWarning(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	ex := &flightrec.Explainer{Bases: explainServers(t, mgr, libFlight)}
+	ex := &flightrec.Explainer{Bases: explainServers(t, rig, libFlight)}
 	pm, err := ex.Explain(first)
 	if err != nil {
 		t.Fatalf("explain: %v", err)

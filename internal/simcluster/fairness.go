@@ -12,14 +12,12 @@ import (
 	"time"
 
 	"blastfunction/internal/accel"
-	"blastfunction/internal/fpga"
 	"blastfunction/internal/manager"
-	"blastfunction/internal/model"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
-	"blastfunction/internal/rpc"
 	"blastfunction/internal/sched"
 	"blastfunction/internal/sim"
+	"blastfunction/internal/stack"
 )
 
 // FairnessConfig parameterizes one fairness run.
@@ -99,22 +97,20 @@ const (
 // configured duration, and reports per-tenant occupancy.
 func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 	cfg = cfg.withDefaults()
-	bcfg := fpga.DE5aNet(model.WorkerNode())
-	bcfg.TimeScale = cfg.TimeScale
-	board := fpga.NewBoard(bcfg, accel.Catalog())
-	mgr := manager.New(manager.Config{
-		Node:          "sim",
-		DeviceID:      "fpga-fair",
-		Scheduler:     cfg.Discipline,
-		TenantWeights: cfg.Weights,
-	}, board)
-	defer mgr.Close()
-	srv := rpc.NewServer(mgr)
-	addr, err := srv.Listen("127.0.0.1:0")
+	node, err := stack.NewNode(stack.NodeConfig{
+		Manager: manager.Config{
+			Node:          "sim",
+			DeviceID:      "fpga-fair",
+			Scheduler:     cfg.Discipline,
+			TenantWeights: cfg.Weights,
+		},
+		TimeScale: cfg.TimeScale,
+		Listen:    "127.0.0.1:0",
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
+	defer node.Close()
 
 	stop := make(chan struct{})
 	errc := make(chan error, 2)
@@ -126,7 +122,7 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 		wg.Add(1)
 		go func(name string, ops int) {
 			defer wg.Done()
-			if err := driveTenant(stop, addr, name, ops, cfg.PayloadBytes, cfg.Window); err != nil {
+			if err := driveTenant(stop, node.Addr, name, ops, cfg.PayloadBytes, cfg.Window); err != nil {
 				errc <- fmt.Errorf("tenant %s: %w", name, err)
 			}
 		}(tn.name, tn.ops)
@@ -140,7 +136,7 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 	default:
 	}
 
-	st := mgr.SchedStats()
+	st := node.Manager.SchedStats()
 	res := &FairnessResult{Discipline: string(st.Discipline)}
 	for _, ts := range st.Tenants {
 		out := TenantOutcome{

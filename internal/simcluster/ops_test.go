@@ -67,14 +67,14 @@ func (l *faultListener) SetBlackhole(on bool) {
 // logged transition → resolution once the endpoint answers again.
 func TestScrapeAlertFiresAndResolves(t *testing.T) {
 	rig := newChaosRig(t, manager.Config{DeviceID: "ops-A"})
-	defer rig.close()
+	defer rig.Close()
 
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := &faultListener{Listener: raw}
-	metricsSrv := &http.Server{Handler: rig.mgr.MetricsHandler()}
+	metricsSrv := &http.Server{Handler: rig.Handler()}
 	go metricsSrv.Serve(fl)
 	defer metricsSrv.Close()
 
@@ -173,23 +173,24 @@ func TestScrapeAlertFiresAndResolves(t *testing.T) {
 	}
 }
 
-// TestLogsCorrelatedAcrossProcesses runs one traced task through a real
-// Remote Library <-> Device Manager pair, each with its own log ring
-// served over HTTP, and asserts that fetching both rings filtered by
-// the task's trace ID — the exact path `blastctl logs -trace <id>`
-// takes — yields correlated events from at least two components.
+// TestLogsCorrelatedAcrossProcesses runs one traced task whose kernel
+// fails through a real Remote Library <-> Device Manager pair, each with
+// its own log ring served over HTTP, and asserts that fetching both rings
+// filtered by the task's trace ID — the exact path `blastctl logs -trace
+// <id>` takes — yields the failure from both components. A task that
+// succeeds logs nothing: its flight is its record.
 func TestLogsCorrelatedAcrossProcesses(t *testing.T) {
 	mgrLog := logx.New(logx.Config{Component: "manager"})
 	libLog := logx.New(logx.Config{Component: "library"})
 
 	rig := newChaosRig(t, manager.Config{DeviceID: "ops-B", Log: mgrLog})
-	defer rig.close()
+	defer rig.Close()
 
 	libFlight := flightrec.New(flightrec.Config{Process: "library"})
 	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "ops-client",
-		Managers:   []string{rig.addr},
+		Managers:   []string{rig.Addr},
 		Transport:  remote.TransportGRPC,
 		Tracer:     obs.New(1),
 		Flight:     libFlight,
@@ -210,7 +211,8 @@ func TestLogsCorrelatedAcrossProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, arg := range []any{in, out, int32(len(payload))} {
+	// One byte past both buffers: the kernel fails on the board.
+	for i, arg := range []any{in, out, int32(len(payload) + 1)} {
 		if err := k.SetArg(i, arg); err != nil {
 			t.Fatal(err)
 		}
@@ -221,12 +223,8 @@ func TestLogsCorrelatedAcrossProcesses(t *testing.T) {
 	if _, err := q.EnqueueTask(k, nil); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, len(payload))
-	if _, err := q.EnqueueReadBuffer(out, false, 0, dst, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Finish(); err != nil {
-		t.Fatal(err)
+	if err := q.Finish(); err == nil {
+		t.Fatal("a task whose kernel failed finished without error")
 	}
 
 	trace := sampledFlight(t, libFlight)
@@ -238,8 +236,8 @@ func TestLogsCorrelatedAcrossProcesses(t *testing.T) {
 	libSrv := httptest.NewServer(libLog.Handler())
 	defer libSrv.Close()
 
-	// The manager's "task executed" event lands after the notification is
-	// on the wire; poll the fetch/merge path briefly.
+	// The manager's "task failed" event lands after the failure
+	// notification is on the wire; poll the fetch/merge path briefly.
 	q1 := logx.Query{Trace: trace}
 	hc := &http.Client{Timeout: 5 * time.Second}
 	var merged []logx.Event
@@ -270,17 +268,17 @@ func TestLogsCorrelatedAcrossProcesses(t *testing.T) {
 			t.Errorf("event %q carries trace %s, want %s", ev.Msg, ev.Trace, trace)
 		}
 	}
-	var executed, flushed bool
+	var taskFailed, opFailed bool
 	for _, ev := range merged {
-		switch ev.Msg {
-		case "task executed":
-			executed = true
-		case "task flushed":
-			flushed = true
+		switch {
+		case ev.Component == "manager" && ev.Msg == "task failed":
+			taskFailed = true
+		case ev.Component == "library" && ev.Msg == "operation failed":
+			opFailed = true
 		}
 	}
-	if !executed || !flushed {
-		t.Errorf("per-task events missing: executed=%v flushed=%v\n%v", executed, flushed, merged)
+	if !taskFailed || !opFailed {
+		t.Errorf("failure events missing: manager task failed=%v, library operation failed=%v\n%v", taskFailed, opFailed, merged)
 	}
 }
 

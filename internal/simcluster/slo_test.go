@@ -14,48 +14,38 @@ import (
 	"testing"
 	"time"
 
-	"blastfunction/internal/accel"
 	"blastfunction/internal/alert"
 	"blastfunction/internal/flightrec"
-	"blastfunction/internal/fpga"
-	"blastfunction/internal/logx"
 	"blastfunction/internal/manager"
 	"blastfunction/internal/metrics"
 	"blastfunction/internal/model"
 	"blastfunction/internal/obs"
 	"blastfunction/internal/ocl"
 	"blastfunction/internal/remote"
-	"blastfunction/internal/rpc"
 	"blastfunction/internal/slo"
+	"blastfunction/internal/stack"
 )
 
-// sloRig is a manager whose board sleeps real wall time for transfers, so
-// payload size controls the measured task latency: small payloads stay
-// far under the objective's target, 1 MiB payloads reliably blow it.
-type sloRig struct {
-	mgr   *manager.Manager
-	srv   *rpc.Server
-	addr  string
-	board *fpga.Board
-}
-
-func newSLORig(t *testing.T) *sloRig {
+// newSLORig starts a node whose board sleeps real wall time for
+// transfers, so payload size controls the measured task latency: small
+// payloads stay far under the objective's target, 1 MiB payloads
+// reliably blow it.
+func newSLORig(t *testing.T) *stack.Node {
 	t.Helper()
 	cost := model.WorkerNode()
 	cost.PCIeGBps = 0.05                    // 1 MiB transfer ~= 20 ms modelled
 	cost.ReconfigureTime = time.Millisecond // keep programming cheap
-	cfg := fpga.DE5aNet(cost)
-	cfg.TimeScale = 1.0 // modelled time is slept for real
-	board := fpga.NewBoard(cfg, accel.Catalog())
-	mgr := manager.New(manager.Config{Node: "slonode", DeviceID: "slo-A"}, board)
-	srv := rpc.NewServer(mgr)
-	srv.Log = logx.NewLogf("rpc", t.Logf)
-	addr, err := srv.Listen("127.0.0.1:0")
+	rig, err := stack.NewNode(stack.NodeConfig{
+		Manager:   manager.Config{Node: "slonode", DeviceID: "slo-A"},
+		Cost:      cost,
+		TimeScale: 1.0, // modelled time is slept for real
+		Listen:    "127.0.0.1:0",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close(); mgr.Close() })
-	return &sloRig{mgr: mgr, srv: srv, addr: addr, board: board}
+	t.Cleanup(func() { rig.Close() })
+	return rig
 }
 
 // runCopyTask pushes one write -> copy -> read task of n bytes through the
@@ -109,7 +99,7 @@ func TestSLOSurgeEndToEnd(t *testing.T) {
 	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "payments", // the SLO subject: manager labels series tenant=payments
-		Managers:   []string{rig.addr},
+		Managers:   []string{rig.Addr},
 		Transport:  remote.TransportGRPC,
 		Tracer:     obs.New(1),
 		Flight:     libFlight,
@@ -123,11 +113,11 @@ func TestSLOSurgeEndToEnd(t *testing.T) {
 	// Observability plane: the scraper pulls the manager's real /metrics
 	// endpoint into a TSDB on a simulated clock, the SLO engine derives
 	// burn-rate rules, and a page captures pprof snapshots on disk.
-	metricsSrv := httptest.NewServer(rig.mgr.MetricsHandler())
+	metricsSrv := httptest.NewServer(rig.Handler())
 	defer metricsSrv.Close()
 	db := metrics.NewTSDB(time.Hour)
 	scraper := metrics.NewScraper(db, 5*time.Second)
-	scraper.AddTarget("slo-A", metricsSrv.URL)
+	scraper.AddTarget("slo-A", metricsSrv.URL+"/metrics")
 	start := time.Unix(1700000000, 0)
 	now := start
 	scraper.Now = func() time.Time { return now }
@@ -219,7 +209,7 @@ func TestSLOSurgeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exemplar trace %q: %v", lat.ExemplarTrace, err)
 	}
-	if _, ok := rig.mgr.Flight().FlightFor(traceID); !ok {
+	if _, ok := rig.Manager.Flight().FlightFor(traceID); !ok {
 		t.Fatalf("exemplar trace %s has no manager flight", lat.ExemplarTrace)
 	}
 	if _, ok := libFlight.FlightFor(traceID); !ok {

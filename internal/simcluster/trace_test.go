@@ -39,13 +39,13 @@ func sampledFlight(t *testing.T, rec *flightrec.Recorder) obs.TraceID {
 
 func TestTraceEndToEnd(t *testing.T) {
 	rig := newChaosRig(t, manager.Config{DeviceID: "trace-A"})
-	defer rig.close()
+	defer rig.Close()
 
 	libFlight := flightrec.New(flightrec.Config{Process: "library"})
 	defer libFlight.Close()
 	client, err := remote.Dial(remote.Config{
 		ClientName: "trace-client",
-		Managers:   []string{rig.addr},
+		Managers:   []string{rig.Addr},
 		Transport:  remote.TransportGRPC,
 		Tracer:     obs.New(1),
 		Flight:     libFlight,
@@ -92,9 +92,9 @@ func TestTraceEndToEnd(t *testing.T) {
 	// One sampled trace ID keys the task's flight in both processes.
 	trace := sampledFlight(t, libFlight)
 	waitComplete(t, libFlight, trace)
-	waitComplete(t, rig.mgr.Flight(), trace)
+	waitComplete(t, rig.Manager.Flight(), trace)
 	lib, _ := libFlight.FlightFor(trace)
-	mgr, _ := rig.mgr.Flight().FlightFor(trace)
+	mgr, _ := rig.Manager.Flight().FlightFor(trace)
 
 	count := func(f flightrec.Flight) map[flightrec.Kind]int {
 		n := map[flightrec.Kind]int{}
