@@ -1,7 +1,7 @@
 # BlastFunction reproduction build targets.
 GO ?= go
 
-.PHONY: all build test test-benchmark fuzz-smoke vet race allocs bench bench-dataplane bench-scale bench-reconfig bench-obs trace-overhead check experiments examples sched-ablation clean
+.PHONY: all build test test-benchmark fuzz-smoke vet race allocs bench bench-dataplane bench-scale bench-obs trace-overhead check experiments examples sched-ablation clean
 
 all: build test
 
@@ -57,7 +57,7 @@ sched-ablation:
 	$(GO) test -run '^$$' -bench BenchmarkAblationScheduling -benchtime 1x .
 	$(GO) test -bench BenchmarkPushPop -benchmem ./internal/sched/
 
-bench: trace-overhead bench-reconfig
+bench: trace-overhead
 	$(GO) test -bench=. -benchmem ./...
 
 # Record the data-plane reuse trajectory into BENCH_dataplane.json:
@@ -74,13 +74,6 @@ bench-dataplane:
 # Gatherer query cost.
 bench-scale:
 	BF_BENCH_SCALE=1 $(GO) test -run TestBenchScaleArtifact -count=1 -v .
-
-# Record the reconfiguration-storm trajectory into BENCH_reconfig.json:
-# p50/p99 and total reconfiguration seconds under serverless churn, placed
-# by the real Registry: Algorithm 1 alone vs Algorithm 1 with the
-# lifecycle service's flash windows.
-bench-reconfig:
-	BF_BENCH_RECONFIG=1 $(GO) test -run TestBenchReconfigArtifact -count=1 -v .
 
 # Record the observability tax into BENCH_obs.json: the three histogram
 # observation paths (plain, unsampled exemplar, sampled exemplar), the

@@ -50,10 +50,10 @@ type candidate struct {
 	metrics    DeviceMetrics
 	hasMetrics bool
 	compatible bool // accelerator-compatible: no reconfiguration needed
-	// flashed means the board already carries (or is promised to, by a
-	// pending flash window — Allocate records the expected bitstream
-	// eagerly) a bitstream serving the query's accelerator: allocating here
-	// costs no reprogram. A blank board is compatible but not flashed.
+	// flashed means the board's recorded accelerator serves the query:
+	// allocating here costs no reprogram. Allocate records the accelerator
+	// when it places, so a board an earlier allocation claimed counts
+	// before its Build lands. A blank board is compatible but not flashed.
 	flashed bool
 }
 
@@ -79,7 +79,7 @@ func (r *Registry) Allocate(req AllocRequest) (*Allocation, error) {
 	// the function.
 	cands := r.candidates(r.compatiblePool(fn.Query, req.Node), fn.Query)
 	cands = filterByMetrics(cands, r.source.Filters)
-	orderCandidates(cands, r.source.Order, r.source.ReconfigPenalty)
+	orderCandidates(cands, r.source.Order)
 
 	// Lines 5-12: pick the best-ordered compatible device. Every
 	// primary-pool candidate is compatible, so the head of the ordered
@@ -96,7 +96,7 @@ func (r *Registry) Allocate(req AllocRequest) (*Allocation, error) {
 	if chosen == nil {
 		all := r.candidates(r.fullPool(fn.Query, req.Node), fn.Query)
 		all = filterByMetrics(all, r.source.Filters)
-		orderCandidates(all, r.source.Order, r.source.ReconfigPenalty)
+		orderCandidates(all, r.source.Order)
 		for _, c := range all {
 			if moved, ok := r.redistributable(c.ds); ok {
 				chosen = c
@@ -292,32 +292,16 @@ func filterByMetrics(cands []*candidate, filters []Filter) []*candidate {
 }
 
 // orderCandidates implements orderby_metrics_and_acc: criteria in
-// priority order, with flashedness (already carrying — or promised to —
-// the right bitstream) and then accelerator compatibility as tiebreaks so
-// that among equally loaded devices the one avoiding a reconfiguration
-// wins; device ID breaks the final tie for determinism.
-//
-// penalty is the reconfiguration bias: a candidate that would need a
-// reprogram has its first criterion's value worsened by this amount
-// (raised for ascending criteria, lowered for descending) before
-// quantization, steering allocations toward already-flashed boards and
-// open flash windows unless a to-be-flashed board is more than the
-// penalty better on the primary metric.
-func orderCandidates(cands []*candidate, order []Criterion, penalty float64) {
-	bias := func(c *candidate, crit Criterion, first bool) float64 {
-		if !first || c.flashed || penalty == 0 {
-			return 0
-		}
-		if crit.Desc {
-			return -penalty
-		}
-		return penalty
-	}
+// priority order, with flashedness (already carrying the right
+// accelerator) and then accelerator compatibility as tiebreaks, so that
+// among equally loaded devices the one avoiding a reconfiguration wins;
+// device ID breaks the final tie for determinism.
+func orderCandidates(cands []*candidate, order []Criterion) {
 	sort.SliceStable(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
-		for k, crit := range order {
-			av := quantize(a.metrics.value(crit.Metric)+bias(a, crit, k == 0), crit.Quantum)
-			bv := quantize(b.metrics.value(crit.Metric)+bias(b, crit, k == 0), crit.Quantum)
+		for _, crit := range order {
+			av := quantize(a.metrics.value(crit.Metric), crit.Quantum)
+			bv := quantize(b.metrics.value(crit.Metric), crit.Quantum)
 			if av != bv {
 				if crit.Desc {
 					return av > bv

@@ -167,18 +167,6 @@ type AllocPolicy struct {
 	Order []Criterion
 	// Filters drop overloaded devices before ordering.
 	Filters []Filter
-	// ReconfigPenalty biases the first ordering criterion against devices
-	// that would need a reprogram (neither serving the requested
-	// accelerator nor promised to it by a pending flash window). A
-	// to-be-flashed board's primary score is inflated by this amount before
-	// quantization, so a blank board near a quantum boundary loses to an
-	// already-flashed one, while a sufficiently idle blank board still
-	// takes the allocation. Zero keeps pure load ordering (flashedness
-	// then only breaks exact ties). The default is half a utilization
-	// quantum (0.025): enough to tip near-boundary allocations onto open
-	// flash windows, never enough to override the connected-count spread
-	// between idle boards that the paper's experiments pin.
-	ReconfigPenalty float64
 }
 
 // MetricsSource yields per-device runtime metrics.
@@ -240,10 +228,8 @@ type Filter struct {
 
 // DefaultPolicy returns the allocation policy used in the paper's
 // experiments: prefer low utilization (5 % buckets), then fewer connected
-// instances, never allocate onto a device already above 95 % utilization,
-// and charge half a utilization quantum against boards that would need a
-// reprogram so near-boundary allocations pile onto open flash windows
-// instead of flipping additional boards.
+// instances, and never allocate onto a device already above 95 %
+// utilization. Ties fall to a board already carrying the accelerator.
 func DefaultPolicy(src MetricsSource) AllocPolicy {
 	return AllocPolicy{
 		Metrics: src,
@@ -251,8 +237,7 @@ func DefaultPolicy(src MetricsSource) AllocPolicy {
 			{Metric: MetricUtilization, Quantum: 0.05},
 			{Metric: MetricConnected},
 		},
-		Filters:         []Filter{{Metric: MetricUtilization, Max: 0.95}},
-		ReconfigPenalty: 0.025,
+		Filters: []Filter{{Metric: MetricUtilization, Max: 0.95}},
 	}
 }
 

@@ -108,6 +108,41 @@ func TestAllocateCompatibilityTiebreak(t *testing.T) {
 	}
 }
 
+// TestAllocateFlashedTiebreak pins the tie-break between two compatible
+// boards: at equal utilization bucket and connected count, the board
+// already carrying the function's accelerator beats a blank one, even
+// though the blank board's ID sorts first, so the placement costs no
+// reprogram and the blank board stays blank.
+func TestAllocateFlashedTiebreak(t *testing.T) {
+	src := StaticMetrics{
+		"fpga-A": {Utilization: 0.41, Connected: 1},
+		"fpga-B": {Utilization: 0.44, Connected: 1},
+	}
+	r := mustNew(t, DefaultPolicy(src))
+	for _, d := range []Device{
+		{ID: "fpga-A", Node: "A", Vendor: "Intel(R) Corporation"},
+		{ID: "fpga-B", Node: "B", Vendor: "Intel(R) Corporation", Bitstream: "spector-sobel", Accelerator: "sobel"},
+	} {
+		if err := r.RegisterDevice(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.RegisterFunction(sobelFn())
+	alloc, err := r.Allocate(AllocRequest{InstanceUID: "u1", InstanceName: "i1", Function: "sobel-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc.Device.ID != "fpga-B" || alloc.NeedsReconfigure || alloc.Device.Bitstream != "spector-sobel" {
+		t.Fatalf("allocated %s (bitstream %q, reconfigure %v), want fpga-B already carrying spector-sobel",
+			alloc.Device.ID, alloc.Device.Bitstream, alloc.NeedsReconfigure)
+	}
+	for _, d := range r.Devices() {
+		if d.ID == "fpga-A" && d.Bitstream != "" {
+			t.Fatalf("blank fpga-A now records bitstream %q: the placement reprograms a board", d.Bitstream)
+		}
+	}
+}
+
 func TestAllocateVendorFilter(t *testing.T) {
 	r := mustNew(t, AllocPolicy{})
 	threeDevices(r)

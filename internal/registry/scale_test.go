@@ -172,7 +172,7 @@ func TestConcurrentAllocateFallbackRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	r, err := New(AllocPolicy{ReconfigPenalty: 0.05})
+	r, err := New(AllocPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestConnectionLossWhileDataLands(t *testing.T) {
 	srv.Log = logx.NewLogf("rpc", t.Logf)
 	var armed atomic.Bool
 	srv.WrapConn = func(conn net.Conn) net.Conn {
-		return cutOnBulk{FaultConn: rpc.InjectFaults(conn, rpc.Faults{}), armed: &armed}
+		return cutOnBulk{FaultConn: rpc.InjectFaults(conn), armed: &armed}
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -188,7 +188,7 @@ func TestDelayedFramesFailOnConnectionLoss(t *testing.T) {
 		ShmDir: t.TempDir(), ShmBytes: 1 << 20, Flight: newFlight(t),
 		DialConn: func(addr string) (net.Conn, error) {
 			conn, err := net.Dial("tcp", addr)
-			fc = rpc.InjectFaults(conn, rpc.Faults{})
+			fc = rpc.InjectFaults(conn)
 			return fc, err
 		}})
 	if err != nil {

@@ -2,55 +2,26 @@ package rpc
 
 import (
 	"net"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Faults is the probabilistic fault plan of a FaultConn. Probabilities are
-// evaluated per Write with a deterministic RNG, so a given Seed replays
-// the same failure schedule — chaos tests stay reproducible.
-type Faults struct {
-	// Seed drives the per-write RNG; the zero seed is replaced by 1.
-	Seed uint64
-	// DropProb silently discards a write (the peer never sees the frame;
-	// deadlines, not errors, surface the loss).
-	DropProb float64
-	// DelayProb stalls a write by Delay before it goes out.
-	DelayProb float64
-	Delay     time.Duration
-	// CloseMidFrameProb writes roughly half of the buffer, then closes the
-	// connection — the peer reads a truncated frame.
-	CloseMidFrameProb float64
-}
-
-// FaultConn wraps a net.Conn with injectable write-path faults: drops,
-// delays and mid-frame closes, either probabilistic (Faults) or toggled
-// directly from a test. Reads pass through untouched — a dropped response
-// is modelled by dropping the peer's write.
+// FaultConn wraps a net.Conn with write-path faults a test toggles:
+// blackholed writes and a mid-frame close. Reads pass through untouched —
+// a dropped response is modelled by dropping the peer's write.
 type FaultConn struct {
 	net.Conn
-
-	mu  sync.Mutex
-	rng uint64
-	f   Faults
 
 	dropWrites atomic.Bool
 	closeNext  atomic.Bool
 
-	// Stats, for asserting the plan actually fired.
+	// Dropped counts blackholed writes, for asserting the fault fired.
 	Dropped atomic.Int64
-	Delayed atomic.Int64
 }
 
-// InjectFaults wraps conn with the given fault plan. Use Faults{} for a
-// transparent wrapper driven only by DropWrites/CloseMidFrame toggles.
-func InjectFaults(conn net.Conn, f Faults) *FaultConn {
-	seed := f.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &FaultConn{Conn: conn, rng: seed, f: f}
+// InjectFaults wraps conn in a transparent FaultConn; DropWrites and
+// CloseMidFrame arm its faults.
+func InjectFaults(conn net.Conn) *FaultConn {
+	return &FaultConn{Conn: conn}
 }
 
 // DropWrites toggles unconditional write blackholing: writes report
@@ -62,21 +33,9 @@ func (fc *FaultConn) DropWrites(on bool) { fc.dropWrites.Store(on) }
 // then close the connection.
 func (fc *FaultConn) CloseMidFrame() { fc.closeNext.Store(true) }
 
-// roll draws a uniform float in [0,1) from the deterministic RNG.
-func (fc *FaultConn) roll() float64 {
-	fc.mu.Lock()
-	fc.rng += 0x9e3779b97f4a7c15
-	z := fc.rng
-	fc.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
-}
-
-// Write implements net.Conn with the fault plan applied.
+// Write implements net.Conn with the armed faults applied.
 func (fc *FaultConn) Write(b []byte) (int, error) {
-	if fc.closeNext.CompareAndSwap(true, false) || (fc.f.CloseMidFrameProb > 0 && fc.roll() < fc.f.CloseMidFrameProb) {
+	if fc.closeNext.CompareAndSwap(true, false) {
 		n := len(b) / 2
 		if n > 0 {
 			fc.Conn.Write(b[:n])
@@ -84,13 +43,9 @@ func (fc *FaultConn) Write(b []byte) (int, error) {
 		fc.Conn.Close()
 		return n, net.ErrClosed
 	}
-	if fc.dropWrites.Load() || (fc.f.DropProb > 0 && fc.roll() < fc.f.DropProb) {
+	if fc.dropWrites.Load() {
 		fc.Dropped.Add(1)
 		return len(b), nil
-	}
-	if fc.f.DelayProb > 0 && fc.f.Delay > 0 && fc.roll() < fc.f.DelayProb {
-		fc.Delayed.Add(1)
-		time.Sleep(fc.f.Delay)
 	}
 	return fc.Conn.Write(b)
 }

@@ -14,13 +14,13 @@ import (
 
 // dialFaulty connects to addr with a FaultConn wrapped around the client
 // side of the connection.
-func dialFaulty(t *testing.T, addr string, f Faults) (*Client, *FaultConn, *notes) {
+func dialFaulty(t *testing.T, addr string) (*Client, *FaultConn, *notes) {
 	t.Helper()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := InjectFaults(raw, f)
+	fc := InjectFaults(raw)
 	q := newNotes()
 	c := NewClient(fc, q)
 	t.Cleanup(func() { c.Close() })
@@ -33,7 +33,7 @@ func dialFaulty(t *testing.T, addr string, f Faults) (*Client, *FaultConn, *note
 // one-minute default call deadline), and later calls must fail fast too.
 func TestCloseMidFrameFailsPendingWithManagerDown(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, fc, q := dialFaulty(t, addr, Faults{})
+	c, fc, q := dialFaulty(t, addr)
 
 	errCh := make(chan error, 1)
 	go func() {
@@ -66,7 +66,7 @@ func TestCloseMidFrameFailsPendingWithManagerDown(t *testing.T) {
 // error — surfaces the loss.
 func TestDroppedWriteHitsCallDeadline(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, fc, _ := dialFaulty(t, addr, Faults{})
+	c, fc, _ := dialFaulty(t, addr)
 
 	fc.DropWrites(true)
 	start := time.Now()
@@ -145,7 +145,7 @@ func TestCallRetryRecoversFromDeadline(t *testing.T) {
 // dead manager: connection loss fails the call on the first attempt.
 func TestCallRetryFailsFastOnManagerDown(t *testing.T) {
 	_, _, addr := startServer(t)
-	c, fc, _ := dialFaulty(t, addr, Faults{})
+	c, fc, _ := dialFaulty(t, addr)
 
 	fc.CloseMidFrame()
 	c.Send(96, []byte("x")) // kill the connection
@@ -185,7 +185,7 @@ func TestServerWrapConnInjectsFaults(t *testing.T) {
 	var mu sync.Mutex
 	var faulty []*FaultConn
 	s.WrapConn = func(raw net.Conn) net.Conn {
-		fc := InjectFaults(raw, Faults{})
+		fc := InjectFaults(raw)
 		mu.Lock()
 		faulty = append(faulty, fc)
 		mu.Unlock()

@@ -252,15 +252,69 @@ func TestServerCloseDropsClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	deadline := time.Now().Add(time.Second)
-	for h.disconnects.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if h.disconnects.Load() == 0 {
 		t.Fatal("disconnect hook did not run")
 	}
 	if _, err := c.Call(1, nil); err == nil {
 		t.Fatal("call must fail after server close")
+	}
+}
+
+// holdHandler counts disconnects; method 1 parks in the handler until
+// release closes, as a manager request blocked on a full queue does.
+type holdHandler struct {
+	entered     chan struct{}
+	release     chan struct{}
+	disconnects atomic.Int32
+}
+
+func (h *holdHandler) HandleConnect(c *Conn)    { c.SetSession(h) }
+func (h *holdHandler) HandleDisconnect(c *Conn) { h.disconnects.Add(1) }
+
+func (h *holdHandler) HandleRequest(c *Conn, method wire.Method, body []byte) ([]byte, error) {
+	if method == 1 {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+	return nil, nil
+}
+
+// TestServerCloseWaitsForDisconnects: Close returns only after every
+// connection's HandleDisconnect has run, including the connection whose
+// request was still inside the handler when Close began, so a Device
+// Manager closed after its server never sees a late disconnect.
+func TestServerCloseWaitsForDisconnects(t *testing.T) {
+	h := &holdHandler{entered: make(chan struct{}), release: make(chan struct{})}
+	s := NewServer(h)
+	s.Log = logx.NewLogf("rpc", t.Logf)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const idle = 4
+	for i := 0; i < idle; i++ {
+		c, _ := dial(t, addr)
+		defer c.Close()
+		if _, err := c.Call(2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, _ := dial(t, addr)
+	defer held.Close()
+	go held.Call(1, nil)
+	<-h.entered
+
+	var released atomic.Bool
+	time.AfterFunc(20*time.Millisecond, func() {
+		released.Store(true)
+		close(h.release)
+	})
+	s.Close()
+	if !released.Load() {
+		t.Fatal("Close returned while a request was still inside the handler")
+	}
+	if got := h.disconnects.Load(); got != idle+1 {
+		t.Fatalf("Close returned after %d of %d HandleDisconnect calls", got, idle+1)
 	}
 }
 

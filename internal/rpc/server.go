@@ -135,6 +135,9 @@ type Server struct {
 	ln    net.Listener
 	conns map[*Conn]struct{}
 	done  bool
+	// serving counts the serveConn goroutines; Close waits on it. Add runs
+	// under mu while done is false, so no Add follows Close's Wait.
+	serving sync.WaitGroup
 }
 
 // NewServer creates a server for the handler.
@@ -169,6 +172,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return net.ErrClosed
 		}
 		s.conns[conn] = struct{}{}
+		s.serving.Add(1)
 		s.mu.Unlock()
 		go s.serveConn(conn)
 	}
@@ -190,7 +194,10 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener and closes every connection.
+// Close stops the listener, closes every connection, and returns once
+// each connection's HandleDisconnect has run, so the handler's state may
+// be torn down after it. A request still inside HandleRequest delays
+// Close until it returns; Close must not be called from a Handler.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.done = true
@@ -207,10 +214,12 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
+	s.serving.Wait()
 	return err
 }
 
 func (s *Server) serveConn(c *Conn) {
+	defer s.serving.Done()
 	defer func() {
 		c.Close()
 		s.mu.Lock()

@@ -53,7 +53,7 @@ func dialChaos(t *testing.T, rig *stack.Node) (*remote.Client, *rpc.FaultConn) {
 			if err != nil {
 				return nil, err
 			}
-			fc = rpc.InjectFaults(raw, rpc.Faults{})
+			fc = rpc.InjectFaults(raw)
 			return fc, nil
 		},
 	})

@@ -43,7 +43,7 @@ func (l *faultListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	fc := rpc.InjectFaults(c, rpc.Faults{})
+	fc := rpc.InjectFaults(c)
 	l.mu.Lock()
 	fc.DropWrites(l.blackhole)
 	l.conns = append(l.conns, fc)

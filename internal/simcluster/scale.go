@@ -47,8 +47,7 @@ const (
 	scaleAdmitBurst = 5
 )
 
-// serviceTime is the board time one request takes in both cluster-scale
-// experiments.
+// serviceTime is the board time one request takes.
 const serviceTime = 8 * time.Millisecond
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
@@ -116,16 +115,13 @@ type simCluster struct {
 	server   map[string]*sim.Server // by device ID
 }
 
-// newSimCluster builds the cluster under registry.DefaultPolicy with the
-// given reconfiguration penalty.
-func newSimCluster(boards int, reconfigPenalty float64) (*simCluster, error) {
+// newSimCluster builds the cluster under registry.DefaultPolicy.
+func newSimCluster(boards int) (*simCluster, error) {
 	db := metrics.NewTSDB(15 * time.Minute)
 	gatherer := registry.NewGatherer(db)
 	base := time.Unix(0, 0)
 	gatherer.Now = func() time.Time { return base.Add(20 * time.Second) }
-	policy := registry.DefaultPolicy(gatherer)
-	policy.ReconfigPenalty = reconfigPenalty
-	reg, err := registry.New(policy)
+	reg, err := registry.New(registry.DefaultPolicy(gatherer))
 	if err != nil {
 		return nil, err
 	}
@@ -203,12 +199,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The scale experiment isolates the front door (admission + routing):
-	// the reconfiguration penalty is zeroed so placements spread by load
-	// exactly as in the paper's Algorithm 1, instead of piling onto
-	// already-flashed boards. The reconfig-storm experiment studies that
-	// tradeoff separately.
-	c, err := newSimCluster(cfg.Boards, 0)
+	c, err := newSimCluster(cfg.Boards)
 	if err != nil {
 		return nil, err
 	}

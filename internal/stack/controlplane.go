@@ -97,11 +97,12 @@ func (c *ControlPlane) AddManager(node, id, addr, metricsURL string) error {
 
 // Deploy registers function name running usecase (sobel, mm or cnn)
 // with the Registry, weight its fair share (0 = unweighted), and deploys
-// one instance of it on the gateway.
+// one instance of it on the gateway. An unknown use case fails before
+// anything is registered.
 func (c *ControlPlane) Deploy(name, usecase string, weight int) error {
 	uc, ok := useCases[usecase]
 	if !ok {
-		uc.accelerator, uc.bitstream = usecase, usecase
+		return fmt.Errorf("deploy %s: unknown use case %q (want %s)", name, usecase, useCaseNames)
 	}
 	if err := c.Registry.RegisterFunction(registry.Function{
 		Name:      name,
@@ -111,7 +112,7 @@ func (c *ControlPlane) Deploy(name, usecase string, weight int) error {
 	}); err != nil {
 		return err
 	}
-	if err := c.Gateway.Deploy(name, 1, factory(name, usecase, c.lib)); err != nil {
+	if err := c.Gateway.Deploy(name, 1, factory(uc.handler, c.lib)); err != nil {
 		return fmt.Errorf("deploy %s: %w", name, err)
 	}
 	return nil
@@ -148,19 +149,45 @@ func (c *ControlPlane) Close() {
 	c.Gateway.Flight.Close()
 }
 
-// useCases maps each use case to the accelerator its functions query
-// for and the bitstream they build; an unknown one queries and builds
-// its own name, and its factory fails.
-var useCases = map[string]struct{ accelerator, bitstream string }{
-	"sobel": {"sobel", accel.SobelBitstreamID},
-	"mm":    {"mm", accel.MMBitstreamID},
-	"cnn":   {"pipecnn", accel.PipeCNNBitstreamID},
+// useCase is what a function of one use case queries for, builds, and
+// serves: handler builds its app over the instance's Remote Library.
+type useCase struct {
+	accelerator, bitstream string
+	handler                func(*remote.Client) (http.Handler, error)
 }
 
+// useCases is every use case Deploy accepts; useCaseNames lists them.
+var useCases = map[string]useCase{
+	"sobel": {"sobel", accel.SobelBitstreamID, func(client *remote.Client) (http.Handler, error) {
+		app, err := apps.NewSobel(client, 0, 1920, 1080)
+		if err != nil {
+			return nil, err
+		}
+		return apps.SobelHandler(app, 1920, 1080), nil
+	}},
+	"mm": {"mm", accel.MMBitstreamID, func(client *remote.Client) (http.Handler, error) {
+		app, err := apps.NewMM(client, 0, 1024)
+		if err != nil {
+			return nil, err
+		}
+		return apps.MMHandler(app, 512), nil
+	}},
+	"cnn": {"pipecnn", accel.PipeCNNBitstreamID, func(client *remote.Client) (http.Handler, error) {
+		app, err := apps.NewCNN(client, 0, accel.TinyCNN())
+		if err != nil {
+			return nil, err
+		}
+		return apps.CNNHandler(app), nil
+	}},
+}
+
+const useCaseNames = "sobel|mm|cnn"
+
 // factory materializes a function instance: it dials the Device Manager
-// the Registry injected into the environment and builds the matching app.
-// lib holds what the instance's Remote Library shares with the process.
-func factory(name, usecase string, lib remote.Config) gateway.Factory {
+// the Registry injected into the environment and serves the app
+// newHandler builds over it. lib holds what the instance's Remote
+// Library shares with the process.
+func factory(newHandler func(*remote.Client) (http.Handler, error), lib remote.Config) gateway.Factory {
 	return func(in cluster.Instance) (gateway.Endpoint, error) {
 		addr := in.Env[registry.EnvManagerAddr]
 		if addr == "" {
@@ -178,36 +205,11 @@ func factory(name, usecase string, lib remote.Config) gateway.Factory {
 		if err != nil {
 			return nil, err
 		}
-		handler, err := appHandler(client, name, usecase)
+		handler, err := newHandler(client)
 		if err != nil {
 			client.Close()
 			return nil, err
 		}
 		return gateway.HandlerEndpoint{Handler: handler, CloseFunc: client.Close}, nil
 	}
-}
-
-// appHandler builds the use case's app over client and serves it.
-func appHandler(client *remote.Client, name, usecase string) (http.Handler, error) {
-	switch usecase {
-	case "sobel":
-		app, err := apps.NewSobel(client, 0, 1920, 1080)
-		if err != nil {
-			return nil, err
-		}
-		return apps.SobelHandler(app, 1920, 1080), nil
-	case "mm":
-		app, err := apps.NewMM(client, 0, 1024)
-		if err != nil {
-			return nil, err
-		}
-		return apps.MMHandler(app, 512), nil
-	case "cnn":
-		app, err := apps.NewCNN(client, 0, accel.TinyCNN())
-		if err != nil {
-			return nil, err
-		}
-		return apps.CNNHandler(app), nil
-	}
-	return nil, fmt.Errorf("unknown use case %q for %s", usecase, name)
 }
